@@ -94,259 +94,492 @@ let fault_points =
 
 (* ---- text codec --------------------------------------------------------- *)
 
-(* Strings are backslash-escaped so a field never contains a literal tab
-   or newline; fields join with tabs, records with newlines. *)
-let escape s =
-  if
-    not
-      (String.exists
-         (fun c -> c = '\\' || c = '\t' || c = '\n' || c = '\r')
-         s)
-  then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  end
+(* Fields join with tabs, records with newlines.  Strings are
+   backslash-escaped so a field never contains a literal tab or newline;
+   values carry a one-character type tag, floats print in hex ("%h") for
+   an exact round-trip, dates as their integer epoch day.
 
-let unescape s =
-  if not (String.contains s '\\') then s
-  else begin
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    while !i < n do
-      (if s.[!i] = '\\' && !i + 1 < n then begin
-         (match s.[!i + 1] with
-         | '\\' -> Buffer.add_char buf '\\'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 'r' -> Buffer.add_char buf '\r'
-         | c -> error "bad escape '\\%c'" c);
-         i := !i + 2
-       end
-       else begin
-         Buffer.add_char buf s.[!i];
-         incr i
-       end)
-    done;
-    Buffer.contents buf
-  end
+   One writer and one reader serve every line this format frames — WAL
+   records here, wire frames in {!Srv.Proto}.  The writer makes a line
+   in two passes over the same emitter: a size pass that only counts
+   bytes (digit counts, escaped lengths, the "%h" images, kept for the
+   fill), then a fill into one exactly-sized [Bytes.t].  The reader is a
+   cursor: it finds the next tab in place, parses decimal integers
+   without copying, and copies only string and float bodies. *)
 
-(* Values carry a one-character type tag; floats use "%h" for an exact
-   round-trip, dates their integer epoch-day representation. *)
-let value_to_field = function
-  | Value.Null -> "N"
-  | Value.Int i -> "I" ^ string_of_int i
-  | Value.Float f -> "F" ^ Printf.sprintf "%h" f
-  | Value.String s -> "S" ^ escape s
-  | Value.Bool b -> if b then "B1" else "B0"
-  | Value.Date d -> "D" ^ string_of_int d
+let escapes c = c = '\\' || c = '\t' || c = '\n' || c = '\r'
 
-let value_of_field s =
-  if s = "" then error "empty value field";
-  let body () = String.sub s 1 (String.length s - 1) in
-  match s.[0] with
-  | 'N' -> Value.Null
-  | 'I' -> (
-      match int_of_string_opt (body ()) with
-      | Some i -> Value.Int i
-      | None -> error "bad int field %S" s)
-  | 'F' -> (
-      match float_of_string_opt (body ()) with
-      | Some f -> Value.Float f
-      | None -> error "bad float field %S" s)
-  | 'S' -> Value.String (unescape (body ()))
-  | 'B' -> (
-      match body () with
-      | "1" -> Value.Bool true
-      | "0" -> Value.Bool false
-      | _ -> error "bad bool field %S" s)
-  | 'D' -> (
-      match int_of_string_opt (body ()) with
-      | Some d -> Value.Date d
-      | None -> error "bad date field %S" s)
-  | _ -> error "bad value field %S" s
+(* the digits of [m <= 0], so [min_int] needs no special case *)
+let rec digits m =
+  if m > -10 then 1
+  else if m > -100 then 2
+  else if m > -1000 then 3
+  else if m > -10000 then 4
+  else if m > -100000 then 5
+  else if m > -1000000 then 6
+  else 6 + digits (m / 1000000)
 
-let row_fields row =
-  string_of_int (Array.length row)
-  :: List.map value_to_field (Array.to_list row)
+let int_length n = if n < 0 then 1 + digits n else digits (-n)
 
-let int_field s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> error "expected integer, got %S" s
+let escaped_length s =
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    if escapes (String.unsafe_get s i) then incr n
+  done;
+  !n
 
-let float_field s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> error "expected float, got %S" s
+(* [Printf.sprintf "%h"] reduces to this primitive call *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
 
-let bool_field s =
-  match s with
-  | "1" -> true
-  | "0" -> false
-  | _ -> error "expected 0/1, got %S" s
+module Writer = struct
+  type t = {
+    mutable buf : Bytes.t;  (* [Bytes.empty] during the size pass *)
+    mutable sizing : bool;
+    mutable pos : int;
+    mutable fields : int;  (* fields begun on this line *)
+    mutable floats : string list;  (* "%h" images, made once *)
+  }
 
-(* consume a count-prefixed row from a field list *)
-let take_row fields =
-  match fields with
-  | [] -> error "truncated row"
-  | n :: rest ->
-      let n = int_field n in
-      let row = Array.make n Value.Null in
-      let rest = ref rest in
-      for i = 0 to n - 1 do
-        match !rest with
-        | [] -> error "truncated row (want %d values)" n
-        | f :: tl ->
-            row.(i) <- value_of_field f;
-            rest := tl
+  let to_string emit =
+    let w =
+      { buf = Bytes.empty; sizing = true; pos = 0; fields = 0; floats = [] }
+    in
+    emit w;
+    let size = w.pos in
+    w.buf <- Bytes.create size;
+    w.sizing <- false;
+    w.pos <- 0;
+    w.fields <- 0;
+    w.floats <- List.rev w.floats;
+    emit w;
+    if w.pos <> size then invalid_arg "Wal.Writer.to_string: unstable emitter";
+    Bytes.unsafe_to_string w.buf
+
+  let char w c =
+    if not w.sizing then Bytes.set w.buf w.pos c;
+    w.pos <- w.pos + 1
+
+  let verbatim w s =
+    if not w.sizing then Bytes.blit_string s 0 w.buf w.pos (String.length s);
+    w.pos <- w.pos + String.length s
+
+  let begin_field w =
+    if w.fields > 0 then char w '\t';
+    w.fields <- w.fields + 1
+
+  (* digits are written right to left, straight into the line *)
+  let put_int w n =
+    let len = int_length n in
+    if not w.sizing then begin
+      let m = ref (if n < 0 then n else -n) in
+      for i = w.pos + len - 1 downto if n < 0 then w.pos + 1 else w.pos do
+        let q = !m / 10 in
+        Bytes.set w.buf i (Char.unsafe_chr (48 + (q * 10) - !m));
+        m := q
       done;
-      (row, !rest)
+      if n < 0 then Bytes.set w.buf w.pos '-'
+    end;
+    w.pos <- w.pos + len
+
+  let put_float w f =
+    if w.sizing then begin
+      let s = hexstring_of_float f (-6) '-' in
+      w.floats <- s :: w.floats;
+      w.pos <- w.pos + String.length s
+    end
+    else
+      match w.floats with
+      | s :: rest ->
+          w.floats <- rest;
+          verbatim w s
+      | [] -> invalid_arg "Wal.Writer.to_string: unstable emitter"
+
+  let put_escaped w s =
+    if w.sizing then w.pos <- w.pos + escaped_length s
+    else if escaped_length s = String.length s then verbatim w s
+    else
+      String.iter
+        (function
+          | '\\' -> verbatim w "\\\\"
+          | '\t' -> verbatim w "\\t"
+          | '\n' -> verbatim w "\\n"
+          | '\r' -> verbatim w "\\r"
+          | c -> char w c)
+        s
+
+  let raw w s =
+    begin_field w;
+    verbatim w s
+
+  let int w n =
+    begin_field w;
+    put_int w n
+
+  let tagged_int w tag n =
+    begin_field w;
+    char w tag;
+    put_int w n
+
+  let float w f =
+    begin_field w;
+    put_float w f
+
+  let bool w b = raw w (if b then "1" else "0")
+
+  let string w s =
+    begin_field w;
+    put_escaped w s
+
+  let value w v =
+    begin_field w;
+    match v with
+    | Value.Null -> char w 'N'
+    | Value.Int i ->
+        char w 'I';
+        put_int w i
+    | Value.Float f ->
+        char w 'F';
+        put_float w f
+    | Value.String s ->
+        char w 'S';
+        put_escaped w s
+    | Value.Bool b -> verbatim w (if b then "B1" else "B0")
+    | Value.Date d ->
+        char w 'D';
+        put_int w d
+
+  let row w r =
+    int w (Array.length r);
+    Array.iter (value w) r
+end
+
+(* Decoding over [s.[start .. stop - 1]], the bytes of one field. *)
+
+let body s start stop = String.sub s start (stop - start)
+
+(* the plain decimal [s.[i .. stop - 1]], or -1 at a non-digit *)
+let rec decimal s i stop acc =
+  if i = stop then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> decimal s (i + 1) stop ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* Decimal spellings of up to 18 digits (below [max_int]) are parsed in
+   place; anything else goes to [int_of_string_opt], so the accepted set
+   is exactly the stdlib's. *)
+let int_in what s start stop =
+  let neg = start < stop && s.[start] = '-' in
+  let first = if neg then start + 1 else start in
+  let n =
+    if stop - first >= 1 && stop - first <= 18 then decimal s first stop 0
+    else -1
+  in
+  if n >= 0 then if neg then -n else n
+  else
+    match int_of_string_opt (body s start stop) with
+    | Some n -> n
+    | None -> error "bad %s field %S" what (body s start stop)
+
+let float_in what s start stop =
+  match float_of_string_opt (body s start stop) with
+  | Some f -> f
+  | None -> error "bad %s field %S" what (body s start stop)
+
+(* A backslash before one of [\\ t n r] is an escape, any other escape
+   is an error, and a lone trailing backslash stands for itself. *)
+let unescape_in s start stop =
+  let rec plain i = i >= stop || (s.[i] <> '\\' && plain (i + 1)) in
+  if plain start then body s start stop
+  else
+    let b = Bytes.create (stop - start) in
+    let rec go i j =
+      if i >= stop then j
+      else if s.[i] = '\\' && i + 1 < stop then begin
+        (match s.[i + 1] with
+        | '\\' -> Bytes.set b j '\\'
+        | 't' -> Bytes.set b j '\t'
+        | 'n' -> Bytes.set b j '\n'
+        | 'r' -> Bytes.set b j '\r'
+        | c -> error "bad escape '\\%c'" c);
+        go (i + 2) (j + 1)
+      end
+      else begin
+        Bytes.set b j s.[i];
+        go (i + 1) (j + 1)
+      end
+    in
+    Bytes.sub_string b 0 (go start 0)
+
+let value_in s start stop =
+  if start >= stop then error "empty value field";
+  match s.[start] with
+  | 'N' -> Value.Null
+  | 'I' -> Value.Int (int_in "int" s (start + 1) stop)
+  | 'F' -> Value.Float (float_in "float" s (start + 1) stop)
+  | 'S' -> Value.String (unescape_in s (start + 1) stop)
+  | 'B' when stop - start = 2 && s.[start + 1] = '1' -> Value.Bool true
+  | 'B' when stop - start = 2 && s.[start + 1] = '0' -> Value.Bool false
+  | 'B' -> error "bad bool field %S" (body s start stop)
+  | 'D' -> Value.Date (int_in "date" s (start + 1) stop)
+  | _ -> error "bad value field %S" (body s start stop)
+
+module Reader = struct
+  (* [pos] is where the next field starts; past the end of [s] once the
+     last field is taken, so "a\t" still has an (empty) second field —
+     the fields are exactly [String.split_on_char '\t' s]. *)
+  type t = {
+    s : string;
+    mutable pos : int;
+    mutable start : int;  (* the field last taken: [s.[start .. stop - 1]] *)
+    mutable stop : int;
+  }
+
+  let of_string s = { s; pos = 0; start = 0; stop = 0 }
+  let at_end r = r.pos > String.length r.s
+
+  let next r =
+    if at_end r then error "truncated line";
+    let n = String.length r.s in
+    let stop =
+      match String.index_from r.s r.pos '\t' with
+      | i -> i
+      | exception Not_found -> n
+    in
+    r.start <- r.pos;
+    r.stop <- stop;
+    r.pos <- stop + 1
+
+  let finish r = if not (at_end r) then error "trailing fields"
+
+  let raw r =
+    next r;
+    body r.s r.start r.stop
+
+  let string r =
+    next r;
+    unescape_in r.s r.start r.stop
+
+  let int r =
+    next r;
+    int_in "integer" r.s r.start r.stop
+
+  let tagged_int r tag =
+    next r;
+    if r.stop - r.start < 2 || r.s.[r.start] <> tag then
+      error "expected %c<integer>, got %S" tag (body r.s r.start r.stop);
+    int_in "integer" r.s (r.start + 1) r.stop
+
+  let float r =
+    next r;
+    float_in "float" r.s r.start r.stop
+
+  let bool r =
+    match raw r with
+    | "1" -> true
+    | "0" -> false
+    | s -> error "expected 0/1, got %S" s
+
+  let value r =
+    next r;
+    value_in r.s r.start r.stop
+
+  (* The arity is checked against the bytes left before anything is
+     allocated: every value takes at least one byte. *)
+  let row r =
+    let n = int r in
+    if n < 0 || n > max 0 (String.length r.s - r.pos) then
+      error "bad row arity %d" n;
+    let row = Array.make n Value.Null in
+    for i = 0 to n - 1 do
+      row.(i) <- value r
+    done;
+    row
+end
+
+let value_to_field v = Writer.to_string (fun w -> Writer.value w v)
 
 (* The shard tag is a trailing optional field: unpartitioned records
    (shard -1) keep the historical line shape, so pre-partitioning logs
    stay readable. *)
-let shard_fields shard = if shard < 0 then [] else [ string_of_int shard ]
+let put_shard w shard = if shard >= 0 then Writer.int w shard
+let take_shard r = if Reader.at_end r then -1 else Reader.int r
 
-let take_shard = function
-  | [] -> -1
-  | [ s ] -> int_field s
-  | _ -> error "trailing fields on data record"
-
-let sc_change_fields = function
+let put_sc_change w change =
+  let module W = Writer in
+  match change with
   | Sc_installed s ->
-      [
-        "install"; escape s.sc_name; escape s.sc_table;
-        (if s.sc_absolute then "1" else "0");
-        Printf.sprintf "%h" s.sc_confidence; escape s.sc_state;
-        string_of_int s.sc_anchor; string_of_int s.sc_violations;
-        escape s.sc_repr;
-      ]
-  | Sc_state { name; state } -> [ "state"; escape name; escape state ]
+      W.raw w "install";
+      W.string w s.sc_name;
+      W.string w s.sc_table;
+      W.bool w s.sc_absolute;
+      W.float w s.sc_confidence;
+      W.string w s.sc_state;
+      W.int w s.sc_anchor;
+      W.int w s.sc_violations;
+      W.string w s.sc_repr
+  | Sc_state { name; state } ->
+      W.raw w "state";
+      W.string w name;
+      W.string w state
   | Sc_kind { name; absolute; confidence } ->
-      [
-        "kind"; escape name;
-        (if absolute then "1" else "0");
-        Printf.sprintf "%h" confidence;
-      ]
+      W.raw w "kind";
+      W.string w name;
+      W.bool w absolute;
+      W.float w confidence
   | Sc_anchor { name; anchor } ->
-      [ "anchor"; escape name; string_of_int anchor ]
+      W.raw w "anchor";
+      W.string w name;
+      W.int w anchor
   | Sc_violations { name; count } ->
-      [ "viol"; escape name; string_of_int count ]
-  | Sc_statement { name; repr } -> [ "stmt"; escape name; escape repr ]
-  | Sc_dropped { name } -> [ "drop"; escape name ]
-  | Sc_exception { name; table } -> [ "exc"; escape name; escape table ]
+      W.raw w "viol";
+      W.string w name;
+      W.int w count
+  | Sc_statement { name; repr } ->
+      W.raw w "stmt";
+      W.string w name;
+      W.string w repr
+  | Sc_dropped { name } ->
+      W.raw w "drop";
+      W.string w name
+  | Sc_exception { name; table } ->
+      W.raw w "exc";
+      W.string w name;
+      W.string w table
 
-let sc_change_of_fields = function
-  | [ "install"; name; table; abs; conf; state; anchor; viol; repr ] ->
+(* Fields are read in line order, so every read is let-bound: record
+   fields and arguments are evaluated in an unspecified order. *)
+let take_sc_change r =
+  let module R = Reader in
+  match R.raw r with
+  | "install" ->
+      let sc_name = R.string r in
+      let sc_table = R.string r in
+      let sc_absolute = R.bool r in
+      let sc_confidence = R.float r in
+      let sc_state = R.string r in
+      let sc_anchor = R.int r in
+      let sc_violations = R.int r in
+      let sc_repr = R.string r in
       Sc_installed
         {
-          sc_name = unescape name;
-          sc_table = unescape table;
-          sc_absolute = bool_field abs;
-          sc_confidence = float_field conf;
-          sc_state = unescape state;
-          sc_anchor = int_field anchor;
-          sc_violations = int_field viol;
-          sc_repr = unescape repr;
+          sc_name;
+          sc_table;
+          sc_absolute;
+          sc_confidence;
+          sc_state;
+          sc_anchor;
+          sc_violations;
+          sc_repr;
         }
-  | [ "state"; name; state ] ->
-      Sc_state { name = unescape name; state = unescape state }
-  | [ "kind"; name; abs; conf ] ->
-      Sc_kind
-        {
-          name = unescape name;
-          absolute = bool_field abs;
-          confidence = float_field conf;
-        }
-  | [ "anchor"; name; anchor ] ->
-      Sc_anchor { name = unescape name; anchor = int_field anchor }
-  | [ "viol"; name; count ] ->
-      Sc_violations { name = unescape name; count = int_field count }
-  | [ "stmt"; name; repr ] ->
-      Sc_statement { name = unescape name; repr = unescape repr }
-  | [ "drop"; name ] -> Sc_dropped { name = unescape name }
-  | [ "exc"; name; table ] ->
-      Sc_exception { name = unescape name; table = unescape table }
-  | fields -> error "bad sc record: %s" (String.concat " " fields)
+  | "state" ->
+      let name = R.string r in
+      let state = R.string r in
+      Sc_state { name; state }
+  | "kind" ->
+      let name = R.string r in
+      let absolute = R.bool r in
+      let confidence = R.float r in
+      Sc_kind { name; absolute; confidence }
+  | "anchor" ->
+      let name = R.string r in
+      let anchor = R.int r in
+      Sc_anchor { name; anchor }
+  | "viol" ->
+      let name = R.string r in
+      let count = R.int r in
+      Sc_violations { name; count }
+  | "stmt" ->
+      let name = R.string r in
+      let repr = R.string r in
+      Sc_statement { name; repr }
+  | "drop" ->
+      let name = R.string r in
+      Sc_dropped { name }
+  | "exc" ->
+      let name = R.string r in
+      let table = R.string r in
+      Sc_exception { name; table }
+  | verb -> error "bad sc record %S" verb
 
-let record_to_line r =
-  let fields =
-    match r with
-    | Begin { txn } -> [ "B"; string_of_int txn ]
-    | Commit { txn } -> [ "C"; string_of_int txn ]
-    | Abort { txn } -> [ "A"; string_of_int txn ]
-    | Insert { txn; table; rid; row; shard } ->
-        [ "I"; string_of_int txn; escape table; string_of_int rid ]
-        @ row_fields row @ shard_fields shard
-    | Delete { txn; table; rid; row; shard } ->
-        [ "D"; string_of_int txn; escape table; string_of_int rid ]
-        @ row_fields row @ shard_fields shard
-    | Update { txn; table; rid; before; after; shard } ->
-        [ "U"; string_of_int txn; escape table; string_of_int rid ]
-        @ row_fields before @ row_fields after @ shard_fields shard
-    | Ddl { txn; sql } -> [ "Q"; string_of_int txn; escape sql ]
-    | Sc { txn; change } ->
-        "S" :: string_of_int txn :: sc_change_fields change
-    | Idx_state { txn; name; state } ->
-        [ "X"; string_of_int txn; escape name; escape state ]
-  in
-  String.concat "\t" fields
+(* a data record: txn, table, rid, count-prefixed rows, shard tag *)
+let put_data w tag txn table rid rows shard =
+  Writer.raw w tag;
+  Writer.int w txn;
+  Writer.string w table;
+  Writer.int w rid;
+  List.iter (Writer.row w) rows;
+  put_shard w shard
+
+let put_record w r =
+  let module W = Writer in
+  match r with
+  | Begin { txn } ->
+      W.raw w "B";
+      W.int w txn
+  | Commit { txn } ->
+      W.raw w "C";
+      W.int w txn
+  | Abort { txn } ->
+      W.raw w "A";
+      W.int w txn
+  | Insert { txn; table; rid; row; shard } ->
+      put_data w "I" txn table rid [ row ] shard
+  | Delete { txn; table; rid; row; shard } ->
+      put_data w "D" txn table rid [ row ] shard
+  | Update { txn; table; rid; before; after; shard } ->
+      put_data w "U" txn table rid [ before; after ] shard
+  | Ddl { txn; sql } ->
+      W.raw w "Q";
+      W.int w txn;
+      W.string w sql
+  | Sc { txn; change } ->
+      W.raw w "S";
+      W.int w txn;
+      put_sc_change w change
+  | Idx_state { txn; name; state } ->
+      W.raw w "X";
+      W.int w txn;
+      W.string w name;
+      W.string w state
+
+let record_to_line r = Writer.to_string (fun w -> put_record w r)
 
 let record_of_line line =
-  match String.split_on_char '\t' line with
-  | [ "B"; txn ] -> Begin { txn = int_field txn }
-  | [ "C"; txn ] -> Commit { txn = int_field txn }
-  | [ "A"; txn ] -> Abort { txn = int_field txn }
-  | "I" :: txn :: table :: rid :: rest ->
-      let row, extra = take_row rest in
-      Insert
-        {
-          txn = int_field txn;
-          table = unescape table;
-          rid = int_field rid;
-          row;
-          shard = take_shard extra;
-        }
-  | "D" :: txn :: table :: rid :: rest ->
-      let row, extra = take_row rest in
-      Delete
-        {
-          txn = int_field txn;
-          table = unescape table;
-          rid = int_field rid;
-          row;
-          shard = take_shard extra;
-        }
-  | "U" :: txn :: table :: rid :: rest ->
-      let before, rest = take_row rest in
-      let after, extra = take_row rest in
-      Update
-        {
-          txn = int_field txn;
-          table = unescape table;
-          rid = int_field rid;
-          before;
-          after;
-          shard = take_shard extra;
-        }
-  | [ "Q"; txn; sql ] -> Ddl { txn = int_field txn; sql = unescape sql }
-  | "S" :: txn :: rest ->
-      Sc { txn = int_field txn; change = sc_change_of_fields rest }
-  | [ "X"; txn; name; state ] ->
-      Idx_state
-        { txn = int_field txn; name = unescape name; state = unescape state }
-  | _ -> error "corrupt log line: %S" line
+  let module R = Reader in
+  let r = R.of_string line in
+  let record =
+    match R.raw r with
+    | "B" -> Begin { txn = R.int r }
+    | "C" -> Commit { txn = R.int r }
+    | "A" -> Abort { txn = R.int r }
+    | ("I" | "D" | "U") as tag -> (
+        let txn = R.int r in
+        let table = R.string r in
+        let rid = R.int r in
+        let row = R.row r in
+        match tag with
+        | "I" -> Insert { txn; table; rid; row; shard = take_shard r }
+        | "D" -> Delete { txn; table; rid; row; shard = take_shard r }
+        | _ ->
+            let after = R.row r in
+            Update
+              { txn; table; rid; before = row; after; shard = take_shard r })
+    | "Q" ->
+        let txn = R.int r in
+        Ddl { txn; sql = R.string r }
+    | "S" ->
+        let txn = R.int r in
+        Sc { txn; change = take_sc_change r }
+    | "X" ->
+        let txn = R.int r in
+        let name = R.string r in
+        Idx_state { txn; name; state = R.string r }
+    | _ -> error "corrupt log line: %S" line
+  in
+  R.finish r;
+  record
 
 (* ---- v2 line codec: LSN + CRC32 ----------------------------------------- *)
 
@@ -649,6 +882,8 @@ let pp_record ppf = function
   | Ddl { txn; sql } -> Fmt.pf ppf "[%d] DDL %s" txn sql
   | Sc { txn; change } ->
       Fmt.pf ppf "[%d] SC %s" txn
-        (String.concat " " (sc_change_fields change))
+        (String.map
+           (function '\t' -> ' ' | c -> c)
+           (Writer.to_string (fun w -> put_sc_change w change)))
   | Idx_state { txn; name; state } ->
       Fmt.pf ppf "[%d] IDX %s -> %s" txn name state

@@ -193,19 +193,81 @@ val scan_file : string -> string * scanned list
 
 (** {1 Text codec}
 
-    The log's field-level codec, exported for other line-oriented framed
-    formats that need the same exact round-trip guarantees (the server
-    wire protocol, {!Srv.Proto}): strings backslash-escaped so a field
-    never contains a literal tab or newline, floats printed in hex. *)
+    The log's line codec, shared with the other line-oriented
+    framed format that needs the same exact round-trip (the server wire
+    protocol, {!Srv.Proto}): fields joined by tabs, strings
+    backslash-escaped so a field never contains a literal tab or
+    newline, values tagged by one character, floats printed in hex
+    (["%h"]).  One writer and one reader make and take every such
+    line. *)
 
-val escape : string -> string
-val unescape : string -> string
-(** [unescape] raises {!Wal_error} on a malformed escape. *)
+module Writer : sig
+  type t
+
+  val to_string : (t -> unit) -> string
+  (** [to_string emit] runs [emit] twice: a size pass that only counts
+      bytes, then a fill into one buffer of exactly that size.  [emit]
+      must emit the same fields both times.  Fields are separated by
+      tabs; no trailing newline. *)
+
+  val raw : t -> string -> unit
+  (** A field written verbatim (a tag or verb: no tab, no newline). *)
+
+  val string : t -> string -> unit
+  (** A backslash-escaped string field. *)
+
+  val int : t -> int -> unit
+  (** A decimal field, as [string_of_int]. *)
+
+  val tagged_int : t -> char -> int -> unit
+  (** One field: the tag character, then the decimal ([Q12]). *)
+
+  val float : t -> float -> unit
+  (** A hex float field, as [Printf.sprintf "%h"]. *)
+
+  val bool : t -> bool -> unit
+  (** [1] or [0]. *)
+
+  val value : t -> Value.t -> unit
+  (** A type-tagged value field. *)
+
+  val row : t -> Value.t array -> unit
+  (** The arity, then one value field per column. *)
+end
+
+module Reader : sig
+  type t
+  (** A cursor over the tab-separated fields of one line; the fields it
+      yields are exactly [String.split_on_char '\t' line].  Every
+      reader raises {!Wal_error} on a missing or malformed field. *)
+
+  val of_string : string -> t
+  val at_end : t -> bool
+
+  val finish : t -> unit
+  (** Raises {!Wal_error} if a field is left. *)
+
+  val raw : t -> string
+  val string : t -> string
+
+  val int : t -> int
+  (** Accepts what [int_of_string_opt] accepts. *)
+
+  val tagged_int : t -> char -> int
+  (** The inverse of {!Writer.tagged_int}. *)
+
+  val float : t -> float
+  val bool : t -> bool
+  val value : t -> Value.t
+
+  val row : t -> Value.t array
+  (** The inverse of {!Writer.row}.  An arity that is negative or
+      exceeds the bytes left is rejected before anything is
+      allocated. *)
+end
 
 val value_to_field : Value.t -> string
-
-val value_of_field : string -> Value.t
-(** Raises {!Wal_error} on corrupt input. *)
+(** One value field on its own. *)
 
 val set_fault_hook : (string -> unit) -> unit
 (** Install the fault-injection callback invoked at each named point

@@ -1,7 +1,7 @@
 (* The softdb wire protocol: framed text, one message per line.
 
    The codec mirrors the WAL's file format (lib/rel/wal) on purpose, and
-   reuses its field-level primitives: tab-separated fields, strings
+   reuses its line writer and reader: tab-separated fields, strings
    backslash-escaped so a field can never contain a literal tab or
    newline, floats in hex ("%h") so every value round-trips exactly.
    Like the WAL, a text format keeps captured traffic inspectable with
@@ -57,68 +57,84 @@ exception Protocol_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
-(* ---- field primitives (shared with the WAL codec) ------------------------ *)
+(* ---- framing (the WAL's line codec) -------------------------------------- *)
 
-let escape = Wal.escape
+(* Frames are made by {!Wal.Writer} — one exactly-sized string, no field
+   list — and taken by {!Wal.Reader}, a cursor over the line.  Neither
+   keeps a buffer between calls.  A per-domain buffer would not be safe:
+   the connection reader loops are systhreads sharing the main domain,
+   each encoding its own inline replies, and a thread switch mid-frame
+   would leave two of them writing into one buffer. *)
 
-let unescape s =
-  try Wal.unescape s with Wal.Wal_error m -> raise (Protocol_error m)
+module W = Wal.Writer
+module R = Wal.Reader
 
-let value_to_field = Wal.value_to_field
-
-let value_of_field s =
-  try Wal.value_of_field s with Wal.Wal_error m -> raise (Protocol_error m)
-
-let int_field s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> error "expected integer, got %S" s
-
-let join = String.concat "\t"
-let split line = String.split_on_char '\t' line
+let decode what take line =
+  let r = R.of_string line in
+  try
+    let v = take r in
+    R.finish r;
+    v
+  with Wal.Wal_error m | Protocol_error m -> error "bad %s frame: %s" what m
 
 (* ---- requests ------------------------------------------------------------ *)
 
-let request_to_line ({ id; payload } : request) =
-  let fields =
-    match payload with
-    | Hello { client } -> [ "hello"; escape client ]
-    | Statement sql -> [ "stmt"; escape sql ]
-    | Prepare { handle; sql } -> [ "prepare"; escape handle; escape sql ]
-    | Execute { handle } -> [ "execute"; escape handle ]
-    | Begin_txn -> [ "begin" ]
-    | Commit_txn -> [ "commit" ]
-    | Rollback_txn -> [ "rollback" ]
-    | Set { key; value } -> [ "set"; escape key; escape value ]
-    | Cancel { target } -> [ "cancel"; string_of_int target ]
-    | Ping -> [ "ping" ]
-    | Quit -> [ "quit" ]
-  in
-  join (("Q" ^ string_of_int id) :: fields)
+let put_request w ({ id; payload } : request) =
+  W.tagged_int w 'Q' id;
+  match payload with
+  | Hello { client } ->
+      W.raw w "hello";
+      W.string w client
+  | Statement sql ->
+      W.raw w "stmt";
+      W.string w sql
+  | Prepare { handle; sql } ->
+      W.raw w "prepare";
+      W.string w handle;
+      W.string w sql
+  | Execute { handle } ->
+      W.raw w "execute";
+      W.string w handle
+  | Begin_txn -> W.raw w "begin"
+  | Commit_txn -> W.raw w "commit"
+  | Rollback_txn -> W.raw w "rollback"
+  | Set { key; value } ->
+      W.raw w "set";
+      W.string w key;
+      W.string w value
+  | Cancel { target } ->
+      W.raw w "cancel";
+      W.int w target
+  | Ping -> W.raw w "ping"
+  | Quit -> W.raw w "quit"
 
-let request_of_line line : request =
-  match split line with
-  | head :: fields when String.length head > 1 && head.[0] = 'Q' ->
-      let id = int_field (String.sub head 1 (String.length head - 1)) in
-      let payload =
-        match fields with
-        | [ "hello"; client ] -> Hello { client = unescape client }
-        | [ "stmt"; sql ] -> Statement (unescape sql)
-        | [ "prepare"; handle; sql ] ->
-            Prepare { handle = unescape handle; sql = unescape sql }
-        | [ "execute"; handle ] -> Execute { handle = unescape handle }
-        | [ "begin" ] -> Begin_txn
-        | [ "commit" ] -> Commit_txn
-        | [ "rollback" ] -> Rollback_txn
-        | [ "set"; key; value ] ->
-            Set { key = unescape key; value = unescape value }
-        | [ "cancel"; target ] -> Cancel { target = int_field target }
-        | [ "ping" ] -> Ping
-        | [ "quit" ] -> Quit
-        | _ -> error "bad request %S" line
-      in
-      { id; payload }
-  | _ -> error "bad request frame %S" line
+let request_to_line r = W.to_string (fun w -> put_request w r)
+
+(* Fields are read in line order, so every read is let-bound. *)
+let take_request r : request =
+  let id = R.tagged_int r 'Q' in
+  let payload =
+    match R.raw r with
+    | "hello" -> Hello { client = R.string r }
+    | "stmt" -> Statement (R.string r)
+    | "prepare" ->
+        let handle = R.string r in
+        Prepare { handle; sql = R.string r }
+    | "execute" -> Execute { handle = R.string r }
+    | "begin" -> Begin_txn
+    | "commit" -> Commit_txn
+    | "rollback" -> Rollback_txn
+    | "set" ->
+        let key = R.string r in
+        Set { key; value = R.string r }
+    | "cancel" -> Cancel { target = R.int r }
+    | "ping" -> Ping
+    | "quit" -> Quit
+    | verb -> error "unknown verb %S" verb
+  in
+  { id; payload }
+
+let request_of_line = decode "request" take_request
 
 (* ---- responses ----------------------------------------------------------- *)
 
@@ -144,85 +160,73 @@ let code_of_field = function
 (* Result sets flatten into one line: column count, column names, row
    count, then each row as arity-prefixed value fields — the same
    count-prefixed shape the WAL uses for tuples. *)
-let response_to_line ({ id; payload } : response) =
-  let fields =
-    match payload with
-    | Hello_ok { session } -> [ "hello"; string_of_int session ]
-    | Ok_msg m -> [ "ok"; escape m ]
-    | Result_set { columns; rows } ->
-        ("rows" :: string_of_int (List.length columns)
-        :: List.map escape columns)
-        @ (string_of_int (List.length rows)
-          :: List.concat_map
-               (fun row ->
-                 string_of_int (Array.length row)
-                 :: List.map value_to_field (Array.to_list row))
-               rows)
-    | Affected n -> [ "affected"; string_of_int n ]
-    | Explained text -> [ "explained"; escape text ]
-    | Failed { code; message } ->
-        [ "error"; code_to_field code; escape message ]
-    | Rejected { retry_after_ms } ->
-        [ "rejected"; string_of_int retry_after_ms ]
-    | Pong -> [ "pong" ]
-    | Bye -> [ "bye" ]
+let put_response w ({ id; payload } : response) =
+  W.tagged_int w 'R' id;
+  match payload with
+  | Hello_ok { session } ->
+      W.raw w "hello";
+      W.int w session
+  | Ok_msg m ->
+      W.raw w "ok";
+      W.string w m
+  | Result_set { columns; rows } ->
+      W.raw w "rows";
+      W.int w (List.length columns);
+      List.iter (W.string w) columns;
+      W.int w (List.length rows);
+      List.iter (W.row w) rows
+  | Affected n ->
+      W.raw w "affected";
+      W.int w n
+  | Explained text ->
+      W.raw w "explained";
+      W.string w text
+  | Failed { code; message } ->
+      W.raw w "error";
+      W.raw w (code_to_field code);
+      W.string w message
+  | Rejected { retry_after_ms } ->
+      W.raw w "rejected";
+      W.int w retry_after_ms
+  | Pong -> W.raw w "pong"
+  | Bye -> W.raw w "bye"
+
+let response_to_line r = W.to_string (fun w -> put_response w r)
+
+let count r what =
+  let n = R.int r in
+  if n < 0 then error "negative %s count %d" what n;
+  n
+
+let take_list take r n =
+  let rec go n acc =
+    if n = 0 then List.rev acc else go (n - 1) (take r :: acc)
   in
-  join (("R" ^ string_of_int id) :: fields)
+  go n []
 
-let take n fields =
-  let rec go n acc fields =
-    if n = 0 then (List.rev acc, fields)
-    else
-      match fields with
-      | [] -> error "truncated frame"
-      | f :: tl -> go (n - 1) (f :: acc) tl
+let take_response r : response =
+  let id = R.tagged_int r 'R' in
+  let payload =
+    match R.raw r with
+    | "hello" -> Hello_ok { session = R.int r }
+    | "ok" -> Ok_msg (R.string r)
+    | "rows" ->
+        let columns = take_list R.string r (count r "column") in
+        let rows = take_list R.row r (count r "row") in
+        Result_set { columns; rows }
+    | "affected" -> Affected (R.int r)
+    | "explained" -> Explained (R.string r)
+    | "error" ->
+        let code = code_of_field (R.raw r) in
+        Failed { code; message = R.string r }
+    | "rejected" -> Rejected { retry_after_ms = R.int r }
+    | "pong" -> Pong
+    | "bye" -> Bye
+    | verb -> error "unknown verb %S" verb
   in
-  go n [] fields
+  { id; payload }
 
-let take_row fields =
-  match fields with
-  | [] -> error "truncated row"
-  | n :: rest ->
-      let n = int_field n in
-      let cells, rest = take n rest in
-      (Array.of_list (List.map value_of_field cells), rest)
-
-let response_of_line line : response =
-  match split line with
-  | head :: fields when String.length head > 1 && head.[0] = 'R' ->
-      let id = int_field (String.sub head 1 (String.length head - 1)) in
-      let payload =
-        match fields with
-        | [ "hello"; session ] -> Hello_ok { session = int_field session }
-        | [ "ok"; m ] -> Ok_msg (unescape m)
-        | "rows" :: ncols :: rest ->
-            let cols, rest = take (int_field ncols) rest in
-            let columns = List.map unescape cols in
-            let nrows, rest =
-              match rest with
-              | n :: tl -> (int_field n, tl)
-              | [] -> error "truncated result set"
-            in
-            let rows = ref [] in
-            let rest = ref rest in
-            for _ = 1 to nrows do
-              let row, tl = take_row !rest in
-              rows := row :: !rows;
-              rest := tl
-            done;
-            if !rest <> [] then error "trailing fields in result set";
-            Result_set { columns; rows = List.rev !rows }
-        | [ "affected"; n ] -> Affected (int_field n)
-        | [ "explained"; text ] -> Explained (unescape text)
-        | [ "error"; code; message ] ->
-            Failed { code = code_of_field code; message = unescape message }
-        | [ "rejected"; ms ] -> Rejected { retry_after_ms = int_field ms }
-        | [ "pong" ] -> Pong
-        | [ "bye" ] -> Bye
-        | _ -> error "bad response %S" line
-      in
-      { id; payload }
-  | _ -> error "bad response frame %S" line
+let response_of_line = decode "response" take_response
 
 (* ---- pretty-printing ------------------------------------------------------ *)
 

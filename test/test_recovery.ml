@@ -785,6 +785,49 @@ let test_lsn_regression_detected () =
        report.Core.Recovery.corrupt);
   cleanup_wal path
 
+(* A data record whose row arity is negative or absurdly large must be a
+   corrupt line, not an allocation failure: salvage classifies only
+   parse errors, so anything else would take recovery down. *)
+let test_corrupt_row_arity_quarantined () =
+  List.iter
+    (fun arity ->
+      let line = "I\t1\tt\t3\t" ^ arity in
+      (match Wal.parse_line line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %S" line);
+      (* a v1 log: the fixture, then the probe transaction with the bad
+         record right after its Begin *)
+      let sdb, wal, _ = fixture () in
+      probe_commit sdb;
+      let records = Wal.records wal in
+      let probe =
+        List.fold_left
+          (fun acc r -> match r with Wal.Begin { txn } -> txn | _ -> acc)
+          0 records
+      in
+      let path = Filename.temp_file "softdb_arity" ".wal" in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter
+            (fun r ->
+              output_string oc (Wal.record_to_line r ^ "\n");
+              match r with
+              | Wal.Begin { txn } when txn = probe ->
+                  Printf.fprintf oc "I\t%d\tt\t3\t%s\n" txn arity
+              | _ -> ())
+            records);
+      let sdb2, report =
+        Core.Recovery.recover_file ~mode:Core.Recovery.Salvage path
+      in
+      check tint "one corrupt line" 1
+        (List.length report.Core.Recovery.corrupt);
+      check tbool "probe txn dropped" true
+        (report.Core.Recovery.dropped_txns = [ probe ]);
+      check tbool "pre state" true (rows_of sdb2 = pre_rows);
+      check tbool "line quarantined" true
+        (Sys.file_exists (path ^ ".salvage"));
+      cleanup_wal path)
+    [ "-1"; "4611686018427387903" ]
+
 let test_sharded_salvage_equivalent () =
   (* the sharded replayer must make the identical salvage decisions *)
   let sdb, link, path = file_fixture () in
@@ -939,6 +982,8 @@ let () =
             test_lsn_regression_detected;
           Alcotest.test_case "sharded salvage equivalent" `Quick
             test_sharded_salvage_equivalent;
+          Alcotest.test_case "corrupt row arity quarantined" `Quick
+            test_corrupt_row_arity_quarantined;
         ] );
       ( "edges",
         [

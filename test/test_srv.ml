@@ -109,6 +109,423 @@ let prop_statement_round_trips =
       let r : Srv.Proto.request = { id; payload = Statement sql } in
       Srv.Proto.request_of_line (Srv.Proto.request_to_line r) = r)
 
+(* ---- codec: differential against the list codec ------------------------- *)
+
+(* The reference model: the list-based codec the single-pass one
+   replaced — split into a field list, [String.sub] per field,
+   [string_of_int] / [Printf.sprintf "%h"] per value, [String.concat].
+   The new codec must match it byte for byte when encoding, and agree
+   with it on every frame when decoding, except that it rejects negative
+   row counts. *)
+module Ref = struct
+  exception Reject
+
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (function
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let unescape s =
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let i = ref 0 in
+    while !i < n do
+      if s.[!i] = '\\' && !i + 1 < n then begin
+        (match s.[!i + 1] with
+        | '\\' -> Buffer.add_char buf '\\'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | _ -> raise Reject);
+        i := !i + 2
+      end
+      else begin
+        Buffer.add_char buf s.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents buf
+
+  let value_to_field = function
+    | Value.Null -> "N"
+    | Value.Int i -> "I" ^ string_of_int i
+    | Value.Float f -> "F" ^ Printf.sprintf "%h" f
+    | Value.String s -> "S" ^ escape s
+    | Value.Bool b -> if b then "B1" else "B0"
+    | Value.Date d -> "D" ^ string_of_int d
+
+  let int_field s =
+    match int_of_string_opt s with Some i -> i | None -> raise Reject
+
+  let value_of_field s =
+    if s = "" then raise Reject;
+    let body = String.sub s 1 (String.length s - 1) in
+    match s.[0] with
+    | 'N' -> Value.Null
+    | 'I' -> Value.Int (int_field body)
+    | 'F' -> (
+        match float_of_string_opt body with
+        | Some f -> Value.Float f
+        | None -> raise Reject)
+    | 'S' -> Value.String (unescape body)
+    | 'B' -> (
+        match body with
+        | "1" -> Value.Bool true
+        | "0" -> Value.Bool false
+        | _ -> raise Reject)
+    | 'D' -> Value.Date (int_field body)
+    | _ -> raise Reject
+
+  let join = String.concat "\t"
+  let split = String.split_on_char '\t'
+
+  let id_field tag head =
+    if String.length head > 1 && head.[0] = tag then
+      int_field (String.sub head 1 (String.length head - 1))
+    else raise Reject
+
+  let request_to_line ({ id; payload } : Srv.Proto.request) =
+    join
+      (("Q" ^ string_of_int id)
+      ::
+      (match payload with
+      | Hello { client } -> [ "hello"; escape client ]
+      | Statement sql -> [ "stmt"; escape sql ]
+      | Prepare { handle; sql } -> [ "prepare"; escape handle; escape sql ]
+      | Execute { handle } -> [ "execute"; escape handle ]
+      | Begin_txn -> [ "begin" ]
+      | Commit_txn -> [ "commit" ]
+      | Rollback_txn -> [ "rollback" ]
+      | Set { key; value } -> [ "set"; escape key; escape value ]
+      | Cancel { target } -> [ "cancel"; string_of_int target ]
+      | Ping -> [ "ping" ]
+      | Quit -> [ "quit" ]))
+
+  let request_of_line line : Srv.Proto.request =
+    match split line with
+    | [] -> raise Reject
+    | head :: fields ->
+        let id = id_field 'Q' head in
+        let payload : Srv.Proto.request_payload =
+          match fields with
+          | [ "hello"; client ] -> Hello { client = unescape client }
+          | [ "stmt"; sql ] -> Statement (unescape sql)
+          | [ "prepare"; handle; sql ] ->
+              Prepare { handle = unescape handle; sql = unescape sql }
+          | [ "execute"; handle ] -> Execute { handle = unescape handle }
+          | [ "begin" ] -> Begin_txn
+          | [ "commit" ] -> Commit_txn
+          | [ "rollback" ] -> Rollback_txn
+          | [ "set"; key; value ] ->
+              Set { key = unescape key; value = unescape value }
+          | [ "cancel"; target ] -> Cancel { target = int_field target }
+          | [ "ping" ] -> Ping
+          | [ "quit" ] -> Quit
+          | _ -> raise Reject
+        in
+        { id; payload }
+
+  let codes : (Srv.Proto.error_code * string) list =
+    [
+      (Parse_error, "parse"); (Exec_error, "exec"); (Txn_error, "txn");
+      (Deadline_exceeded, "deadline"); (Cancelled, "cancelled");
+      (Session_closed, "closed"); (Shutting_down, "shutdown");
+    ]
+
+  let response_to_line ({ id; payload } : Srv.Proto.response) =
+    join
+      (("R" ^ string_of_int id)
+      ::
+      (match payload with
+      | Hello_ok { session } -> [ "hello"; string_of_int session ]
+      | Ok_msg m -> [ "ok"; escape m ]
+      | Result_set { columns; rows } ->
+          ("rows" :: string_of_int (List.length columns)
+          :: List.map escape columns)
+          @ (string_of_int (List.length rows)
+            :: List.concat_map
+                 (fun row ->
+                   string_of_int (Array.length row)
+                   :: List.map value_to_field (Array.to_list row))
+                 rows)
+      | Affected n -> [ "affected"; string_of_int n ]
+      | Explained text -> [ "explained"; escape text ]
+      | Failed { code; message } ->
+          [ "error"; List.assoc code codes; escape message ]
+      | Rejected { retry_after_ms } ->
+          [ "rejected"; string_of_int retry_after_ms ]
+      | Pong -> [ "pong" ]
+      | Bye -> [ "bye" ]))
+
+  let take n fields =
+    let rec go n acc fields =
+      if n = 0 then (List.rev acc, fields)
+      else
+        match fields with
+        | [] -> raise Reject
+        | f :: tl -> go (n - 1) (f :: acc) tl
+    in
+    go n [] fields
+
+  let take_row = function
+    | [] -> raise Reject
+    | n :: rest ->
+        let cells, rest = take (int_field n) rest in
+        (Array.of_list (List.map value_of_field cells), rest)
+
+  let response_of_line line : Srv.Proto.response =
+    match split line with
+    | [] -> raise Reject
+    | head :: fields ->
+        let id = id_field 'R' head in
+        let payload : Srv.Proto.response_payload =
+          match fields with
+          | [ "hello"; session ] -> Hello_ok { session = int_field session }
+          | [ "ok"; m ] -> Ok_msg (unescape m)
+          | "rows" :: ncols :: rest ->
+              let cols, rest = take (int_field ncols) rest in
+              let nrows, rest =
+                match rest with
+                | n :: tl -> (int_field n, tl)
+                | [] -> raise Reject
+              in
+              let rows = ref [] and rest = ref rest in
+              for _ = 1 to nrows do
+                let row, tl = take_row !rest in
+                rows := row :: !rows;
+                rest := tl
+              done;
+              if !rest <> [] then raise Reject;
+              Result_set
+                { columns = List.map unescape cols; rows = List.rev !rows }
+          | [ "affected"; n ] -> Affected (int_field n)
+          | [ "explained"; text ] -> Explained (unescape text)
+          | [ "error"; code; message ] -> (
+              match List.find_opt (fun (_, f) -> f = code) codes with
+              | Some (code, _) -> Failed { code; message = unescape message }
+              | None -> raise Reject)
+          | [ "rejected"; ms ] -> Rejected { retry_after_ms = int_field ms }
+          | [ "pong" ] -> Pong
+          | [ "bye" ] -> Bye
+          | _ -> raise Reject
+        in
+        { id; payload }
+end
+
+(* Seeded generators over every payload, biased toward the values a
+   codec gets wrong: int and float extremes, escapes, empty lists. *)
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+let gen_int st =
+  match Random.State.int st 4 with
+  | 0 ->
+      pick st
+        [
+          0; 1; -1; 9; 10; -10; min_int; max_int; min_int + 1; max_int - 1;
+          999_999_999_999_999_999; -999_999_999_999_999_999;
+          1_000_000_000_000_000_000; -1_000_000_000_000_000_000;
+        ]
+  | 1 -> Random.State.int st 1000 - 500
+  | _ ->
+      (* all 63 bits, negatives included *)
+      Random.State.bits st
+      lor (Random.State.bits st lsl 30)
+      lxor (Random.State.bits st lsl 60)
+
+let gen_float st =
+  match Random.State.int st 3 with
+  | 0 ->
+      pick st
+        [
+          nan; infinity; neg_infinity; -0.0; 0.0; 0.1; -1.5; min_float;
+          max_float; epsilon_float; 4.9e-324; 1e300;
+        ]
+  | 1 -> Random.State.float st 1000.0 -. 500.0
+  | _ -> Int64.float_of_bits (Random.State.int64 st Int64.max_int)
+
+let gen_string st =
+  let alphabet = "ab\t\n\r\\tnrx" in
+  match Random.State.int st 5 with
+  | 0 -> ""
+  | 1 ->
+      String.init (Random.State.int st 4) (fun _ ->
+          Char.chr (Random.State.int st 256))
+  | _ ->
+      String.init
+        (Random.State.int st 12)
+        (fun _ -> alphabet.[Random.State.int st (String.length alphabet)])
+
+let gen_value st =
+  match Random.State.int st 6 with
+  | 0 -> Value.Null
+  | 1 -> Value.Int (gen_int st)
+  | 2 -> Value.Float (gen_float st)
+  | 3 -> Value.String (gen_string st)
+  | 4 -> Value.Bool (Random.State.bool st)
+  | _ -> Value.Date (gen_int st)
+
+let gen_list st max gen =
+  List.init (Random.State.int st (max + 1)) (fun _ -> gen st)
+
+let gen_request st : Srv.Proto.request =
+  let payload : Srv.Proto.request_payload =
+    match Random.State.int st 11 with
+    | 0 -> Hello { client = gen_string st }
+    | 1 -> Statement (gen_string st)
+    | 2 -> Prepare { handle = gen_string st; sql = gen_string st }
+    | 3 -> Execute { handle = gen_string st }
+    | 4 -> Begin_txn
+    | 5 -> Commit_txn
+    | 6 -> Rollback_txn
+    | 7 -> Set { key = gen_string st; value = gen_string st }
+    | 8 -> Cancel { target = gen_int st }
+    | 9 -> Ping
+    | _ -> Quit
+  in
+  { id = gen_int st; payload }
+
+let gen_response st : Srv.Proto.response =
+  let payload : Srv.Proto.response_payload =
+    match Random.State.int st 10 with
+    | 0 -> Hello_ok { session = gen_int st }
+    | 1 -> Ok_msg (gen_string st)
+    | 2 | 3 ->
+        Result_set
+          {
+            columns = gen_list st 3 gen_string;
+            rows =
+              gen_list st 4 (fun st ->
+                  Array.of_list (gen_list st 4 gen_value));
+          }
+    | 4 -> Affected (gen_int st)
+    | 5 -> Explained (gen_string st)
+    | 6 -> Failed { code = fst (pick st Ref.codes); message = gen_string st }
+    | 7 -> Rejected { retry_after_ms = gen_int st }
+    | 8 -> Pong
+    | _ -> Bye
+  in
+  { id = gen_int st; payload }
+
+let test_codec_encodes_byte_identical () =
+  let st = Random.State.make [| 0xc0dec |] in
+  let fixed : Srv.Proto.response list =
+    [
+      { id = 0; payload = Result_set { columns = []; rows = [] } };
+      { id = 1; payload = Result_set { columns = [ "" ]; rows = [ [||] ] } };
+    ]
+  in
+  List.iter
+    (fun r ->
+      check Alcotest.string "response bytes" (Ref.response_to_line r)
+        (Srv.Proto.response_to_line r))
+    (fixed @ all_responses);
+  List.iter
+    (fun r ->
+      check Alcotest.string "request bytes" (Ref.request_to_line r)
+        (Srv.Proto.request_to_line r))
+    all_requests;
+  for _ = 1 to 20_000 do
+    let q = gen_request st and r = gen_response st in
+    let q_line = Srv.Proto.request_to_line q
+    and r_line = Srv.Proto.response_to_line r in
+    if q_line <> Ref.request_to_line q then
+      Alcotest.failf "request encodes differently: %S" q_line;
+    if r_line <> Ref.response_to_line r then
+      Alcotest.failf "response encodes differently: %S" r_line;
+    if compare (Srv.Proto.request_of_line q_line) q <> 0 then
+      Alcotest.failf "request does not round-trip: %S" q_line;
+    if compare (Srv.Proto.response_of_line r_line) r <> 0 then
+      Alcotest.failf "response does not round-trip: %S" r_line
+  done
+
+(* Mutations that land on field boundaries and on the integer spellings
+   only the [int_of_string] fallback accepts. *)
+let tokens =
+  [
+    ""; "-1"; "0"; "1"; "-"; "+5"; "0x1f"; "0b101"; "1_000"; "-0";
+    "99999999999999999999"; "4611686018427387903"; "-4611686018427387904";
+    "4611686018427387904"; "N"; "I-0"; "I+7"; "I0x10"; "F0x1p3"; "Fnan";
+    "F1e5"; "S\\"; "S\\q"; "B1"; "B2"; "D-3"; "rows"; "pong"; "ok";
+  ]
+
+let mutate st line =
+  let n = String.length line in
+  let at () = Random.State.int st (n + 1) in
+  match Random.State.int st 5 with
+  | 0 -> String.sub line 0 (at ())
+  | 1 ->
+      let i = at () in
+      String.sub line 0 i ^ "\t" ^ String.sub line i (n - i)
+  | 2 when n > 0 ->
+      let b = Bytes.of_string line in
+      Bytes.set b (Random.State.int st n) (Char.chr (Random.State.int st 256));
+      Bytes.to_string b
+  | 3 -> line ^ "\t" ^ pick st tokens
+  | _ ->
+      let fields = Array.of_list (String.split_on_char '\t' line) in
+      fields.(Random.State.int st (Array.length fields)) <- pick st tokens;
+      String.concat "\t" (Array.to_list fields)
+
+(* the one frame shape the new decoder rejects and the list codec took *)
+let negative_row_count line =
+  match String.split_on_char '\t' line with
+  | _ :: "rows" :: ncols :: rest -> (
+      match int_of_string_opt ncols with
+      | Some c when c >= 0 && c < List.length rest -> (
+          match int_of_string_opt (List.nth rest c) with
+          | Some n -> n < 0
+          | None -> false)
+      | _ -> false)
+  | _ -> false
+
+let test_codec_decodes_like_reference () =
+  let st = Random.State.make [| 0xf00d |] in
+  let agree name ours theirs line =
+    let theirs = try Some (theirs line) with Ref.Reject -> None in
+    match ours line with
+    | v -> (
+        match theirs with
+        | Some v' when compare v v' = 0 -> ()
+        | _ -> Alcotest.failf "%s decoders disagree on %S" name line)
+    | exception Srv.Proto.Protocol_error _ ->
+        if theirs <> None && not (negative_row_count line) then
+          Alcotest.failf "%s decoder rejects a valid frame %S" name line
+    | exception e ->
+        Alcotest.failf "%s decoder raised %s on %S" name
+          (Printexc.to_string e) line
+  in
+  let frames = ref 0 in
+  while !frames < 120_000 do
+    let line =
+      if Random.State.bool st then
+        Srv.Proto.response_to_line (gen_response st)
+      else Srv.Proto.request_to_line (gen_request st)
+    in
+    let rec go line k =
+      agree "request" Srv.Proto.request_of_line Ref.request_of_line line;
+      agree "response" Srv.Proto.response_of_line Ref.response_of_line line;
+      incr frames;
+      if k > 0 then go (mutate st line) (k - 1)
+    in
+    go line (Random.State.int st 4)
+  done
+
+let test_negative_row_count_rejected () =
+  List.iter
+    (fun line ->
+      match Srv.Proto.response_of_line line with
+      | exception Srv.Proto.Protocol_error _ -> ()
+      | r ->
+          Alcotest.failf "accepted %S as %a" line Srv.Proto.pp_response r)
+    [ "R1\trows\t0\t-1"; "R1\trows\t1\tc\t-2"; "R1\trows\t-1\t0" ]
+
 (* ---- rwlock: the single-writer rule --------------------------------------- *)
 
 let soon () = Unix.gettimeofday () +. 0.05
@@ -1242,6 +1659,13 @@ let () =
             test_bad_frames_rejected;
           QCheck_alcotest.to_alcotest prop_statement_round_trips;
         ] );
+      ( "codec",
+        [
+          Alcotest.test_case "encodes byte-identical to the list codec" `Quick
+            test_codec_encodes_byte_identical;
+          Alcotest.test_case "decodes like the list codec" `Quick
+            test_codec_decodes_like_reference;
+        ] );
       ( "rwlock",
         [
           Alcotest.test_case "readers share" `Quick test_rwlock_readers_share;
@@ -1310,5 +1734,7 @@ let () =
             test_malformed_frame_disconnects_one_session;
           Alcotest.test_case "malformed frame fuzz" `Quick
             test_malformed_frame_fuzz;
+          Alcotest.test_case "negative row count rejected" `Quick
+            test_negative_row_count_rejected;
         ] );
     ]
