@@ -49,14 +49,20 @@ servecheck:
 # the chaos gate: the torn-tail/bit-flip salvage matrix (part of the
 # recovery suite), then an overload burst — many clients against one
 # worker and a two-slot queue — that must trip the circuit breaker and
-# finish with zero queued jobs dying of deadline expiry; the breaker /
-# backoff counters land in CHAOS.json
+# finish with zero queued jobs dying of deadline expiry (the breaker /
+# backoff counters land in CHAOS.json), then a crash-restart smoke: a
+# real `softdb serve --wal` is SIGKILLed mid-traffic and restarted, and
+# every acknowledged commit must survive (the result's last line must
+# report "correct": true)
 chaoscheck: build
 	timeout 300 dune exec test/test_recovery.exe -- test salvage
 	timeout 300 dune exec test/test_recovery.exe -- test edges
 	rm -f CHAOS.json
 	timeout 300 dune exec bench/loadgen.exe -- --clients 12 --workers 1 \
 	  --queue 2 --requests 6 --expect-breaker --json CHAOS.json
+	timeout 300 python3 scbench/run.py --workload serve_rw --seed 1 \
+	  --seconds 3 --trace 0 | tail -n 1 \
+	  | awk '{ print } /"correct": true/ { ok = 1 } END { exit !ok }'
 
 bench:
 	dune exec bench/main.exe

@@ -525,65 +525,21 @@ let demote_unfinished_builds sdb =
       | Index.Write_only | Index.Readable | Index.Demoted -> ())
     (Database.all_indexes db)
 
+(* The committed set is built once per log: a membership closure made
+   per record would rebuild it over the whole log each time, making
+   replay quadratic in the log length. *)
 let recover records =
   let sdb = Softdb.create () in
-  List.iter
-    (fun r ->
-      if Wal.committed_txns records (Wal.txn_of r) then apply_record sdb r)
-    records;
-  demote_unfinished_builds sdb;
-  sdb
-
-(* Sharded replay: committed data records are buffered into per-shard
-   streams (shard [-1] collects unpartitioned tables) and each stream is
-   replayed as an independent unit, in ascending shard order.  Schema
-   and catalog records are barriers — they flush the pending streams —
-   so DDL and SC transitions keep their place relative to the data.
-
-   This is equivalent to the sequential [recover] because (a) all of one
-   rid's records carry the same birth-shard tag, so their relative order
-   survives, and (b) between barriers, records of *different* rids
-   commute: inserts are rid-faithful and deletes/updates address rids
-   directly. *)
-let recover_sharded records =
-  let sdb = Softdb.create () in
   let committed = Wal.committed_txns records in
-  let streams : (int, Wal.record list ref) Hashtbl.t = Hashtbl.create 8 in
-  let buffer shard r =
-    match Hashtbl.find_opt streams shard with
-    | Some q -> q := r :: !q
-    | None -> Hashtbl.add streams shard (ref [ r ])
-  in
-  let flush () =
-    Hashtbl.fold (fun shard _ acc -> shard :: acc) streams []
-    |> List.sort compare
-    |> List.iter (fun shard ->
-           let q = Hashtbl.find streams shard in
-           List.iter (apply_record sdb) (List.rev !q));
-    Hashtbl.reset streams
-  in
   List.iter
-    (fun r ->
-      if committed (Wal.txn_of r) then
-        match r with
-        | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ()
-        | Wal.Insert { shard; _ } | Wal.Delete { shard; _ }
-        | Wal.Update { shard; _ } ->
-            buffer shard r
-        | Wal.Ddl _ | Wal.Sc _ | Wal.Idx_state _ ->
-            (* barriers: index state depends on the rows applied so far
-               (a Readable promotion rebuilds from the heap), so pending
-               data streams must land first *)
-            flush ();
-            apply_record sdb r)
+    (fun r -> if committed (Wal.txn_of r) then apply_record sdb r)
     records;
-  flush ();
   demote_unfinished_builds sdb;
   sdb
 
 (* ---- salvage-aware recovery ---------------------------------------------- *)
 
-(* The strict replayers above trust their input; this section is the
+(* The strict replayer above trusts its input; this section is the
    path that faces real, possibly-damaged log files.  Classification
    rule (the torn-tail rule):
 
@@ -785,12 +741,6 @@ let recover_scan ?(mode = Strict) scanned =
   register_report sdb a.partial;
   (sdb, a.partial)
 
-let recover_sharded_scan ?(mode = Strict) scanned =
-  let a = analyze ~mode scanned in
-  let sdb = recover_sharded a.keep in
-  register_report sdb a.partial;
-  (sdb, a.partial)
-
 (* Quarantine and repair the physical file.  [core] does not link unix,
    so truncation is a rewrite: clean prefix to a sibling file, renamed
    over the log (crash-safe, like the checkpoint). *)
@@ -817,7 +767,10 @@ let rewrite_file path contents =
       Out_channel.output_string oc contents);
   Sys.rename tmp path
 
-let recover_file ?(mode = Strict) path =
+(* [recover_file] plus the scan of the log as it stands afterwards, so
+   [resume] can open it for appending without parsing it a second time.
+   A repair rewrote the file, so only then is it scanned again. *)
+let recover_path ~mode path =
   let raw, scanned = Wal.scan_file path in
   let a = analyze ~mode scanned in
   let report =
@@ -860,13 +813,18 @@ let recover_file ?(mode = Strict) path =
   in
   let sdb = recover a.keep in
   register_report sdb report;
+  let scanned = if a.bad = [] then scanned else snd (Wal.scan_file path) in
+  (sdb, report, scanned)
+
+let recover_file ?(mode = Strict) path =
+  let sdb, report, _ = recover_path ~mode path in
   (sdb, report)
 
 (* Recover from a log file and reopen it for appending — the CLI's
-   [--wal] startup path.  The file has been salvaged by the time
-   {!Wal.open_file} re-reads it, so the strict load cannot trip. *)
+   [--wal] startup path.  The scan describes the file as repaired, so the
+   strict open cannot trip, and numbering continues above it. *)
 let resume ?(mode = Strict) path =
-  let sdb, report = recover_file ~mode path in
-  let wal = Wal.open_file path in
+  let sdb, report, scanned = recover_path ~mode path in
+  let wal = Wal.open_scanned path scanned in
   let link = attach sdb wal in
   (sdb, link, report)

@@ -50,17 +50,9 @@ val recover : Wal.record list -> Softdb.t
 (** Replay the committed frames into a fresh database.  Raises
     {!Recovery_error} if a logged DDL statement fails to re-execute. *)
 
-val recover_sharded : Wal.record list -> Softdb.t
-(** Like {!recover}, but data records are regrouped into per-partition
-    shard streams (via their WAL shard tags) and each stream replays as
-    an independent unit in ascending shard order; DDL and catalog
-    records act as barriers.  Equivalent to {!recover} because one rid's
-    records always share a tag and distinct rids commute between
-    barriers. *)
-
 (** {1 Salvage-aware recovery}
 
-    The strict replayers above trust their input; this is the path that
+    The strict replayer above trusts its input; this is the path that
     faces real, possibly-damaged log files.  Every unparsable,
     checksum-failing or LSN-regressing line is {e corrupt}.  If no
     committed frame appears at or after the first corrupt line, the
@@ -95,14 +87,9 @@ val mode_name : mode -> string
 
 val recover_scan : ?mode:mode -> Wal.scanned list -> Softdb.t * report
 (** Classify a {!Wal.scan_string}/{!Wal.scan_file} image and replay the
-    surviving committed frames sequentially (default mode [Strict]).
+    surviving committed frames (default mode [Strict]).
     Pure: no file is touched, so [quarantined_bytes]/[salvage_path]
     stay zero even for a torn tail. *)
-
-val recover_sharded_scan :
-  ?mode:mode -> Wal.scanned list -> Softdb.t * report
-(** {!recover_scan} with the sharded replayer — identical salvage
-    semantics, identical report. *)
 
 val recover_file : ?mode:mode -> string -> Softdb.t * report
 (** {!recover_scan} over a real file, with the physical side effects: a
@@ -115,4 +102,7 @@ val recover_file : ?mode:mode -> string -> Softdb.t * report
 val resume : ?mode:mode -> string -> Softdb.t * t * report
 (** [resume path] recovers from the log file at [path] (empty, absent,
     or damaged — {!recover_file} semantics, default [Strict]), reopens
-    it for appending, and attaches — the CLI's [--wal] startup path. *)
+    it for appending, and attaches — the CLI's [--wal] startup path.  The
+    log is parsed once: {!Rel.Wal.open_scanned} reuses recovery's scan
+    (a repaired file is scanned again), so transaction ids and LSNs
+    continue above those in the file. *)

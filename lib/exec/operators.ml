@@ -153,11 +153,15 @@ let finish_acc (fn : Plan.agg_fn) acc ~rows_in_group =
 
 (* ---- opening plans ------------------------------------------------------ *)
 
-(* [wrap] sees every (node, cursor) pair as the tree is opened, outermost
-   last — the hook the instrumented runner uses to observe per-node
-   output cardinality and time without the operators knowing. *)
+(* [wrap] sees every node with a thunk that opens it, outermost first —
+   the hook the instrumented runner uses to observe per-node output
+   cardinality and time without the operators knowing.  Blocking
+   operators (Sort, Group, a hash-join build, a nested-loop inner) drain
+   their inputs while opening, so the open is the node's work too. *)
+let no_wrap _plan open_ = open_ ()
+
 let rec open_node wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
-  wrap plan (open_raw wrap db counters plan)
+  wrap plan (fun () -> open_raw wrap db counters plan)
 
 and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
   match plan with
@@ -568,7 +572,7 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
         Counters.reset subcounters.(idx) (* retry restarts the slice *);
         buffers.(idx) <- [];
         buffers.(idx) <-
-          drain (open_raw (fun _ c -> c) db subcounters.(idx) child)
+          drain (open_raw no_wrap db subcounters.(idx) child)
       in
       let tasks =
         Array.of_list (List.mapi (fun i (_, child) -> task i child) children)
@@ -598,8 +602,6 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       Array.iter (fun sub -> Counters.merge ~into:counters sub) subcounters;
       cursor_of_list (List.concat (Array.to_list buffers))
 
-let no_wrap _plan cursor = cursor
-
 let open_plan db counters plan = open_node no_wrap db counters plan
 
 let run db ?counters plan =
@@ -614,9 +616,9 @@ let run db ?counters plan =
 (* ---- per-node instrumentation ------------------------------------------- *)
 
 (* Runtime statistics of one plan node.  [produced] (the node's actual
-   output cardinality) is deterministic; [elapsed_s] is wall clock spent
-   inside the node's cursor *including* its children — informational only,
-   and kept out of any test-visible comparison. *)
+   output cardinality) is deterministic; [elapsed_s] is CPU time spent
+   opening and pulling the node's cursor *including* its children, so it
+   is never less than the sum of its children's — informational only. *)
 module Node = struct
   type t = { mutable produced : int; mutable elapsed_s : float }
 
@@ -641,12 +643,17 @@ let run_instrumented db ?counters plan =
         stats := (node, s) :: !stats;
         s
   in
-  let wrap node cursor =
+  let timed s f =
+    let t0 = Sys.time () in
+    let r = f () in
+    s.Node.elapsed_s <- s.Node.elapsed_s +. (Sys.time () -. t0);
+    r
+  in
+  let wrap node open_ =
     let s = stat_of node in
+    let cursor = timed s open_ in
     fun () ->
-      let t0 = Sys.time () in
-      let r = cursor () in
-      s.Node.elapsed_s <- s.Node.elapsed_s +. (Sys.time () -. t0);
+      let r = timed s cursor in
       (match r with Some _ -> s.Node.produced <- s.Node.produced + 1
       | None -> ());
       r

@@ -68,9 +68,9 @@ val run : Database.t -> ?counters:Counters.t -> Plan.t -> Tuple.t list
 (** {1 Per-node instrumentation (EXPLAIN ANALYZE)} *)
 
 (** Runtime statistics of one plan node.  [produced] — the node's actual
-    output cardinality — is deterministic; [elapsed_s] is wall clock
-    spent inside the node's cursor {e including} its children, and is
-    informational only. *)
+    output cardinality — is deterministic; [elapsed_s] is CPU time spent
+    opening and pulling the node's cursor {e including} its children
+    (so never less than their sum), and is informational only. *)
 module Node : sig
   type t = { mutable produced : int; mutable elapsed_s : float }
 
@@ -78,9 +78,12 @@ module Node : sig
 end
 
 val open_node :
-  (Plan.t -> cursor -> cursor) -> Database.t -> Counters.t -> Plan.t -> cursor
-(** [open_node wrap db counters plan] opens the plan with every node's
-    cursor passed through [wrap] (children first). *)
+  (Plan.t -> (unit -> cursor) -> cursor) ->
+  Database.t -> Counters.t -> Plan.t -> cursor
+(** [open_node wrap db counters plan] opens the plan through [wrap]:
+    each node is opened by [wrap node open_], where [open_ ()] opens it
+    (and, for a blocking operator, drains its inputs).  Outermost node
+    first; a pass-through wrap is [fun _ open_ -> open_ ()]. *)
 
 val run_instrumented :
   Database.t -> ?counters:Counters.t -> Plan.t ->

@@ -60,7 +60,7 @@ type node_stat = {
   est_rows : float;
   actual_rows : int;
   node_q_error : float;
-  elapsed_s : float;  (** wall clock, children included; informational *)
+  elapsed_s : float;  (** CPU time, children included; informational *)
 }
 
 type analysis = {

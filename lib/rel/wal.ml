@@ -31,8 +31,8 @@ type sc_change =
 (* [shard] is the WAL shard tag: the partition segment whose stream the
    record belongs to, [-1] for unpartitioned tables.  Tags are assigned
    at row birth and inherited by the row's later records, so one rid's
-   records always live in one shard stream and the streams can be
-   replayed independently ({!Core.Recovery.recover_sharded}). *)
+   records always live in one shard stream.  Replay is sequential and
+   ignores the tag. *)
 type record =
   | Begin of { txn : int }
   | Commit of { txn : int }
@@ -732,28 +732,32 @@ let max_txn records =
 let create_memory () =
   { sink = Memory (ref []); next_txn = 1; next_lsn = 1; closed = false }
 
-let open_file fpath =
-  let _, scanned = scan_file fpath in
-  let existing, max_lsn =
+(* Open for appending from a scan of the file as it stands: numbering
+   continues above the highest transaction id and LSN in it.  Strict, like
+   {!load_file}: a corrupt line is the salvage path's business. *)
+let open_scanned fpath scanned =
+  let txn_hi, lsn_hi =
     List.fold_left
-      (fun (acc, lsn) s ->
+      (fun (txn, lsn) s ->
         match s.parsed with
         | Ok r ->
-            (r :: acc, match s.lsn with Some l -> max lsn l | None -> lsn)
+            ( max txn (txn_of r),
+              match s.lsn with Some l -> max lsn l | None -> lsn )
         | Error m -> error "corrupt log line %d: %s" s.lineno m)
-      ([], 0) scanned
+      (0, 0) scanned
   in
-  let existing = List.rev existing in
   let oc =
     try Some (open_out_gen [ Open_append; Open_creat ] 0o644 fpath)
     with Sys_error m -> error "cannot open log %s: %s" fpath m
   in
   {
     sink = File { fpath; oc };
-    next_txn = max_txn existing + 1;
-    next_lsn = max_lsn + 1;
+    next_txn = txn_hi + 1;
+    next_lsn = lsn_hi + 1;
     closed = false;
   }
+
+let open_file fpath = open_scanned fpath (snd (scan_file fpath))
 
 let path t = match t.sink with Memory _ -> None | File f -> Some f.fpath
 

@@ -50,10 +50,10 @@ type sc_change =
 (** Data records carry a {e shard tag}: the partition segment whose
     per-partition stream the record belongs to, [-1] for unpartitioned
     tables.  Tags are assigned at row birth and inherited by the row's
-    later records, so one rid's records always live in one stream and
-    {!Core.Recovery.recover_sharded} can replay shards independently.
-    On disk the tag is a trailing optional field — records of
-    unpartitioned tables keep the historical line shape. *)
+    later records, so one rid's records always live in one stream.
+    {!Core.Recovery} replays sequentially and ignores the tag.  On disk
+    the tag is a trailing optional field — records of unpartitioned
+    tables keep the historical line shape. *)
 type record =
   | Begin of { txn : int }
   | Commit of { txn : int }
@@ -100,8 +100,8 @@ exception Wal_error of string
 val create_memory : unit -> t
 
 val open_file : string -> t
-(** Open (creating if absent) a file-sink log in append mode.  Existing
-    records are scanned to continue the transaction numbering. *)
+(** Open (creating if absent) a file-sink log in append mode: {!scan_file}
+    then {!open_scanned}. *)
 
 val path : t -> string option
 (** [None] for the memory sink. *)
@@ -141,7 +141,9 @@ val truncate_with : t -> record list -> unit
     restarts above the ids present in [records]. *)
 
 val committed_txns : record list -> int -> bool
-(** Membership test of the transactions with a {!Commit} record. *)
+(** Membership test of the transactions with a {!Commit} record.  Apply
+    it to the records once and keep the result: each application scans
+    every record. *)
 
 val txn_of : record -> int
 
@@ -190,6 +192,12 @@ val scan_string : string -> scanned list
 val scan_file : string -> string * scanned list
 (** Read the file raw (binary, [""] if absent) and {!scan_string} it;
     returns the raw bytes alongside so salvage can quarantine them. *)
+
+val open_scanned : string -> scanned list -> t
+(** [open_scanned path scan] opens the log at [path] in append mode from
+    [scan], a scan of the file as it stands, without reading it again:
+    transaction ids and LSNs continue above the highest in [scan].
+    Raises {!Wal_error} on a corrupt line in [scan]. *)
 
 (** {1 Text codec}
 

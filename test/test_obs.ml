@@ -184,6 +184,62 @@ let test_explain_analyze () =
       check tbool "renders q-error" true (contains rendered "q=")
   | _ -> Alcotest.fail "expected Analyzed outcome"
 
+(* Blocking operators drain their inputs while opening; the open must be
+   charged to the node, or its inclusive time falls below its children's
+   and its self time goes negative. *)
+let test_explain_analyze_inclusive_times () =
+  let sdb = Core.Softdb.create () in
+  ignore (Core.Softdb.exec sdb "CREATE TABLE o (id INT, c INT)");
+  ignore (Core.Softdb.exec sdb "CREATE TABLE l (oid INT, q INT)");
+  let insert table n row =
+    let b = Buffer.create (n * 16) in
+    Buffer.add_string b ("INSERT INTO " ^ table ^ " VALUES ");
+    for i = 0 to n - 1 do
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b (row i)
+    done;
+    ignore (Core.Softdb.exec sdb (Buffer.contents b))
+  in
+  insert "o" 2000 (fun i -> Printf.sprintf "(%d, %d)" i (i mod 37));
+  insert "l" 6000 (fun i -> Printf.sprintf "(%d, %d)" (i mod 2000) i);
+  Core.Softdb.runstats sdb;
+  let a =
+    Core.Softdb.analyze sdb
+      (Sqlfe.Parser.parse_query_string
+         "SELECT o.c, COUNT(*) AS n, SUM(l.q) AS s FROM o, l WHERE o.id = \
+          l.oid GROUP BY o.c ORDER BY o.c")
+  in
+  let labels = List.map (fun n -> n.Opt.Explain.label) a.Opt.Explain.nodes in
+  List.iter
+    (fun op ->
+      check tbool (op ^ " in the plan") true
+        (List.exists (fun l -> contains l op) labels))
+    [ "HashJoin"; "Group"; "Sort" ];
+  (* preorder: a node's direct children are the following nodes one level
+     deeper, up to the next node at its own depth or above *)
+  let rec check_nodes = function
+    | [] -> ()
+    | (n : Opt.Explain.node_stat) :: rest ->
+        let rec kids acc = function
+          | (c : Opt.Explain.node_stat) :: more
+            when c.Opt.Explain.depth > n.Opt.Explain.depth ->
+              kids
+                (if c.Opt.Explain.depth = n.Opt.Explain.depth + 1 then
+                   acc +. c.Opt.Explain.elapsed_s
+                 else acc)
+                more
+          | _ -> acc
+        in
+        let children = kids 0.0 rest in
+        check tbool
+          (Printf.sprintf "%s: %.6fs covers its children's %.6fs"
+             n.Opt.Explain.label n.Opt.Explain.elapsed_s children)
+          true
+          (n.Opt.Explain.elapsed_s +. 1e-9 >= children);
+        check_nodes rest
+  in
+  check_nodes a.Opt.Explain.nodes
+
 (* ---- SSC confidence recalibration end to end -------------------------------- *)
 
 let test_ssc_recalibration () =
@@ -348,7 +404,11 @@ let () =
           Alcotest.test_case "query log" `Quick test_query_log;
         ] );
       ( "explain_analyze",
-        [ Alcotest.test_case "annotated plan" `Quick test_explain_analyze ] );
+        [
+          Alcotest.test_case "annotated plan" `Quick test_explain_analyze;
+          Alcotest.test_case "inclusive times cover children" `Quick
+            test_explain_analyze_inclusive_times;
+        ] );
       ( "recalibration",
         [
           Alcotest.test_case "ssc confidence converges" `Quick

@@ -6,7 +6,7 @@
    guarded fallback after a mid-flight overturn, the aligned-join
    cardinality cap, sys.partitions with per-partition scan counters, and
    crash recovery of a partitioned database (shard-tagged WAL records,
-   checkpointing, sequential vs sharded replay equivalence). *)
+   checkpointing, replay of interleaved cross-shard traffic). *)
 
 open Rel
 
@@ -480,7 +480,7 @@ let test_sys_partitions_and_scan_counters () =
           "SELECT table_name FROM sys.partitions")
          .Exec.Executor.rows)
 
-(* ---- recovery: shard tags, checkpoint, sharded replay ---------------------- *)
+(* ---- recovery: shard tags, checkpoint, cross-shard replay ------------------ *)
 
 let wal_fixture () =
   Obs.Fault.reset ();
@@ -569,11 +569,17 @@ let test_recover_restores_partitioning () =
     [ 0; 1; 2 ];
   Core.Recovery.detach link
 
-let test_sharded_replay_equivalent () =
+let sc_states sdb =
+  List.map
+    (fun (sc : Core.Soft_constraint.t) ->
+      (sc.Core.Soft_constraint.name, sc.Core.Soft_constraint.state))
+    (Core.Sc_catalog.all (Core.Softdb.catalog sdb))
+
+let test_cross_shard_replay_matches_live () =
   let sdb, wal, link = wal_fixture () in
   ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
-  (* interleaved cross-shard traffic after mining: the sharded replay
-     must regroup it without reordering any single rid's history *)
+  (* interleaved cross-shard traffic after mining: replay must keep every
+     rid's history in order *)
   for i = 1 to 300 do
     ignore
       (Core.Softdb.exec sdb
@@ -581,20 +587,11 @@ let test_sharded_replay_equivalent () =
   done;
   ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE v = 3");
   Core.Recovery.flush link;
-  let seq = Core.Recovery.recover (Wal.records wal) in
-  let sharded = Core.Recovery.recover_sharded (Wal.records wal) in
-  check tbool "identical rows" true (all_p seq = all_p sharded);
+  let replayed = Core.Recovery.recover (Wal.records wal) in
+  check tbool "identical rows" true (all_p sdb = all_p replayed);
   check tbool "identical segment membership" true
-    (segment_rows seq = segment_rows sharded);
-  check tbool "identical catalogs" true
-    (List.map
-       (fun (sc : Core.Soft_constraint.t) ->
-         (sc.Core.Soft_constraint.name, sc.Core.Soft_constraint.state))
-       (Core.Sc_catalog.all (Core.Softdb.catalog seq))
-    = List.map
-        (fun (sc : Core.Soft_constraint.t) ->
-          (sc.Core.Soft_constraint.name, sc.Core.Soft_constraint.state))
-        (Core.Sc_catalog.all (Core.Softdb.catalog sharded)));
+    (segment_rows sdb = segment_rows replayed);
+  check tbool "identical catalogs" true (sc_states sdb = sc_states replayed);
   Core.Recovery.detach link
 
 let test_checkpoint_preserves_partitioning () =
@@ -604,18 +601,14 @@ let test_checkpoint_preserves_partitioning () =
   (* post-checkpoint traffic lands on top of the compacted image *)
   ignore (Core.Softdb.exec sdb "INSERT INTO p VALUES (1201, 1, 'post')");
   Core.Recovery.flush link;
-  List.iter
-    (fun recover ->
-      let sdb2 = recover (Wal.records wal) in
-      check tbool "rows identical after checkpoint" true
-        (all_p sdb = all_p sdb2);
-      check tbool "partitioning survives the checkpoint" true
-        (Database.partitioned_tables (Core.Softdb.db sdb2) = [ "p" ]);
-      check tbool "segment membership identical" true
-        (segment_rows sdb = segment_rows sdb2);
-      check tbool "domain SC survives the checkpoint" true
-        (find_sc sdb2 "p_p2_domain" <> None))
-    [ Core.Recovery.recover; Core.Recovery.recover_sharded ];
+  let sdb2 = Core.Recovery.recover (Wal.records wal) in
+  check tbool "rows identical after checkpoint" true (all_p sdb = all_p sdb2);
+  check tbool "partitioning survives the checkpoint" true
+    (Database.partitioned_tables (Core.Softdb.db sdb2) = [ "p" ]);
+  check tbool "segment membership identical" true
+    (segment_rows sdb = segment_rows sdb2);
+  check tbool "domain SC survives the checkpoint" true
+    (find_sc sdb2 "p_p2_domain" <> None);
   Core.Recovery.detach link
 
 let () =
@@ -668,8 +661,8 @@ let () =
             test_wal_records_carry_birth_shards;
           Alcotest.test_case "recover restores partitioning" `Quick
             test_recover_restores_partitioning;
-          Alcotest.test_case "sharded replay equivalent" `Quick
-            test_sharded_replay_equivalent;
+          Alcotest.test_case "cross-shard replay matches live" `Quick
+            test_cross_shard_replay_matches_live;
           Alcotest.test_case "checkpoint preserves partitioning" `Quick
             test_checkpoint_preserves_partitioning;
         ] );

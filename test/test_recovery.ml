@@ -192,6 +192,69 @@ let test_recover_keeps_committed_overturn () =
        (Core.Sc_catalog.usable (Core.Softdb.catalog sdb2)));
   Core.Recovery.detach link
 
+(* ---- replay cost ---------------------------------------------------------- *)
+
+(* a log creating [t], then [n] autocommitted single-row inserts *)
+let insert_log n =
+  let ddl = "CREATE TABLE t (a INT, b INT)" in
+  [
+    Wal.Begin { txn = 1 };
+    Wal.Ddl { txn = 1; sql = ddl };
+    Wal.Commit { txn = 1 };
+  ]
+  @ List.concat
+      (List.init n (fun i ->
+           let txn = i + 2 in
+           [
+             Wal.Begin { txn };
+             Wal.Insert
+               {
+                 txn;
+                 table = "t";
+                 rid = i;
+                 row = [| Value.Int i; Value.Int (2 * i) |];
+                 shard = -1;
+               };
+             Wal.Commit { txn };
+           ]))
+
+(* CPU seconds of [recover records], the best of [runs] runs.  Stops
+   early once even the best is over [above]: timing noise does not
+   stretch a replay threefold past the bound, and a quadratic replay of
+   the larger log takes most of a minute per run. *)
+let replay_seconds ?(above = infinity) ~runs records =
+  let once () =
+    let t0 = Sys.time () in
+    let sdb = Core.Recovery.recover records in
+    let dt = Sys.time () -. t0 in
+    ignore (Sys.opaque_identity sdb);
+    dt
+  in
+  let rec best acc runs =
+    if runs = 0 || acc > above then acc
+    else best (Float.min acc (once ())) (runs - 1)
+  in
+  best (once ()) (runs - 1)
+
+let test_replay_linear () =
+  (* 8x the log must replay in about 8x the time; a replay that rebuilds
+     the committed set per record takes about 64x or more *)
+  let n = 1000 and bound = 24.0 in
+  let small = Float.max (replay_seconds ~runs:5 (insert_log n)) 1e-6 in
+  let large =
+    replay_seconds ~runs:3 ~above:(3.0 *. bound *. small) (insert_log (8 * n))
+  in
+  let ratio = large /. small in
+  check tbool
+    (Printf.sprintf "8x log replays in %.1fx the time (%.4fs vs %.4fs)" ratio
+       large small)
+    true (ratio < bound);
+  check tint "every insert replayed" n
+    (Table.cardinality
+       (Database.table_exn
+          (Core.Softdb.db (Core.Recovery.recover (insert_log n)))
+          "t"))
+
 (* ---- the crash matrix (every registered fault point) --------------------- *)
 
 let run_crashed_probe point =
@@ -828,8 +891,10 @@ let test_corrupt_row_arity_quarantined () =
       cleanup_wal path)
     [ "-1"; "4611686018427387903" ]
 
-let test_sharded_salvage_equivalent () =
-  (* the sharded replayer must make the identical salvage decisions *)
+let test_scan_salvage_matches_file () =
+  (* the pure scan path and the file path make the identical salvage
+     decisions; only the file path quarantines, so its quarantine fields
+     are set aside *)
   let sdb, link, path = file_fixture () in
   Obs.Fault.arm ~after:1 "wal.io" (Obs.Fault.Bit_flip 5);
   probe_commit sdb;
@@ -837,17 +902,70 @@ let test_sharded_salvage_equivalent () =
   Core.Recovery.detach link;
   Wal.close (Core.Recovery.wal link);
   Obs.Fault.reset ();
-  let scanned = Wal.scan_string (read_bytes path) in
-  let seq, seq_report =
-    Core.Recovery.recover_scan ~mode:Core.Recovery.Salvage scanned
+  let scan, scan_report =
+    Core.Recovery.recover_scan ~mode:Core.Recovery.Salvage
+      (Wal.scan_string (read_bytes path))
   in
-  let shd, shd_report =
-    Core.Recovery.recover_sharded_scan ~mode:Core.Recovery.Salvage scanned
+  let file, file_report =
+    Core.Recovery.recover_file ~mode:Core.Recovery.Salvage path
   in
-  check tbool "same rows" true (rows_of seq = rows_of shd);
-  check tbool "same report" true (seq_report = shd_report);
+  check tbool "same rows" true (rows_of scan = rows_of file);
+  check tbool "same report" true
+    (scan_report
+    = {
+        file_report with
+        Core.Recovery.quarantined_bytes = 0;
+        salvage_path = None;
+      });
   check tbool "later autocommit survives the drop" true
-    (List.mem [ Value.Int 20; Value.Int 40 ] (rows_of seq));
+    (List.mem [ Value.Int 20; Value.Int 40 ] (rows_of scan));
+  cleanup_wal path
+
+(* [resume] opens the log from recovery's own scan of it: a statement
+   committed afterwards must extend the file's numbering, whatever repair
+   came first — a stale or empty scan would restart the LSNs (a strict
+   re-read then finds a regression) or reuse a transaction id *)
+let resume_then_commit ?mode path =
+  let sdb, link, _ = Core.Recovery.resume ?mode path in
+  let txn_hi =
+    List.fold_left (fun m r -> max m (Wal.txn_of r)) 0 (Wal.load_file path)
+  in
+  ignore (Core.Softdb.exec sdb "INSERT INTO t VALUES (30, 60)");
+  Core.Recovery.detach link;
+  Wal.close (Core.Recovery.wal link);
+  let sdb2, report = Core.Recovery.recover_file path in
+  check tint "no corrupt line" 0 (List.length report.Core.Recovery.corrupt);
+  check tbool "new row recovered" true
+    (List.mem [ Value.Int 30; Value.Int 60 ] (rows_of sdb2));
+  let new_txn =
+    List.find_map
+      (function
+        | Wal.Insert { txn; row; _ } when row.(0) = Value.Int 30 -> Some txn
+        | _ -> None)
+      (Wal.load_file path)
+  in
+  check tbool "new txn id above the log's" true
+    (match new_txn with Some txn -> txn > txn_hi | None -> false)
+
+let test_resume_continues_numbering () =
+  (* a clean log *)
+  let _, link, path = file_fixture () in
+  Core.Recovery.detach link;
+  Wal.close (Core.Recovery.wal link);
+  resume_then_commit path;
+  cleanup_wal path;
+  (* a torn tail, truncated by the resume *)
+  let path = torn_probe ~point:"wal.io" ~after:1 (Obs.Fault.Torn_write 10) in
+  resume_then_commit path;
+  cleanup_wal path;
+  (* interior corruption, rewritten by a salvage-mode resume *)
+  let sdb, link, path = file_fixture () in
+  Obs.Fault.arm ~after:1 "wal.io" (Obs.Fault.Bit_flip 5);
+  probe_commit sdb;
+  Core.Recovery.detach link;
+  Wal.close (Core.Recovery.wal link);
+  Obs.Fault.reset ();
+  resume_then_commit ~mode:Core.Recovery.Salvage path;
   cleanup_wal path
 
 (* ---- recovery edge cases -------------------------------------------------- *)
@@ -926,6 +1044,7 @@ let () =
             test_recover_skips_rolled_back_txn;
           Alcotest.test_case "committed overturn kept" `Quick
             test_recover_keeps_committed_overturn;
+          Alcotest.test_case "linear in log length" `Quick test_replay_linear;
         ] );
       ( "crash_matrix",
         [
@@ -945,6 +1064,8 @@ let () =
           Alcotest.test_case "crash preserves log" `Quick
             test_checkpoint_crash_preserves_log;
           Alcotest.test_case "file resume" `Quick test_file_resume;
+          Alcotest.test_case "resume continues numbering" `Quick
+            test_resume_continues_numbering;
         ] );
       ( "exceptions",
         [
@@ -980,8 +1101,8 @@ let () =
             test_bit_flip_after_last_commit;
           Alcotest.test_case "lsn regression" `Quick
             test_lsn_regression_detected;
-          Alcotest.test_case "sharded salvage equivalent" `Quick
-            test_sharded_salvage_equivalent;
+          Alcotest.test_case "scan salvage matches file salvage" `Quick
+            test_scan_salvage_matches_file;
           Alcotest.test_case "corrupt row arity quarantined" `Quick
             test_corrupt_row_arity_quarantined;
         ] );
