@@ -42,6 +42,12 @@ let default_thresholds =
       rel_slack = 0.0; abs_slack = 0.0 };
     { prefix = "lockdep.max_held_depth"; direction = Exact; rel_slack = 0.0;
       abs_slack = 0.0 };
+    (* outcomes of a seeded stream or load: the ASC availability per
+       maintenance policy and the rows a bulk load wrote *)
+    { prefix = "maintenance."; direction = Exact; rel_slack = 0.0;
+      abs_slack = 0.0 };
+    { prefix = "lineitems."; direction = Exact; rel_slack = 0.0;
+      abs_slack = 0.0 };
     { prefix = "rows_returned"; direction = Exact; rel_slack = 0.0;
       abs_slack = 0.0 };
     { prefix = "queries"; direction = Exact; rel_slack = 0.0;
@@ -175,7 +181,8 @@ let compare_runs ?(thresholds = default_thresholds) ~old_run ~new_run () =
 let regressions o =
   List.filter (fun f -> f.gated && f.verdict = Regression) o.findings
 
-let passed o = regressions o = [] && o.missing_scenarios = []
+let passed o =
+  regressions o = [] && o.missing_scenarios = [] && o.added_scenarios = []
 
 (* ---- rendering --------------------------------------------------------- *)
 
@@ -218,7 +225,8 @@ let render ppf o =
   List.iter
     (fun s -> Fmt.pf ppf "MISSING scenario: %s (present in baseline)@." s)
     o.missing_scenarios;
-  List.iter (fun s -> Fmt.pf ppf "new scenario: %s (not in baseline)@." s)
+  List.iter
+    (fun s -> Fmt.pf ppf "UNGATED scenario: %s (not in baseline)@." s)
     o.added_scenarios;
   if regs <> [] then
     table ppf ~title:"REGRESSIONS (deterministic, gated):" (rows_of regs);
@@ -230,7 +238,9 @@ let render ppf o =
   Fmt.pf ppf "benchdiff: %d metrics compared, %d regression%s%s — %s@."
     o.metrics_compared (List.length regs)
     (if List.length regs = 1 then "" else "s")
-    (match o.missing_scenarios with
-    | [] -> ""
-    | ms -> Printf.sprintf ", %d missing scenario(s)" (List.length ms))
+    (match (o.missing_scenarios, o.added_scenarios) with
+    | [], [] -> ""
+    | ms, added ->
+        Printf.sprintf ", %d missing / %d ungated scenario(s)"
+          (List.length ms) (List.length added))
     (if passed o then "PASS" else "FAIL")

@@ -9,7 +9,8 @@
     reported as improvements, never failures.  Wall-clock metrics are
     compared with a generous slack and reported, but {e never} fail the
     gate.  A scenario present in the old run and missing from the new one
-    is a coverage regression and fails. *)
+    is a coverage regression and fails; so is one in the new run that the
+    baseline lacks, which would otherwise land ungated. *)
 
 type direction =
   | Exact  (** any change flags *)
@@ -51,7 +52,7 @@ val compare_runs :
 
 val regressions : outcome -> finding list
 (** The gated regressions only — the gate fails iff this (or
-    [missing_scenarios]) is non-empty. *)
+    [missing_scenarios], or [added_scenarios]) is non-empty. *)
 
 val passed : outcome -> bool
 

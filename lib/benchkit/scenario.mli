@@ -17,6 +17,14 @@
     scan counters in the deterministic section — pruned segments must
     report zero).
 
+    The paper's remaining claims (EXPERIMENTS.md E1–E15) each have a home
+    here too: [exc] (the late_shipments exception-union plan),
+    [holes/off]/[holes/asc] (join-hole trimming), [minmax/off]/[minmax/asc]
+    (min/max domain SCs), [advisor/off]/[advisor/asc] (the advisor end to
+    end), [maintenance] (ASC availability per maintenance policy),
+    [mixed/ablation] (each rewrite disabled alone), and the timing claims
+    [holes/mine] and [tpcd/load], whose times are report-only.
+
     Every data generator is seeded explicitly here — never from a
     default or the clock — so two runs of the same commit produce
     byte-identical deterministic sections. *)
@@ -47,10 +55,11 @@ type fixture = {
 }
 
 val fixtures : fixture list
-(** The query-suite scenarios as (name, database, workload) triples for
-    the static certificate checker ([softdb check]) and the differential
-    rewrite check.  The stateful [guarded] and [wal] scenarios are not
-    query suites and are exercised by their own tests. *)
+(** Every query-suite scenario, plus [purchase/part4] and [purchase/idx],
+    as (name, database, workload) triples for the static certificate
+    checker ([softdb check]) and the differential rewrite check.  The
+    stateful scenarios ([guarded], [wal], [maintenance], [ablation],
+    [mine], [load]) are not query suites. *)
 
 val run :
   ?only:string list -> scale:scale -> label:string -> unit -> Measure.run

@@ -28,7 +28,7 @@ type basis =
   | Soft_statistical  (* SSC: estimation-only basis *)
   | Invalid of string  (* reason it is no valid basis *)
 
-let basis_of sdb name =
+let basis_of ?(rule = "") sdb name =
   if String.length name > 4 && String.sub name 0 4 = "idx:" then
     (* index-backed rewrite premise: sound while the named index exists
        and is readable — the same condition guard_ok re-checks at open *)
@@ -53,6 +53,15 @@ let basis_of sdb name =
           if not (Core.Softdb.guard_ok sdb name) then
             Invalid "is not usable (overturned, on probation, or dropped)"
           else if Core.Soft_constraint.is_absolute sc then Soft_absolute
+          else if
+            (* an SSC whose violators an exception table holds is an
+               exact basis for the exception union (paper §4.4); the
+               table can be dropped, so it is guarded like an ASC *)
+            rule = "exception_union"
+            && Core.Sc_catalog.exception_table_for (Core.Softdb.catalog sdb)
+                 name
+               <> None
+          then Soft_absolute
           else Soft_statistical)
 
 (* Which delta shapes a rule may legitimately claim. *)
@@ -107,7 +116,7 @@ let check_certificate sdb ~guards ~has_backup (c : Opt.Explain.certificate) =
          "names no premise but the rule requires a constraint basis");
   List.iter
     (fun name ->
-      match basis_of sdb name with
+      match basis_of ~rule:c.Opt.Explain.cert_rule sdb name with
       | Invalid reason ->
           add (Diag.error ~pass ~subject "premise %s %s" name reason)
       | Hard -> ()

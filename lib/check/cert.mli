@@ -10,7 +10,10 @@ type basis =
   | Soft_statistical  (** SSC: estimation-only basis *)
   | Invalid of string  (** reason it is no valid basis *)
 
-val basis_of : Core.Softdb.t -> string -> basis
+val basis_of : ?rule:string -> Core.Softdb.t -> string -> basis
+(** [rule] is the rewrite the premise carries: an SSC backed by an
+    exception table is an (ASC-like, guarded) basis for
+    ["exception_union"] only. *)
 
 val check_certificate :
   Core.Softdb.t ->

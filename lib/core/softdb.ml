@@ -29,6 +29,9 @@ type t = {
   mutable stmt_listeners : (stmt_event -> unit) list;
       (* statement framing hooks: the WAL link ({!Recovery}) uses them
          for autocommit boundaries and DDL capture *)
+  mutable constraints_named : int;
+      (* unnamed constraints named so far: per database, so the same DDL
+         gets the same names whatever else the process has run *)
 }
 
 (* Cumulative per-partition execution counters live in the metrics
@@ -231,6 +234,7 @@ let create ?(flags = Opt.Rewrite.all_on) () =
       feedback_tolerance = Obs.Feedback.default_tolerance;
       plan_cache_rows = (fun () -> []);
       stmt_listeners = [];
+      constraints_named = 0;
     }
   in
   register_sys_tables t;
@@ -349,11 +353,9 @@ type outcome =
   | Analyzed of Opt.Explain.analysis
   | Done of string
 
-let fresh_constraint_name =
-  let counter = ref 0 in
-  fun table ->
-    incr counter;
-    Printf.sprintf "%s_con%d" table !counter
+let fresh_constraint_name t table =
+  t.constraints_named <- t.constraints_named + 1;
+  Printf.sprintf "%s_con%d" table t.constraints_named
 
 let eval_const_expr (e : Expr.t) : Value.t =
   try Expr.eval [||] e [||]
@@ -363,7 +365,7 @@ let eval_const_expr (e : Expr.t) : Value.t =
 
 let add_table_constraint t ~table (con : Sqlfe.Ast.table_constraint) =
   let name =
-    Option.value con.Sqlfe.Ast.con_name ~default:(fresh_constraint_name table)
+    Option.value con.Sqlfe.Ast.con_name ~default:(fresh_constraint_name t table)
   in
   match con.Sqlfe.Ast.con_mode with
   | Sqlfe.Ast.Mode_enforced ->

@@ -131,33 +131,37 @@ let rec binding (db : Database.t) plan : Expr.Binding.t =
   | Union_all [] -> [||]
   | Union_all (p :: _) -> binding db p
 
-(* Catalog objects a plan dereferences at open — what the plan cache
-   checks to detect DDL staleness (a dropped table/index, a demoted
-   index) before running a compiled plan. *)
-let rec referenced acc plan =
-  let tables, indexes = acc in
-  match plan with
-  | Seq_scan { table; _ } | Partition_scan { table; _ } ->
-      (table :: tables, indexes)
-  | Index_scan { table; index; _ } | Index_only_scan { table; index; _ } ->
-      (table :: tables, index :: indexes)
-  | Scatter_gather { table; children; _ } ->
-      List.fold_left
-        (fun acc (_, p) -> referenced acc p)
-        (table :: tables, indexes)
-        children
+let children = function
+  | Seq_scan _ | Index_scan _ | Index_only_scan _ | Partition_scan _ -> []
+  | Scatter_gather { children; _ } -> List.map snd children
   | Filter { input; _ }
   | Project { input; _ }
   | Sort { input; _ }
   | Group { input; _ }
   | Limit { input; _ }
   | Distinct input ->
-      referenced acc input
+      [ input ]
   | Nested_loop_join { left; right; _ }
   | Hash_join { left; right; _ }
   | Merge_join { left; right; _ } ->
-      referenced (referenced acc left) right
-  | Union_all inputs -> List.fold_left referenced acc inputs
+      [ left; right ]
+  | Union_all inputs -> inputs
+
+(* Catalog objects a plan dereferences at open — what the plan cache
+   checks to detect DDL staleness (a dropped table/index, a demoted
+   index) before running a compiled plan. *)
+let rec referenced (tables, indexes) plan =
+  let acc =
+    match plan with
+    | Seq_scan { table; _ }
+    | Partition_scan { table; _ }
+    | Scatter_gather { table; _ } ->
+        (table :: tables, indexes)
+    | Index_scan { table; index; _ } | Index_only_scan { table; index; _ } ->
+        (table :: tables, index :: indexes)
+    | _ -> (tables, indexes)
+  in
+  List.fold_left referenced acc (children plan)
 
 let referenced_tables plan =
   List.sort_uniq String.compare (fst (referenced ([], []) plan))

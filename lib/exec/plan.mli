@@ -87,6 +87,11 @@ val agg_fn_name : agg_fn -> string
 val binding : Database.t -> t -> Expr.Binding.t
 (** Output layout of a node ([db] supplies table schemas). *)
 
+val children : t -> t list
+(** The direct inputs of a node, left to right ([Scatter_gather]
+    children in partition order); [[]] for the leaf scans.  Plan walkers
+    recurse through this instead of matching every constructor. *)
+
 val referenced_tables : t -> string list
 (** Tables the plan dereferences at open, sorted, deduplicated. *)
 

@@ -27,28 +27,10 @@ let result_changing applied =
    collect each such scan so it can be surfaced as an applied
    "index_only" entry — with a certificate, a guard, and a backup —
    like any other result-changing transformation. *)
-let rec index_only_accesses (plan : Plan.t) acc =
+let rec index_only_accesses (plan : Plan.t) =
   match plan with
-  | Plan.Index_only_scan { table; alias; index; _ } ->
-      (index, table, alias) :: acc
-  | Plan.Seq_scan _ | Plan.Index_scan _ | Plan.Partition_scan _ -> acc
-  | Plan.Scatter_gather { children; _ } ->
-      List.fold_left
-        (fun acc (_, p) -> index_only_accesses p acc)
-        acc children
-  | Plan.Filter { input; _ }
-  | Plan.Project { input; _ }
-  | Plan.Sort { input; _ }
-  | Plan.Group { input; _ }
-  | Plan.Limit { input; _ } ->
-      index_only_accesses input acc
-  | Plan.Distinct input -> index_only_accesses input acc
-  | Plan.Nested_loop_join { left; right; _ }
-  | Plan.Hash_join { left; right; _ }
-  | Plan.Merge_join { left; right; _ } ->
-      index_only_accesses left (index_only_accesses right acc)
-  | Plan.Union_all inputs ->
-      List.fold_left (fun acc p -> index_only_accesses p acc) acc inputs
+  | Plan.Index_only_scan { table; alias; index; _ } -> [ (index, table, alias) ]
+  | _ -> List.concat_map index_only_accesses (Plan.children plan)
 
 let optimize (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
     report =
@@ -67,7 +49,7 @@ let optimize (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
           premises = [ "idx:" ^ index ];
           delta = Rewrite.Index_access { index; table; alias };
         })
-      (List.rev (index_only_accesses plan []))
+      (index_only_accesses plan)
   in
   let applied = applied @ idx_applied in
   let changing = result_changing applied in
@@ -431,25 +413,6 @@ let node_label (plan : Plan.t) =
         (if alias = table then "" else " as " ^ alias)
         (List.length children)
 
-let children (plan : Plan.t) =
-  match plan with
-  | Plan.Seq_scan _ | Plan.Index_scan _ | Plan.Index_only_scan _
-  | Plan.Partition_scan _ ->
-      []
-  | Plan.Scatter_gather { children; _ } -> List.map snd children
-  | Plan.Filter { input; _ }
-  | Plan.Project { input; _ }
-  | Plan.Sort { input; _ }
-  | Plan.Group { input; _ }
-  | Plan.Limit { input; _ } ->
-      [ input ]
-  | Plan.Distinct input -> [ input ]
-  | Plan.Nested_loop_join { left; right; _ }
-  | Plan.Hash_join { left; right; _ }
-  | Plan.Merge_join { left; right; _ } ->
-      [ left; right ]
-  | Plan.Union_all inputs -> inputs
-
 type node_stat = {
   depth : int;
   label : string;
@@ -501,7 +464,7 @@ let analyze (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
     in
     List.fold_left
       (fun acc child -> walk (depth + 1) child acc)
-      (node :: acc) (children plan)
+      (node :: acc) (Plan.children plan)
   in
   let nodes = List.rev (walk 0 report.plan []) in
   {

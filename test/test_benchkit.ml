@@ -2,8 +2,8 @@
    codec (round-trip, canonical rendering), the measurement schema
    (versioning, merge, fingerprint), the threshold table and diff gate
    (golden pair: an equal run passes, an injected q-error / rows-scanned
-   regression is caught), and end-to-end determinism of a real scenario
-   executed twice. *)
+   regression is caught), and end-to-end determinism of the whole
+   scenario registry executed twice. *)
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -160,6 +160,8 @@ let test_threshold_lookup () =
     ((t "plan_cache.fast_runs").direction = Exact);
   check tbool "guard fallbacks gate exactly" true
     ((t "sc_guard_fallbacks").direction = Exact);
+  check tbool "maintenance outcomes gate exactly" true
+    ((t "maintenance.drop.available").direction = Exact);
   check tbool "rows_scanned allows slack" true
     ((t "rows_scanned").direction = Higher_worse);
   check tbool "q-error uses the q-error rule" true
@@ -256,7 +258,13 @@ let test_diff_missing_scenario_fails () =
   let o = compare_runs ~old_run ~new_run () in
   check tbool "dropped scenario fails the gate" false (passed o);
   check tbool "names the missing scenario" true
-    (List.mem "tpcd/off" o.missing_scenarios)
+    (List.mem "tpcd/off" o.missing_scenarios);
+  (* the converse: a scenario the baseline lacks would land ungated *)
+  let o = compare_runs ~old_run:new_run ~new_run:old_run () in
+  check tbool "scenario absent from the baseline fails the gate" false
+    (passed o);
+  check tbool "names the ungated scenario" true
+    (List.mem "tpcd/off" o.added_scenarios)
 
 let test_diff_wallclock_never_gates () =
   let open Benchkit.Diff in
@@ -275,25 +283,20 @@ let test_diff_wallclock_never_gates () =
        (fun f -> (not f.gated) && f.verdict = Regression)
        o.findings)
 
-(* ---- a real scenario, twice: byte-identical gated content ------------------ *)
+(* ---- the registry, twice: byte-identical gated content -------------------- *)
 
 let test_scenario_determinism () =
-  match Benchkit.Scenario.find "purchase/asc" with
-  | None -> Alcotest.fail "purchase/asc not in the registry"
-  | Some s ->
-      let r1 = s.Benchkit.Scenario.exec Benchkit.Scenario.Quick in
-      let r2 = s.Benchkit.Scenario.exec Benchkit.Scenario.Quick in
-      check tbool "deterministic sections byte-identical" true
-        (r1.Benchkit.Measure.deterministic = r2.Benchkit.Measure.deterministic);
-      let run1 =
-        Benchkit.Measure.make_run ~label:"a" ~scale:"quick" [ r1 ]
-      and run2 =
-        Benchkit.Measure.make_run ~label:"b" ~scale:"quick" [ r2 ]
-      in
-      check tstr "fingerprints agree" (Benchkit.Measure.fingerprint run1)
-        (Benchkit.Measure.fingerprint run2);
-      check tbool "self-diff passes" true
-        Benchkit.Diff.(passed (compare_runs ~old_run:run1 ~new_run:run2 ()))
+  let run label =
+    Benchkit.Scenario.run ~scale:Benchkit.Scenario.Quick ~label ()
+  in
+  let run1 = run "a" and run2 = run "b" in
+  check tint "every registered scenario ran"
+    (List.length Benchkit.Scenario.all)
+    (List.length run1.Benchkit.Measure.scenarios);
+  check tstr "fingerprints agree" (Benchkit.Measure.fingerprint run1)
+    (Benchkit.Measure.fingerprint run2);
+  check tbool "self-diff passes" true
+    Benchkit.Diff.(passed (compare_runs ~old_run:run1 ~new_run:run2 ()))
 
 let () =
   Alcotest.run "benchkit"

@@ -143,7 +143,28 @@ let test_cert_statistical_basis () =
       ~has_backup:true forged
   in
   check tbool "statistical basis for result-changing rewrite rejected" true
-    (has_error_containing diags "estimation-only basis")
+    (has_error_containing diags "estimation-only basis");
+  (* an exception table holding the violators makes the same SSC an exact
+     basis for the exception union (paper §4.4), and for nothing else *)
+  ignore
+    (Core.Softdb.exec sdb
+       "CREATE EXCEPTION TABLE band_exc FOR CONSTRAINT band_ssc");
+  check tbool "exception table licenses no other rule" true
+    (has_error_containing
+       (Check.Cert.check_certificate sdb ~guards:report.Opt.Explain.guards
+          ~has_backup:true forged)
+       "estimation-only basis");
+  check tint "exception-backed SSC certifies the exception union" 0
+    (List.length
+       (Check.Cert.check_certificate sdb ~guards:[ "band_ssc" ]
+          ~has_backup:true
+          {
+            forged with
+            Opt.Explain.cert_rule = "exception_union";
+            cert_delta =
+              Opt.Rewrite.Union_split
+                { fast_pred = Expr.Ptrue; exc_table = "band_exc" };
+          }))
 
 (* Twins stay estimation-only: the SSC fixture's twinned query produces a
    clean report, and the checker would catch a twin leaked into the plan. *)

@@ -564,23 +564,7 @@ let test_linear_correlation_opens_index () =
         (List.mem "predicate_introduction" (rules_fired report));
       let rec uses_index = function
         | Exec.Plan.Index_scan { index = "lin_a"; _ } -> true
-        | Exec.Plan.Filter { input; _ }
-        | Exec.Plan.Limit { input; _ }
-        | Exec.Plan.Sort { input; _ }
-        | Exec.Plan.Project { input; _ }
-        | Exec.Plan.Group { input; _ } ->
-            uses_index input
-        | Exec.Plan.Distinct i -> uses_index i
-        | Exec.Plan.Union_all l -> List.exists uses_index l
-        | Exec.Plan.Nested_loop_join { left; right; _ }
-        | Exec.Plan.Hash_join { left; right; _ }
-        | Exec.Plan.Merge_join { left; right; _ } ->
-            uses_index left || uses_index right
-        | Exec.Plan.Scatter_gather { children; _ } ->
-            List.exists (fun (_, p) -> uses_index p) children
-        | Exec.Plan.Seq_scan _ | Exec.Plan.Index_scan _
-        | Exec.Plan.Index_only_scan _ | Exec.Plan.Partition_scan _ ->
-            false
+        | p -> List.exists uses_index (Exec.Plan.children p)
       in
       check tbool ("index on a used: " ^ sql) true
         (uses_index report.Opt.Explain.plan);

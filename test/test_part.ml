@@ -256,21 +256,7 @@ let pruned_partitions (report : Opt.Explain.report) =
 let scan_partitions plan =
   let rec go acc = function
     | Exec.Plan.Partition_scan { partition; _ } -> partition :: acc
-    | Exec.Plan.Scatter_gather { children; _ } ->
-        List.fold_left (fun acc (_, p) -> go acc p) acc children
-    | Exec.Plan.Seq_scan _ | Exec.Plan.Index_scan _ -> acc
-    | Exec.Plan.Filter { input; _ }
-    | Exec.Plan.Project { input; _ }
-    | Exec.Plan.Sort { input; _ }
-    | Exec.Plan.Group { input; _ }
-    | Exec.Plan.Limit { input; _ } ->
-        go acc input
-    | Exec.Plan.Distinct input -> go acc input
-    | Exec.Plan.Union_all inputs -> List.fold_left go acc inputs
-    | Exec.Plan.Nested_loop_join { left; right; _ }
-    | Exec.Plan.Hash_join { left; right; _ }
-    | Exec.Plan.Merge_join { left; right; _ } ->
-        go (go acc left) right
+    | p -> List.fold_left go acc (Exec.Plan.children p)
   in
   List.sort compare (go [] plan)
 
