@@ -15,7 +15,8 @@
      carry a backup plan (§4.1 flag-and-revert);
    - the delta's shape must match the rule that claims it;
    - twin predicates must be marked estimation-only and must not appear
-     among the executable predicates of the physical plan (or backup). *)
+     among the executable predicates of the physical plan (or backup),
+     unless a non-twin item of the query puts the same conjunct there. *)
 
 open Rel
 
@@ -188,8 +189,30 @@ let rec plan_preds acc (p : Exec.Plan.t) =
   | Exec.Plan.Scatter_gather { children; _ } ->
       List.fold_left (fun acc (_, p) -> plan_preds acc p) acc children
 
+(* The conjuncts the logical plans legitimately execute: every conjunct
+   of a non-twin item, in the rewritten query and in the unrewritten one
+   the backup is planned from.  An exception-union fold can equal a twin
+   in text; its origin, not its text, tells it apart. *)
+let rec sanctioned_conjuncts acc (l : Opt.Logical.t) =
+  match l with
+  | Opt.Logical.Block b ->
+      List.fold_left
+        (fun acc (p : Opt.Logical.pred_item) ->
+          match p.Opt.Logical.origin with
+          | Opt.Logical.Twin _ -> acc
+          | Opt.Logical.User | Opt.Logical.Introduced _ | Opt.Logical.Folded _
+            ->
+              Expr.conjuncts p.Opt.Logical.pred @ acc)
+        acc b.Opt.Logical.preds
+  | Opt.Logical.Union ts -> List.fold_left sanctioned_conjuncts acc ts
+
 let twin_diags (report : Opt.Explain.report) =
   let twins = twin_items [] report.Opt.Explain.rewritten in
+  let sanctioned =
+    sanctioned_conjuncts
+      (sanctioned_conjuncts [] report.Opt.Explain.rewritten)
+      report.Opt.Explain.logical
+  in
   let flag_diags =
     List.filter_map
       (fun (p : Opt.Logical.pred_item) ->
@@ -216,7 +239,7 @@ let twin_diags (report : Opt.Explain.report) =
       (fun (p : Opt.Logical.pred_item) ->
         let leaked =
           List.exists
-            (fun c -> List.mem c exec_conjuncts)
+            (fun c -> List.mem c exec_conjuncts && not (List.mem c sanctioned))
             (Expr.conjuncts p.Opt.Logical.pred)
         in
         if leaked then

@@ -169,16 +169,27 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       let tbl = Database.table_exn db table in
       let binding = Plan.binding db plan in
       let keep = Expr.compile_filter binding filter in
-      counters.Counters.pages_read <-
-        counters.Counters.pages_read + Table.pages tbl;
-      let rows = ref (Table.to_list tbl) in
+      (* a slot cursor up to the high-water mark fixed at open: rows
+         inserted later stay invisible, as under a snapshot.  Pages are
+         charged on the first pull — a scan nobody pulls reads nothing *)
+      let hwm = Table.high_water tbl in
+      let rid = ref (-1) in
       let rec next () =
-        match !rows with
-        | [] -> None
-        | r :: tl ->
-            rows := tl;
-            counters.Counters.rows_scanned <- counters.Counters.rows_scanned + 1;
-            if keep r then Some r else next ()
+        if !rid < 0 then begin
+          counters.Counters.pages_read <-
+            counters.Counters.pages_read + Table.pages tbl;
+          rid := 0
+        end;
+        if !rid >= hwm then None
+        else
+          let slot = Table.get tbl !rid in
+          incr rid;
+          match slot with
+          | None -> next ()
+          | Some r ->
+              counters.Counters.rows_scanned <-
+                counters.Counters.rows_scanned + 1;
+              if keep r then Some r else next ()
       in
       next
   | Plan.Index_scan { table; alias = _; index; lo; hi; filter } ->
@@ -189,27 +200,43 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
         | None -> error "no such index: %s" index
       in
       counters.Counters.index_probes <- counters.Counters.index_probes + 1;
-      let rids = Index.range idx ~lo ~hi in
       let binding = Plan.binding db plan in
       let keep = Expr.compile_filter binding filter in
-      (* page model: each fetched rid costs a page read amortized by
+      (* rids stream in index-key order: the first pull takes each key's
+         rid list (one cons per key, no sort) and charges the pages — by
+         the page model each fetched rid costs a page read amortized by
          clustering factor ~ rows_per_page *)
-      let rpp = Table.rows_per_page tbl in
-      counters.Counters.pages_read <-
-        counters.Counters.pages_read
-        + ((List.length rids + rpp - 1) / max 1 rpp);
-      let rows = ref rids in
+      let keys = ref [] and rids = ref [] and started = ref false in
+      let start () =
+        started := true;
+        let n = ref 0 in
+        keys :=
+          List.rev
+            (Index.fold_range idx ~lo ~hi ~init:[] ~f:(fun acc _ rs ->
+                 n := !n + List.length rs;
+                 rs :: acc));
+        let rpp = Table.rows_per_page tbl in
+        counters.Counters.pages_read <-
+          counters.Counters.pages_read + ((!n + rpp - 1) / max 1 rpp)
+      in
       let rec next () =
-        match !rows with
-        | [] -> None
+        if not !started then start ();
+        match !rids with
         | rid :: tl -> (
-            rows := tl;
+            rids := tl;
             match Table.get tbl rid with
             | None -> next ()
             | Some r ->
                 counters.Counters.rows_scanned <-
                   counters.Counters.rows_scanned + 1;
                 if keep r then Some r else next ())
+        | [] -> (
+            match !keys with
+            | [] -> None
+            | rs :: tl ->
+                keys := tl;
+                rids := rs;
+                next ())
       in
       next
   | Plan.Index_only_scan { table; alias = _; index; columns; lo; hi; filter }

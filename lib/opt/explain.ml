@@ -166,16 +166,32 @@ let to_string r = Fmt.str "%a" pp r
 
 let norm = String.lowercase_ascii
 
-(* per-alias blended output estimate, from the rewritten logical query *)
-let rec alias_estimates senv (l : Logical.t) acc =
+(* Per-alias blended output estimates, scoped by UNION ALL branch: both
+   branches of an exception union name the same alias, so each child of
+   a [Union_all] node reads the estimates of its own logical branch. *)
+type scope = { alias_est : (string * float) list; branches : scope list }
+
+let rec scope_of senv (l : Logical.t) =
   match l with
   | Logical.Block b ->
       let e = Selectivity.estimate_block senv b in
-      List.fold_left
-        (fun acc (alias, base, sel) -> (norm alias, base *. sel) :: acc)
-        acc e.Selectivity.per_table
+      {
+        alias_est =
+          List.map
+            (fun (alias, base, sel) -> (norm alias, base *. sel))
+            e.Selectivity.per_table;
+        branches = [];
+      }
   | Logical.Union ts ->
-      List.fold_left (fun acc t -> alias_estimates senv t acc) acc ts
+      { alias_est = []; branches = List.map (scope_of senv) ts }
+
+(* the scope each child of [plan] is estimated in *)
+let child_scopes scope (plan : Plan.t) =
+  match plan with
+  | Plan.Union_all inputs
+    when List.compare_lengths inputs scope.branches = 0 ->
+      scope.branches
+  | _ -> List.map (fun _ -> scope) (Plan.children plan)
 
 (* the scans visible below a node: alias -> table *)
 let rec scans_below plan acc =
@@ -246,26 +262,26 @@ let rec pred_sel senv scans (p : Rel.Expr.pred) =
    (the index probe range is also kept as residual), so rows × filter
    selectivity is the right estimate for either; the blended per-alias
    estimate additionally folds in estimation-only twins. *)
-let scan_estimate senv alias_est ~table ~alias ~filter =
-  match List.assoc_opt (norm alias) alias_est with
+let scan_estimate senv scope ~table ~alias ~filter =
+  match List.assoc_opt (norm alias) scope.alias_est with
   | Some e -> e
   | None ->
       let rows = Selectivity.table_cardinality senv table in
       let preds = List.map Selectivity.localize (Rel.Expr.conjuncts filter) in
       rows *. Selectivity.conjunct_selectivity senv ~table preds
 
-let rec estimate senv alias_est (plan : Plan.t) =
+let rec estimate senv scope (plan : Plan.t) =
   match plan with
   | Plan.Seq_scan { table; alias; filter } ->
-      scan_estimate senv alias_est ~table ~alias ~filter
+      scan_estimate senv scope ~table ~alias ~filter
   | Plan.Index_scan { table; alias; filter; _ }
   | Plan.Index_only_scan { table; alias; filter; _ } ->
-      scan_estimate senv alias_est ~table ~alias ~filter
+      scan_estimate senv scope ~table ~alias ~filter
   | Plan.Scatter_gather { table; alias; children; _ } -> (
       (* the gather of all surviving partitions re-produces the blended
          per-alias estimate; a partial gather scales it by the surviving
          row fraction *)
-      let whole = scan_estimate senv alias_est ~table ~alias ~filter:Rel.Expr.Ptrue in
+      let whole = scan_estimate senv scope ~table ~alias ~filter:Rel.Expr.Ptrue in
       match Rel.Database.partitioning senv.Selectivity.db table with
       | None -> whole
       | Some part ->
@@ -281,7 +297,7 @@ let rec estimate senv alias_est (plan : Plan.t) =
           if total = 0 then 0.0
           else whole *. (float_of_int surviving /. float_of_int total))
   | Plan.Partition_scan { table; alias; filter; partition } -> (
-      let whole = scan_estimate senv alias_est ~table ~alias ~filter in
+      let whole = scan_estimate senv scope ~table ~alias ~filter in
       match Rel.Database.partitioning senv.Selectivity.db table with
       | None -> whole
       | Some part ->
@@ -295,16 +311,16 @@ let rec estimate senv alias_est (plan : Plan.t) =
             *. (float_of_int (Rel.Partition.rows part partition)
                /. float_of_int total))
   | Plan.Filter { input; pred } ->
-      estimate senv alias_est input
+      estimate senv scope input
       *. pred_sel senv (scans_below input []) pred
   | Plan.Project { input; _ } | Plan.Sort { input; _ } ->
-      estimate senv alias_est input
+      estimate senv scope input
   | Plan.Distinct input ->
       (* approximation: no reduction, matching the block estimator *)
-      estimate senv alias_est input
+      estimate senv scope input
   | Plan.Nested_loop_join { left; right; pred } ->
-      estimate senv alias_est left
-      *. estimate senv alias_est right
+      estimate senv scope left
+      *. estimate senv scope right
       *. pred_sel senv (scans_below plan []) pred
   | Plan.Hash_join { left; right; left_keys; right_keys; residual }
   | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
@@ -321,12 +337,12 @@ let rec estimate senv alias_est (plan : Plan.t) =
         | l :: ltl, r :: rtl -> key_sel l r *. keys_sel ltl rtl
         | _ -> 1.0
       in
-      estimate senv alias_est left
-      *. estimate senv alias_est right
+      estimate senv scope left
+      *. estimate senv scope right
       *. keys_sel left_keys right_keys
       *. pred_sel senv scans residual
   | Plan.Group { input; keys; _ } ->
-      let inp = estimate senv alias_est input in
+      let inp = estimate senv scope input in
       if keys = [] then 1.0
       else
         let scans = scans_below input [] in
@@ -342,9 +358,11 @@ let rec estimate senv alias_est (plan : Plan.t) =
         in
         Float.min inp groups
   | Plan.Union_all inputs ->
-      List.fold_left (fun acc p -> acc +. estimate senv alias_est p) 0.0 inputs
+      List.fold_left2
+        (fun acc sc p -> acc +. estimate senv sc p)
+        0.0 (child_scopes scope plan) inputs
   | Plan.Limit { input; n } ->
-      Float.min (estimate senv alias_est input) (float_of_int n)
+      Float.min (estimate senv scope input) (float_of_int n)
 
 (* single-line operator labels for the annotated tree *)
 let node_label (plan : Plan.t) =
@@ -434,7 +452,6 @@ let analyze (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
   let report = optimize ctx penv q in
   let db = penv.Planner.db in
   let senv = Planner.sel_env penv in
-  let alias_est = alias_estimates senv report.rewritten [] in
   let counters = Operators.Counters.create () in
   let rows, node_stats =
     Operators.run_instrumented db ~counters report.plan
@@ -445,8 +462,8 @@ let analyze (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
   let stat_of node =
     Option.map snd (List.find_opt (fun (p, _) -> p == node) node_stats)
   in
-  let rec walk depth plan acc =
-    let est = estimate senv alias_est plan in
+  let rec walk depth scope plan acc =
+    let est = estimate senv scope plan in
     let actual, elapsed =
       match stat_of plan with
       | Some s -> (s.Operators.Node.produced, s.Operators.Node.elapsed_s)
@@ -462,11 +479,11 @@ let analyze (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
         elapsed_s = elapsed;
       }
     in
-    List.fold_left
-      (fun acc child -> walk (depth + 1) child acc)
-      (node :: acc) (Plan.children plan)
+    List.fold_left2
+      (fun acc scope child -> walk (depth + 1) scope child acc)
+      (node :: acc) (child_scopes scope plan) (Plan.children plan)
   in
-  let nodes = List.rev (walk 0 report.plan []) in
+  let nodes = List.rev (walk 0 (scope_of senv report.rewritten) report.plan []) in
   {
     a_report = report;
     result;

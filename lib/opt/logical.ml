@@ -5,13 +5,17 @@
    the paper's *twinned* predicates (§5.1) — are visible to the
    cardinality model but are never compiled into the physical plan, and
    carry the SSC's confidence.  [Introduced] predicates come from
-   semantics-preserving rewrites (valid ASCs / ICs) and *are* executed. *)
+   semantics-preserving rewrites (valid ASCs / ICs) and *are* executed.
+   [Folded] predicates are the exception-union's fast-branch conjuncts:
+   executed, but implied by the block under the check they fold, so the
+   cardinality model skips them. *)
 
 open Rel
 
 type origin =
   | User
   | Introduced of string (* rule or soft-constraint name *)
+  | Folded of string (* exception-union fold of this SC's check *)
   | Twin of string (* SSC name; estimation-only *)
 
 type pred_item = {
@@ -33,6 +37,10 @@ let user_pred pred =
 let introduced_pred ~rule pred =
   { pred; origin = Introduced rule; estimation_only = false;
     confidence = 1.0; replaces = None }
+
+let folded_pred ~sc pred =
+  { pred; origin = Folded sc; estimation_only = false; confidence = 1.0;
+    replaces = None }
 
 let twin_pred ~sc ~confidence ?replaces pred =
   { pred; origin = Twin sc; estimation_only = true; confidence; replaces }
@@ -106,6 +114,8 @@ let executable_preds block =
 
 let estimation_preds block =
   List.filter (fun p -> p.estimation_only) block.preds
+
+let is_folded p = match p.origin with Folded _ -> true | _ -> false
 
 let block_to_select (b : block) : Sqlfe.Ast.select =
   {
@@ -199,6 +209,7 @@ let pp_pred_item ppf p =
     match p.origin with
     | User -> ""
     | Introduced rule -> Fmt.str " [introduced:%s]" rule
+    | Folded sc -> Fmt.str " [folded:%s]" sc
     | Twin sc -> Fmt.str " [twin:%s conf=%.2f]" sc p.confidence
   in
   Fmt.pf ppf "%a%s" Expr.pp_pred p.pred tag

@@ -6,13 +6,18 @@
     cardinality model but never compiled into the physical plan, and carry
     the SSC's confidence.  [Introduced] predicates come from
     semantics-preserving rewrites (valid ASCs / ICs) and {e are}
-    executed. *)
+    executed.  [Folded] predicates are the exception union's fast-branch
+    conjuncts: executed, but implied by the block under the check they
+    fold, so the cardinality model skips them. *)
 
 open Rel
 
 type origin =
   | User
   | Introduced of string  (** rule or soft-constraint name *)
+  | Folded of string
+      (** exception-union fold of this SC's check; executed, never
+          estimated *)
   | Twin of string  (** SSC name; estimation-only *)
 
 type pred_item = {
@@ -29,6 +34,7 @@ type pred_item = {
 
 val user_pred : Expr.pred -> pred_item
 val introduced_pred : rule:string -> Expr.pred -> pred_item
+val folded_pred : sc:string -> Expr.pred -> pred_item
 val twin_pred :
   sc:string -> confidence:float -> ?replaces:Expr.col_ref -> Expr.pred ->
   pred_item
@@ -65,6 +71,7 @@ val to_query : t -> Sqlfe.Ast.query
 
 val executable_preds : block -> pred_item list
 val estimation_preds : block -> pred_item list
+val is_folded : pred_item -> bool
 
 (** {1 Analysis helpers} *)
 

@@ -561,95 +561,6 @@ let predicate_introduction ctx applied (block : Logical.block) =
     block.Logical.from;
   { block with Logical.preds = block.Logical.preds @ List.rev !new_items }
 
-(* ---- rule: exception-table union (ASC-as-AST, paper §4.4) ---------------- *)
-
-(* Preconditions: plain SPJ block (no aggregates / grouping / distinct /
-   ordering / limit), an exception table for a source's check statement,
-   and equality bindings that fold the check into a gainful sargable
-   predicate.  The rewrite produces
-       (block ∧ folded-check)  UNION ALL  (block with source ↦ exceptions)
-   which is answer-equal for *any* data: under the bindings the folded
-   check is equivalent to the check itself, so branch 1 selects exactly
-   the base rows satisfying the check and branch 2 exactly the violators
-   (the exception table's contents). *)
-let exception_union ctx applied (block : Logical.block) : Logical.t option =
-  let plain =
-    (not block.Logical.distinct)
-    && block.Logical.group_by = []
-    && block.Logical.having = Expr.Ptrue
-    && block.Logical.order_by = []
-    && block.Logical.limit = None
-    && List.for_all
-         (function
-           | Sqlfe.Ast.Aggregate _ -> false
-           | Sqlfe.Ast.Star | Sqlfe.Ast.Scalar _ -> true)
-         block.Logical.items
-  in
-  if not (plain && ctx.flags.exception_union) then None
-  else
-    let bindings = bindings_of ctx block in
-    let try_source (s : Logical.source) =
-      let infos =
-        List.filter
-          (fun e -> norm e.exc_base_table = norm s.Logical.table)
-          ctx.exceptions
-      in
-      List.find_map
-        (fun info ->
-          let q = requalify s.Logical.alias info.exc_check in
-          let folded =
-            Interval.simplify_pred (subst_with_bindings ctx block bindings q)
-            |> Expr.conjuncts
-            |> List.map Interval.normalize
-            |> Expr.conjoin
-          in
-          (* only worthwhile if some folded conjunct opens an index path;
-             only sound if the folded statement cannot evaluate to UNKNOWN
-             on a qualifying row (all remaining columns NOT NULL) *)
-          let gainful =
-            List.exists
-              (fun c -> introduction_gain ctx block c <> None)
-              (Expr.conjuncts folded)
-          in
-          if not (gainful && cols_all_not_nullable ctx block folded) then None
-          else begin
-            log ~sc:info.exc_constraint
-              ~delta:
-                (Union_split
-                   { fast_pred = folded; exc_table = info.exc_table })
-              applied "exception_union"
-              "split %s via exception table %s (constraint %s)"
-              s.Logical.alias info.exc_table info.exc_constraint;
-            let branch1 =
-              {
-                block with
-                Logical.preds =
-                  block.Logical.preds
-                  @ [
-                      Logical.introduced_pred
-                        ~rule:("exception_union:" ^ info.exc_constraint)
-                        folded;
-                    ];
-              }
-            in
-            let branch2 =
-              {
-                block with
-                Logical.from =
-                  List.map
-                    (fun (f : Logical.source) ->
-                      if f.Logical.alias = s.Logical.alias then
-                        { f with Logical.table = info.exc_table }
-                      else f)
-                    block.Logical.from;
-              }
-            in
-            Some (Logical.Union [ Logical.Block branch1; Logical.Block branch2 ])
-          end)
-        infos
-    in
-    List.find_map try_source block.Logical.from
-
 (* ---- rule: join-hole range trimming -------------------------------------- *)
 
 let float_of_value v =
@@ -1139,6 +1050,15 @@ let linear_interval ?(outward = false) iv ~k ~b ~eps ~dtype =
       }
 
 let twinning ctx applied (block : Logical.block) =
+  (* twins serve the estimator, which skips exception-union folds: a
+     fold is implied by the block, so it is no predicate of the query *)
+  let view =
+    {
+      block with
+      Logical.preds =
+        List.filter (fun p -> not (Logical.is_folded p)) block.Logical.preds;
+    }
+  in
   let twins = ref [] in
   let add_twin ~sc ~confidence ~alias ~target_col ~source_col iv =
     if not (Interval.is_full iv || Interval.is_empty iv) then begin
@@ -1165,8 +1085,8 @@ let twinning ctx applied (block : Logical.block) =
                 let alias = s.Logical.alias in
                 let col_hi = d.Mining.Diff_band.col_hi
                 and col_lo = d.Mining.Diff_band.col_lo in
-                let ih = interval_on ctx block ~alias ~col:col_hi
-                and il = interval_on ctx block ~alias ~col:col_lo in
+                let ih = interval_on ctx view ~alias ~col:col_hi
+                and il = interval_on ctx view ~alias ~col:col_lo in
                 let dmin = band.Mining.Diff_band.d_min
                 and dmax = band.Mining.Diff_band.d_max in
                 (* a twin only helps when predicates exist on BOTH columns
@@ -1188,8 +1108,8 @@ let twinning ctx applied (block : Logical.block) =
                 let alias = s.Logical.alias in
                 let col_a = c.Mining.Correlation.col_a
                 and col_b = c.Mining.Correlation.col_b in
-                let ib = interval_on ctx block ~alias ~col:col_b in
-                let ia = interval_on ctx block ~alias ~col:col_a in
+                let ib = interval_on ctx view ~alias ~col:col_b in
+                let ia = interval_on ctx view ~alias ~col:col_a in
                 let k = c.Mining.Correlation.k and b0 = c.Mining.Correlation.b in
                 let eps = band.Mining.Correlation.eps in
                 (* both columns must carry predicates (see diff bands) *)
@@ -1293,6 +1213,147 @@ let shape_introduction ctx applied (block : Logical.block) =
             block.Logical.from)
     ctx.asc_shapes;
   { block with Logical.preds = block.Logical.preds @ List.rev !new_items }
+
+(* ---- rule: exception-table union (ASC-as-AST, paper §4.4) ---------------- *)
+
+(* A column is null-rejected in a block when it is declared NOT NULL or an
+   executable range conjunct bounds it: the comparison is UNKNOWN on a
+   NULL, so no qualifying row carries one. *)
+let null_rejected ctx block (r : Expr.col_ref) =
+  match resolve_source ctx block r with
+  | None -> false
+  | Some s ->
+      column_not_nullable ctx s.Logical.table r.Expr.col
+      || not
+           (Interval.is_full
+              (interval_on ctx block ~alias:s.Logical.alias ~col:r.Expr.col))
+
+(* A check conjunct [a - b BETWEEN k1 AND k2]: a difference band. *)
+let diff_band_of (c : Expr.pred) =
+  match c with
+  | Expr.Between
+      (Expr.Binop (Expr.Sub, Expr.Col a, Expr.Col b), Expr.Const k1, Expr.Const k2)
+    -> (
+      match (float_of_value k1, float_of_value k2) with
+      | Some k1, Some k2 -> Some (a, b, k1, k2)
+      | _ -> None)
+  | _ -> None
+
+(* The fast branch's conjuncts for source [s] under [check], or None when
+   no fold opens an index path.  Equality bindings fold the check into an
+   equivalent statement.  Failing that, each difference-band conjunct
+   [a - b BETWEEN k1 AND k2] maps the block's range on [a] to
+   [b ∈ [lo − k2, hi − k1]] and a range on [b] to [a ∈ [lo + k1, hi + k2]];
+   such a range only bounds the rows satisfying the check, so the check
+   itself stays beside it — without it a violator inside the derived
+   range would come back from both branches. *)
+let fold_check ctx block bindings (s : Logical.source) check =
+  let folded =
+    Interval.simplify_pred (subst_with_bindings ctx block bindings check)
+    |> Expr.conjuncts
+    |> List.map Interval.normalize
+  in
+  if List.exists (fun c -> introduction_gain ctx block c <> None) folded then
+    Some folded
+  else
+    let image (src : Expr.col_ref) (dst : Expr.col_ref) ~flo ~fhi =
+      let iv = interval_on ctx block ~alias:s.Logical.alias ~col:src.Expr.col in
+      if Interval.is_full iv then []
+      else
+        let p =
+          Interval.to_pred dst
+            (shift_interval ~outward:true iv ~flo ~fhi
+               ~dtype:(column_dtype ctx s.Logical.table dst.Expr.col))
+        in
+        if introduction_gain ctx block p <> None then [ p ] else []
+    in
+    let derived =
+      List.concat_map
+        (fun c ->
+          match diff_band_of c with
+          | None -> []
+          | Some (a, b, k1, k2) ->
+              image a b ~flo:(-.k2) ~fhi:(-.k1) @ image b a ~flo:k1 ~fhi:k2)
+        (Expr.conjuncts check)
+    in
+    if derived = [] then None else Some (Expr.conjuncts check @ derived)
+
+(* Preconditions: plain SPJ block (no aggregates / grouping / distinct /
+   ordering / limit), an exception table for a source's check statement,
+   a fold of the check that opens an index path ({!fold_check}), and
+   every column of the fold null-rejected by the block.  The rewrite
+   produces
+       (block ∧ fold)  UNION ALL  (block with source ↦ exceptions)
+   which is answer-equal for *any* data: the fold holds on a row exactly
+   when the check does, so branch 1 selects the base rows satisfying the
+   check and branch 2 exactly the violators (the exception table's
+   contents).  Null rejection makes the check TRUE or FALSE on every
+   qualifying row — a row where it is UNKNOWN is no violator, so neither
+   branch would return it. *)
+let exception_union ctx applied (block : Logical.block) : Logical.t option =
+  let plain =
+    (not block.Logical.distinct)
+    && block.Logical.group_by = []
+    && block.Logical.having = Expr.Ptrue
+    && block.Logical.order_by = []
+    && block.Logical.limit = None
+    && List.for_all
+         (function
+           | Sqlfe.Ast.Aggregate _ -> false
+           | Sqlfe.Ast.Star | Sqlfe.Ast.Scalar _ -> true)
+         block.Logical.items
+  in
+  if not (plain && ctx.flags.exception_union) then None
+  else
+    let bindings = bindings_of ctx block in
+    let try_source (s : Logical.source) =
+      let infos =
+        List.filter
+          (fun e -> norm e.exc_base_table = norm s.Logical.table)
+          ctx.exceptions
+      in
+      List.find_map
+        (fun info ->
+          let check = requalify s.Logical.alias info.exc_check in
+          match fold_check ctx block bindings s check with
+          | Some fold
+            when List.for_all (null_rejected ctx block)
+                   (List.concat_map Expr.cols_of_pred fold) ->
+              log ~sc:info.exc_constraint
+                ~delta:
+                  (Union_split
+                     { fast_pred = Expr.conjoin fold;
+                       exc_table = info.exc_table })
+                applied "exception_union"
+                "split %s via exception table %s (constraint %s)"
+                s.Logical.alias info.exc_table info.exc_constraint;
+              let branch1 =
+                {
+                  block with
+                  Logical.preds =
+                    block.Logical.preds
+                    @ List.map (Logical.folded_pred ~sc:info.exc_constraint)
+                        fold;
+                }
+              in
+              let branch2 =
+                {
+                  block with
+                  Logical.from =
+                    List.map
+                      (fun (f : Logical.source) ->
+                        if f.Logical.alias = s.Logical.alias then
+                          { f with Logical.table = info.exc_table }
+                        else f)
+                      block.Logical.from;
+                }
+              in
+              Some
+                (Logical.Union [ Logical.Block branch1; Logical.Block branch2 ])
+          | _ -> None)
+        infos
+    in
+    List.find_map try_source block.Logical.from
 
 (* ---- driver ---------------------------------------------------------------- *)
 

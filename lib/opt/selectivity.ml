@@ -191,7 +191,13 @@ type block_estimate = {
 
 let estimate_block env (block : Logical.block) : block_estimate =
   let db = env.db in
-  let exec_preds = Logical.executable_preds block in
+  (* an exception-union fold is implied by the block under the check it
+     folds: multiplying it in would count the block's selectivity twice *)
+  let exec_preds =
+    List.filter
+      (fun p -> not (Logical.is_folded p))
+      (Logical.executable_preds block)
+  in
   let est_preds = Logical.estimation_preds block in
   (* bucket executable conjuncts: per-alias vs cross-alias *)
   let local : (string, Expr.pred list) Hashtbl.t = Hashtbl.create 8 in

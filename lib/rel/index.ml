@@ -170,17 +170,8 @@ let to_tree_bound = function
   | Incl v -> Key_tree.Incl (Tuple.of_array [| v |])
   | Excl v -> Key_tree.Excl (Tuple.of_array [| v |])
 
-(* Range scan over a single-column index (or the leading column of a
-   composite one — in which case callers must treat results as a superset
-   only when the index is single-column; we restrict to single-column). *)
-let range t ~lo ~hi =
-  if Array.length t.positions <> 1 then
-    invalid_arg "Index.range: range probes require a single-column index";
-  Key_tree.fold_range t.tree ~lo:(to_tree_bound lo) ~hi:(to_tree_bound hi)
-    ~init:[]
-    ~f:(fun acc _ rids -> List.rev_append rids acc)
-  |> List.sort_uniq Stdlib.compare
-
+(* Range scan over a single-column index (a composite key's leading
+   column would only bound a superset, so we restrict to single-column). *)
 let fold_range t ~lo ~hi ~init ~f =
   if Array.length t.positions <> 1 then
     invalid_arg "Index.fold_range: requires a single-column index";

@@ -74,13 +74,12 @@ val lookup_value : t -> Value.t -> Table.rid list
 
 type bound = Unbounded | Incl of Value.t | Excl of Value.t
 
-val range : t -> lo:bound -> hi:bound -> Table.rid list
-(** Sorted rids whose key is within the bounds.  Only valid on
-    single-column indexes (raises [Invalid_argument] otherwise). *)
-
 val fold_range :
   t -> lo:bound -> hi:bound -> init:'a ->
   f:('a -> Value.t -> Table.rid list -> 'a) -> 'a
+(** In-key-order iteration over the (key, rids) bindings within the
+    bounds.  Only valid on single-column indexes (raises
+    [Invalid_argument] otherwise). *)
 
 val fold_entries :
   t -> lo:bound -> hi:bound -> init:'a ->

@@ -48,6 +48,8 @@ let insert t row =
 let get t rid =
   if rid < 0 || rid >= t.next_slot then None else t.slots.(rid)
 
+let high_water t = t.next_slot
+
 let get_exn t rid =
   match get t rid with
   | Some row -> row

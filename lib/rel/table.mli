@@ -32,6 +32,11 @@ val insert : t -> Tuple.t -> rid
 val get : t -> rid -> Tuple.t option
 val get_exn : t -> rid -> Tuple.t
 
+val high_water : t -> rid
+(** One past the highest rid ever allocated: every live rid is below it.
+    A scan that stops here sees no row inserted after it fixed the
+    mark. *)
+
 val delete : t -> rid -> bool
 (** [false] when the rid is absent (already deleted). *)
 

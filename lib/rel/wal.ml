@@ -141,20 +141,36 @@ module Writer = struct
     mutable floats : string list;  (* "%h" images, made once *)
   }
 
-  let to_string emit =
+  (* The one emitter path: a size pass, then a fill at the start of
+     [!buf], which is replaced first when the line (and its newline, with
+     [eol]) does not fit.  An empty buffer grows to exactly the size. *)
+  let fill ~eol buf emit =
     let w =
       { buf = Bytes.empty; sizing = true; pos = 0; fields = 0; floats = [] }
     in
     emit w;
-    let size = w.pos in
-    w.buf <- Bytes.create size;
+    let size = if eol then w.pos + 1 else w.pos in
+    if Bytes.length !buf < size then
+      buf := Bytes.create (max size (2 * Bytes.length !buf));
+    w.buf <- !buf;
     w.sizing <- false;
     w.pos <- 0;
     w.fields <- 0;
     w.floats <- List.rev w.floats;
     emit w;
-    if w.pos <> size then invalid_arg "Wal.Writer.to_string: unstable emitter";
-    Bytes.unsafe_to_string w.buf
+    if eol then begin
+      Bytes.set w.buf w.pos '\n';
+      w.pos <- w.pos + 1
+    end;
+    if w.pos <> size then invalid_arg "Wal.Writer: unstable emitter";
+    size
+
+  let frame buf emit = fill ~eol:true buf emit
+
+  let to_string emit =
+    let buf = ref Bytes.empty in
+    ignore (fill ~eol:false buf emit : int);
+    Bytes.unsafe_to_string !buf
 
   let char w c =
     if not w.sizing then Bytes.set w.buf w.pos c;

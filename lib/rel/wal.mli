@@ -218,6 +218,14 @@ module Writer : sig
       must emit the same fields both times.  Fields are separated by
       tabs; no trailing newline. *)
 
+  val frame : Bytes.t ref -> (t -> unit) -> int
+  (** [frame buf emit] writes the line [to_string emit] would make,
+      then a newline, at the start of [!buf], and returns its length.
+      When the frame does not fit, [!buf] is first replaced by one of
+      the larger of the frame's length and twice the old length, so a
+      caller that keeps [buf] across frames stops allocating once it has
+      seen its largest one. *)
+
   val raw : t -> string -> unit
   (** A field written verbatim (a tag or verb: no tab, no newline). *)
 

@@ -192,6 +192,7 @@ let put_response w ({ id; payload } : response) =
   | Bye -> W.raw w "bye"
 
 let response_to_line r = W.to_string (fun w -> put_response w r)
+let response_frame buf r = W.frame buf (fun w -> put_response w r)
 
 let count r what =
   let n = R.int r in

@@ -66,6 +66,10 @@ val request_of_line : string -> request
 
 val response_to_line : response -> string
 
+val response_frame : Bytes.t ref -> response -> int
+(** [response_to_line r ^ "\n"], written at the start of [!buf] (grown
+    as {!Rel.Wal.Writer.frame} grows it); returns the frame's length. *)
+
 val response_of_line : string -> response
 (** Raises {!Protocol_error} on corrupt input. *)
 

@@ -110,7 +110,7 @@ let session_deadline t session =
   else Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
 
 let send_response cs (response : Proto.response) =
-  try cs.conn.Transport.send (Proto.response_to_line response)
+  try cs.conn.Transport.send_frame (fun buf -> Proto.response_frame buf response)
   with Transport.Closed -> cs.open_ <- false
 
 (* ---- the connection loop -------------------------------------------------- *)

@@ -12,10 +12,13 @@
 
    [send] is safe to call from any domain or thread (workers complete
    jobs concurrently and answer out of order); [recv] is meant for a
-   single consumer — the connection's reader loop. *)
+   single consumer — the connection's reader loop.  [send_frame] is the
+   server's send: the caller encodes straight into the connection's one
+   frame buffer, so a response costs no string of its own. *)
 
 type t = {
   send : string -> unit;
+  send_frame : (Bytes.t ref -> int) -> unit;
   recv : unit -> string option; (* None at end of stream *)
   close : unit -> unit;
   peer : string;
@@ -80,6 +83,13 @@ let chan_close c =
   Mutex.unlock c.m;
   Obs.Lockdep.release "srv.transport.chan"
 
+(* A frame filled into a scratch buffer, less its newline: the pipe moves
+   lines, and it is the deterministic test transport, not a hot path. *)
+let chan_send_frame c fill =
+  let buf = ref Bytes.empty in
+  let n = fill buf in
+  chan_send c (Bytes.sub_string !buf 0 (n - 1))
+
 let pipe () =
   let c2s = chan () (* client -> server *) and s2c = chan () in
   let close () =
@@ -89,6 +99,7 @@ let pipe () =
   let client =
     {
       send = chan_send c2s;
+      send_frame = chan_send_frame c2s;
       recv = (fun () -> chan_recv s2c);
       close;
       peer = "pipe:server";
@@ -96,6 +107,7 @@ let pipe () =
   and server =
     {
       send = chan_send s2c;
+      send_frame = chan_send_frame s2c;
       recv = (fun () -> chan_recv c2s);
       close;
       peer = "pipe:client";
@@ -108,13 +120,15 @@ let pipe () =
 (* Frames are newline-delimited; the protocol escapes every literal
    newline inside a field, so input_line is exact framing.  Writes are
    serialized behind a per-connection mutex because responses come from
-   worker domains. *)
+   worker domains; the same mutex owns the connection's frame buffer,
+   which [send_frame] fills and writes out in place. *)
 let of_fd fd ~peer =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let wm = Mutex.create () in
   let closed = ref false in
-  let send line =
+  let frame = ref Bytes.empty in
+  let write f =
     (* @acquires srv.transport.write *)
     Obs.Lockdep.acquire "srv.transport.write";
     Mutex.lock wm;
@@ -125,10 +139,19 @@ let of_fd fd ~peer =
       (fun () ->
         if !closed then raise Closed;
         try
-          output_string oc line;
-          output_char oc '\n';
+          f ();
           flush oc
         with Sys_error _ -> raise Closed)
+  in
+  let send line =
+    write (fun () ->
+        output_string oc line;
+        output_char oc '\n')
+  in
+  let send_frame fill =
+    write (fun () ->
+        let n = fill frame in
+        output oc !frame 0 n)
   in
   let recv () = try Some (input_line ic) with End_of_file | Sys_error _ -> None in
   let close () =
@@ -143,7 +166,7 @@ let of_fd fd ~peer =
     Mutex.unlock wm;
     Obs.Lockdep.release "srv.transport.write"
   in
-  { send; recv; close; peer }
+  { send; send_frame; recv; close; peer }
 
 type listener = { lfd : Unix.file_descr; port : int }
 

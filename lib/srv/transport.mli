@@ -6,6 +6,13 @@
 
 type t = {
   send : string -> unit;  (** Raises {!Closed} on a closed connection. *)
+  send_frame : (Bytes.t ref -> int) -> unit;
+      (** [send_frame fill]: [fill buf] writes one newline-terminated
+          frame at the start of [!buf], growing it as
+          {!Rel.Wal.Writer.frame} does, and returns its length.  Over
+          TCP, [buf] is the connection's one frame buffer, filled and
+          written under the write lock; the pipe fills a scratch
+          buffer.  Raises {!Closed} like [send]. *)
   recv : unit -> string option;  (** [None] at end of stream. *)
   close : unit -> unit;  (** Idempotent. *)
   peer : string;

@@ -203,6 +203,44 @@ let test_twin_isolation () =
        (Check.Cert.check_report sdb leaked)
        "appears among the plan's executable predicates")
 
+(* An SSC difference band with an exception table: the exception union
+   folds the ship_date window into an executed order_date range that is,
+   text for text, the twin the same band yields for estimation.  The
+   isolation pass tells them apart by origin and passes the plan. *)
+let test_twin_beside_exception_union () =
+  let sdb = purchase_banded ~confidence:0.99 ~name:"band_ssc" ~late:0.01 () in
+  ignore
+    (Core.Softdb.exec sdb
+       "CREATE EXCEPTION TABLE band_exc FOR CONSTRAINT band_ssc");
+  let sql =
+    "SELECT * FROM purchase WHERE order_date BETWEEN DATE '1999-01-01' AND \
+     DATE '1999-12-31' AND ship_date BETWEEN DATE '1999-07-01' AND DATE \
+     '1999-07-07'"
+  in
+  let report, diags = Check.Cert.check_query sdb sql in
+  let rec preds acc = function
+    | Opt.Logical.Block b -> b.Opt.Logical.preds @ acc
+    | Opt.Logical.Union ts -> List.fold_left preds acc ts
+  in
+  let items = preds [] report.Opt.Explain.rewritten in
+  let twins =
+    List.filter
+      (fun (p : Opt.Logical.pred_item) -> p.Opt.Logical.estimation_only)
+      items
+  and folds = List.filter Opt.Logical.is_folded items in
+  check tbool "a twin equals an executed fold" true
+    (List.exists
+       (fun (t : Opt.Logical.pred_item) ->
+         List.exists
+           (fun (f : Opt.Logical.pred_item) ->
+             f.Opt.Logical.pred = t.Opt.Logical.pred)
+           folds)
+       twins);
+  check tint "twin beside the union is clean" 0 (List.length diags);
+  let on = Core.Softdb.query sdb sql in
+  check tbool "answers unchanged" true
+    (Exec.Executor.same_rows on (Core.Softdb.query_baseline sdb sql))
+
 (* ---- catalog linter -------------------------------------------------------- *)
 
 let test_catalog_contradiction () =
@@ -637,6 +675,8 @@ let () =
           Alcotest.test_case "statistical basis rejected" `Quick
             test_cert_statistical_basis;
           Alcotest.test_case "twin isolation" `Quick test_twin_isolation;
+          Alcotest.test_case "twin beside an exception union" `Quick
+            test_twin_beside_exception_union;
         ] );
       ( "catalog",
         [

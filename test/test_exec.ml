@@ -278,7 +278,46 @@ let test_union_all_and_limit () =
   check tint "limited" 7 (List.length r2.Executor.rows);
   let r3 = run db (Plan.Limit { input = scan "emp"; n = 0 }) in
   check tint "limit 0 short-circuits" 0
-    r3.Executor.counters.Operators.Counters.rows_scanned
+    r3.Executor.counters.Operators.Counters.rows_scanned;
+  (* scans charge their pages on the first pull: an unpulled scan reads
+     nothing *)
+  check tint "limit 0 reads no pages" 0
+    r3.Executor.counters.Operators.Counters.pages_read;
+  let r4 =
+    run db
+      (Plan.Limit
+         {
+           input =
+             Plan.Index_scan
+               {
+                 table = "emp";
+                 alias = "emp";
+                 index = "emp_salary_idx";
+                 lo = Index.Unbounded;
+                 hi = Index.Unbounded;
+                 filter = Expr.Ptrue;
+               };
+           n = 0;
+         })
+  in
+  check tint "limit 0 over an index reads no pages" 0
+    r4.Executor.counters.Operators.Counters.pages_read
+
+(* A scan streams from live storage up to the high-water mark it fixed at
+   open: a row inserted mid-scan stays invisible to it. *)
+let test_scan_stops_at_high_water () =
+  let db = fixture () in
+  let counters = Operators.Counters.create () in
+  let c = Operators.open_plan db counters (scan "emp") in
+  let first = c () in
+  ignore
+    (Database.insert db ~table:"emp"
+       (Tuple.make [ Value.Int 7; Value.Null; Value.Null; Value.String "gus" ]));
+  let rest = Operators.drain c in
+  check tint "the six rows there at open" 6
+    (List.length (Option.to_list first @ rest));
+  check tint "pages charged once" 1
+    counters.Operators.Counters.pages_read
 
 (* property: hash join = nested loop join on random data *)
 let joins_agree_prop =
@@ -370,5 +409,7 @@ let () =
           Alcotest.test_case "distinct" `Quick test_distinct;
           Alcotest.test_case "union all + limit" `Quick
             test_union_all_and_limit;
+          Alcotest.test_case "scan stops at its high-water mark" `Quick
+            test_scan_stops_at_high_water;
         ] );
     ]

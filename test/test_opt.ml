@@ -341,6 +341,128 @@ let test_exception_union_stays_correct_under_updates () =
   check tbool "still identical after violating updates" true
     (Exec.Executor.same_rows base opt)
 
+(* The range fold: a ship_date window maps through the band onto an
+   order_date range the index serves, the check stays beside it, and the
+   answer is the rewrite-free one. *)
+let rec uses_index name = function
+  | Exec.Plan.Index_scan { index; _ } when index = name -> true
+  | p -> List.exists (uses_index name) (Exec.Plan.children p)
+
+let folded_preds report =
+  let rec go acc = function
+    | Logical.Block b ->
+        List.filter Logical.is_folded b.Logical.preds @ acc
+    | Logical.Union ts -> List.fold_left go acc ts
+  in
+  List.map (fun (p : Logical.pred_item) -> p.Logical.pred)
+    (go [] report.Explain.rewritten)
+
+let check_range_fold ?(index = "purchase_order_date_idx") sdb sql =
+  let report = Core.Softdb.explain sdb sql in
+  check tbool ("exception union fired: " ^ sql) true
+    (List.mem "exception_union" (rules_fired report));
+  check tbool ("index path opened: " ^ sql) true
+    (uses_index index report.Explain.plan);
+  let base = Core.Softdb.query_baseline sdb sql in
+  let opt = Core.Softdb.query sdb sql in
+  check tbool ("answers identical: " ^ sql) true
+    (Exec.Executor.same_rows base opt);
+  check tbool ("fewer pages: " ^ sql) true
+    (opt.Exec.Executor.counters.Exec.Operators.Counters.pages_read
+    < base.Exec.Executor.counters.Exec.Operators.Counters.pages_read);
+  report
+
+let test_exception_union_ship_ranges () =
+  let sdb = setup_exception_db () in
+  List.iter
+    (fun where ->
+      let report =
+        check_range_fold sdb ("SELECT * FROM purchase WHERE " ^ where)
+      in
+      (* the check executes beside the derived range, each its own item *)
+      let folded = folded_preds report in
+      check tbool "check and derived range both folded" true
+        (List.length folded >= 2
+        && List.exists
+             (fun p ->
+               match Interval.of_pred p with
+               | Some (r, _) -> r.Expr.col = "order_date"
+               | None -> false)
+             folded))
+    [
+      "ship_date BETWEEN DATE '1999-07-01' AND DATE '1999-07-30'";
+      "ship_date >= DATE '1999-12-01'";
+      "ship_date < DATE '1999-01-20'";
+    ]
+
+(* The reverse direction: an order_date window bounds ship_date, which an
+   index on ship_date then serves (the order_date index is dropped, so
+   only the fold opens a path).  ship_date is nullable, so the block
+   must reject NULLs there itself. *)
+let test_exception_union_order_range () =
+  let sdb = setup_exception_db () in
+  ignore (Core.Softdb.exec sdb "DROP INDEX purchase_order_date_idx");
+  ignore
+    (Core.Softdb.exec sdb "CREATE INDEX purchase_ship_idx ON purchase (ship_date)");
+  Core.Softdb.runstats sdb;
+  ignore
+    (check_range_fold ~index:"purchase_ship_idx" sdb
+       "SELECT * FROM purchase WHERE order_date BETWEEN DATE '1999-07-01' AND \
+        DATE '1999-07-03' AND ship_date >= DATE '1999-01-01'")
+
+(* Unshipped orders: NULL ship_date.  A ship_date range rejects them, so
+   the fold stays sound; without one, the check would be UNKNOWN on them
+   — in neither branch — and the rewrite must not fire. *)
+let test_exception_union_null_ship_dates () =
+  let sdb = setup_exception_db () in
+  for i = 0 to 9 do
+    ignore
+      (Core.Softdb.exec sdb
+         (Printf.sprintf
+            "INSERT INTO purchase VALUES (%d, 1, DATE '1999-07-0%d', NULL, \
+             9.0, 1, 'north')"
+            (700_000 + i) (1 + (i mod 3))))
+  done;
+  Core.Softdb.runstats sdb;
+  ignore
+    (check_range_fold sdb
+       "SELECT * FROM purchase WHERE ship_date BETWEEN DATE '1999-07-01' AND \
+        DATE '1999-07-30'");
+  ignore
+    (Core.Softdb.exec sdb "CREATE INDEX purchase_ship_idx ON purchase (ship_date)");
+  Core.Softdb.runstats sdb;
+  let sql =
+    "SELECT * FROM purchase WHERE order_date BETWEEN DATE '1999-07-01' AND \
+     DATE '1999-07-03'"
+  in
+  check tbool "no fold over a nullable, unbounded column" false
+    (List.mem "exception_union" (rules_fired (Core.Softdb.explain sdb sql)));
+  let base = Core.Softdb.query_baseline sdb sql in
+  let opt = Core.Softdb.query sdb sql in
+  check tbool "unshipped orders still answered" true
+    (Exec.Executor.same_rows base opt)
+
+(* A violator shipped before it was ordered lies inside the derived
+   order_date window and inside the ship_date window: branch 1's check
+   keeps it out, so only the exceptions return it — exactly once. *)
+let test_exception_union_negative_gap_once () =
+  let sdb = setup_exception_db () in
+  ignore
+    (Core.Softdb.exec sdb
+       "INSERT INTO purchase VALUES (710001, 1, DATE '1999-07-10', DATE \
+        '1999-07-07', 9.0, 1, 'north')");
+  let sql =
+    "SELECT * FROM purchase WHERE ship_date BETWEEN DATE '1999-07-01' AND \
+     DATE '1999-07-30'"
+  in
+  ignore (check_range_fold sdb sql);
+  let opt = Core.Softdb.query sdb sql in
+  check tint "the violator comes back once" 1
+    (List.length
+       (List.filter
+          (fun row -> Tuple.get row 0 = Value.Int 710001)
+          opt.Exec.Executor.rows))
+
 (* ---- union-all pruning -------------------------------------------------------------- *)
 
 let test_unionall_pruning () =
@@ -679,6 +801,14 @@ let () =
             test_exception_union_sound;
           Alcotest.test_case "correct under violating updates" `Quick
             test_exception_union_stays_correct_under_updates;
+          Alcotest.test_case "ship_date ranges fold" `Quick
+            test_exception_union_ship_ranges;
+          Alcotest.test_case "order_date range folds the reverse way" `Quick
+            test_exception_union_order_range;
+          Alcotest.test_case "NULL ship dates" `Quick
+            test_exception_union_null_ship_dates;
+          Alcotest.test_case "negative-gap violator once" `Quick
+            test_exception_union_negative_gap_once;
         ] );
       ( "unionall_pruning",
         [ Alcotest.test_case "prunes to 3 branches" `Quick test_unionall_pruning ]

@@ -356,9 +356,72 @@ let order_by_prop =
       in
       ascending keys)
 
+(* ---- DML: statements that write what they select --------------------------- *)
+
+(* Scans stream rows from live storage, so a statement that read the
+   table it writes could see its own writes.  UPDATE and DELETE collect
+   their rids before writing and INSERT takes only VALUES; each shape is
+   pinned here against the reference: the new contents equal the old
+   ones transformed once, and a streaming SELECT afterwards agrees with
+   the reference evaluator. *)
+let t1_rows sdb = Table.to_list (Database.table_exn (Core.Softdb.db sdb) "t1")
+
+let check_dml ~sql ~expected =
+  let sdb = fixture () in
+  let before = t1_rows sdb in
+  ignore (Core.Softdb.exec sdb sql);
+  Alcotest.(check bool)
+    ("contents after: " ^ sql) true
+    (same_multiset (expected before) (t1_rows sdb));
+  let select = "SELECT * FROM t1 WHERE t1.a >= 3" in
+  Alcotest.(check bool)
+    ("streaming SELECT after: " ^ sql) true
+    (same_multiset
+       (Reference.eval (Core.Softdb.db sdb)
+          (Sqlfe.Parser.parse_query_string select))
+       (Core.Softdb.query sdb select).Exec.Executor.rows)
+
+let int_at row i = match Tuple.get row i with Value.Int n -> Some n | _ -> None
+
+(* every qualifying row moves up by one — once, though it still qualifies *)
+let test_update_once () =
+  check_dml ~sql:"UPDATE t1 SET a = a + 1 WHERE a >= 5" ~expected:(fun rows ->
+      List.map
+        (fun row ->
+          match int_at row 0 with
+          | Some a when a >= 5 ->
+              let r = Tuple.copy row in
+              r.(0) <- Value.Int (a + 1);
+              r
+          | _ -> row)
+        rows)
+
+let test_delete_matching () =
+  check_dml ~sql:"DELETE FROM t1 WHERE a < 7" ~expected:(fun rows ->
+      List.filter
+        (fun row -> match int_at row 0 with Some a -> a >= 7 | None -> true)
+        rows)
+
+let test_insert_values () =
+  check_dml ~sql:"INSERT INTO t1 VALUES (3, 4, 'x'), (30, NULL, NULL)"
+    ~expected:(fun rows ->
+      rows
+      @ [
+          Tuple.make [ Value.Int 3; Value.Int 4; Value.String "x" ];
+          Tuple.make [ Value.Int 30; Value.Null; Value.Null ];
+        ])
+
 let () =
   Alcotest.run "oracle"
     [
       ( "reference",
         List.map QCheck_alcotest.to_alcotest [ oracle_prop; order_by_prop ] );
+      ( "dml",
+        [
+          Alcotest.test_case "UPDATE writes each row once" `Quick
+            test_update_once;
+          Alcotest.test_case "DELETE removes the matching rows" `Quick
+            test_delete_matching;
+          Alcotest.test_case "INSERT VALUES" `Quick test_insert_values;
+        ] );
     ]

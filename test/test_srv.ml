@@ -413,14 +413,14 @@ let gen_response st : Srv.Proto.response =
   in
   { id = gen_int st; payload }
 
+let fixed : Srv.Proto.response list =
+  [
+    { id = 0; payload = Result_set { columns = []; rows = [] } };
+    { id = 1; payload = Result_set { columns = [ "" ]; rows = [ [||] ] } };
+  ]
+
 let test_codec_encodes_byte_identical () =
   let st = Random.State.make [| 0xc0dec |] in
-  let fixed : Srv.Proto.response list =
-    [
-      { id = 0; payload = Result_set { columns = []; rows = [] } };
-      { id = 1; payload = Result_set { columns = [ "" ]; rows = [ [||] ] } };
-    ]
-  in
   List.iter
     (fun r ->
       check Alcotest.string "response bytes" (Ref.response_to_line r)
@@ -443,6 +443,24 @@ let test_codec_encodes_byte_identical () =
       Alcotest.failf "request does not round-trip: %S" q_line;
     if compare (Srv.Proto.response_of_line r_line) r <> 0 then
       Alcotest.failf "response does not round-trip: %S" r_line
+  done
+
+(* The server's send path: one buffer, reused across the whole corpus
+   above, holds exactly [response_to_line r ^ "\n"] for every frame —
+   whatever longer frame it held before. *)
+let test_codec_frame_buffer () =
+  let st = Random.State.make [| 0xc0dec |] in
+  let buf = ref Bytes.empty in
+  let same (r : Srv.Proto.response) =
+    let line = Srv.Proto.response_to_line r ^ "\n" in
+    let n = Srv.Proto.response_frame buf r in
+    if n <> String.length line || Bytes.sub_string !buf 0 n <> line then
+      Alcotest.failf "frame differs from the line: %S" line
+  in
+  List.iter same (fixed @ all_responses);
+  for _ = 1 to 20_000 do
+    ignore (gen_request st : Srv.Proto.request);
+    same (gen_response st)
   done
 
 (* Mutations that land on field boundaries and on the integer spellings
@@ -1251,6 +1269,53 @@ let test_sc_overturn_falls_back_across_sessions () =
    ordering, run after run and server after server: the gather merges
    its per-partition buffers in segment order, whatever the completion
    order on the worker pool. *)
+(* The serving workload's request: a month-wide ship_date window under
+   the shipping band with its exception table.  Over the wire the plan is
+   the paper's §4.4 union — an order_date IndexScan beside the
+   exceptions — and the answer is the rewrite-free one. *)
+let test_served_month_window_plan () =
+  let sdb = Core.Softdb.create () in
+  Workload.Purchase.load
+    ~config:{ Workload.Purchase.default_config with rows = 3000 }
+    (Core.Softdb.db sdb);
+  List.iter
+    (fun sql -> ignore (Core.Softdb.exec sdb sql))
+    [
+      "ALTER TABLE purchase ADD CONSTRAINT ship_3w CHECK (ship_date - \
+       order_date BETWEEN 0 AND 21) SOFT";
+      "CREATE EXCEPTION TABLE late_shipments FOR CONSTRAINT ship_3w";
+    ];
+  Core.Softdb.runstats sdb;
+  let server = Srv.Server.create ~workers:2 sdb in
+  let cl = connect server in
+  let sql =
+    Workload.Queries.purchase_ship_range (Date.of_ymd 1999 7 1)
+      (Date.of_ymd 1999 7 30)
+  in
+  (match rpc_retry cl (Srv.Proto.Statement ("EXPLAIN " ^ sql)) with
+  | Srv.Proto.Explained plan ->
+      check tbool "exception_union fired" true
+        (contains_substring plan "exception_union:");
+      check tbool "order_date IndexScan" true
+        (contains_substring plan
+           "IndexScan purchase using purchase_order_date_idx");
+      check tbool "exceptions scanned" true
+        (contains_substring plan "late_shipments")
+  | p ->
+      Alcotest.failf "expected a plan, got %a" Srv.Proto.pp_response
+        { Srv.Proto.id = 0; payload = p });
+  (match rpc_retry cl (Srv.Proto.Statement sql) with
+  | Srv.Proto.Result_set { rows; _ } ->
+      let base = Core.Softdb.query_baseline sdb sql in
+      check tbool "served answer is the rewrite-free one" true
+        (Exec.Executor.same_rows base
+           { base with Exec.Executor.rows = List.map Tuple.of_array rows })
+  | p ->
+      Alcotest.failf "expected rows, got %a" Srv.Proto.pp_response
+        { Srv.Proto.id = 0; payload = p });
+  quit cl;
+  Srv.Server.shutdown server
+
 let test_scatter_gather_deterministic () =
   let mk_server () =
     let sdb = small_purchase_sdb () in
@@ -1665,6 +1730,8 @@ let () =
             test_codec_encodes_byte_identical;
           Alcotest.test_case "decodes like the list codec" `Quick
             test_codec_decodes_like_reference;
+          Alcotest.test_case "frame buffer holds the line" `Quick
+            test_codec_frame_buffer;
         ] );
       ( "rwlock",
         [
@@ -1712,6 +1779,8 @@ let () =
             test_sc_overturn_falls_back_across_sessions;
           Alcotest.test_case "dropped connection releases the lock" `Quick
             test_dropped_connection_releases_lock;
+          Alcotest.test_case "month window serves the exception union"
+            `Quick test_served_month_window_plan;
         ] );
       ( "scatter",
         [
