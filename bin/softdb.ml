@@ -192,7 +192,12 @@ let with_wal ?(salvage = false) wal_path f =
       let mode =
         if salvage then Core.Recovery.Salvage else Core.Recovery.Strict
       in
-      let sdb, link, report = Core.Recovery.resume ~mode path in
+      let sdb, link, report =
+        try Core.Recovery.resume ~mode path
+        with Core.Recovery.Recovery_error reason ->
+          Fmt.epr "softdb: cannot recover %s: %s@." path reason;
+          exit 1
+      in
       Fmt.pr "recovered state from %s@." path;
       if report.Core.Recovery.torn_tail then
         Fmt.pr "  torn tail: quarantined %d bytes to %s@."

@@ -45,10 +45,6 @@ type t = {
   mutable frame : frame;
   mutable suppress : bool; (* a DDL statement is executing *)
   mutable dead : bool;
-  shards : (string * Table.rid, int) Hashtbl.t;
-      (* birth shard of each live partitioned row: every record of a rid
-         is tagged with the shard its insert routed to, even if updates
-         later moved the row, so one rid's records stay in one stream *)
 }
 
 let softdb link = link.sdb
@@ -93,32 +89,16 @@ let snapshot_of (sc : Soft_constraint.t) =
     sc_repr = Sc_codec.statement_repr sc.Soft_constraint.statement;
   }
 
-let shard_key table rid = (String.lowercase_ascii table, rid)
-
-(* Birth-shard lookup with a routing fallback: rows inserted before the
-   link attached (or before the table was partitioned) have no map
-   entry, so their current routing is the best available tag. *)
-let shard_of link ~table ~rid row =
-  match Hashtbl.find_opt link.shards (shard_key table rid) with
-  | Some s -> s
-  | None -> Database.route_rid (Softdb.db link.sdb) table row
-
 let on_mutation link m =
   if alive link && not link.suppress then begin
     let txn = ensure_frame link in
     let record =
       match m with
       | Database.Inserted { table; rid; row } ->
-          let shard = Database.route_rid (Softdb.db link.sdb) table row in
-          if shard >= 0 then
-            Hashtbl.replace link.shards (shard_key table rid) shard;
-          Wal.Insert { txn; table; rid; row = Tuple.copy row; shard }
+          Wal.Insert { txn; table; rid; row = Tuple.copy row }
       | Database.Deleted { table; rid; row } ->
-          let shard = shard_of link ~table ~rid row in
-          Hashtbl.remove link.shards (shard_key table rid);
-          Wal.Delete { txn; table; rid; row = Tuple.copy row; shard }
+          Wal.Delete { txn; table; rid; row = Tuple.copy row }
       | Database.Updated { table; rid; before; after } ->
-          let shard = shard_of link ~table ~rid before in
           Wal.Update
             {
               txn;
@@ -126,7 +106,6 @@ let on_mutation link m =
               rid;
               before = Tuple.copy before;
               after = Tuple.copy after;
-              shard;
             }
     in
     Wal.append link.wal record
@@ -253,31 +232,7 @@ let attach sdb wal =
   Obs.Fault.install ();
   List.iter Obs.Fault.declare Txn.fault_points;
   List.iter Obs.Fault.declare Maintenance.fault_points;
-  let link =
-    {
-      sdb;
-      wal;
-      frame = Closed;
-      suppress = false;
-      dead = false;
-      shards = Hashtbl.create 256;
-    }
-  in
-  (* seed the birth-shard map from current segment membership (rows that
-     predate this link: a recovered log, or a freshly declared
-     partitioning over existing data) *)
-  let db = Softdb.db sdb in
-  List.iter
-    (fun tname ->
-      match Database.partitioning db tname with
-      | None -> ()
-      | Some part ->
-          for i = 0 to Partition.count part - 1 do
-            List.iter
-              (fun rid -> Hashtbl.replace link.shards (shard_key tname rid) i)
-              (Partition.members part i)
-          done)
-    (Database.partitioned_tables db);
+  let link = { sdb; wal; frame = Closed; suppress = false; dead = false } in
   Database.on_mutation (Softdb.db sdb) (on_mutation link);
   Database.on_index_state (Softdb.db sdb) (on_index_state link);
   Sc_catalog.on_change (Softdb.catalog sdb) (on_sc_change link);
@@ -400,18 +355,10 @@ let checkpoint link =
           end)
         (Database.indexes_on db tname))
     tables;
-  (* data records re-tag to current routing: the checkpoint inserts are
-     the rows' new births, so the birth-shard map resets with them *)
-  Hashtbl.reset link.shards;
   List.iter
     (fun tname ->
-      let tbl = Database.table_exn db tname in
-      Table.iteri tbl ~f:(fun rid row ->
-          let shard = Database.route_rid db tname row in
-          if shard >= 0 then
-            Hashtbl.replace link.shards (shard_key tname rid) shard;
-          emit
-            (Wal.Insert { txn; table = tname; rid; row = Tuple.copy row; shard })))
+      Table.iteri (Database.table_exn db tname) ~f:(fun rid row ->
+          emit (Wal.Insert { txn; table = tname; rid; row = Tuple.copy row })))
     tables;
   List.iter
     (fun sc -> emit (Wal.Sc { txn; change = Wal.Sc_installed (snapshot_of sc) }))
@@ -592,17 +539,13 @@ let analyze ~mode scanned =
       (fun (s : Wal.scanned) ->
         match s.Wal.parsed with
         | Error reason -> (s, Error reason)
-        | Ok r -> (
-            match s.Wal.lsn with
-            | Some lsn when lsn <= !last_lsn ->
-                ( s,
-                  Error
-                    (Printf.sprintf "LSN regression (%d after %d)" lsn
-                       !last_lsn) )
-            | Some lsn ->
-                last_lsn := lsn;
-                (s, Ok r)
-            | None -> (s, Ok r)))
+        | Ok (lsn, _) when lsn <= !last_lsn ->
+            ( s,
+              Error
+                (Printf.sprintf "LSN regression (%d after %d)" lsn !last_lsn) )
+        | Ok (lsn, r) ->
+            last_lsn := lsn;
+            (s, Ok r))
       scanned
   in
   let bad =
@@ -735,15 +678,8 @@ let register_report sdb (r : report) =
           ~salvage_path:r.salvage_path;
       ])
 
-let recover_scan ?(mode = Strict) scanned =
-  let a = analyze ~mode scanned in
-  let sdb = recover a.keep in
-  register_report sdb a.partial;
-  (sdb, a.partial)
-
-(* Quarantine and repair the physical file.  [core] does not link unix,
-   so truncation is a rewrite: clean prefix to a sibling file, renamed
-   over the log (crash-safe, like the checkpoint). *)
+(* Quarantine the bytes recovery will not keep: appended to
+   [<path>.salvage] behind a header line. *)
 let quarantine path chunks =
   let salvage = path ^ ".salvage" in
   let total = List.fold_left (fun n c -> n + String.length c) 0 chunks in
@@ -761,55 +697,43 @@ let quarantine path chunks =
       | _ -> ());
   (salvage, total)
 
-let rewrite_file path contents =
-  let tmp = path ^ ".salvtmp" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc contents);
-  Sys.rename tmp path
-
 (* [recover_file] plus the scan of the log as it stands afterwards, so
    [resume] can open it for appending without parsing it a second time.
-   A repair rewrote the file, so only then is it scanned again. *)
+   A file that does not start like a log is refused untouched: the
+   torn-tail rule would otherwise quarantine all of it.  A repair
+   quarantines the bad bytes — the whole tail from a tear, or each
+   corrupt line — and rewrites the log from the records kept, so the
+   repaired file replays to exactly the recovered state.  (A torn tail's
+   clean prefix comes out byte for byte: {!Wal} numbers every file from
+   LSN 1.)  Only after a repair is the file scanned again. *)
 let recover_path ~mode path =
   let raw, scanned = Wal.scan_file path in
+  if not (Wal.is_log raw) then
+    raise
+      (Recovery_error
+         "not a write-ahead log (no L<lsn> header at the start); left \
+          untouched");
   let a = analyze ~mode scanned in
   let report =
-    match a.truncate_at with
-    | Some off when off < String.length raw ->
-        (* torn tail: quarantine everything from the tear, truncate *)
-        let tail = String.sub raw off (String.length raw - off) in
-        let salvage, total = quarantine path [ tail ] in
-        rewrite_file path (String.sub raw 0 off);
+    match a.bad with
+    | [] -> a.partial
+    | _ :: _ ->
+        let chunks =
+          match a.truncate_at with
+          | Some off -> [ String.sub raw off (String.length raw - off) ]
+          | None ->
+              List.map
+                (fun (s : Wal.scanned) ->
+                  String.sub raw s.Wal.offset s.Wal.bytes)
+                a.bad
+        in
+        let salvage, total = quarantine path chunks in
+        Wal.rewrite_file path a.keep;
         {
           a.partial with
           quarantined_bytes = total;
           salvage_path = Some salvage;
         }
-    | Some _ | None ->
-        if a.bad = [] then a.partial
-        else begin
-          (* interior corruption, salvage mode: quarantine the corrupt
-             lines and rewrite the log from the surviving records, so
-             the repaired file replays to exactly the recovered state *)
-          let chunks =
-            List.map
-              (fun (s : Wal.scanned) -> String.sub raw s.Wal.offset s.Wal.bytes)
-              a.bad
-          in
-          let salvage, total = quarantine path chunks in
-          let buf = Buffer.create (String.length raw) in
-          List.iteri
-            (fun i r ->
-              Buffer.add_string buf (Wal.line_of_record ~lsn:(i + 1) r);
-              Buffer.add_char buf '\n')
-            a.keep;
-          rewrite_file path (Buffer.contents buf);
-          {
-            a.partial with
-            quarantined_bytes = total;
-            salvage_path = Some salvage;
-          }
-        end
   in
   let sdb = recover a.keep in
   register_report sdb report;

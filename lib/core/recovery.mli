@@ -85,19 +85,17 @@ type report = {
 val mode_name : mode -> string
 (** ["strict"] / ["salvage"], as shown in sys.recovery. *)
 
-val recover_scan : ?mode:mode -> Wal.scanned list -> Softdb.t * report
-(** Classify a {!Wal.scan_string}/{!Wal.scan_file} image and replay the
-    surviving committed frames (default mode [Strict]).
-    Pure: no file is touched, so [quarantined_bytes]/[salvage_path]
-    stay zero even for a torn tail. *)
-
 val recover_file : ?mode:mode -> string -> Softdb.t * report
-(** {!recover_scan} over a real file, with the physical side effects: a
-    torn tail is appended to [<path>.salvage] and the log truncated at
-    the tear (rewrite + rename — [core] links no unix); interior
-    corruption in [Salvage] mode quarantines the corrupt lines and
-    rewrites the log from the surviving records, so the repaired file
-    replays to exactly the recovered state. *)
+(** Classify every line of the log file at [path] and replay the
+    surviving committed frames (default mode [Strict]), with the
+    physical side effects: a torn tail is appended to [<path>.salvage]
+    and the log truncated at the tear; interior corruption in [Salvage]
+    mode quarantines the corrupt lines.  Either repair rewrites the log
+    from the surviving records ({!Rel.Wal.rewrite_file} — [core] links
+    no unix), so the repaired file replays to exactly the recovered
+    state.  Raises {!Recovery_error}, in both modes and with the file
+    untouched, when a non-empty file does not start like a log (see
+    {!Rel.Wal.is_log}): a text file, or a log without line headers. *)
 
 val resume : ?mode:mode -> string -> Softdb.t * t * report
 (** [resume path] recovers from the log file at [path] (empty, absent,

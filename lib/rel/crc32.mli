@@ -1,6 +1,6 @@
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven, over
     plain OCaml ints masked to 32 bits.  Used by {!Wal} to checksum each
-    v2 log line so recovery can tell a torn or bit-flipped record from a
+    log line so recovery can tell a torn or bit-flipped record from a
     clean one. *)
 
 val string : string -> int

@@ -28,11 +28,6 @@ type sc_change =
   | Sc_dropped of { name : string }
   | Sc_exception of { name : string; table : string }
 
-(* [shard] is the WAL shard tag: the partition segment whose stream the
-   record belongs to, [-1] for unpartitioned tables.  Tags are assigned
-   at row birth and inherited by the row's later records, so one rid's
-   records always live in one shard stream.  Replay is sequential and
-   ignores the tag. *)
 type record =
   | Begin of { txn : int }
   | Commit of { txn : int }
@@ -42,14 +37,12 @@ type record =
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Delete of {
       txn : int;
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Update of {
       txn : int;
@@ -57,7 +50,6 @@ type record =
       rid : Table.rid;
       before : Value.t array;
       after : Value.t array;
-      shard : int;
     }
   | Ddl of { txn : int; sql : string }
   | Sc of { txn : int; change : sc_change }
@@ -416,12 +408,6 @@ end
 
 let value_to_field v = Writer.to_string (fun w -> Writer.value w v)
 
-(* The shard tag is a trailing optional field: unpartitioned records
-   (shard -1) keep the historical line shape, so pre-partitioning logs
-   stay readable. *)
-let put_shard w shard = if shard >= 0 then Writer.int w shard
-let take_shard r = if Reader.at_end r then -1 else Reader.int r
-
 let put_sc_change w change =
   let module W = Writer in
   match change with
@@ -519,14 +505,13 @@ let take_sc_change r =
       Sc_exception { name; table }
   | verb -> error "bad sc record %S" verb
 
-(* a data record: txn, table, rid, count-prefixed rows, shard tag *)
-let put_data w tag txn table rid rows shard =
+(* a data record: txn, table, rid, count-prefixed rows *)
+let put_data w tag txn table rid rows =
   Writer.raw w tag;
   Writer.int w txn;
   Writer.string w table;
   Writer.int w rid;
-  List.iter (Writer.row w) rows;
-  put_shard w shard
+  List.iter (Writer.row w) rows
 
 let put_record w r =
   let module W = Writer in
@@ -540,12 +525,10 @@ let put_record w r =
   | Abort { txn } ->
       W.raw w "A";
       W.int w txn
-  | Insert { txn; table; rid; row; shard } ->
-      put_data w "I" txn table rid [ row ] shard
-  | Delete { txn; table; rid; row; shard } ->
-      put_data w "D" txn table rid [ row ] shard
-  | Update { txn; table; rid; before; after; shard } ->
-      put_data w "U" txn table rid [ before; after ] shard
+  | Insert { txn; table; rid; row } -> put_data w "I" txn table rid [ row ]
+  | Delete { txn; table; rid; row } -> put_data w "D" txn table rid [ row ]
+  | Update { txn; table; rid; before; after } ->
+      put_data w "U" txn table rid [ before; after ]
   | Ddl { txn; sql } ->
       W.raw w "Q";
       W.int w txn;
@@ -576,12 +559,9 @@ let record_of_line line =
         let rid = R.int r in
         let row = R.row r in
         match tag with
-        | "I" -> Insert { txn; table; rid; row; shard = take_shard r }
-        | "D" -> Delete { txn; table; rid; row; shard = take_shard r }
-        | _ ->
-            let after = R.row r in
-            Update
-              { txn; table; rid; before = row; after; shard = take_shard r })
+        | "I" -> Insert { txn; table; rid; row }
+        | "D" -> Delete { txn; table; rid; row }
+        | _ -> Update { txn; table; rid; before = row; after = R.row r })
     | "Q" ->
         let txn = R.int r in
         Ddl { txn; sql = R.string r }
@@ -597,18 +577,15 @@ let record_of_line line =
   R.finish r;
   record
 
-(* ---- v2 line codec: LSN + CRC32 ----------------------------------------- *)
+(* ---- line format: LSN + CRC32 ------------------------------------------ *)
 
-(* Format v2 wraps the v1 payload in an integrity header:
+(* Every line wraps its payload in an integrity header:
 
-     L<lsn> \t <crc32-hex8> \t <v1 payload>
+     L<lsn> \t <crc32-hex8> \t <payload>
 
-   The LSN increases by one per line within a file (checkpoints rewrite
-   the whole file and restart at 1), and the checksum covers
-   "<lsn>\t<payload>", so a torn, bit-flipped, or spliced line is
-   detected rather than misparsed.  The head field "L<digits>" cannot
-   collide with a v1 head tag (single letters B/C/A/I/D/U/Q/S), so v1
-   logs remain readable line-by-line. *)
+   The LSN increases by one per line within a file (a rewrite restarts
+   it at 1), and the checksum covers "<lsn>\t<payload>", so a torn,
+   bit-flipped, or spliced line is detected rather than misparsed. *)
 
 let line_of_record ~lsn r =
   let payload = record_to_line r in
@@ -616,20 +593,18 @@ let line_of_record ~lsn r =
   let crc = Crc32.string (lsn_s ^ "\t" ^ payload) in
   "L" ^ lsn_s ^ "\t" ^ Crc32.to_hex crc ^ "\t" ^ payload
 
+let is_digit c = c >= '0' && c <= '9'
+
 let parse_line line =
-  let v1 () =
-    match record_of_line line with
-    | r -> Ok (None, r)
-    | exception Wal_error m -> Error m
-  in
   let n = String.length line in
-  if n = 0 then Error "empty line"
-  else if n >= 2 && line.[0] = 'L' && line.[1] >= '0' && line.[1] <= '9' then begin
+  if n < 2 || line.[0] <> 'L' || not (is_digit line.[1]) then
+    Error "no L<lsn> header"
+  else
     match String.index_opt line '\t' with
-    | None -> Error "v2 line truncated before checksum"
+    | None -> Error "line truncated before checksum"
     | Some t1 -> (
         match String.index_from_opt line (t1 + 1) '\t' with
-        | None -> Error "v2 line truncated before payload"
+        | None -> Error "line truncated before payload"
         | Some t2 -> (
             let lsn_s = String.sub line 1 (t1 - 1) in
             let crc_s = String.sub line (t1 + 1) (t2 - t1 - 1) in
@@ -637,27 +612,30 @@ let parse_line line =
             match (int_of_string_opt lsn_s, Crc32.of_hex crc_s) with
             | None, _ -> Error (Printf.sprintf "bad LSN field %S" lsn_s)
             | _, None -> Error (Printf.sprintf "bad checksum field %S" crc_s)
-            | Some lsn, Some stored ->
+            | Some lsn, Some stored -> (
                 let computed = Crc32.string (lsn_s ^ "\t" ^ payload) in
                 if computed <> stored then
                   Error
-                    (Printf.sprintf
-                       "checksum mismatch (stored %s, computed %s)"
+                    (Printf.sprintf "checksum mismatch (stored %s, computed %s)"
                        (Crc32.to_hex stored) (Crc32.to_hex computed))
-                else begin
+                else
                   match record_of_line payload with
-                  | r -> Ok (Some lsn, r)
-                  | exception Wal_error m -> Error m
-                end))
-  end
-  else v1 ()
+                  | r -> Ok (lsn, r)
+                  | exception Wal_error m -> Error m)))
+
+(* A log's first bytes are a header, or what a tear left of one: a first
+   write cut after its "L" still makes a log. *)
+let is_log contents =
+  match String.length contents with
+  | 0 -> true
+  | 1 -> contents = "L"
+  | _ -> contents.[0] = 'L' && is_digit contents.[1]
 
 type scanned = {
   lineno : int;  (* 1-based, blank lines counted *)
   offset : int;  (* byte offset of the line start *)
   bytes : int;  (* line length including the newline, if present *)
-  lsn : int option;  (* None for v1 lines and unparsable ones *)
-  parsed : (record, string) result;
+  parsed : (int * record, string) result;
 }
 
 let scan_string contents =
@@ -674,14 +652,7 @@ let scan_string contents =
       let bytes = min n (nl + 1) - off in
       let acc =
         if line = "" then acc (* blank separators tolerated, as in load *)
-        else begin
-          let lsn, parsed =
-            match parse_line line with
-            | Ok (lsn, r) -> (lsn, Ok r)
-            | Error m -> (None, Error m)
-          in
-          { lineno; offset = off; bytes; lsn; parsed } :: acc
-        end
+        else { lineno; offset = off; bytes; parsed = parse_line line } :: acc
       in
       loop acc (lineno + 1) (nl + 1)
     end
@@ -738,7 +709,7 @@ let load_file fpath =
   List.map
     (fun s ->
       match s.parsed with
-      | Ok r -> r
+      | Ok (_, r) -> r
       | Error m -> error "corrupt log line %d: %s" s.lineno m)
     scanned
 
@@ -748,6 +719,10 @@ let max_txn records =
 let create_memory () =
   { sink = Memory (ref []); next_txn = 1; next_lsn = 1; closed = false }
 
+let open_append fpath =
+  try open_out_gen [ Open_append; Open_creat ] 0o644 fpath
+  with Sys_error m -> error "cannot open log %s: %s" fpath m
+
 (* Open for appending from a scan of the file as it stands: numbering
    continues above the highest transaction id and LSN in it.  Strict, like
    {!load_file}: a corrupt line is the salvage path's business. *)
@@ -756,26 +731,18 @@ let open_scanned fpath scanned =
     List.fold_left
       (fun (txn, lsn) s ->
         match s.parsed with
-        | Ok r ->
-            ( max txn (txn_of r),
-              match s.lsn with Some l -> max lsn l | None -> lsn )
+        | Ok (l, r) -> (max txn (txn_of r), max lsn l)
         | Error m -> error "corrupt log line %d: %s" s.lineno m)
       (0, 0) scanned
   in
-  let oc =
-    try Some (open_out_gen [ Open_append; Open_creat ] 0o644 fpath)
-    with Sys_error m -> error "cannot open log %s: %s" fpath m
-  in
   {
-    sink = File { fpath; oc };
+    sink = File { fpath; oc = Some (open_append fpath) };
     next_txn = txn_hi + 1;
     next_lsn = lsn_hi + 1;
     closed = false;
   }
 
 let open_file fpath = open_scanned fpath (snd (scan_file fpath))
-
-let path t = match t.sink with Memory _ -> None | File f -> Some f.fpath
 
 let check_open t = if t.closed then error "write-ahead log is closed"
 
@@ -789,6 +756,12 @@ let file_oc fpath = function
   | Some oc -> oc
   | None -> error "log %s is closed" fpath
 
+(* A failed write leaves the log's tail unknown, so the log closes: no
+   later commit can be acknowledged on top of it. *)
+let write_failed t fpath m =
+  t.closed <- true;
+  error "write to %s failed: %s" fpath m
+
 let append t r =
   check_open t;
   point "wal.append";
@@ -801,15 +774,13 @@ let append t r =
       t.next_lsn <- lsn + 1;
       let line = line_of_record ~lsn r ^ "\n" in
       try !write_hook ~point:"wal.io" ~write:(fun s -> output_string oc s) line
-      with Sys_error m -> error "write to %s failed: %s" f.fpath m)
+      with Sys_error m -> write_failed t f.fpath m)
 
 let flush t =
   match t.sink with
-  | Memory _ -> ()
-  | File f -> (
-      match f.oc with
-      | None -> ()
-      | Some oc -> ( try Stdlib.flush oc with Sys_error _ -> ()))
+  | File { fpath; oc = Some oc } -> (
+      try Stdlib.flush oc with Sys_error m -> write_failed t fpath m)
+  | File { oc = None; _ } | Memory _ -> ()
 
 let commit t txn =
   check_open t;
@@ -830,9 +801,30 @@ let records t =
       flush t;
       load_file f.fpath
 
-(* Checkpoint primitive: atomically replace the log's contents.  The file
-   sink writes a sibling file and renames it over the log, so a crash
-   mid-checkpoint leaves the original intact. *)
+(* The one log rewriter: [records], numbered from LSN 1, go to a sibling
+   file that is renamed over [fpath], so a crash mid-rewrite leaves the
+   original intact.  Returns the number of lines.  [hooked] is the
+   checkpoint's: every line passes the write hook, and [wal.checkpoint]
+   fires before the rename. *)
+let rewrite ~hooked fpath records =
+  let tmp = fpath ^ ".ckpt" in
+  let lines = ref 0 in
+  Out_channel.with_open_bin tmp (fun oc ->
+      let write s = output_string oc s in
+      List.iter
+        (fun r ->
+          incr lines;
+          let line = line_of_record ~lsn:!lines r ^ "\n" in
+          if hooked then !write_hook ~point:"wal.checkpoint" ~write line
+          else write line)
+        records);
+  if hooked then point "wal.checkpoint";
+  Sys.rename tmp fpath;
+  !lines
+
+let rewrite_file fpath records =
+  ignore (rewrite ~hooked:false fpath records : int)
+
 let truncate_with t new_records =
   check_open t;
   (match t.sink with
@@ -840,70 +832,18 @@ let truncate_with t new_records =
       point "wal.checkpoint";
       records := List.rev new_records
   | File f ->
-      let tmp = f.fpath ^ ".ckpt" in
-      (* the rewritten file restarts the LSN sequence at 1: monotonicity
-         is a per-file invariant, and the rename makes this a new file *)
-      let lsn = ref 0 in
-      Out_channel.with_open_text tmp (fun oc ->
-          List.iter
-            (fun r ->
-              incr lsn;
-              !write_hook ~point:"wal.checkpoint"
-                ~write:(fun s -> output_string oc s)
-                (line_of_record ~lsn:!lsn r ^ "\n"))
-            new_records);
-      point "wal.checkpoint";
-      (match f.oc with
-      | Some oc ->
-          close_out_noerr oc;
-          f.oc <- None
-      | None -> ());
-      Sys.rename tmp f.fpath;
-      f.oc <- Some (open_out_gen [ Open_append; Open_creat ] 0o644 f.fpath);
-      t.next_lsn <- !lsn + 1);
+      let lines = rewrite ~hooked:true f.fpath new_records in
+      (* the old channel writes to the file the rename replaced *)
+      Option.iter close_out_noerr f.oc;
+      f.oc <- Some (open_append f.fpath);
+      t.next_lsn <- lines + 1);
   t.next_txn <- max t.next_txn (max_txn new_records + 1)
 
 let close t =
-  if not t.closed then begin
-    flush t;
-    (match t.sink with
-    | Memory _ -> ()
-    | File f -> (
-        match f.oc with
-        | Some oc ->
-            close_out_noerr oc;
-            f.oc <- None
-        | None -> ()));
-    t.closed <- true
-  end
-
-(* ---- display ------------------------------------------------------------ *)
-
-let pp_row ppf row =
-  Fmt.pf ppf "(%a)"
-    Fmt.(array ~sep:(any ", ") (fun ppf v -> Value.pp ppf v))
-    row
-
-let pp_shard ppf shard = if shard >= 0 then Fmt.pf ppf " @@%d" shard
-
-let pp_record ppf = function
-  | Begin { txn } -> Fmt.pf ppf "BEGIN %d" txn
-  | Commit { txn } -> Fmt.pf ppf "COMMIT %d" txn
-  | Abort { txn } -> Fmt.pf ppf "ABORT %d" txn
-  | Insert { txn; table; rid; row; shard } ->
-      Fmt.pf ppf "[%d] INSERT %s #%d %a%a" txn table rid pp_row row pp_shard
-        shard
-  | Delete { txn; table; rid; row; shard } ->
-      Fmt.pf ppf "[%d] DELETE %s #%d %a%a" txn table rid pp_row row pp_shard
-        shard
-  | Update { txn; table; rid; before; after; shard } ->
-      Fmt.pf ppf "[%d] UPDATE %s #%d %a -> %a%a" txn table rid pp_row before
-        pp_row after pp_shard shard
-  | Ddl { txn; sql } -> Fmt.pf ppf "[%d] DDL %s" txn sql
-  | Sc { txn; change } ->
-      Fmt.pf ppf "[%d] SC %s" txn
-        (String.map
-           (function '\t' -> ' ' | c -> c)
-           (Writer.to_string (fun w -> put_sc_change w change)))
-  | Idx_state { txn; name; state } ->
-      Fmt.pf ppf "[%d] IDX %s -> %s" txn name state
+  (try flush t with Wal_error _ -> ());
+  (match t.sink with
+  | Memory _ -> ()
+  | File f ->
+      Option.iter close_out_noerr f.oc;
+      f.oc <- None);
+  t.closed <- true

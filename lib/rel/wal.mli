@@ -47,13 +47,6 @@ type sc_change =
   | Sc_dropped of { name : string }
   | Sc_exception of { name : string; table : string }
 
-(** Data records carry a {e shard tag}: the partition segment whose
-    per-partition stream the record belongs to, [-1] for unpartitioned
-    tables.  Tags are assigned at row birth and inherited by the row's
-    later records, so one rid's records always live in one stream.
-    {!Core.Recovery} replays sequentially and ignores the tag.  On disk
-    the tag is a trailing optional field — records of unpartitioned
-    tables keep the historical line shape. *)
 type record =
   | Begin of { txn : int }
   | Commit of { txn : int }
@@ -63,14 +56,12 @@ type record =
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Delete of {
       txn : int;
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Update of {
       txn : int;
@@ -78,7 +69,6 @@ type record =
       rid : Table.rid;
       before : Value.t array;
       after : Value.t array;
-      shard : int;
     }
   | Ddl of { txn : int; sql : string }
       (** A schema statement, logged as its printed SQL and re-executed
@@ -103,10 +93,8 @@ val open_file : string -> t
 (** Open (creating if absent) a file-sink log in append mode: {!scan_file}
     then {!open_scanned}. *)
 
-val path : t -> string option
-(** [None] for the memory sink. *)
-
 val close : t -> unit
+(** Flush and close; a failed flush is ignored here. *)
 
 val fresh_txn : t -> int
 (** Allocate the next transaction id. *)
@@ -118,12 +106,16 @@ val append : t -> record -> unit
 val commit : t -> int -> unit
 (** Append the commit record and flush.  Fault points: [wal.pre_commit]
     (before the record — the frame is lost on crash) and
-    [wal.post_commit] (after the flush — the frame is durable). *)
+    [wal.post_commit] (after the flush — the frame is durable).  Raises
+    {!Wal_error} when the bytes do not reach the OS, so the commit is
+    never acknowledged. *)
 
 val abort : t -> int -> unit
 (** Append the abort record and flush. *)
 
 val flush : t -> unit
+(** A failed write or flush raises {!Wal_error} and closes the log: its
+    tail is unknown, so every later append raises too. *)
 
 val records : t -> record list
 (** Every record, oldest first (file sinks are flushed and re-read). *)
@@ -135,10 +127,17 @@ val load_file : string -> record list
 
 val truncate_with : t -> record list -> unit
 (** Atomically replace the log's contents — the checkpoint primitive.
-    The file sink writes a sibling [.ckpt] file and renames it over the
-    log, so a crash during checkpoint ([wal.checkpoint] fires before the
-    rename) leaves the original log intact.  Transaction numbering
+    The file sink goes through {!rewrite_file} with the fault hooks on:
+    every line passes the write hook at [wal.checkpoint], and
+    [wal.checkpoint] fires before the rename, so a crash during a
+    checkpoint leaves the original log intact.  Transaction numbering
     restarts above the ids present in [records]. *)
+
+val rewrite_file : string -> record list -> unit
+(** [rewrite_file path records] replaces the log at [path] with
+    [records], numbered from LSN 1: they are written to the sibling
+    [<path>.ckpt], which is then renamed over [path].  The one rewriter,
+    shared by the checkpoint and recovery's repairs. *)
 
 val committed_txns : record list -> int -> bool
 (** Membership test of the transactions with a {!Commit} record.  Apply
@@ -148,40 +147,40 @@ val committed_txns : record list -> int -> bool
 val txn_of : record -> int
 
 val record_to_line : record -> string
-(** One line, no trailing newline; the {e v1} (headerless) payload
-    format.  The file sink wraps it in the v2 integrity header — see
-    {!line_of_record}. *)
+(** A record's payload: one line, no header, no trailing newline.  The
+    log wraps it in the integrity header — see {!line_of_record}. *)
 
 val record_of_line : string -> record
-(** Parse a v1 payload.  Raises {!Wal_error} on corrupt input. *)
+(** Parse a payload.  Raises {!Wal_error} on corrupt input. *)
 
-(** {1 Format v2: LSN + CRC32}
+(** {1 Line format: LSN + CRC32}
 
-    Every line the file sink writes carries an integrity header:
+    Every log line carries an integrity header:
 
-    {v L<lsn> \t <crc32-hex8> \t <v1 payload> v}
+    {v L<lsn> \t <crc32-hex8> \t <payload> v}
 
-    The LSN increases by one per line within a file (a checkpoint
-    rewrites the file and restarts at 1) and the CRC-32 covers
-    ["<lsn>\t<payload>"], so torn, bit-flipped or spliced lines are
-    detected rather than misparsed.  The head field [L<digits>] cannot
-    collide with a v1 head tag, so v1 logs remain readable. *)
+    The LSN increases by one per line within a file (a rewrite restarts
+    it at 1) and the CRC-32 covers ["<lsn>\t<payload>"], so torn,
+    bit-flipped or spliced lines are detected rather than misparsed. *)
 
 val line_of_record : lsn:int -> record -> string
-(** The v2 encoding, no trailing newline. *)
+(** The encoding, no trailing newline. *)
 
-val parse_line : string -> (int option * record, string) result
-(** Parse one line of either version: [Some lsn] for v2 (checksum
-    verified), [None] for v1.  [Error reason] instead of an exception —
-    the salvage path classifies corrupt lines, it does not die on
-    them. *)
+val parse_line : string -> (int * record, string) result
+(** Parse one line, its checksum verified.  [Error reason] instead of an
+    exception — the salvage path classifies corrupt lines, it does not
+    die on them.  A line without the header is an error. *)
+
+val is_log : string -> bool
+(** Whether raw file contents can be a log: empty, or starting with a
+    header's [L<digit>] — or with just the ["L"] a torn first write
+    leaves. *)
 
 type scanned = {
   lineno : int;  (** 1-based; blank lines counted but not reported *)
   offset : int;  (** byte offset of the line start *)
   bytes : int;  (** line length including the newline, if present *)
-  lsn : int option;  (** [None] for v1 and unparsable lines *)
-  parsed : (record, string) result;
+  parsed : (int * record, string) result;  (** the LSN and the record *)
 }
 (** One physical log line with enough location information to truncate
     a torn tail byte-exactly. *)
@@ -258,7 +257,6 @@ module Reader : sig
       reader raises {!Wal_error} on a missing or malformed field. *)
 
   val of_string : string -> t
-  val at_end : t -> bool
 
   val finish : t -> unit
   (** Raises {!Wal_error} if a field is left. *)
@@ -303,5 +301,3 @@ val fault_points : string list
 (** The named fault points this module fires, for harness registration:
     [wal.append], [wal.io], [wal.pre_commit], [wal.post_commit],
     [wal.checkpoint]. *)
-
-val pp_record : Format.formatter -> record -> unit

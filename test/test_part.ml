@@ -5,8 +5,8 @@
    verifiable Check certificates, partition-local invalidation and the
    guarded fallback after a mid-flight overturn, the aligned-join
    cardinality cap, sys.partitions with per-partition scan counters, and
-   crash recovery of a partitioned database (shard-tagged WAL records,
-   checkpointing, replay of interleaved cross-shard traffic). *)
+   crash recovery of a partitioned database (checkpointing, replay of
+   interleaved cross-shard traffic). *)
 
 open Rel
 
@@ -466,7 +466,7 @@ let test_sys_partitions_and_scan_counters () =
           "SELECT table_name FROM sys.partitions")
          .Exec.Executor.rows)
 
-(* ---- recovery: shard tags, checkpoint, cross-shard replay ------------------ *)
+(* ---- recovery: checkpoint, cross-shard replay ---------------------------- *)
 
 let wal_fixture () =
   Obs.Fault.reset ();
@@ -484,49 +484,6 @@ let wal_fixture () =
          (Printf.sprintf "INSERT INTO p VALUES (%d, %d, 'r')" i (i mod 13)))
   done;
   (sdb, wal, link)
-
-let test_wal_records_carry_birth_shards () =
-  let sdb, wal, link = wal_fixture () in
-  (* a migrating update and a delete inherit the row's birth shard
-     (ids are dense, so free a slot in segment 1 before moving into it) *)
-  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE id = 700");
-  ignore (Core.Softdb.exec sdb "UPDATE p SET id = 700 WHERE id = 7");
-  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE id = 1100");
-  Core.Recovery.flush link;
-  let shard_of_insert id =
-    List.find_map
-      (function
-        | Wal.Insert { table = "p"; row; shard; _ }
-          when Tuple.get row 0 = Value.Int id ->
-            Some shard
-        | _ -> None)
-      (Wal.records wal)
-  in
-  check tbool "insert of id 7 tagged shard 0" true (shard_of_insert 7 = Some 0);
-  check tbool "insert of id 600 tagged shard 1" true
-    (shard_of_insert 600 = Some 1);
-  check tbool "insert of id 1100 tagged shard 2" true
-    (shard_of_insert 1100 = Some 2);
-  let tag_of p =
-    List.find_map
-      (fun r -> match p r with Some s -> Some s | None -> None)
-      (Wal.records wal)
-  in
-  check tbool "migrating update keeps the birth shard" true
-    (tag_of (function
-       | Wal.Update { table = "p"; before; shard; _ }
-         when Tuple.get before 0 = Value.Int 7 ->
-           Some shard
-       | _ -> None)
-    = Some 0);
-  check tbool "delete keeps the birth shard" true
-    (tag_of (function
-       | Wal.Delete { table = "p"; row; shard; _ }
-         when Tuple.get row 0 = Value.Int 1100 ->
-           Some shard
-       | _ -> None)
-    = Some 2);
-  Core.Recovery.detach link
 
 let all_p sdb = List.sort compare (rows_of sdb "SELECT id, v, s FROM p")
 
@@ -565,13 +522,18 @@ let test_cross_shard_replay_matches_live () =
   let sdb, wal, link = wal_fixture () in
   ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
   (* interleaved cross-shard traffic after mining: replay must keep every
-     rid's history in order *)
+     rid's history in order.  A row moves from segment 0 to segment 1
+     (ids are dense, so a slot is freed first) and later updates touch it
+     there; a last-segment row is deleted. *)
+  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE id = 700");
+  ignore (Core.Softdb.exec sdb "UPDATE p SET id = 700 WHERE id = 7");
   for i = 1 to 300 do
     ignore
       (Core.Softdb.exec sdb
          (Printf.sprintf "UPDATE p SET v = %d WHERE id = %d" (i mod 5) (i * 4)))
   done;
   ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE v = 3");
+  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE id = 1100");
   Core.Recovery.flush link;
   let replayed = Core.Recovery.recover (Wal.records wal) in
   check tbool "identical rows" true (all_p sdb = all_p replayed);
@@ -643,8 +605,6 @@ let () =
         ] );
       ( "recovery",
         [
-          Alcotest.test_case "WAL records carry birth shards" `Quick
-            test_wal_records_carry_birth_shards;
           Alcotest.test_case "recover restores partitioning" `Quick
             test_recover_restores_partitioning;
           Alcotest.test_case "cross-shard replay matches live" `Quick

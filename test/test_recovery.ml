@@ -41,8 +41,8 @@ let codec_records =
   in
   [
     Wal.Begin { txn = 7 };
-    Wal.Insert { txn = 7; table = "t"; rid = 3; row = nasty_row; shard = -1 };
-    Wal.Delete { txn = 7; table = "t"; rid = 0; row = nasty_row; shard = 2 };
+    Wal.Insert { txn = 7; table = "t"; rid = 3; row = nasty_row };
+    Wal.Delete { txn = 7; table = "t"; rid = 0; row = nasty_row };
     Wal.Update
       {
         txn = 7;
@@ -50,7 +50,6 @@ let codec_records =
         rid = 1;
         before = nasty_row;
         after = [| Value.Int 1; Value.Float (1.0 /. 3.0) |];
-        shard = 0;
       };
     Wal.Ddl { txn = 7; sql = "CREATE TABLE t (a INT)" };
     Wal.Sc { txn = 7; change = Wal.Sc_installed snap };
@@ -213,7 +212,6 @@ let insert_log n =
                  table = "t";
                  rid = i;
                  row = [| Value.Int i; Value.Int (2 * i) |];
-                 shard = -1;
                };
              Wal.Commit { txn };
            ]))
@@ -636,14 +634,14 @@ let test_rollback_incomplete_keeps_compensating () =
   check tint "u compensated anyway" 0
     (Table.cardinality (Database.table_exn (Core.Softdb.db sdb) "u"))
 
-(* ---- the salvage matrix (WAL v2: CRC + LSN, torn tails, bit flips) ------- *)
+(* ---- the salvage matrix (line headers: CRC + LSN, torn tails, bit flips) - *)
 
 let read_bytes p = In_channel.with_open_bin p In_channel.input_all
 
 let cleanup_wal path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".salvage"; path ^ ".ckpt"; path ^ ".salvtmp" ]
+    [ path; path ^ ".salvage"; path ^ ".ckpt" ]
 
 (* a real file-sink WAL holding the shared fixture's committed state *)
 let file_fixture () =
@@ -690,15 +688,14 @@ let test_v2_line_codec () =
     (fun i r ->
       let line = Wal.line_of_record ~lsn:(i + 1) r in
       (match Wal.parse_line line with
-      | Ok (Some lsn, r') ->
+      | Ok (lsn, r') ->
           check tint "lsn roundtrip" (i + 1) lsn;
           check tbool "record roundtrip" true (r' = r)
-      | Ok (None, _) -> Alcotest.fail "v2 line parsed as v1"
-      | Error m -> Alcotest.failf "v2 line rejected: %s" m);
-      (* v1 payloads still parse *)
+      | Error m -> Alcotest.failf "line rejected: %s" m);
+      (* a payload without its header is not a log line *)
       (match Wal.parse_line (Wal.record_to_line r) with
-      | Ok (None, r') -> check tbool "v1 still readable" true (r' = r)
-      | Ok (Some _, _) | Error _ -> Alcotest.fail "v1 line misparsed");
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "headerless payload accepted: %S" line);
       (* any single corrupted byte must be caught *)
       let b = Bytes.of_string line in
       let pos = String.length line / 2 in
@@ -712,10 +709,11 @@ let test_torn_tail_mid_record () =
   (* the tear hits the probe's first data record: everything before the
      tear replays byte-identically, the tail is quarantined *)
   let path = torn_probe ~point:"wal.io" ~after:1 (Obs.Fault.Torn_write 10) in
+  let torn = read_bytes path in
   let untorn = Core.Recovery.recover (Wal.scan_string (read_bytes path)
                                       |> List.filter_map (fun (s : Wal.scanned) ->
                                              match s.Wal.parsed with
-                                             | Ok r -> Some r
+                                             | Ok (_, r) -> Some r
                                              | Error _ -> None)) in
   let sdb2, report = Core.Recovery.recover_file path in
   check tbool "pre state (probe txn torn away)" true (rows_of sdb2 = pre_rows);
@@ -728,7 +726,12 @@ let test_torn_tail_mid_record () =
     (Sys.file_exists (path ^ ".salvage"));
   check tbool "no dropped txns (tail was uncommitted)" true
     (report.Core.Recovery.dropped_txns = []);
-  (* the truncated log is clean: a second, strict pass replays equal *)
+  (* the truncated log is the torn one cut at the tear, and clean: a
+     second, strict pass replays equal *)
+  let repaired = read_bytes path in
+  check tbool "cut at the tear, byte for byte" true
+    (String.length repaired < String.length torn
+    && String.sub torn 0 (String.length repaired) = repaired);
   let sdb3 = Core.Recovery.recover (Wal.load_file path) in
   check tbool "repaired log replays equal" true (rows_of sdb3 = rows_of sdb2);
   (match recovery_row sdb2 with
@@ -852,14 +855,21 @@ let test_lsn_regression_detected () =
    corrupt line, not an allocation failure: salvage classifies only
    parse errors, so anything else would take recovery down. *)
 let test_corrupt_row_arity_quarantined () =
+  (* a header with a valid checksum, so only the payload is at fault *)
+  let headered lsn payload =
+    let lsn_s = string_of_int lsn in
+    "L" ^ lsn_s ^ "\t"
+    ^ Crc32.to_hex (Crc32.string (lsn_s ^ "\t" ^ payload))
+    ^ "\t" ^ payload
+  in
   List.iter
     (fun arity ->
-      let line = "I\t1\tt\t3\t" ^ arity in
-      (match Wal.parse_line line with
+      let bad txn = Printf.sprintf "I\t%d\tt\t3\t%s" txn arity in
+      (match Wal.parse_line (headered 1 (bad 1)) with
       | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted %S" line);
-      (* a v1 log: the fixture, then the probe transaction with the bad
-         record right after its Begin *)
+      | Ok _ -> Alcotest.failf "accepted %S" (bad 1));
+      (* the fixture, then the probe transaction with the bad record
+         right after its Begin *)
       let sdb, wal, _ = fixture () in
       probe_commit sdb;
       let records = Wal.records wal in
@@ -869,13 +879,17 @@ let test_corrupt_row_arity_quarantined () =
           0 records
       in
       let path = Filename.temp_file "softdb_arity" ".wal" in
+      let lsn = ref 0 in
       Out_channel.with_open_bin path (fun oc ->
+          let line payload =
+            incr lsn;
+            output_string oc (headered !lsn payload ^ "\n")
+          in
           List.iter
             (fun r ->
-              output_string oc (Wal.record_to_line r ^ "\n");
+              line (Wal.record_to_line r);
               match r with
-              | Wal.Begin { txn } when txn = probe ->
-                  Printf.fprintf oc "I\t%d\tt\t3\t%s\n" txn arity
+              | Wal.Begin { txn } when txn = probe -> line (bad txn)
               | _ -> ())
             records);
       let sdb2, report =
@@ -892,9 +906,8 @@ let test_corrupt_row_arity_quarantined () =
     [ "-1"; "4611686018427387903" ]
 
 let test_scan_salvage_matches_file () =
-  (* the pure scan path and the file path make the identical salvage
-     decisions; only the file path quarantines, so its quarantine fields
-     are set aside *)
+  (* salvage drops exactly the transaction open across the corrupt line;
+     a later autocommit survives *)
   let sdb, link, path = file_fixture () in
   Obs.Fault.arm ~after:1 "wal.io" (Obs.Fault.Bit_flip 5);
   probe_commit sdb;
@@ -902,23 +915,13 @@ let test_scan_salvage_matches_file () =
   Core.Recovery.detach link;
   Wal.close (Core.Recovery.wal link);
   Obs.Fault.reset ();
-  let scan, scan_report =
-    Core.Recovery.recover_scan ~mode:Core.Recovery.Salvage
-      (Wal.scan_string (read_bytes path))
-  in
-  let file, file_report =
+  let file, report =
     Core.Recovery.recover_file ~mode:Core.Recovery.Salvage path
   in
-  check tbool "same rows" true (rows_of scan = rows_of file);
-  check tbool "same report" true
-    (scan_report
-    = {
-        file_report with
-        Core.Recovery.quarantined_bytes = 0;
-        salvage_path = None;
-      });
+  check tint "one txn dropped" 1
+    (List.length report.Core.Recovery.dropped_txns);
   check tbool "later autocommit survives the drop" true
-    (List.mem [ Value.Int 20; Value.Int 40 ] (rows_of scan));
+    (List.mem [ Value.Int 20; Value.Int 40 ] (rows_of file));
   cleanup_wal path
 
 (* [resume] opens the log from recovery's own scan of it: a statement
@@ -1023,6 +1026,61 @@ let test_ckpt_present_empty_tail () =
     (Sys.file_exists (path ^ ".ckpt"));
   cleanup_wal path
 
+(* A commit whose bytes never reach the OS must not be acknowledged, and
+   nothing may be appended on top of a log whose tail is unknown.
+   /dev/full takes writes into the channel buffer and fails the flush. *)
+let test_failed_flush_refuses_commit () =
+  if Sys.file_exists "/dev/full" then begin
+    Obs.Fault.reset ();
+    let wal = Wal.open_scanned "/dev/full" [] in
+    Wal.append wal (Wal.Begin { txn = 1 });
+    (match Wal.commit wal 1 with
+    | exception Wal.Wal_error _ -> ()
+    | () -> Alcotest.fail "a commit that failed to flush was acknowledged");
+    (match Wal.append wal (Wal.Begin { txn = 2 }) with
+    | exception Wal.Wal_error _ -> ()
+    | () -> Alcotest.fail "the log stayed open after a failed flush");
+    Wal.close wal
+  end
+
+(* A file that does not start like a log is refused in both modes and
+   left byte-identical: the torn-tail rule would otherwise quarantine all
+   of it.  A first write torn to just "L" is still a log. *)
+let test_non_log_refused () =
+  let headerless =
+    String.concat ""
+      (List.map (fun r -> Wal.record_to_line r ^ "\n") codec_records)
+  in
+  List.iter
+    (fun (what, contents) ->
+      let path = Filename.temp_file "softdb_notlog" ".wal" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      List.iter
+        (fun mode ->
+          (match Core.Recovery.recover_file ~mode path with
+          | exception Core.Recovery.Recovery_error _ -> ()
+          | _ -> Alcotest.failf "%s recovered" what);
+          (match Core.Recovery.resume ~mode path with
+          | exception Core.Recovery.Recovery_error _ -> ()
+          | _ -> Alcotest.failf "%s resumed" what);
+          check tbool (what ^ " byte-identical") true
+            (read_bytes path = contents);
+          check tbool (what ^ ": no salvage file") false
+            (Sys.file_exists (path ^ ".salvage")))
+        [ Core.Recovery.Strict; Core.Recovery.Salvage ];
+      cleanup_wal path)
+    [
+      ("text file", "meeting notes\nLunch at noon\n");
+      ("headerless log", headerless);
+    ];
+  let path = Filename.temp_file "softdb_torn_l" ".wal" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "L");
+  let _, report = Core.Recovery.recover_file path in
+  check tbool "a first write torn to \"L\" is a torn tail" true
+    report.Core.Recovery.torn_tail;
+  check tint "the tear is truncated away" 0 (String.length (read_bytes path));
+  cleanup_wal path
+
 (* -------------------------------------------------------------------------- *)
 
 let () =
@@ -1113,5 +1171,9 @@ let () =
             test_log_ends_at_commit_boundary;
           Alcotest.test_case "ckpt sibling, empty tail" `Quick
             test_ckpt_present_empty_tail;
+          Alcotest.test_case "failed flush refuses the commit" `Quick
+            test_failed_flush_refuses_commit;
+          Alcotest.test_case "non-log file refused untouched" `Quick
+            test_non_log_refused;
         ] );
     ]
