@@ -265,7 +265,7 @@ let benchdiff old_path new_path =
    when a source root is given (default: cwd if it holds dune-project) —
    runs the lock-order and interface-coverage lints.  Exits 1 on any
    error diagnostic; warnings are report-only. *)
-let check ~root ~scale ~explain ~concurrency ~lockdep_graph ~report_file =
+let check ~root ~scale ~explain ~report_file =
   let scale =
     match Benchkit.Scenario.scale_of_name scale with
     | Some s -> s
@@ -281,28 +281,17 @@ let check ~root ~scale ~explain ~concurrency ~lockdep_graph ~report_file =
         then Some (Sys.getcwd ())
         else None
   in
-  if concurrency && root = None then begin
-    Fmt.epr "check: --concurrency needs a source root (--root)@.";
-    exit 2
-  end;
-  (* --concurrency: the racecheck gate — only the concurrency passes
-     (lock order, guarded-by, lockdep cross-validation), skipping the
-     fixture builds so the gate stays fast *)
   let fixtures =
-    if concurrency then []
-    else
-      List.map
-        (fun (f : Benchkit.Scenario.fixture) ->
-          {
-            Check.Driver.fx_name = f.Benchkit.Scenario.fixture_name;
-            fx_sdb = f.Benchkit.Scenario.fixture_setup scale;
-            fx_queries = f.Benchkit.Scenario.fixture_queries;
-          })
-        Benchkit.Scenario.fixtures
+    List.map
+      (fun (f : Benchkit.Scenario.fixture) ->
+        {
+          Check.Driver.fx_name = f.Benchkit.Scenario.fixture_name;
+          fx_sdb = f.Benchkit.Scenario.fixture_setup scale;
+          fx_queries = f.Benchkit.Scenario.fixture_queries;
+        })
+      Benchkit.Scenario.fixtures
   in
-  let report, diags =
-    Check.Driver.run ~explain ?root ?lockdep_graph fixtures
-  in
+  let report, diags = Check.Driver.run ~explain ?root fixtures in
   print_string report;
   Option.iter
     (fun path -> Out_channel.with_open_text path (fun oc ->
@@ -481,36 +470,16 @@ let check_cmd =
       & info [ "report" ] ~docv:"FILE"
           ~doc:"Also write the check report to $(docv).")
   in
-  let concurrency =
-    Arg.(
-      value & flag
-      & info [ "concurrency" ]
-          ~doc:
-            "Run only the concurrency passes (lock-order, guarded-by, and \
-             lockdep cross-validation when --lockdep-graph is given), \
-             skipping the fixture builds — the racecheck gate.")
-  in
-  let lockdep_graph =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "lockdep-graph" ] ~docv:"FILE"
-          ~doc:
-            "Cross-validate the lockdep edge-graph dump in $(docv) (from a \
-             run with SOFTDB_LOCKDEP=1, e.g. loadgen --lockdep-dump) \
-             against the static rank table.")
-  in
   let doc =
     "statically verify rewrite certificates, lint the SC catalog, and check \
-     lock ordering, guarded-by coverage, and observed lock behavior; exit 1 \
-     on any error"
+     lock ordering, guarded-by coverage and interface coverage; exit 1 on \
+     any error"
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const (fun root scale explain concurrency lockdep_graph report_file ->
-          check ~root ~scale ~explain ~concurrency ~lockdep_graph
-            ~report_file)
-      $ root $ scale $ explain $ concurrency $ lockdep_graph $ report_file)
+      const (fun root scale explain report_file ->
+          check ~root ~scale ~explain ~report_file)
+      $ root $ scale $ explain $ report_file)
 
 let main =
   let doc = "soft constraints in a relational query optimizer" in

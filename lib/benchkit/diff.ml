@@ -35,13 +35,6 @@ let default_thresholds =
       abs_slack = 0.0 };
     { prefix = "partitions"; direction = Exact; rel_slack = 0.0;
       abs_slack = 0.0 };
-    (* concurrency-witness structure: a new acquisition-order edge means
-       a new lock-nesting pattern slipped in (review it, then rebaseline);
-       held depth deeper than the baseline means a longer lock chain *)
-    { prefix = "lockdep.edges_observed"; direction = Higher_worse;
-      rel_slack = 0.0; abs_slack = 0.0 };
-    { prefix = "lockdep.max_held_depth"; direction = Exact; rel_slack = 0.0;
-      abs_slack = 0.0 };
     (* outcomes of a seeded stream or load: the ASC availability per
        maintenance policy and the rows a bulk load wrote *)
     { prefix = "maintenance."; direction = Exact; rel_slack = 0.0;

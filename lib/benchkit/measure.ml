@@ -114,15 +114,6 @@ let load path =
   let text = In_channel.with_open_text path In_channel.input_all in
   of_json (Json.of_string text)
 
-let merge base extra =
-  if base.schema_version <> extra.schema_version then
-    raise (Schema_error "schema version mismatch in merge");
-  let replaced = List.map (fun r -> r.scenario) extra.scenarios in
-  let kept =
-    List.filter (fun r -> not (List.mem r.scenario replaced)) base.scenarios
-  in
-  { base with scenarios = sort_scenarios (kept @ extra.scenarios) }
-
 (* Only what the hard gate sees: version, scale, and the deterministic
    metric sections, in canonical order — label and wall clock stripped. *)
 let fingerprint run =

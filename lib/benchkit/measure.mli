@@ -57,11 +57,6 @@ val load : string -> run
 (** Raises {!Schema_error} on version/shape problems, {!Json.Parse_error}
     on malformed JSON, [Sys_error] on I/O. *)
 
-val merge : run -> run -> run
-(** [merge base extra]: fold [extra]'s scenarios into [base], replacing
-    same-named scenarios — how a loadgen summary is folded into an
-    engine report.  Raises {!Schema_error} on version mismatch. *)
-
 val fingerprint : run -> string
 (** Canonical serialization of the gated content only — schema version,
     scale, and every scenario's deterministic section (label and

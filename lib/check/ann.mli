@@ -43,5 +43,4 @@ val referenced_locks : (string * string) list -> (string, unit) Hashtbl.t
 (** Every lock name referenced by any site or state annotation —
     the liveness side of dead-rank detection. *)
 
-val read_file : string -> string
 val read_sources : string list -> (string * string) list

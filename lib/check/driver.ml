@@ -5,9 +5,11 @@
       this library does not depend on any particular scenario registry;
    2. the catalog linter over each fixture's SC catalog;
    3. the source lints (lock order, guarded-by, interface coverage)
-      over a source root, when one is given;
-   4. the lockdep cross-validation, when an {!Obs.Lockdep} edge-graph
-      dump from an instrumented run is given alongside the root.
+      over a source root, when one is given.
+
+   The lockdep cross-validation ({!Lockdep_lint}) needs a run with the
+   witness armed; the server suite's TCP run applies it to its own
+   witness, against the rank table read from [lock_scan_files].
 
    [run] returns the rendered report (the CI artifact) and the raw
    diagnostics; the CLI derives its exit code from [Diag.has_errors].
@@ -82,7 +84,7 @@ let sort_diags diags =
         (b.Diag.pass, b.Diag.subject, b.Diag.message, b.Diag.severity))
     diags
 
-let run ?(explain = false) ?root ?lockdep_graph fixtures =
+let run ?(explain = false) ?root fixtures =
   let buf = Buffer.create 4096 in
   let cert_diags = List.concat_map (check_fixture ~explain buf) fixtures in
   let catalog_diags =
@@ -96,21 +98,6 @@ let run ?(explain = false) ?root ?lockdep_graph fixtures =
         @ Guard_lint.lint_files (guard_scan_files ~root)
         @ Iface_lint.lint ~root
   in
-  let lockdep_diags =
-    match (lockdep_graph, root) with
-    | None, _ -> []
-    | Some path, Some root ->
-        Lockdep_lint.lint_file
-          ~sources:(Ann.read_sources (lock_scan_files ~root))
-          path
-    | Some path, None ->
-        [
-          Diag.error ~pass:"lockdep" ~subject:path
-            "a lockdep graph needs a source root for the rank table";
-        ]
-  in
-  let diags =
-    sort_diags (cert_diags @ catalog_diags @ source_diags @ lockdep_diags)
-  in
+  let diags = sort_diags (cert_diags @ catalog_diags @ source_diags) in
   Buffer.add_string buf (Diag.render diags);
   (Buffer.contents buf, diags)

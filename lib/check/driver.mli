@@ -1,6 +1,5 @@
-(** Assembles the certificate, catalog, lock-order, guarded-by,
-    interface-coverage, and lockdep cross-validation passes behind
-    [softdb check]. *)
+(** Assembles the certificate, catalog, lock-order, guarded-by and
+    interface-coverage passes behind [softdb check]. *)
 
 type fixture = {
   fx_name : string;
@@ -20,12 +19,9 @@ val guard_scan_files : root:string -> string list
 val run :
   ?explain:bool ->
   ?root:string ->
-  ?lockdep_graph:string ->
   fixture list ->
   string * Diag.t list
 (** Run every pass; returns the rendered report and the diagnostics,
     sorted (pass, subject, message) so the report is deterministic.
     [explain] prepends each fixture query's certificates to the report;
-    [root] enables the source lints; [lockdep_graph] names an
-    {!Obs.Lockdep} dump to cross-validate against the rank table
-    (requires [root]). *)
+    [root] enables the source lints. *)

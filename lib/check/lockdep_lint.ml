@@ -86,11 +86,3 @@ let lint_dump ~sources text =
   | Some g ->
       let decls = Ann.decl_table (Ann.collect_decls sources) in
       lint_graph ~decls g
-
-let lint_file ~sources path =
-  match Ann.read_file path with
-  | exception Sys_error m ->
-      [
-        Diag.error ~pass ~subject:path "cannot read lockdep graph: %s" m;
-      ]
-  | text -> lint_dump ~sources text

@@ -11,6 +11,3 @@ val lint_graph :
 val lint_dump : sources:(string * string) list -> string -> Diag.t list
 (** Parse a dump and validate it against the declarations collected
     from [(filename, contents)] sources. *)
-
-val lint_file : sources:(string * string) list -> string -> Diag.t list
-(** Read a dump file ({!Obs.Lockdep.dump} output) and validate it. *)

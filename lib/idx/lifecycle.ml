@@ -15,7 +15,7 @@
    batch), and readers interleave between batches.  The driver record
    itself is guarded by a small internal mutex — lock rank
    [idx.lifecycle], declared in lib/srv/session.ml — so another domain
-   (loadgen's build monitor, sys views) can observe {!progress} and
+   (a build monitor, sys views) can observe {!progress} and
    {!outcome} while the builder steps.
 
    A unique violation discovered mid-backfill demotes the index rather

@@ -146,18 +146,6 @@ let summary_unlocked t name =
 
 let summary t name = locked t (fun () -> summary_unlocked t name)
 
-let percentile t name q =
-  if not (Float.is_finite q) || q < 0.0 || q > 1.0 then
-    invalid_arg "Metrics.percentile: q outside [0, 1]";
-  locked t (fun () ->
-      match samples_unlocked t name with
-      | [] -> None
-      | vs ->
-          let arr = Array.of_list vs in
-          Array.sort compare arr;
-          let n = Array.length arr in
-          Some arr.(min (n - 1) (int_of_float (q *. float_of_int n))))
-
 (* ---- timings (wall clock; never part of the snapshot) ------------------- *)
 
 let record_time t name elapsed_s =

@@ -55,12 +55,6 @@ type summary = {
 val summary : t -> string -> summary option
 (** [None] when no samples were observed. *)
 
-val percentile : t -> string -> float -> float option
-(** [percentile t name q] with [q] in [0, 1]: the nearest-rank quantile
-    of a sample series (the estimator {!summary}'s p50/p95 use), at any
-    rank — loadgen reports p99 through this.  [None] when no samples
-    were observed; raises [Invalid_argument] on [q] outside [0, 1]. *)
-
 (** {1 Timings (wall clock; never part of the snapshot)} *)
 
 val record_time : t -> string -> float -> unit

@@ -8,7 +8,7 @@
      harness runs many client sessions against one server inside one
      process.
    - TCP ([listen]/[accept]/[connect]): newline-delimited frames over a
-     socket, for [softdb serve] and the bench load generator.
+     socket, for [softdb serve] and its clients.
 
    [send] is safe to call from any domain or thread (workers complete
    jobs concurrently and answer out of order); [recv] is meant for a
@@ -195,7 +195,12 @@ let accept l =
   in
   of_fd fd ~peer
 
-let close_listener l = try Unix.close l.lfd with Unix.Unix_error _ -> ()
+(* On Linux, closing a listening socket does not wake a thread blocked
+   in [accept] on it; shutting it down first makes that [accept] fail
+   with EINVAL at once. *)
+let close_listener l =
+  (try Unix.shutdown l.lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  try Unix.close l.lfd with Unix.Unix_error _ -> ()
 
 let connect ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -37,4 +37,7 @@ val listen : ?host:string -> port:int -> unit -> listener
 val port : listener -> int
 val accept : listener -> t
 val close_listener : listener -> unit
+(** Also wakes a thread blocked in {!accept} on it, which then raises
+    [Unix_error (EINVAL | EBADF, _, _)]. *)
+
 val connect : ?host:string -> port:int -> unit -> t

@@ -1,6 +1,6 @@
 (* Tests for the benchmark & plan-quality regression harness: the JSON
    codec (round-trip, canonical rendering), the measurement schema
-   (versioning, merge, fingerprint), the threshold table and diff gate
+   (versioning, fingerprint), the threshold table and diff gate
    (golden pair: an equal run passes, an injected q-error / rows-scanned
    regression is caught), and end-to-end determinism of the whole
    scenario registry executed twice. *)
@@ -116,23 +116,19 @@ let test_measure_schema_guard () =
     | exception Schema_error _ -> true
     | _ -> false)
 
-let test_measure_merge_and_fingerprint () =
+let test_measure_fingerprint () =
   let open Benchkit.Measure in
   let base =
     make_run ~label:"engine" ~scale:"quick"
       [ result (); result ~scenario:"tpcd/off" () ]
   in
-  let extra =
+  let changed =
     make_run ~label:"engine" ~scale:"quick"
-      [ result ~det:[ ("rows_scanned", 999.0) ] () ]
+      [
+        result ~det:[ ("rows_scanned", 999.0) ] ();
+        result ~scenario:"tpcd/off" ();
+      ]
   in
-  let merged = merge base extra in
-  check tint "merge keeps scenario count" 2 (List.length merged.scenarios);
-  let replaced =
-    List.find (fun r -> r.scenario = "purchase/asc") merged.scenarios
-  in
-  check (tfloat 0.0) "merge replaces same-named scenario" 999.0
-    (List.assoc "rows_scanned" replaced.deterministic);
   (* fingerprints see the gated content only *)
   let relabel = { base with label = "other" } in
   let rewall =
@@ -147,7 +143,7 @@ let test_measure_merge_and_fingerprint () =
   check tstr "wall-clock is not fingerprinted" (fingerprint base)
     (fingerprint rewall);
   check tbool "deterministic change alters fingerprint" true
-    (fingerprint base <> fingerprint merged)
+    (fingerprint base <> fingerprint changed)
 
 (* ---- threshold table ------------------------------------------------------- *)
 
@@ -312,8 +308,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_measure_roundtrip;
           Alcotest.test_case "schema guard" `Quick test_measure_schema_guard;
-          Alcotest.test_case "merge & fingerprint" `Quick
-            test_measure_merge_and_fingerprint;
+          Alcotest.test_case "fingerprint" `Quick test_measure_fingerprint;
         ] );
       ( "diff",
         [

@@ -551,17 +551,8 @@ let test_lockdep_lint_synthetic () =
 
 (* ---- the real tree --------------------------------------------------------- *)
 
-let find_root () =
-  let rec up dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else up parent
-  in
-  up (Sys.getcwd ())
-
 let test_real_tree_lints () =
-  match find_root () with
+  match Source_root.find () with
   | None -> () (* not running from a build tree; covered by `softdb check` *)
   | Some root ->
       let files = Check.Driver.lock_scan_files ~root in
