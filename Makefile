@@ -23,11 +23,14 @@ lint: build
 # online index build, with the runtime lock-order witness armed — red on
 # any live violation, on an observed edge the declared @lock-order rank
 # table forbids or that names an undeclared lock, on a declared rank the
-# traffic never exercised (unless waived with a reason), on an edge
-# missing from the test's pinned list, or on locks held more than three
-# deep.  The static half (lock order, @guarded-by) runs in `make lint`
+# traffic never exercised (unless waived with a reason), on an observed
+# edge set other than the test's pinned list, or on locks held more than
+# three deep.  Five runs in a row, so each must show the same edge set.
+# The static half (lock order, @guarded-by) runs in `make lint`
 racecheck: build
-	timeout 300 dune exec test/test_srv.exe -- test racecheck
+	for i in 1 2 3 4 5; do \
+	  timeout 300 dune exec test/test_srv.exe -- test racecheck || exit 1; \
+	done
 
 # the crash matrix: a simulated crash at every registered fault point,
 # recovery must land on exactly the pre- or post-transaction state

@@ -1,37 +1,48 @@
-(** The single-writer rule, as a lock.
+(** The single-writer rule, as a lock whose waiters park (see the
+    implementation's header).
 
-    Read-only queries share the lock; mutations (data, schema, SC
-    catalog, WAL appends) are exclusive.  The write side is owned by a
-    {e session} rather than a thread: a transaction holds it from BEGIN
-    to COMMIT across jobs that may land on different worker domains, and
-    the owning session's nested acquisitions (reads or writes) are
-    reentrant.  Waiting writers block new readers, so transactions are
-    not starved.  Acquisition is deadline-bounded ([deadline] is an
-    absolute Unix time; omitted means wait forever). *)
+    Metrics: srv.rwlock.parked_reads / parked_writes / park_expired
+    (parks that ended without the lock: deadline, cancel, closed
+    session, shutdown) counters, srv.rwlock.wait wall-clock timing. *)
 
 type t
 
-val create : unit -> t
+type hold = Shared | Exclusive
+(** A reader count, or a depth of the session-owned write side (the
+    owner's own reads nest as depths too). *)
+
+type waiter
+(** One request's place in line.  [wake] runs, with no lock state held,
+    when the parked waiter is granted the lock or taken off the list;
+    [deadline] is absolute Unix time. *)
+
+val create : Obs.Metrics.t -> t
+(** Starts the deadline timer thread; {!close} stops it. *)
+
+val waiter :
+  ?deadline:float -> session:int -> req:int -> wake:(unit -> unit) -> unit ->
+  waiter
 
 val holds_write : t -> session:int -> bool
 
-val acquire_read : ?deadline:float -> t -> session:int -> bool
-(** False iff the deadline passed.  If [session] already holds the write
-    lock this is a no-op success (covered by its own exclusivity). *)
+val acquire_read : t -> waiter -> [ `Held of hold | `Parked | `Closed ]
+(** The grant the waiter was handed, else the lock if no earlier waiter
+    is in the way, else park — [`Closed] instead once {!close} ran. *)
 
-val release_read : t -> session:int -> unit
+val acquire_write : t -> waiter -> [ `Held of hold | `Parked | `Closed ]
+val release : t -> session:int -> hold -> unit
 
-val acquire_write : ?deadline:float -> t -> session:int -> bool
-(** Reentrant for the owning session (depth-counted). *)
+val abandon : t -> waiter -> unit
+(** The request is answered without running: give back its grant or its
+    place in line, without waking it. *)
 
-val release_write : t -> session:int -> unit
+val unpark : t -> session:int -> req:int -> unit
+(** Cancel: take the request off the list and wake it. *)
 
 val forfeit_write : t -> session:int -> unit
-(** Drop the session's ownership whatever the depth — session teardown,
-    where an abandoned transaction must not wedge the engine. *)
+(** Session teardown: drop write ownership whatever the depth and wake
+    the session's parked requests. *)
 
-val read_locked : ?deadline:float -> t -> session:int -> (unit -> 'a) -> 'a option
-(** Run under the read lock; [None] iff the deadline passed. *)
-
-val write_locked : ?deadline:float -> t -> session:int -> (unit -> 'a) -> 'a option
-(** Run under the write lock (acquire/release around the thunk). *)
+val close : t -> unit
+(** Shutdown: wake every parked request ungranted, refuse to park from
+    now on, stop the timer thread. *)

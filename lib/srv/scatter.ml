@@ -49,7 +49,10 @@ let run pool tasks =
            enqueued_at = now;
            deadline;
            cancelled;
-           run = (fun () -> Part.Batch.drain batch);
+           run =
+             (fun () ->
+               Part.Batch.drain batch;
+               `Done);
            expired = (fun _ -> ());
          })
   done;

@@ -8,11 +8,8 @@
     deadline/cancellation abandon not-yet-started subtasks with
     {!Exec.Operators.Scatter_abandoned}. *)
 
-val run : Scheduler.t -> (unit -> unit) array -> exn option array
-(** Run one batch of subtasks on the pool, returning per-subtask
-    outcomes in index order. *)
-
 val install : Scheduler.t -> unit
-(** Point the executor's [scatter_runner] at [run pool].  Process-wide:
+(** Point the executor's [scatter_runner] at the pool: each batch of
+    subtasks runs there, outcomes returned in index order.  Process-wide:
     the last installed pool wins; after its shutdown the runner still
     completes every batch on the submitting domain. *)

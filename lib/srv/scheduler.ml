@@ -12,16 +12,13 @@
 
    The scheduler knows nothing about locks or sessions: jobs do their
    own locking (see {!Rwlock} and {!Session}), so the pool stays a pure
-   execution resource.  The one nod to lock contention is {!Would_block}:
-   a job that cannot take its lock within a short slice raises it to
-   yield its worker and return to the queue tail.  Without that, a burst
-   of transactions convoys — blocked BEGINs occupy every worker while
-   the lock holder's own next statement starves in the queue behind
-   them.  [shutdown] stops admissions, lets workers drain the queue by
-   *expiring* every remaining job (each client still gets a response),
-   and joins the domains. *)
-
-exception Would_block
+   execution resource.  A job that has to wait for a lock answers
+   [`Parked] instead of blocking its worker, and whoever wakes it calls
+   [resubmit]; a parked job holds no worker, so a burst of transactions
+   cannot convoy the pool while the lock holder's next statement waits
+   behind them.  [shutdown] stops admissions, lets workers drain the
+   queue by *expiring* every remaining job (each client still gets a
+   response), and joins the domains. *)
 
 type job = {
   session : int;
@@ -29,7 +26,7 @@ type job = {
   enqueued_at : float;
   deadline : float option; (* absolute Unix time *)
   cancelled : unit -> bool; (* checked at dequeue *)
-  run : unit -> unit;
+  run : unit -> [ `Done | `Parked ];
   expired : Proto.error_code -> unit; (* called instead of [run] *)
 }
 
@@ -76,27 +73,26 @@ let note_domain t =
       if not (List.mem id t.domains_seen) then
         t.domains_seen <- id :: t.domains_seen)
 
-(* Back to the queue tail, skipping admission control (the job held a
-   slot until a moment ago).  Deadline and cancellation get re-checked
-   at the next dequeue, so a job that can never take its lock still
-   expires on time. *)
-let requeue t job =
+(* Enqueue [job] unless [refusal ()] names a verdict instead. *)
+let push t job ~refusal =
   let verdict =
     locked t (fun () ->
-        if t.stopping then `Drain
-        else begin
-          Queue.push job t.queue;
-          Condition.signal t.nonempty;
-          `Requeued
-        end)
+        match refusal () with
+        | Some verdict -> verdict
+        | None ->
+            Queue.push job t.queue;
+            Condition.signal t.nonempty;
+            `Admitted)
   in
-  match verdict with
-  | `Requeued ->
-      Obs.Metrics.incr t.metrics "srv.jobs_requeued";
-      Obs.Metrics.add_gauge t.metrics "srv.queue_depth" 1.0
-  | `Drain ->
-      Obs.Metrics.incr t.metrics "srv.jobs_expired";
-      job.expired Proto.Shutting_down
+  if verdict = `Admitted then
+    Obs.Metrics.add_gauge t.metrics "srv.queue_depth" 1.0;
+  verdict
+
+(* Jobs woken while this domain handles a job are queued once it is
+   done: the waker's answer goes out before the jobs it woke compete for
+   the processor, and no lock is held when they are queued. *)
+let woken_key : job list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 let rec worker_loop t =
   (* @acquires srv.scheduler.queue *)
@@ -113,6 +109,8 @@ let rec worker_loop t =
     Obs.Metrics.add_gauge t.metrics "srv.queue_depth" (-1.0);
     note_domain t;
     let now = Unix.gettimeofday () in
+    let woken = ref [] in
+    Domain.DLS.set woken_key (Some woken);
     (try
        if stopping then begin
          Obs.Metrics.incr t.metrics "srv.jobs_expired";
@@ -140,18 +138,22 @@ let rec worker_loop t =
                Domain.DLS.set job_ctx_key (None, fun () -> false))
              job.run
          with
-         | () ->
+         | `Done ->
              Obs.Metrics.record_time t.metrics "srv.queue_wait"
                (now -. job.enqueued_at);
              Obs.Metrics.record_time t.metrics "srv.query_latency"
                (Unix.gettimeofday () -. now);
              Obs.Metrics.incr t.metrics "srv.jobs_completed"
-         | exception Would_block -> requeue t job
+         | `Parked -> () (* whoever wakes it resubmits it *)
        end
      with _ ->
        (* [run]/[expired] answer the client themselves; a leak here must
           not kill the worker *)
        Obs.Metrics.incr t.metrics "srv.job_errors");
+    Domain.DLS.set woken_key None;
+    List.iter
+      (fun job -> ignore (push t job ~refusal:(fun () -> None)))
+      (List.rev !woken);
     worker_loop t
   end
 
@@ -188,20 +190,14 @@ let retry_after_ms t = max 1 (Queue.length t.queue * 5 / t.workers)
 
 let submit t job =
   let verdict =
-    locked t (fun () ->
-        if t.stopping then `Shutting_down
+    push t job ~refusal:(fun () ->
+        if t.stopping then Some `Shutting_down
         else if Queue.length t.queue >= t.capacity then
-          `Rejected (retry_after_ms t)
-        else begin
-          Queue.push job t.queue;
-          Condition.signal t.nonempty;
-          `Admitted
-        end)
+          Some (`Rejected (retry_after_ms t))
+        else None)
   in
   (match verdict with
-  | `Admitted ->
-      Obs.Metrics.incr t.metrics "srv.jobs_admitted";
-      Obs.Metrics.add_gauge t.metrics "srv.queue_depth" 1.0
+  | `Admitted -> Obs.Metrics.incr t.metrics "srv.jobs_admitted"
   | `Rejected _ -> Obs.Metrics.incr t.metrics "srv.jobs_rejected"
   | `Shutting_down -> ());
   verdict
@@ -215,19 +211,20 @@ let submit t job =
    runs every subtask itself. *)
 let submit_internal t job =
   let admitted =
-    locked t (fun () ->
-        if t.stopping then false
-        else begin
-          Queue.push job t.queue;
-          Condition.signal t.nonempty;
-          true
-        end)
+    push t job ~refusal:(fun () ->
+        if t.stopping then Some `Shutting_down else None)
+    = `Admitted
   in
-  if admitted then begin
-    Obs.Metrics.incr t.metrics "srv.scatter_helpers";
-    Obs.Metrics.add_gauge t.metrics "srv.queue_depth" 1.0
-  end;
+  if admitted then Obs.Metrics.incr t.metrics "srv.scatter_helpers";
   admitted
+
+(* A woken job goes back to the queue tail without admission control: it
+   was admitted once.  Deadline and cancellation are checked again at
+   dequeue.  While stopping, the draining workers expire it. *)
+let resubmit t job =
+  match Domain.DLS.get woken_key with
+  | Some woken -> woken := job :: !woken
+  | None -> ignore (push t job ~refusal:(fun () -> None))
 
 let shutdown t =
   let domains =

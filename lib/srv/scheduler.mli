@@ -6,22 +6,15 @@
     or cancelled job never starts, and [expired] is invoked instead of
     [run] so the client still gets an answer.  The scheduler is
     lock-agnostic: jobs do their own locking ({!Rwlock}), the pool is a
-    pure execution resource.
+    pure execution resource; a job waiting for a lock parks off the pool
+    and comes back through {!resubmit}.
 
     Metrics (into the registry passed at creation): srv.jobs_admitted /
     srv.jobs_rejected / srv.jobs_completed / srv.jobs_expired /
     srv.jobs_deadline_killed (the subset of expiries caused by queue
     wait, the overload signal {!Breaker} watches) / srv.jobs_cancelled /
-    srv.jobs_requeued / srv.job_errors counters, the srv.queue_depth
+    srv.job_errors counters, the srv.queue_depth
     gauge, and srv.queue_wait / srv.query_latency wall-clock timings. *)
-
-exception Would_block
-(** Raised by a job's [run] to yield its worker: the job returns to the
-    queue tail and is retried later (deadline and cancellation
-    re-checked at each dequeue).  {!Session} raises it when a lock
-    cannot be taken within a short slice — blocking the worker instead
-    would let a burst of transactions convoy the whole pool behind the
-    write lock. *)
 
 type job = {
   session : int;
@@ -29,19 +22,20 @@ type job = {
   enqueued_at : float;
   deadline : float option;  (** absolute Unix time *)
   cancelled : unit -> bool;  (** checked at dequeue *)
-  run : unit -> unit;
+  run : unit -> [ `Done | `Parked ];
+      (** [`Parked]: the job is waiting for a lock, holds no worker,
+          and is {!resubmit}ted when woken; only a [`Done] run counts
+          as completed *)
   expired : Proto.error_code -> unit;
       (** called instead of [run] on deadline / cancel / shutdown *)
 }
 
 type t
 
-val default_workers : unit -> int
-(** [max 2 (min 4 (recommended_domain_count - 1))]. *)
-
 val create : ?workers:int -> ?queue_capacity:int -> Obs.Metrics.t -> t
-(** Spawns the worker domains ([default_workers] when unspecified;
-    queue capacity 64).  Raises [Invalid_argument] on capacity < 1. *)
+(** Spawns the worker domains ([max 2 (min 4 (cores - 1))] when
+    unspecified; queue capacity 64).  Raises [Invalid_argument] on
+    capacity < 1. *)
 
 val workers : t -> int
 val queue_depth : t -> int
@@ -65,6 +59,9 @@ val current_cancelled : unit -> unit -> bool
 (** Deadline / cancellation of the job currently running on this
     domain ([None] / const-false outside a worker) — how the scatter
     runner inherits the submitting query's limits. *)
+
+val resubmit : t -> job -> unit
+(** Queue a woken parked job again, without admission control. *)
 
 val shutdown : t -> unit
 (** Stop admitting, expire whatever is still queued (each job's

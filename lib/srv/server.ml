@@ -59,7 +59,7 @@ let create ?workers ?(queue_capacity = 64) ?plan_cache_capacity
     {
       sdb;
       scheduler = Scheduler.create ?workers ~queue_capacity metrics;
-      rwlock = Rwlock.create ();
+      rwlock = Rwlock.create metrics;
       cache = Core.Plan_cache.create ?capacity:plan_cache_capacity sdb;
       metrics;
       breaker = Breaker.create ?config:breaker_config metrics;
@@ -84,10 +84,7 @@ let create ?workers ?(queue_capacity = 64) ?plan_cache_capacity
 
 let scheduler t = t.scheduler
 let breaker t = t.breaker
-let rwlock t = t.rwlock
 let plan_cache t = t.cache
-let sessions t = locked t (fun () -> List.rev t.sessions)
-let softdb t = t.sdb
 
 let new_session t =
   locked t (fun () ->
@@ -109,37 +106,39 @@ let session_deadline t session =
   if ms <= 0 then None (* 0 or negative disables the deadline *)
   else Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
 
-let send_response cs (response : Proto.response) =
-  try cs.conn.Transport.send_frame (fun buf -> Proto.response_frame buf response)
+let reply cs id payload =
+  try
+    cs.conn.Transport.send_frame (fun buf ->
+        Proto.response_frame buf { Proto.id; payload })
   with Transport.Closed -> cs.open_ <- false
+
+let shutting_down =
+  Proto.Failed { code = Proto.Shutting_down; message = "server shutting down" }
 
 (* ---- the connection loop -------------------------------------------------- *)
 
 let handle_inline t cs (req : Proto.request) =
+  let reply = reply cs req.Proto.id in
   match req.Proto.payload with
-  | Proto.Ping -> send_response cs { Proto.id = req.Proto.id; payload = Proto.Pong }
-  | Proto.Hello { client } ->
-      let payload =
-        Session.handle ~rwlock:t.rwlock ~deadline:None cs.session
-          (Proto.Hello { client })
-      in
-      send_response cs { Proto.id = req.Proto.id; payload }
+  | Proto.Ping -> reply Proto.Pong
+  | Proto.Hello { client } -> reply (Session.hello cs.session client)
   | Proto.Cancel { target } ->
       Session.mark_cancelled cs.session target;
-      send_response cs
-        {
-          Proto.id = req.Proto.id;
-          payload = Proto.Ok_msg (Printf.sprintf "cancelled #%d" target);
-        }
+      reply (Proto.Ok_msg (Printf.sprintf "cancelled #%d" target));
+      (* a parked target goes back to the queue, where it is answered *)
+      Rwlock.unpark t.rwlock ~session:(Session.id cs.session) ~req:target
   | Proto.Quit ->
       cs.open_ <- false;
-      send_response cs { Proto.id = req.Proto.id; payload = Proto.Bye }
+      reply Proto.Bye
   | _ -> assert false
 
 let submit_job t cs (req : Proto.request) =
   let session = cs.session in
   let deadline = session_deadline t session in
-  let job =
+  let answer = reply cs req.Proto.id in
+  (* the waiter is the request's place in the lock's line; waking it
+     puts the job back in the queue *)
+  let rec job =
     {
       Scheduler.session = Session.id session;
       req_id = req.Proto.id;
@@ -148,13 +147,18 @@ let submit_job t cs (req : Proto.request) =
       cancelled = (fun () -> Session.is_cancelled session req.Proto.id);
       run =
         (fun () ->
-          let payload =
-            Session.handle ~rwlock:t.rwlock ~deadline session req.Proto.payload
-          in
-          Breaker.record_success t.breaker;
-          send_response cs { Proto.id = req.Proto.id; payload });
+          match
+            Session.handle ~rwlock:t.rwlock ~waiter:(Lazy.force waiter)
+              ~deadline session req.Proto.payload
+          with
+          | None -> `Parked
+          | Some payload ->
+              Breaker.record_success t.breaker;
+              answer payload;
+              `Done);
       expired =
         (fun code ->
+          Session.abandon ~rwlock:t.rwlock session (Lazy.force waiter);
           let message =
             match code with
             | Proto.Deadline_exceeded -> "deadline exceeded in queue"
@@ -166,40 +170,25 @@ let submit_job t cs (req : Proto.request) =
              signal; cancel and shutdown say nothing about load *)
           if code = Proto.Deadline_exceeded then
             Breaker.record_failure t.breaker;
-          send_response cs
-            {
-              Proto.id = req.Proto.id;
-              payload = Proto.Failed { code; message };
-            });
+          answer (Proto.Failed { code; message }));
     }
+  and waiter =
+    lazy
+      (Rwlock.waiter ?deadline ~session:(Session.id session) ~req:req.Proto.id
+         ~wake:(fun () -> Scheduler.resubmit t.scheduler job)
+         ())
   in
   (* the breaker is the outer door: when open it answers without the
      job ever reaching the scheduler's queue *)
   match Breaker.admit t.breaker with
-  | `Reject retry_after_ms ->
-      send_response cs
-        { Proto.id = req.Proto.id; payload = Proto.Rejected { retry_after_ms } }
+  | `Reject retry_after_ms -> answer (Proto.Rejected { retry_after_ms })
   | `Proceed -> (
       match Scheduler.submit t.scheduler job with
       | `Admitted -> ()
       | `Rejected retry_after_ms ->
           Breaker.record_failure t.breaker;
-          send_response cs
-            {
-              Proto.id = req.Proto.id;
-              payload = Proto.Rejected { retry_after_ms };
-            }
-      | `Shutting_down ->
-          send_response cs
-            {
-              Proto.id = req.Proto.id;
-              payload =
-                Proto.Failed
-                  {
-                    code = Proto.Shutting_down;
-                    message = "server shutting down";
-                  };
-            })
+          answer (Proto.Rejected { retry_after_ms })
+      | `Shutting_down -> answer shutting_down)
 
 (* Serve one connection to completion: decode, dispatch, tear down.
    Blocking — run it on its own thread ([serve_connection_async]). *)
@@ -219,12 +208,8 @@ let serve_connection t conn =
                  session only; siblings are untouched (each connection
                  has its own reader loop and session). *)
               Obs.Metrics.incr t.metrics "srv.protocol_errors";
-              send_response cs
-                {
-                  Proto.id = 0;
-                  payload =
-                    Proto.Failed { code = Proto.Parse_error; message = m };
-                };
+              reply cs 0
+                (Proto.Failed { code = Proto.Parse_error; message = m });
               cs.open_ <- false
           | req -> (
               match req.Proto.payload with
@@ -232,16 +217,7 @@ let serve_connection t conn =
                   handle_inline t cs req
               | _ ->
                   if locked t (fun () -> t.shutting_down) then
-                    send_response cs
-                      {
-                        Proto.id = req.Proto.id;
-                        payload =
-                          Proto.Failed
-                            {
-                              code = Proto.Shutting_down;
-                              message = "server shutting down";
-                            };
-                      }
+                    reply cs req.Proto.id shutting_down
                   else submit_job t cs req));
           loop ()
   in
@@ -282,4 +258,7 @@ let shutdown t =
         l)
   in
   Option.iter Transport.close_listener listener;
+  (* parked requests first: they go back to the queue, which the
+     scheduler's shutdown then drains *)
+  Rwlock.close t.rwlock;
   Scheduler.shutdown t.scheduler

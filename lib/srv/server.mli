@@ -30,17 +30,14 @@ val create :
     retry_after_ms without ever touching the queue.  Registers the
     sys.sessions virtual table on the database. *)
 
-val serve_connection : t -> Transport.t -> unit
-(** Serve one connection to completion (blocking): opens a session,
-    loops on [recv], tears the session down on Quit/EOF — rolling back
-    an open transaction and surrendering write ownership, so a dropped
+val serve_connection_async : t -> Transport.t -> Thread.t
+(** Serve one connection to completion on a new thread: open a session,
+    loop on [recv], tear the session down on Quit/EOF — rolling back an
+    open transaction and surrendering write ownership, so a dropped
     client never wedges the engine.  A malformed frame
     ({!Proto.Protocol_error}) gets a final [Failed Parse_error] frame
     and disconnects {e this} session only — the stream is out of sync,
     but sibling connections are untouched. *)
-
-val serve_connection_async : t -> Transport.t -> Thread.t
-(** [serve_connection] on its own thread. *)
 
 val listen_tcp : ?host:string -> t -> port:int -> int * (unit -> unit)
 (** [listen_tcp t ~port] binds (port 0 picks an ephemeral one) and
@@ -49,14 +46,11 @@ val listen_tcp : ?host:string -> t -> port:int -> int * (unit -> unit)
     {!shutdown} closes the listener. *)
 
 val shutdown : t -> unit
-(** Stop accepting, close the listener, drain the scheduler (queued
-    jobs answer [Shutting_down]) and join the worker domains. *)
+(** Stop accepting, close the listener, answer parked and queued
+    requests [Shutting_down] and join the worker domains. *)
 
 (** {1 Introspection (tests, bench, CLI)} *)
 
 val scheduler : t -> Scheduler.t
 val breaker : t -> Breaker.t
-val rwlock : t -> Rwlock.t
 val plan_cache : t -> Core.Plan_cache.t
-val sessions : t -> Session.t list
-val softdb : t -> Core.Softdb.t

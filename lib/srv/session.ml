@@ -19,7 +19,13 @@
    transaction's statements run under the ownership already held (the
    lock is session-owned and reentrant), so WAL appends and SC catalog
    transitions stay serialized while plain reads fan out between
-   transactions.
+   transactions.  A request the lock cannot serve parks: [handle]
+   unwinds with [None], dropping the session mutex and the worker, and
+   runs again from the top once {!Rwlock} hands it the lock.  Everything
+   before the acquisition is a lookup or a parse, so the re-run reaches
+   the same acquisition and takes its grant (an online build resumes
+   from [t.builds]); the session's later requests park behind it in the
+   lock's FIFO list, which keeps them in order.
 
    Canonical lock-rank table, machine-read by the static lock-order
    lint (Check.Lock_lint; see DESIGN.md §6 and §10).  Locks may only be
@@ -88,6 +94,8 @@ type t = {
   mutable errors : int;
   prepared : (string, string) Hashtbl.t; (* handle -> shared cache key *)
   cancelled : (int, unit) Hashtbl.t; (* request ids cancelled in queue *)
+  mutable builds : (Rwlock.waiter * Idx.Lifecycle.t) list;
+      (* online builds parked between batches, by request *)
 }
 
 let make ~id ~sdb ~cache ~metrics =
@@ -106,6 +114,7 @@ let make ~id ~sdb ~cache ~metrics =
     errors = 0;
     prepared = Hashtbl.create 8;
     cancelled = Hashtbl.create 8;
+    builds = [];
   }
 
 let locked t f =
@@ -119,8 +128,6 @@ let locked t f =
     f
 
 let id t = t.id
-let name t = locked t (fun () -> t.name)
-let in_txn t = locked t (fun () -> t.txn <> None)
 
 let setting t key =
   locked t (fun () -> List.assoc_opt key t.settings)
@@ -147,12 +154,14 @@ let sys_row t =
 let failed code fmt =
   Printf.ksprintf (fun message -> Proto.Failed { code; message }) fmt
 
+(* Unwinds a parked request out of [handle]; never escapes it. *)
+exception Parked
+
 (* Engine exceptions, folded to protocol errors the same way the CLI
    folds them to stderr lines.  The final catch-all keeps the protocol
    invariant that every request gets a response: an exception this list
-   missed must not leave the client waiting forever.  [Would_block] is
-   the one exception that must escape — it is the scheduler's requeue
-   signal, not an answer. *)
+   missed must not leave the client waiting forever.  [Parked] is the
+   one exception that must pass — it is not an answer. *)
 let guard_engine f =
   try f () with
   | Sqlfe.Parser.Parse_error m -> failed Proto.Parse_error "parse error: %s" m
@@ -172,7 +181,7 @@ let guard_engine f =
   | Core.Plan_cache.No_such_plan m ->
       failed Proto.Exec_error "no such prepared plan: %s" m
   | Transport.Closed -> failed Proto.Session_closed "connection closed"
-  | Scheduler.Would_block as e -> raise e
+  | Parked -> raise Parked
   | exn -> failed Proto.Exec_error "internal error: %s" (Printexc.to_string exn)
 
 (* Tuple.t is transparently Value.t array, so rows cross the protocol
@@ -195,91 +204,99 @@ let is_read_statement = function
       true
   | _ -> false
 
-(* Lock acquisition is sliced: try for [lock_slice_s], and on contention
-   yield the worker ({!Scheduler.Would_block} sends the job back to the
-   queue) instead of blocking it — a worker pool whose workers all wait
-   on the write lock would starve the lock holder's own statements.
-   Only once the request's real [deadline] passes does the wait fold
-   into a Deadline_exceeded answer. *)
-let lock_slice_s = 0.01
+let shutting_down () = failed Proto.Shutting_down "server shutting down"
 
-let slice_deadline deadline =
-  let slice = Unix.gettimeofday () +. lock_slice_s in
-  match deadline with Some d when d < slice -> d | _ -> slice
+let with_hold ~rwlock t hold f =
+  Obs.Lockdep.acquire ~reentrant:true "db.rwlock";
+  Fun.protect
+    ~finally:(fun () ->
+      Rwlock.release rwlock ~session:t.id hold;
+      Obs.Lockdep.release "db.rwlock")
+    f
 
-let lock_timed_out ~deadline ~write =
-  match deadline with
-  | Some d when Unix.gettimeofday () > d ->
-      (* callers count the Failed payload into t.errors *)
-      failed Proto.Deadline_exceeded "could not acquire %s lock in time"
-        (if write then "write" else "read")
-  | _ -> raise Scheduler.Would_block
-
-let under_lock ~rwlock ~deadline t ~write f =
-  let attempt = slice_deadline deadline in
-  let locked_run =
+(* Run [f] under the lock, or park the request (see the header). *)
+let under_lock ~rwlock ~waiter t ~write f =
+  match
     (* @acquires db.rwlock while srv.session *)
-    if write then Rwlock.write_locked ~deadline:attempt rwlock ~session:t.id f
-    else Rwlock.read_locked ~deadline:attempt rwlock ~session:t.id f
-  in
-  match locked_run with
-  | Some payload -> payload
-  | None -> lock_timed_out ~deadline ~write
+    if write then Rwlock.acquire_write rwlock waiter
+    else Rwlock.acquire_read rwlock waiter
+  with
+  | `Held hold -> with_hold ~rwlock t hold f
+  | `Parked -> raise Parked
+  | `Closed -> shutting_down ()
 
 (* A successful CREATE INDEX ... ONLINE returned after registering only
    the write-only shell; the session now drives the backfill itself —
    one exclusive-lock acquisition per batch, so concurrent readers
-   interleave between batches, which is the ONLINE promise.  The request
+   interleave between batches, which is the ONLINE promise.  A batch
+   that meets a held lock parks the request like any other: the build is
+   kept in [t.builds] and the re-run carries on from there.  The request
    deadline bounds the whole build: on expiry the index is demoted
    (never an error — traffic continues against the write-only tree), and
    a unique violation found mid-backfill demotes the same way. *)
-let drive_online_build ~rwlock ~deadline t index_name =
+let rec drive_online_build ~rwlock ~waiter ~deadline t build =
+  let expired () =
+    match deadline with Some d -> Unix.gettimeofday () > d | None -> false
+  in
+  let finish () =
+    let name = Rel.Index.name (Idx.Lifecycle.index build) in
+    match Idx.Lifecycle.finish build with
+    | Idx.Lifecycle.Built ->
+        Obs.Metrics.incr t.metrics "idx.online_builds";
+        Proto.Ok_msg
+          (Printf.sprintf "created index %s online (%d rows backfilled)" name
+             (Idx.Lifecycle.progress build).Idx.Lifecycle.p_inserted)
+    | Idx.Lifecycle.Demoted_build reason ->
+        Obs.Metrics.incr t.metrics "idx.online_demotions";
+        Proto.Ok_msg
+          (Printf.sprintf "index %s demoted during online build: %s" name
+             reason)
+  in
+  if expired () then begin
+    Idx.Lifecycle.demote build "online build deadline exceeded";
+    finish ()
+  end
+  else
+    match
+      (* @acquires db.rwlock while srv.session *)
+      Rwlock.acquire_write rwlock waiter
+    with
+    | `Held hold ->
+        if with_hold ~rwlock t hold (fun () -> Idx.Lifecycle.step build) then
+          drive_online_build ~rwlock ~waiter ~deadline t build
+        else finish ()
+    | `Parked ->
+        t.builds <- (waiter, build) :: t.builds;
+        raise Parked
+    | `Closed ->
+        Idx.Lifecycle.demote build "server shutting down";
+        finish ()
+
+let online_build ~rwlock ~waiter ~deadline t index_name =
   let db = Core.Softdb.db t.sdb in
   match Rel.Database.find_index_by_name db index_name with
-  | Some idx when Rel.Index.state idx = Rel.Index.Write_only -> (
-      let build = Idx.Lifecycle.start db idx in
-      let expired () =
-        match deadline with
-        | Some d -> Unix.gettimeofday () > d
-        | None -> false
-      in
-      let rec drain () =
-        if expired () then
-          Idx.Lifecycle.demote build "online build deadline exceeded"
-        else
-          let stepped =
-            (* @acquires db.rwlock while srv.session *)
-            Rwlock.write_locked ~deadline:(slice_deadline deadline) rwlock
-              ~session:t.id (fun () -> Idx.Lifecycle.step build)
-          in
-          match stepped with
-          | Some true -> drain ()
-          | Some false -> ()
-          | None -> drain () (* lock contention: retry this batch *)
-      in
-      drain ();
-      match Idx.Lifecycle.finish build with
-      | Idx.Lifecycle.Built ->
-          Obs.Metrics.incr t.metrics "idx.online_builds";
-          Proto.Ok_msg
-            (Printf.sprintf "created index %s online (%d rows backfilled)"
-               index_name
-               (Idx.Lifecycle.progress build).Idx.Lifecycle.p_inserted)
-      | Idx.Lifecycle.Demoted_build reason ->
-          Obs.Metrics.incr t.metrics "idx.online_demotions";
-          Proto.Ok_msg
-            (Printf.sprintf "index %s demoted during online build: %s"
-               index_name reason))
+  | Some idx when Rel.Index.state idx = Rel.Index.Write_only ->
+      drive_online_build ~rwlock ~waiter ~deadline t
+        (Idx.Lifecycle.start db idx)
   | Some _ | None ->
       (* replayed/raced to another state: nothing left to drive *)
       Proto.Ok_msg (Printf.sprintf "created index %s" index_name)
 
-let exec_sql ~rwlock ~deadline t sql =
+(* An executed statement counts in sys.sessions as a read, a write or an
+   error. *)
+let count t ~write payload =
+  (match payload with
+  | Proto.Failed _ -> t.errors <- t.errors + 1
+  | _ when write -> t.writes <- t.writes + 1
+  | _ -> t.queries <- t.queries + 1);
+  payload
+
+let exec_sql ~rwlock ~waiter ~deadline t sql =
   guard_engine (fun () ->
       let stmt = Sqlfe.Parser.parse_statement sql in
       let write = not (is_read_statement stmt) in
       let payload =
-        under_lock ~rwlock ~deadline t ~write (fun () ->
+        under_lock ~rwlock ~waiter t ~write (fun () ->
             guard_engine (fun () ->
                 outcome_to_payload (Core.Softdb.exec_statement t.sdb stmt)))
       in
@@ -288,83 +305,71 @@ let exec_sql ~rwlock ~deadline t sql =
         | ( Sqlfe.Ast.Create_index { index_name; online = true; _ },
             Proto.Ok_msg _ ) ->
             guard_engine (fun () ->
-                drive_online_build ~rwlock ~deadline t index_name)
+                online_build ~rwlock ~waiter ~deadline t index_name)
         | _ -> payload
       in
-      (match payload with
-      | Proto.Failed _ -> t.errors <- t.errors + 1
-      | _ -> if write then t.writes <- t.writes + 1 else t.queries <- t.queries + 1);
-      payload)
+      count t ~write payload)
 
 (* Prepared plans are shared across sessions by SQL text: preparing a
    query someone else already compiled binds to the same entry. *)
-let prepare ~rwlock ~deadline t ~handle sql =
+let prepare ~rwlock ~waiter t ~handle sql =
   guard_engine (fun () ->
       let key = "sql:" ^ sql in
-      let payload =
-        under_lock ~rwlock ~deadline t ~write:false (fun () ->
-            guard_engine (fun () ->
-                let _, created =
-                  Core.Plan_cache.find_or_prepare t.cache ~name:key sql
-                in
-                if not created then
-                  Obs.Metrics.incr t.metrics "plan_cache.shared_hits";
-                Hashtbl.replace t.prepared handle key;
-                Proto.Ok_msg (Printf.sprintf "prepared %s" handle)))
-      in
-      payload)
+      under_lock ~rwlock ~waiter t ~write:false (fun () ->
+          guard_engine (fun () ->
+              let _, created =
+                Core.Plan_cache.find_or_prepare t.cache ~name:key sql
+              in
+              if not created then
+                Obs.Metrics.incr t.metrics "plan_cache.shared_hits";
+              Hashtbl.replace t.prepared handle key;
+              Proto.Ok_msg (Printf.sprintf "prepared %s" handle))))
 
-let execute_prepared ~rwlock ~deadline t handle =
+let execute_prepared ~rwlock ~waiter t handle =
   match Hashtbl.find_opt t.prepared handle with
   | None -> failed Proto.Exec_error "no prepared handle %s in this session" handle
   | Some key ->
       guard_engine (fun () ->
-          let payload =
-            under_lock ~rwlock ~deadline t ~write:false (fun () ->
-                guard_engine (fun () ->
-                    (* re-prepare transparently if the shared entry was
-                       LRU-evicted since this session bound the handle *)
-                    (match Core.Plan_cache.find t.cache key with
-                    | Some _ -> ()
-                    | None ->
-                        ignore
-                          (Core.Plan_cache.prepare t.cache ~name:key
-                             (String.sub key 4 (String.length key - 4))));
-                    result_to_payload (Core.Plan_cache.execute t.cache key)))
-          in
-          (match payload with
-          | Proto.Failed _ -> t.errors <- t.errors + 1
-          | _ -> t.queries <- t.queries + 1);
-          payload)
+          count t ~write:false
+            (under_lock ~rwlock ~waiter t ~write:false (fun () ->
+                 guard_engine (fun () ->
+                     (* re-prepare transparently if the shared entry was
+                        LRU-evicted since this session bound the handle *)
+                     (match Core.Plan_cache.find t.cache key with
+                     | Some _ -> ()
+                     | None ->
+                         ignore
+                           (Core.Plan_cache.prepare t.cache ~name:key
+                              (String.sub key 4 (String.length key - 4))));
+                     result_to_payload (Core.Plan_cache.execute t.cache key)))))
 
 (* BEGIN takes the write lock and keeps it: the transaction's later
    statements run under this ownership, and COMMIT/ROLLBACK release it.
    A second BEGIN in the same session is an error (no nesting). *)
-let begin_txn ~rwlock ~deadline t =
+let begin_txn ~rwlock ~waiter t =
   if t.txn <> None then failed Proto.Txn_error "already in a transaction"
-  else if
-    (* @acquires db.rwlock while srv.session *)
-    not
-      (Rwlock.acquire_write ~deadline:(slice_deadline deadline) rwlock
-         ~session:t.id)
-  then lock_timed_out ~deadline ~write:true
-  else begin
-    (* the hold spans BEGIN..COMMIT across worker threads, so the
-       witness records the acquisition without a per-thread hold *)
-    Obs.Lockdep.pulse "db.rwlock";
-    match guard_engine (fun () ->
-        let txn = Core.Txn.begin_ t.sdb in
-        t.txn <- Some txn;
-        Proto.Ok_msg (Printf.sprintf "transaction %d started" (Core.Txn.id txn)))
+  else
+    match
+      (* @acquires db.rwlock while srv.session *)
+      Rwlock.acquire_write rwlock waiter
     with
-    | Proto.Failed _ as f ->
-        Rwlock.release_write rwlock ~session:t.id;
-        t.errors <- t.errors + 1;
-        f
-    | ok ->
-        t.writes <- t.writes + 1;
-        ok
-  end
+    | `Parked -> raise Parked
+    | `Closed -> shutting_down ()
+    | `Held hold -> (
+        (* the hold spans BEGIN..COMMIT across worker threads, so the
+           witness records the acquisition without a per-thread hold *)
+        Obs.Lockdep.pulse "db.rwlock";
+        let payload =
+          guard_engine (fun () ->
+              let txn = Core.Txn.begin_ t.sdb in
+              t.txn <- Some txn;
+              Proto.Ok_msg
+                (Printf.sprintf "transaction %d started" (Core.Txn.id txn)))
+        in
+        (match payload with
+        | Proto.Failed _ -> Rwlock.release rwlock ~session:t.id hold
+        | _ -> ());
+        count t ~write:true payload)
 
 let end_txn ~rwlock t ~commit =
   match t.txn with
@@ -380,50 +385,78 @@ let end_txn ~rwlock t ~commit =
       (* however the commit/rollback went, the transaction is over and
          the engine must not stay wedged behind this session *)
       t.txn <- None;
-      Rwlock.release_write rwlock ~session:t.id;
-      (match payload with
-      | Proto.Failed _ -> t.errors <- t.errors + 1
-      | _ -> t.writes <- t.writes + 1);
-      payload
+      Rwlock.release rwlock ~session:t.id Rwlock.Exclusive;
+      count t ~write:true payload
 
 (* ---- request dispatch ------------------------------------------------------ *)
 
-(* Runs on a worker domain, under this session's mutex: one session's
-   pipelined jobs execute one at a time, in admission order. *)
-let handle ~rwlock ~deadline t (payload : Proto.request_payload) :
-    Proto.response_payload =
+let hello t client =
   locked t (fun () ->
-      if t.state = Closed then
-        failed Proto.Session_closed "session is closed"
-      else begin
-        t.state <- Active;
-        Fun.protect
-          ~finally:(fun () -> if t.state = Active then t.state <- Idle)
-          (fun () ->
-            match payload with
-            | Proto.Hello { client } ->
-                if client <> "" then t.name <- client;
-                Proto.Hello_ok { session = t.id }
-            | Proto.Statement sql -> exec_sql ~rwlock ~deadline t sql
-            | Proto.Prepare { handle; sql } ->
-                prepare ~rwlock ~deadline t ~handle sql
-            | Proto.Execute { handle } ->
-                execute_prepared ~rwlock ~deadline t handle
-            | Proto.Begin_txn -> begin_txn ~rwlock ~deadline t
-            | Proto.Commit_txn -> end_txn ~rwlock t ~commit:true
-            | Proto.Rollback_txn -> end_txn ~rwlock t ~commit:false
-            | Proto.Set { key; value } ->
-                t.settings <- (key, value) :: List.remove_assoc key t.settings;
-                Proto.Ok_msg (Printf.sprintf "set %s" key)
-            | Proto.Cancel _ | Proto.Ping | Proto.Quit ->
-                (* handled inline by the connection loop; reaching a
-                   worker means a server bug, not a client error *)
-                failed Proto.Exec_error "request cannot be queued")
-      end)
+      if client <> "" then t.name <- client;
+      Proto.Hello_ok { session = t.id })
+
+(* The online build the request left parked, off [t.builds]. *)
+let take_build t waiter =
+  let mine, others = List.partition (fun (w, _) -> w == waiter) t.builds in
+  t.builds <- others;
+  List.map snd mine
+
+(* Give back what an answered request still holds: a grant it did not
+   use, or a build it parked (demoted), so it can wedge nothing. *)
+let drop_request ~rwlock t waiter =
+  List.iter
+    (fun build -> Idx.Lifecycle.demote build "request abandoned")
+    (take_build t waiter);
+  Rwlock.abandon rwlock waiter
+
+let abandon ~rwlock t waiter =
+  locked t (fun () -> drop_request ~rwlock t waiter)
+
+let dispatch ~rwlock ~waiter ~deadline t (payload : Proto.request_payload) =
+  match (take_build t waiter, payload) with
+  | build :: _, _ ->
+      count t ~write:true
+        (guard_engine (fun () ->
+             drive_online_build ~rwlock ~waiter ~deadline t build))
+  | [], Proto.Statement sql -> exec_sql ~rwlock ~waiter ~deadline t sql
+  | [], Proto.Prepare { handle; sql } ->
+      prepare ~rwlock ~waiter t ~handle sql
+  | [], Proto.Execute { handle } -> execute_prepared ~rwlock ~waiter t handle
+  | [], Proto.Begin_txn -> begin_txn ~rwlock ~waiter t
+  | [], Proto.Commit_txn -> end_txn ~rwlock t ~commit:true
+  | [], Proto.Rollback_txn -> end_txn ~rwlock t ~commit:false
+  | [], Proto.Set { key; value } ->
+      t.settings <- (key, value) :: List.remove_assoc key t.settings;
+      Proto.Ok_msg (Printf.sprintf "set %s" key)
+  | [], (Proto.Hello _ | Proto.Cancel _ | Proto.Ping | Proto.Quit) ->
+      (* handled inline by the connection loop; reaching a worker means a
+         server bug, not a client error *)
+      failed Proto.Exec_error "request cannot be queued"
+
+(* Runs on a worker domain, under this session's mutex: one session's
+   pipelined jobs execute one at a time, in admission order.  [None]
+   when the request parked. *)
+let handle ~rwlock ~waiter ~deadline t payload =
+  locked t (fun () ->
+      let answer =
+        if t.state = Closed then
+          Some (failed Proto.Session_closed "session is closed")
+        else begin
+          t.state <- Active;
+          Fun.protect
+            ~finally:(fun () -> if t.state = Active then t.state <- Idle)
+            (fun () ->
+              try Some (dispatch ~rwlock ~waiter ~deadline t payload)
+              with Parked -> None)
+        end
+      in
+      if Option.is_some answer then drop_request ~rwlock t waiter;
+      answer)
 
 (* Session teardown, called from the connection loop after Quit or EOF:
-   roll back an open transaction, surrender any write ownership, mark
-   closed so still-queued jobs answer Session_closed. *)
+   roll back an open transaction, surrender any write ownership and
+   wake the session's parked requests, mark closed so they and any
+   still-queued jobs answer Session_closed. *)
 let close ~rwlock t =
   locked t (fun () ->
       if t.state <> Closed then begin
@@ -433,6 +466,8 @@ let close ~rwlock t =
              with _ -> Core.Txn.abandon_current ());
             t.txn <- None
         | None -> ());
-        Rwlock.forfeit_write rwlock ~session:t.id;
         t.state <- Closed
-      end)
+      end);
+  (* outside the session mutex: the requests it wakes answer
+     Session_closed under it *)
+  Rwlock.forfeit_write rwlock ~session:t.id

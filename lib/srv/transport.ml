@@ -21,7 +21,6 @@ type t = {
   send_frame : (Bytes.t ref -> int) -> unit;
   recv : unit -> string option; (* None at end of stream *)
   close : unit -> unit;
-  peer : string;
 }
 
 exception Closed
@@ -102,7 +101,6 @@ let pipe () =
       send_frame = chan_send_frame c2s;
       recv = (fun () -> chan_recv s2c);
       close;
-      peer = "pipe:server";
     }
   and server =
     {
@@ -110,7 +108,6 @@ let pipe () =
       send_frame = chan_send_frame s2c;
       recv = (fun () -> chan_recv c2s);
       close;
-      peer = "pipe:client";
     }
   in
   (client, server)
@@ -122,7 +119,7 @@ let pipe () =
    serialized behind a per-connection mutex because responses come from
    worker domains; the same mutex owns the connection's frame buffer,
    which [send_frame] fills and writes out in place. *)
-let of_fd fd ~peer =
+let of_fd fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let wm = Mutex.create () in
@@ -166,7 +163,7 @@ let of_fd fd ~peer =
     Mutex.unlock wm;
     Obs.Lockdep.release "srv.transport.write"
   in
-  { send; send_frame; recv; close; peer }
+  { send; send_frame; recv; close }
 
 type listener = { lfd : Unix.file_descr; port : int }
 
@@ -185,15 +182,7 @@ let listen ?(host = "127.0.0.1") ~port () =
 
 let port l = l.port
 
-let accept l =
-  let fd, peer_addr = Unix.accept l.lfd in
-  let peer =
-    match peer_addr with
-    | Unix.ADDR_INET (a, p) ->
-        Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-    | Unix.ADDR_UNIX s -> s
-  in
-  of_fd fd ~peer
+let accept l = of_fd (fst (Unix.accept l.lfd))
 
 (* On Linux, closing a listening socket does not wake a thread blocked
    in [accept] on it; shutting it down first makes that [accept] fail
@@ -209,4 +198,4 @@ let connect ?(host = "127.0.0.1") ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  of_fd fd ~peer:(Printf.sprintf "%s:%d" host port)
+  of_fd fd

@@ -15,7 +15,6 @@ type t = {
           buffer.  Raises {!Closed} like [send]. *)
   recv : unit -> string option;  (** [None] at end of stream. *)
   close : unit -> unit;  (** Idempotent. *)
-  peer : string;
 }
 
 exception Closed

@@ -546,77 +546,101 @@ let test_negative_row_count_rejected () =
           Alcotest.failf "accepted %S as %a" line Srv.Proto.pp_response r)
     [ "R1\trows\t0\t-1"; "R1\trows\t1\tc\t-2"; "R1\trows\t-1\t0" ]
 
-(* ---- rwlock: the single-writer rule --------------------------------------- *)
+(* ---- rwlock: the single-writer rule, parked waiters ---------------------- *)
 
-let soon () = Unix.gettimeofday () +. 0.05
+(* Waiters record their wake-ups here: the order the lock hands over. *)
+let woken = ref []
+
+let rw_waiter ?deadline name session =
+  Srv.Rwlock.waiter ?deadline ~session ~req:0
+    ~wake:(fun () -> woken := name :: !woken)
+    ()
+
+let with_rwlock f =
+  let m = Obs.Metrics.create () in
+  let l = Srv.Rwlock.create m in
+  woken := [];
+  Fun.protect ~finally:(fun () -> Srv.Rwlock.close l) (fun () -> f l m)
+
+let held = function
+  | `Held h -> h
+  | `Parked -> Alcotest.fail "parked"
+  | `Closed -> Alcotest.fail "closed"
+
+let parks what r = check tbool what true (r = `Parked)
+
+let woken_in_order what expected =
+  check (Alcotest.list tstr) what expected (List.rev !woken);
+  woken := []
 
 let test_rwlock_readers_share () =
-  let l = Srv.Rwlock.create () in
-  check tbool "r1" true (Srv.Rwlock.acquire_read ~deadline:(soon ()) l ~session:1);
-  check tbool "r2" true (Srv.Rwlock.acquire_read ~deadline:(soon ()) l ~session:2);
-  check tbool "writer blocked by readers" false
-    (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:3);
-  Srv.Rwlock.release_read l ~session:1;
-  Srv.Rwlock.release_read l ~session:2;
-  check tbool "writer after release" true
-    (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:3);
-  Srv.Rwlock.release_write l ~session:3
+  with_rwlock @@ fun l m ->
+  let h1 = held (Srv.Rwlock.acquire_read l (rw_waiter "r1" 1)) in
+  let h2 = held (Srv.Rwlock.acquire_read l (rw_waiter "r2" 2)) in
+  let w3 = rw_waiter "w3" 3 in
+  parks "writer parks behind readers" (Srv.Rwlock.acquire_write l w3);
+  Srv.Rwlock.release l ~session:1 h1;
+  woken_in_order "one reader left: no hand-off" [];
+  Srv.Rwlock.release l ~session:2 h2;
+  woken_in_order "last reader hands over to the writer" [ "w3" ];
+  (* the woken job's re-run takes the grant *)
+  let h3 = held (Srv.Rwlock.acquire_write l w3) in
+  check tbool "writer holds" true (Srv.Rwlock.holds_write l ~session:3);
+  Srv.Rwlock.release l ~session:3 h3;
+  check tint "parked write counted" 1
+    (Obs.Metrics.counter m "srv.rwlock.parked_writes")
 
 let test_rwlock_writer_excludes () =
-  let l = Srv.Rwlock.create () in
-  check tbool "w" true (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:1);
-  check tbool "other reader blocked" false
-    (Srv.Rwlock.acquire_read ~deadline:(soon ()) l ~session:2);
-  check tbool "other writer blocked" false
-    (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:2);
-  (* the owner's own reads and writes are covered by its exclusivity —
-     that is what lets a transaction's statements arrive as separate
-     jobs on different domains *)
-  check tbool "own read ok" true
-    (Srv.Rwlock.acquire_read ~deadline:(soon ()) l ~session:1);
-  Srv.Rwlock.release_read l ~session:1;
-  check tbool "reentrant write ok" true
-    (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:1);
-  Srv.Rwlock.release_write l ~session:1;
+  with_rwlock @@ fun l m ->
+  let h1 = held (Srv.Rwlock.acquire_write l (rw_waiter "w1" 1)) in
+  parks "other reader" (Srv.Rwlock.acquire_read l (rw_waiter "r2" 2));
+  parks "other writer" (Srv.Rwlock.acquire_write l (rw_waiter "w3" 3));
+  (* the owner's own reads and writes never park, even with waiters
+     queued — that is what lets a transaction's statements arrive as
+     separate jobs on different domains *)
+  let own_read = held (Srv.Rwlock.acquire_read l (rw_waiter "own" 1)) in
+  check tbool "own read nests" true (own_read = Srv.Rwlock.Exclusive);
+  let again = held (Srv.Rwlock.acquire_write l (rw_waiter "own" 1)) in
+  Srv.Rwlock.release l ~session:1 own_read;
+  Srv.Rwlock.release l ~session:1 again;
   check tbool "still held at depth 1" true (Srv.Rwlock.holds_write l ~session:1);
-  Srv.Rwlock.release_write l ~session:1;
-  check tbool "released" true
-    (Srv.Rwlock.acquire_read ~deadline:(soon ()) l ~session:2);
-  Srv.Rwlock.release_read l ~session:2
+  woken_in_order "no hand-off while the owner holds" [];
+  Srv.Rwlock.release l ~session:1 h1;
+  woken_in_order "the reader queued first" [ "r2" ];
+  check tint "parked read counted" 1
+    (Obs.Metrics.counter m "srv.rwlock.parked_reads")
 
 let test_rwlock_waiting_writer_blocks_new_readers () =
-  let l = Srv.Rwlock.create () in
-  check tbool "r1" true (Srv.Rwlock.acquire_read ~deadline:(soon ()) l ~session:1);
-  let writer_got_it = ref false in
-  let th =
-    Thread.create
-      (fun () ->
-        writer_got_it :=
-          Srv.Rwlock.acquire_write
-            ~deadline:(Unix.gettimeofday () +. 5.0)
-            l ~session:2)
-      ()
-  in
-  (* give the writer time to register as waiting *)
-  Unix.sleepf 0.05;
-  check tbool "new reader blocked behind waiting writer" false
-    (Srv.Rwlock.acquire_read ~deadline:(soon ()) l ~session:3);
-  Srv.Rwlock.release_read l ~session:1;
-  Thread.join th;
-  check tbool "writer got the lock" true !writer_got_it;
-  Srv.Rwlock.release_write l ~session:2
+  with_rwlock @@ fun l _ ->
+  let h1 = held (Srv.Rwlock.acquire_read l (rw_waiter "r1" 1)) in
+  let w2 = rw_waiter "w2" 2 and r3 = rw_waiter "r3" 3 in
+  let r4 = rw_waiter "r4" 4 in
+  parks "writer parks behind the reader" (Srv.Rwlock.acquire_write l w2);
+  parks "new reader parks behind the waiting writer"
+    (Srv.Rwlock.acquire_read l r3);
+  parks "so does the next" (Srv.Rwlock.acquire_read l r4);
+  Srv.Rwlock.release l ~session:1 h1;
+  woken_in_order "the writer before the later readers" [ "w2" ];
+  Srv.Rwlock.release l ~session:2 (held (Srv.Rwlock.acquire_write l w2));
+  woken_in_order "every reader queued before the next writer" [ "r3"; "r4" ];
+  List.iter
+    (fun (w, s) ->
+      let h = held (Srv.Rwlock.acquire_read l w) in
+      check tbool "shared" true (h = Srv.Rwlock.Shared);
+      Srv.Rwlock.release l ~session:s h)
+    [ (r3, 3); (r4, 4) ]
 
 let test_rwlock_forfeit () =
-  let l = Srv.Rwlock.create () in
-  check tbool "w" true (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:1);
-  check tbool "w again" true
-    (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:1);
+  with_rwlock @@ fun l _ ->
+  ignore (held (Srv.Rwlock.acquire_write l (rw_waiter "w1" 1)));
+  ignore (held (Srv.Rwlock.acquire_write l (rw_waiter "w1" 1)));
+  let w2 = rw_waiter "w2" 2 in
+  parks "other writer" (Srv.Rwlock.acquire_write l w2);
   Srv.Rwlock.forfeit_write l ~session:1;
   check tbool "gone whatever the depth" false
     (Srv.Rwlock.holds_write l ~session:1);
-  check tbool "free for others" true
-    (Srv.Rwlock.acquire_write ~deadline:(soon ()) l ~session:2);
-  Srv.Rwlock.release_write l ~session:2
+  woken_in_order "handed over on forfeit" [ "w2" ];
+  Srv.Rwlock.release l ~session:2 (held (Srv.Rwlock.acquire_write l w2))
 
 (* ---- a tiny latch + barrier for deterministic concurrency ----------------- *)
 
@@ -689,6 +713,19 @@ let barrier_wait ?(timeout_s = 30.0) b =
   in
   spin ()
 
+(* A parked deadline needs no releaser: the timer thread takes the
+   waiter off the list ungranted and wakes it. *)
+let test_rwlock_deadline_timer () =
+  with_rwlock @@ fun l m ->
+  let h1 = held (Srv.Rwlock.acquire_write l (rw_waiter "w1" 1)) in
+  let w2 = rw_waiter ~deadline:(Unix.gettimeofday () +. 0.02) "w2" 2 in
+  parks "writer parks" (Srv.Rwlock.acquire_write l w2);
+  eventually "the timer wakes the expired waiter" (fun () -> !woken = [ "w2" ]);
+  check tint "expiry counted" 1
+    (Obs.Metrics.counter m "srv.rwlock.park_expired");
+  check tbool "not granted" true (Srv.Rwlock.holds_write l ~session:1);
+  Srv.Rwlock.release l ~session:1 h1
+
 (* ---- scheduler: admission, deadlines, cancellation, fan-out --------------- *)
 
 let mk_job ?deadline ?(cancelled = fun () -> false) ~on_done ~on_expired run =
@@ -701,7 +738,8 @@ let mk_job ?deadline ?(cancelled = fun () -> false) ~on_done ~on_expired run =
     run =
       (fun () ->
         run ();
-        on_done ());
+        on_done ();
+        `Done);
     expired = on_expired;
   }
 
@@ -960,15 +998,19 @@ let is_ok = function
 let count_purchases cl =
   scalar_int (rpc_retry cl (Srv.Proto.Statement "SELECT COUNT(*) FROM purchase"))
 
+let counter sdb name = Obs.Metrics.counter (Core.Softdb.metrics sdb) name
+
 (* Eight clients hammer one server: point reads, prepared executes, and
    rollback-only write transactions.  Two of the clients additionally
    meet on a barrier inside a virtual-table generator, which can only
    resolve if their two queries execute simultaneously on two worker
    domains.  [listen server] returns the function that opens one client
    connection to [server] (pipe or TCP).  With [ddl_online], one more
-   session runs CREATE INDEX ... ONLINE while the clients run; it starts
-   after the rendezvous, because the build keeps its worker until it is
-   done and the barrier needs both. *)
+   session runs CREATE INDEX ... ONLINE while the clients run.  The
+   build and the write transactions wait for the rendezvous: a writer
+   parked behind the first rendezvous read would queue the second one
+   behind itself, and the two reads wait for each other inside the
+   lock. *)
 let concurrent_sessions ?(ddl_online = false) ~listen () =
   let sdb = small_purchase_sdb () in
   let b = barrier () in
@@ -1011,6 +1053,8 @@ let concurrent_sessions ?(ddl_online = false) ~listen () =
         | Srv.Proto.Result_set _ -> ()
         | _ -> failwith "prepared execute failed");
         if round mod 4 = 0 then begin
+          eventually "the rendezvous" (fun () ->
+              Mutex.protect b.bm (fun () -> b.arrived >= 2));
           (* write transaction, rolled back so the data stays fixed *)
           if not (is_ok (rpc_retry cl Srv.Proto.Begin_txn)) then
             failwith "begin failed";
@@ -1110,9 +1154,10 @@ let concurrent_sessions ?(ddl_online = false) ~listen () =
 let test_concurrent_sessions () =
   concurrent_sessions ~listen:(fun server () -> connect server) ()
 
-(* The acquisition-order edges the TCP run may exhibit, (held,
-   acquired).  A new nesting pattern fails the run by name: review it
-   against the rank table in lib/srv/session.ml, then add it here.  The
+(* The acquisition-order edges the TCP run exhibits, (held, acquired):
+   every run shows exactly these.  A new nesting pattern fails the run
+   by name: review it against the rank table in lib/srv/session.ml, then
+   add it here.  The
    two [srv.server.registry] targets come from the sys.sessions read at
    the end of the run. *)
 let pinned_edges =
@@ -1136,9 +1181,10 @@ let pinned_edges =
 (* The same run over real TCP with the runtime lock-order witness armed
    and an online index build racing the clients: no live violation, the
    observed graph lint-clean against the real tree's rank table (no
-   inversion, no undeclared lock, no stale rank), every edge pinned, and
-   locks nested at most three deep.  [Server.shutdown] must also wake
-   the accept loop blocked in [accept]. *)
+   inversion, no undeclared lock, no stale rank), the observed edges
+   exactly the pinned list, and locks nested at most three deep.
+   [Server.shutdown] must also wake the accept loop blocked in
+   [accept]. *)
 let test_concurrent_sessions_tcp () =
   Obs.Lockdep.enable ();
   Obs.Lockdep.reset ();
@@ -1181,6 +1227,10 @@ let test_concurrent_sessions_tcp () =
   in
   check (Alcotest.list (Alcotest.pair tstr tstr)) "every observed edge pinned" []
     (List.filter (fun e -> not (List.mem e pinned_edges)) observed);
+  check
+    (Alcotest.list (Alcotest.pair tstr tstr))
+    "every pinned edge observed" []
+    (List.filter (fun e -> not (List.mem e observed)) pinned_edges);
   check tint "max held depth" 3 (Obs.Lockdep.max_held_depth ())
 
 (* Session state is private: prepared handles don't leak, transactions
@@ -1260,6 +1310,9 @@ let test_deadline_under_lock_contention () =
   | p ->
       Alcotest.failf "expected deadline failure, got %a" Srv.Proto.pp_response
         { Srv.Proto.id = 0; payload = p });
+  check tint "b's insert parked" 1
+    (counter sdb "srv.rwlock.parked_writes");
+  check tint "and its wait expired" 1 (counter sdb "srv.rwlock.park_expired");
   check tbool "a commits fine afterwards" true
     (is_ok (rpc_retry a Srv.Proto.Commit_txn));
   quit a;
@@ -1573,6 +1626,229 @@ let test_dropped_connection_releases_lock () =
   quit bclient;
   Srv.Server.shutdown server
 
+(* ---- parked requests ------------------------------------------------------ *)
+
+let insert_sql id =
+  Printf.sprintf
+    "INSERT INTO purchase VALUES (%d, 1, DATE '1999-01-05', DATE \
+     '1999-01-15', 9.0, 1, 'north')"
+    id
+
+(* The answer to request [id] among the next [n] responses of [cl]. *)
+let answers cl n =
+  let rs = List.init n (fun _ -> recv cl) in
+  fun id ->
+    match List.find_opt (fun r -> r.Srv.Proto.id = id) rs with
+    | Some r -> r.Srv.Proto.payload
+    | None -> Alcotest.failf "no answer to #%d" id
+
+let expect_failure what code = function
+  | Srv.Proto.Failed { code = c; _ } when c = code -> ()
+  | p ->
+      Alcotest.failf "%s: got %a" what Srv.Proto.pp_response
+        { Srv.Proto.id = 0; payload = p }
+
+(* One session's pipelined statements run in admission order even when
+   they wait for the lock: s's INSERT and then its SELECT both meet a
+   read lock a holds on a latched virtual table; the SELECT must see the
+   INSERT. *)
+let test_pipelined_order_under_contention () =
+  let sdb = small_purchase_sdb ~rows:200 () in
+  let l = latch () in
+  Database.register_virtual (Core.Softdb.db sdb) ~name:"sys.latch"
+    ~schema:
+      (Schema.make "sys.latch"
+         [ Schema.column ~nullable:false "ok" Value.TBool ])
+    (fun () ->
+      latch_wait l;
+      [ Tuple.make [ Value.Bool true ] ]);
+  let server = Srv.Server.create ~workers:2 sdb in
+  let a = connect server and s = connect server in
+  let a_latch = send a (Srv.Proto.Statement "SELECT ok FROM sys.latch") in
+  eventually "a holds the read lock" (fun () -> latch_waiters l = 1);
+  let ins = send s (Srv.Proto.Statement (insert_sql 860001)) in
+  let sel = send s (Srv.Proto.Statement "SELECT COUNT(*) FROM purchase") in
+  (* give both up to a second to queue up behind a's read *)
+  let until = Unix.gettimeofday () +. 1.0 in
+  while
+    (counter sdb "srv.rwlock.parked_writes" < 1
+    || counter sdb "srv.rwlock.parked_reads" < 1)
+    && Unix.gettimeofday () < until
+  do
+    Unix.sleepf 0.002
+  done;
+  latch_open l;
+  check tint "latched read answers" a_latch (recv a).Srv.Proto.id;
+  let answer = answers s 2 in
+  (match answer ins with
+  | Srv.Proto.Affected 1 -> ()
+  | _ -> Alcotest.fail "insert failed");
+  check tint "the SELECT sees the INSERT before it" 201
+    (scalar_int (answer sel));
+  check tbool "the INSERT parked" true
+    (counter sdb "srv.rwlock.parked_writes" >= 1);
+  check tbool "the SELECT parked" true
+    (counter sdb "srv.rwlock.parked_reads" >= 1);
+  quit a;
+  quit s;
+  Srv.Server.shutdown server
+
+(* Two sessions and a parked INSERT from the second, behind the first's
+   open transaction. *)
+let with_parked_insert k =
+  let sdb = small_purchase_sdb ~rows:200 () in
+  let server = Srv.Server.create ~workers:2 sdb in
+  let a = connect server and b = connect server in
+  check tbool "a begins" true (is_ok (rpc_retry a Srv.Proto.Begin_txn));
+  let b_ins = send b (Srv.Proto.Statement (insert_sql 870001)) in
+  eventually "b's insert parked" (fun () ->
+      counter sdb "srv.rwlock.parked_writes" = 1);
+  k sdb server a b b_ins
+
+(* A client that disconnects while its request is parked leaves no trace
+   in the lock: a later writer from another session goes through. *)
+let test_parked_client_disconnects () =
+  with_parked_insert @@ fun sdb server a b _ ->
+  b.conn.Srv.Transport.close ();
+  eventually "b's session torn down" (fun () ->
+      counter sdb "srv.sessions_closed" = 1);
+  check tint "b's parked wait ended" 1 (counter sdb "srv.rwlock.park_expired");
+  check tbool "a commits" true (is_ok (rpc_retry a Srv.Proto.Commit_txn));
+  let c = connect server in
+  (match rpc_retry c (Srv.Proto.Statement (insert_sql 870002)) with
+  | Srv.Proto.Affected 1 -> ()
+  | _ -> Alcotest.fail "c blocked behind a dead session's request");
+  check tint "b's insert never ran" 201 (count_purchases c);
+  quit a;
+  quit c;
+  Srv.Server.shutdown server
+
+(* Cancelling a parked request answers it at once, while the lock is
+   still held; the next session in line gets the lock on release. *)
+let test_cancel_parked_request () =
+  with_parked_insert @@ fun sdb server a b b_ins ->
+  let c = connect server in
+  let c_ins = send c (Srv.Proto.Statement (insert_sql 870002)) in
+  eventually "c's insert parked" (fun () ->
+      counter sdb "srv.rwlock.parked_writes" = 2);
+  let cancel = send b (Srv.Proto.Cancel { target = b_ins }) in
+  let answer = answers b 2 in
+  check tbool "cancel acked" true (is_ok (answer cancel));
+  expect_failure "parked insert" Srv.Proto.Cancelled (answer b_ins);
+  check tbool "a commits" true (is_ok (rpc_retry a Srv.Proto.Commit_txn));
+  let r = recv c in
+  check tint "c's insert answers" c_ins r.Srv.Proto.id;
+  (match r.Srv.Proto.payload with
+  | Srv.Proto.Affected 1 -> ()
+  | _ -> Alcotest.fail "c's insert failed");
+  check tint "only c's row" 201 (count_purchases c);
+  quit a;
+  quit b;
+  quit c;
+  Srv.Server.shutdown server
+
+(* Shutdown answers a parked request and returns, though the lock it
+   waits for is never released. *)
+let test_shutdown_with_parked_request () =
+  with_parked_insert @@ fun sdb server a b b_ins ->
+  let stopped = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        Srv.Server.shutdown server;
+        Atomic.set stopped true)
+      ()
+  in
+  let r = recv b in
+  check tint "the parked insert answers" b_ins r.Srv.Proto.id;
+  expect_failure "parked insert" Srv.Proto.Shutting_down r.Srv.Proto.payload;
+  eventually ~timeout_s:5.0 "shutdown returns" (fun () -> Atomic.get stopped);
+  Thread.join th;
+  a.conn.Srv.Transport.close ();
+  b.conn.Srv.Transport.close ();
+  (* a's open transaction is the process's current one until its
+     session is torn down *)
+  eventually "sessions torn down" (fun () ->
+      counter sdb "srv.sessions_closed" = 2)
+
+(* A burst of transactions from more sessions than workers: parked
+   BEGINs hold no worker, so the holder's own statements still run and
+   every transaction commits. *)
+let test_begin_burst_commits () =
+  let sdb = small_purchase_sdb ~rows:200 () in
+  let server = Srv.Server.create ~workers:2 sdb in
+  let failures = Array.make 8 None in
+  let run c () =
+    try
+      let cl = connect server in
+      let expect what ok payload =
+        match rpc_retry cl payload with
+        | p when ok p -> ()
+        | p ->
+            failwith
+              (Fmt.str "%s answered %a" what Srv.Proto.pp_response
+                 { Srv.Proto.id = 0; payload = p })
+      in
+      expect "begin" is_ok Srv.Proto.Begin_txn;
+      expect "insert"
+        (( = ) (Srv.Proto.Affected 1))
+        (Srv.Proto.Statement (insert_sql (880000 + c)));
+      expect "commit" is_ok Srv.Proto.Commit_txn;
+      quit cl
+    with e -> failures.(c) <- Some (Printexc.to_string e)
+  in
+  List.iter Thread.join (List.init 8 (fun c -> Thread.create (run c) ()));
+  Array.iteri
+    (fun c f -> Option.iter (Alcotest.failf "session %d: %s" c) f)
+    failures;
+  let cl = connect server in
+  check tint "every transaction committed" 208 (count_purchases cl);
+  quit cl;
+  Srv.Server.shutdown server
+
+(* Two online builds beside a reader on two workers: a build that meets
+   the lock between batches parks like any request, so a reader granted
+   the lock never waits for a worker that a waiting build holds.  Both
+   builds finish well inside their deadline. *)
+let test_two_online_builds_beside_a_reader () =
+  let sdb = small_purchase_sdb ~rows:20000 () in
+  let server = Srv.Server.create ~workers:2 sdb in
+  let stop = Atomic.make false in
+  let reader () =
+    let cl = connect server in
+    while not (Atomic.get stop) do
+      ignore
+        (rpc_retry cl
+           (Srv.Proto.Statement "SELECT COUNT(*) FROM purchase WHERE qty = 1"))
+    done;
+    quit cl
+  in
+  let answers = Array.make 2 Srv.Proto.Pong in
+  let builder i () =
+    let cl = connect server in
+    ignore (rpc cl (Srv.Proto.Set { key = "deadline_ms"; value = "5000" }));
+    answers.(i) <-
+      rpc_retry cl
+        (Srv.Proto.Statement
+           (Printf.sprintf
+              "CREATE INDEX b%d ON purchase (ship_date) ONLINE" i));
+    quit cl
+  in
+  let r = Thread.create reader () in
+  List.iter Thread.join (List.init 2 (fun i -> Thread.create (builder i) ()));
+  Atomic.set stop true;
+  Thread.join r;
+  Array.iteri
+    (fun i p ->
+      match p with
+      | Srv.Proto.Ok_msg m when contains_substring m "online (" -> ()
+      | p ->
+          Alcotest.failf "build %d answered %a" i Srv.Proto.pp_response
+            { Srv.Proto.id = 0; payload = p })
+    answers;
+  check tint "both built" 2 (counter sdb "idx.online_builds");
+  Srv.Server.shutdown server
+
 (* ---- overload circuit breaker -------------------------------------------- *)
 
 let test_breaker_state_machine () =
@@ -1863,6 +2139,8 @@ let () =
             test_rwlock_waiting_writer_blocks_new_readers;
           Alcotest.test_case "forfeit clears any depth" `Quick
             test_rwlock_forfeit;
+          Alcotest.test_case "timer wakes an expired waiter" `Quick
+            test_rwlock_deadline_timer;
         ] );
       ( "scheduler",
         [
@@ -1902,6 +2180,18 @@ let () =
             test_dropped_connection_releases_lock;
           Alcotest.test_case "month window serves the exception union"
             `Quick test_served_month_window_plan;
+          Alcotest.test_case "pipelined statements keep order under the lock"
+            `Quick test_pipelined_order_under_contention;
+          Alcotest.test_case "parked client disconnects" `Quick
+            test_parked_client_disconnects;
+          Alcotest.test_case "cancel of a parked request" `Quick
+            test_cancel_parked_request;
+          Alcotest.test_case "shutdown answers a parked request" `Quick
+            test_shutdown_with_parked_request;
+          Alcotest.test_case "BEGIN burst on two workers commits" `Quick
+            test_begin_burst_commits;
+          Alcotest.test_case "two online builds beside a reader" `Quick
+            test_two_online_builds_beside_a_reader;
         ] );
       ( "racecheck",
         [
