@@ -62,11 +62,12 @@ chaoscheck: build
 # the plan-quality gate: run the quick scenario registry and diff the
 # result against the committed baseline — deterministic metrics (rows
 # scanned, q-error, rewrite counts, plan-cache hits, WAL bytes) gate
-# hard; wall-clock drift is report-only.  The registry carries the
-# paper's claims E1–E15 (EXPERIMENTS.md), the partitioned scenarios
-# (per-partition counters with zero slack: a pruned segment that does any
-# work fails) and the index-only scenario; a scenario missing from either
-# side fails
+# hard; wall-clock drift is report-only.  The registry crosses the
+# workloads with the SC modes (off/asc/ssc/exc/guarded/...), plus the
+# index-only and partitioned runs, whose per-partition counters gate
+# with zero slack (a pruned segment that does any work fails);
+# EXPERIMENTS.md names the scenario or test behind each paper claim.  A
+# scenario missing from either side fails
 benchcheck: build
 	dune exec bench/benchrun.exe -- --quick --label ci --out BENCH.json
 	dune exec bin/softdb.exe -- benchdiff bench/baseline.json BENCH.json

@@ -454,8 +454,8 @@ let idx_result scale =
 
 (* Purchase partitioned by RANGE (id) into [parts] even segments, each
    segment's observed id band mined as an overturnable domain SC.  The
-   1-segment variant is the same suite unpartitioned — the scatter-gather
-   baseline the 4/8-way runs are read against. *)
+   1-segment variant is the same suite unpartitioned — the baseline the
+   4/8-way runs are read against. *)
 
 let partition_bounds ~parts ~rows =
   List.init (parts - 1) (fun i -> rows * (i + 1) / parts)
@@ -875,7 +875,7 @@ let part_scenario parts =
   scenario ~workload:"purchase" ~mode
     ~descr:
       (if parts = 1 then
-         "the id-range pruning suite unpartitioned: scatter-gather baseline"
+         "the id-range pruning suite unpartitioned: the pruning baseline"
        else
          Printf.sprintf
            "id-range pruning over %d range segments with mined domain SCs"

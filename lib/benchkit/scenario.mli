@@ -13,9 +13,8 @@
     indexed pages_read/rows_scanned and the rewrites.index_only count
     gate, with the unindexed run alongside under the noindex prefix), and
     [part1]/[part4]/[part8] (purchase partitioned by RANGE (id) into 1, 4
-    or 8 segments: partition pruning + scatter-gather, with per-partition
-    scan counters in the deterministic section — pruned segments must
-    report zero).
+    or 8 segments: partition pruning, with per-partition scan counters in
+    the deterministic section — pruned segments must report zero).
 
     The paper's remaining claims (EXPERIMENTS.md E1–E15) each have a home
     here too: [exc] (the late_shipments exception-union plan),

@@ -184,10 +184,9 @@ let rec plan_preds acc (p : Exec.Plan.t) =
   | Exec.Plan.Hash_join { left; right; residual; _ }
   | Exec.Plan.Merge_join { left; right; residual; _ } ->
       plan_preds (plan_preds (residual :: acc) left) right
-  | Exec.Plan.Union_all inputs -> List.fold_left plan_preds acc inputs
+  | Exec.Plan.Union_all _ | Exec.Plan.Partition_concat _ ->
+      List.fold_left plan_preds acc (Exec.Plan.children p)
   | Exec.Plan.Partition_scan { filter; _ } -> filter :: acc
-  | Exec.Plan.Scatter_gather { children; _ } ->
-      List.fold_left (fun acc (_, p) -> plan_preds acc p) acc children
 
 (* The conjuncts the logical plans legitimately execute: every conjunct
    of a non-twin item, in the rewritten query and in the unrewritten one

@@ -46,7 +46,7 @@ let lock_scan_files ~root =
    whose state is shared across the server's domains and threads.  The
    single-threaded front/mid layers (sqlfe, opt, exec, rel, …) keep
    their mutability rules out of scope. *)
-let guard_dirs = [ "srv"; "core"; "obs"; "idx"; "part" ]
+let guard_dirs = [ "srv"; "core"; "obs"; "idx" ]
 
 let guard_scan_files ~root =
   List.filter

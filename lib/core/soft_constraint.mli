@@ -18,7 +18,7 @@ type statement =
   | Part_stmt of { partition : int; pred : Expr.pred }
       (** Per-partition domain constraint: every row of [table] that
           routes to segment [partition] satisfies [pred] — the partition
-          flavour backing pruning certificates ({!Part.Catalog}).
+          flavour backing pruning certificates ({!Check.Cert}).
           Partition-conditional, so {!check_pred} is [None]; violation
           detection routes the row first ({!Maintenance}). *)
 

@@ -312,37 +312,29 @@ let install_soft_declaration t ~name ~table ~(body : Icdef.body)
                  cannot be statistical"
                 name (List.length violations)))
 
-(* Mine and install per-segment partition-domain SCs ({!Part.Mine}):
-   each non-empty segment's observed band over the partition column
-   becomes an absolute, overturnable [Part_stmt].  Anchored on the
-   segment's *local* mutation counter, so churn in a sibling shard never
-   ages it.  Existing SCs under the same generated names are replaced —
-   re-mining refreshes the bands. *)
+(* Mine and install per-segment partition-domain SCs
+   ({!Mining.Segment_domain}): each non-empty segment's observed band
+   over the partition column becomes an absolute, overturnable
+   [Part_stmt].  Anchored on the segment's *local* mutation counter, so
+   churn in a sibling shard never ages it.  Existing SCs under the same
+   generated names are replaced — re-mining refreshes the bands. *)
 let mine_partition_domains t ~table =
   match Database.partitioning t.db table with
   | None -> error "table %s is not partitioned" table
   | Some part ->
-      let installed =
-        List.map
-          (fun (c : Part.Mine.candidate) ->
-            let name = Printf.sprintf "%s_p%d_domain" table c.Part.Mine.partition in
-            if Sc_catalog.find t.catalog name <> None then
-              Sc_catalog.drop t.catalog name;
-            let sc =
-              Soft_constraint.make ~name ~table ~kind:Soft_constraint.Absolute
-                ~installed_at_mutations:
-                  (Partition.seg_mutations part c.Part.Mine.partition)
-                (Soft_constraint.Part_stmt
-                   {
-                     partition = c.Part.Mine.partition;
-                     pred = c.Part.Mine.pred;
-                   })
-            in
-            install_sc t sc;
-            sc)
-          (Part.Mine.domains t.db ~table)
-      in
-      installed
+      List.map
+        (fun { Mining.Segment_domain.partition; pred; _ } ->
+          let name = Printf.sprintf "%s_p%d_domain" table partition in
+          if Sc_catalog.find t.catalog name <> None then
+            Sc_catalog.drop t.catalog name;
+          let sc =
+            Soft_constraint.make ~name ~table ~kind:Soft_constraint.Absolute
+              ~installed_at_mutations:(Partition.seg_mutations part partition)
+              (Soft_constraint.Part_stmt { partition; pred })
+          in
+          install_sc t sc;
+          sc)
+        (Mining.Segment_domain.domains t.db ~table)
 
 (* ---- statement execution --------------------------------------------------- *)
 

@@ -74,10 +74,10 @@ val install_soft_declaration :
     {!Error} otherwise. *)
 
 val mine_partition_domains : t -> table:string -> Soft_constraint.t list
-(** Mine each segment's observed partition-column band ({!Part.Mine})
-    and install it as an absolute, overturnable [Part_stmt] SC named
-    [<table>_p<i>_domain], anchored on the segment's local mutation
-    counter.  Replaces same-named SCs from a previous mining pass.
+(** Mine each segment's observed partition-column band
+    ({!Mining.Segment_domain}) and install it as an absolute,
+    overturnable [Part_stmt] SC named [<table>_p<i>_domain], anchored on
+    the segment's local mutation counter.  Replaces same-named SCs from a previous mining pass.
     Raises {!Error} if [table] is not partitioned. *)
 
 type outcome =

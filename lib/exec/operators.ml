@@ -25,13 +25,6 @@ module Counters = struct
     { rows_scanned = 0; pages_read = 0; index_probes = 0; rows_output = 0;
       partitions = [] }
 
-  let reset t =
-    t.rows_scanned <- 0;
-    t.pages_read <- 0;
-    t.index_probes <- 0;
-    t.rows_output <- 0;
-    t.partitions <- []
-
   let partition_counter t ~table ~partition =
     let key = (table, partition) in
     match List.assoc_opt key t.partitions with
@@ -47,20 +40,6 @@ module Counters = struct
          (fun ((table, partition), p) ->
            (table, partition, p.part_rows, p.part_pages))
          t.partitions)
-
-  (* Fold [from] into [into] — how a scatter-gather folds its children's
-     private counters back in deterministic child order. *)
-  let merge ~into from =
-    into.rows_scanned <- into.rows_scanned + from.rows_scanned;
-    into.pages_read <- into.pages_read + from.pages_read;
-    into.index_probes <- into.index_probes + from.index_probes;
-    into.rows_output <- into.rows_output + from.rows_output;
-    List.iter
-      (fun ((table, partition), p) ->
-        let dst = partition_counter into ~table ~partition in
-        dst.part_rows <- dst.part_rows + p.part_rows;
-        dst.part_pages <- dst.part_pages + p.part_pages)
-      (List.rev from.partitions)
 
   let pp ppf t =
     Fmt.pf ppf "scanned=%d pages=%d probes=%d out=%d" t.rows_scanned
@@ -89,21 +68,6 @@ let cursor_of_list rows =
 let drain (c : cursor) =
   let rec go acc = match c () with None -> List.rev acc | Some r -> go (r :: acc) in
   go []
-
-(* ---- scatter-gather runner --------------------------------------------- *)
-
-exception Scatter_abandoned of string
-
-(* How a [Scatter_gather] node runs its per-partition thunks.  The
-   default executes them sequentially in place; [Srv] installs a runner
-   that fans them across its domain worker pool.  A runner returns one
-   outcome per task; a task that raised yields its exception.  Raising
-   [Scatter_abandoned] (deadline passed, query cancelled) marks the task
-   as not retryable.  This is a ref, not a parameter, because [Exec] must
-   not depend on [Srv] — injection keeps the layering acyclic. *)
-let scatter_runner : ((unit -> unit) array -> exn option array) ref =
-  ref (fun tasks ->
-      Array.map (fun f -> try f (); None with e -> Some e) tasks)
 
 (* ---- aggregation accumulators ----------------------------------------- *)
 
@@ -290,17 +254,23 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
           table (Partition.count part);
       let binding = Plan.binding db plan in
       let keep = Expr.compile_filter binding filter in
-      (* only the segment's pages are charged — a pruned sibling
-         contributes zero I/O, which BENCH.json asserts *)
-      let pages =
-        Partition.pages part partition
-          ~rows_per_page:(Table.rows_per_page tbl)
-      in
-      counters.Counters.pages_read <- counters.Counters.pages_read + pages;
       let pc = Counters.partition_counter counters ~table ~partition in
-      pc.Counters.part_pages <- pc.Counters.part_pages + pages;
+      (* membership is fixed at open; only the segment's pages are
+         charged, on the first pull as in a heap scan — a pruned or
+         never-pulled sibling contributes zero I/O, which BENCH.json
+         asserts *)
       let rows = ref (Partition.members part partition) in
+      let started = ref false in
       let rec next () =
+        if not !started then begin
+          started := true;
+          let pages =
+            Partition.pages part partition
+              ~rows_per_page:(Table.rows_per_page tbl)
+          in
+          counters.Counters.pages_read <- counters.Counters.pages_read + pages;
+          pc.Counters.part_pages <- pc.Counters.part_pages + pages
+        end;
         match !rows with
         | [] -> None
         | rid :: tl -> (
@@ -559,8 +529,11 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
           rows
       in
       cursor_of_list out
-  | Plan.Union_all inputs ->
-      let remaining = ref inputs in
+  | Plan.Union_all _ | Plan.Partition_concat _ ->
+      (* inputs in order (a partitioned source's segments in segment
+         order), each opened once its predecessor is exhausted: a LIMIT
+         met early never opens the rest *)
+      let remaining = ref (Plan.children plan) in
       let current = ref (fun () -> None) in
       let rec next () =
         match !current () with
@@ -585,49 +558,6 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
           | Some r ->
               incr emitted;
               Some r)
-  | Plan.Scatter_gather { table; alias = _; children } ->
-      let n = List.length children in
-      let buffers = Array.make n [] in
-      let subcounters = Array.init n (fun _ -> Counters.create ()) in
-      (* Each child drains into a private buffer with private counters:
-         tasks may run on arbitrary domains in arbitrary order, so
-         nothing below this node may share mutable state.  The children
-         are opened inside the task (not here), so their I/O happens on
-         the executing domain; [wrap] is not applied below this node —
-         per-node instrumentation stays single-domain. *)
-      let task idx child () =
-        Counters.reset subcounters.(idx) (* retry restarts the slice *);
-        buffers.(idx) <- [];
-        buffers.(idx) <-
-          drain (open_raw no_wrap db subcounters.(idx) child)
-      in
-      let tasks =
-        Array.of_list (List.mapi (fun i (_, child) -> task i child) children)
-      in
-      let outcomes = !scatter_runner tasks in
-      (* graceful degradation: retry a failed partition once in place,
-         then fail the whole query with partition attribution *)
-      Array.iteri
-        (fun i outcome ->
-          match outcome with
-          | None -> ()
-          | Some (Scatter_abandoned why) ->
-              let part = fst (List.nth children i) in
-              error "partition %d of %s abandoned: %s" part table why
-          | Some first -> (
-              match tasks.(i) () with
-              | () -> ()
-              | exception e ->
-                  let part = fst (List.nth children i) in
-                  error
-                    "partition %d of %s failed after retry: %s (first: %s)"
-                    part table (Printexc.to_string e)
-                    (Printexc.to_string first)))
-        outcomes;
-      (* deterministic merge: buffers and counters fold in child order,
-         whatever order the tasks actually completed in *)
-      Array.iter (fun sub -> Counters.merge ~into:counters sub) subcounters;
-      cursor_of_list (List.concat (Array.to_list buffers))
 
 let open_plan db counters plan = open_node no_wrap db counters plan
 

@@ -22,7 +22,6 @@ module Counters : sig
   }
 
   val create : unit -> t
-  val reset : t -> unit
 
   val partition_counter : t -> table:string -> partition:int -> part
   (** The (table, partition) slice, created on first use. *)
@@ -32,29 +31,12 @@ module Counters : sig
       (table, partition) — the deterministic per-partition report
       [sys.partitions] and BENCH.json consume. *)
 
-  val merge : into:t -> t -> unit
-  (** Fold one counter record into another (scatter children merge their
-      private counters back in child order). *)
-
   val pp : Format.formatter -> t -> unit
 end
 
 type cursor = unit -> Tuple.t option
 
 exception Exec_error of string
-
-exception Scatter_abandoned of string
-(** Raised {e by a scatter runner's task slot} to mark a per-partition
-    task that must not be retried (deadline exceeded, query cancelled).
-    The gather turns it into an {!Exec_error} with partition
-    attribution. *)
-
-val scatter_runner : ((unit -> unit) array -> exn option array) ref
-(** How {!Plan.Scatter_gather} runs its per-partition thunks: given the
-    tasks, return one outcome per task ([None] = completed, [Some exn] =
-    raised).  Defaults to sequential in-place execution; [Srv] installs
-    a pool-backed runner at server start.  Injection (rather than a
-    parameter) keeps [Exec] independent of [Srv]. *)
 
 val open_plan : Database.t -> Counters.t -> Plan.t -> cursor
 (** Open a plan as a cursor; work counters accumulate into the given

@@ -68,7 +68,7 @@ type t =
       partition : int;
       filter : Expr.pred;
     }
-  | Scatter_gather of {
+  | Partition_concat of {
       table : string;
       alias : string;
       children : (int * t) list; (* (partition, subplan), ascending *)
@@ -87,9 +87,9 @@ let rec binding (db : Database.t) plan : Expr.Binding.t =
   | Seq_scan { table; alias; _ }
   | Index_scan { table; alias; _ }
   | Partition_scan { table; alias; _ }
-  (* the gather output has the scan layout even with zero children
+  (* the concatenation has the scan layout even with zero children
      (all partitions pruned) *)
-  | Scatter_gather { table; alias; _ } ->
+  | Partition_concat { table; alias; _ } ->
       Expr.Binding.of_schema ~alias (Table.schema (Database.table_exn db table))
   | Index_only_scan { table; alias; columns; _ } ->
       let schema = Table.schema (Database.table_exn db table) in
@@ -133,7 +133,7 @@ let rec binding (db : Database.t) plan : Expr.Binding.t =
 
 let children = function
   | Seq_scan _ | Index_scan _ | Index_only_scan _ | Partition_scan _ -> []
-  | Scatter_gather { children; _ } -> List.map snd children
+  | Partition_concat { children; _ } -> List.map snd children
   | Filter { input; _ }
   | Project { input; _ }
   | Sort { input; _ }
@@ -155,7 +155,7 @@ let rec referenced (tables, indexes) plan =
     match plan with
     | Seq_scan { table; _ }
     | Partition_scan { table; _ }
-    | Scatter_gather { table; _ } ->
+    | Partition_concat { table; _ } ->
         (table :: tables, indexes)
     | Index_scan { table; index; _ } | Index_only_scan { table; index; _ } ->
         (table :: tables, index :: indexes)
@@ -246,8 +246,8 @@ let rec pp ?(indent = 0) ppf plan =
       Fmt.pf ppf "%sPartitionScan %s%s partition %d%a@." pad table
         (if alias = table then "" else " as " ^ alias)
         partition pp_filter filter
-  | Scatter_gather { table; alias; children } ->
-      Fmt.pf ppf "%sScatterGather %s%s (%d partitions)@." pad table
+  | Partition_concat { table; alias; children } ->
+      Fmt.pf ppf "%sPartitionConcat %s%s (%d partitions)@." pad table
         (if alias = table then "" else " as " ^ alias)
         (List.length children);
       List.iter (fun (_, p) -> pp ~indent:child ppf p) children

@@ -71,16 +71,15 @@ type t =
     }
       (** Scan one segment of a partitioned table: only member rids are
           fetched, and only the segment's pages are charged. *)
-  | Scatter_gather of {
+  | Partition_concat of {
       table : string;
       alias : string;
       children : (int * t) list;
           (** [(partition, subplan)] pairs, ascending by partition *)
     }
-      (** Fan the children out through {!Operators.scatter_runner}
-          (sequential by default; {!Srv} installs a pool-backed runner)
-          and merge their buffered outputs in child order — the ordering
-          is deterministic whatever the completion order. *)
+      (** The surviving segments of a partitioned source, streamed one
+          after another in segment order.  Carries [table]/[alias] so its
+          layout holds with zero children (every segment pruned). *)
 
 val agg_fn_name : agg_fn -> string
 
@@ -88,7 +87,7 @@ val binding : Database.t -> t -> Expr.Binding.t
 (** Output layout of a node ([db] supplies table schemas). *)
 
 val children : t -> t list
-(** The direct inputs of a node, left to right ([Scatter_gather]
+(** The direct inputs of a node, left to right ([Partition_concat]
     children in partition order); [[]] for the leaf scans.  Plan walkers
     recurse through this instead of matching every constructor. *)
 

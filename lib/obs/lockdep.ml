@@ -77,7 +77,7 @@ let violation_set : (string, unit) Hashtbl.t = Hashtbl.create 8
 let max_depth = ref 0
 
 let locked f =
-  (* @acquires obs.lockdep while srv.transport.chan srv.transport.write srv.breaker srv.session db.rwlock idx.lifecycle srv.scheduler.queue srv.scatter.batch srv.rwlock.state srv.server.registry core.plan_cache core.recalibration obs.metrics obs.query_log *)
+  (* @acquires obs.lockdep while srv.transport.chan srv.transport.write srv.breaker srv.session db.rwlock idx.lifecycle srv.scheduler.queue srv.rwlock.state srv.server.registry core.plan_cache core.recalibration obs.metrics obs.query_log *)
   Mutex.lock state;
   Fun.protect ~finally:(fun () -> Mutex.unlock state) f
 

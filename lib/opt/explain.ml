@@ -200,7 +200,7 @@ let rec scans_below plan acc =
   | Plan.Index_scan { table; alias; _ }
   | Plan.Index_only_scan { table; alias; _ }
   | Plan.Partition_scan { table; alias; _ }
-  | Plan.Scatter_gather { table; alias; _ } ->
+  | Plan.Partition_concat { table; alias; _ } ->
       (norm alias, table) :: acc
   | Plan.Filter { input; _ }
   | Plan.Project { input; _ }
@@ -277,10 +277,10 @@ let rec estimate senv scope (plan : Plan.t) =
   | Plan.Index_scan { table; alias; filter; _ }
   | Plan.Index_only_scan { table; alias; filter; _ } ->
       scan_estimate senv scope ~table ~alias ~filter
-  | Plan.Scatter_gather { table; alias; children; _ } -> (
-      (* the gather of all surviving partitions re-produces the blended
-         per-alias estimate; a partial gather scales it by the surviving
-         row fraction *)
+  | Plan.Partition_concat { table; alias; children; _ } -> (
+      (* all surviving partitions re-produce the blended per-alias
+         estimate; a pruned concatenation scales it by the surviving row
+         fraction *)
       let whole = scan_estimate senv scope ~table ~alias ~filter:Rel.Expr.Ptrue in
       match Rel.Database.partitioning senv.Selectivity.db table with
       | None -> whole
@@ -426,8 +426,8 @@ let node_label (plan : Plan.t) =
       Fmt.str "PartitionScan %s%s partition %d%a" table
         (if alias = table then "" else " as " ^ alias)
         partition Plan.pp_filter filter
-  | Plan.Scatter_gather { table; alias; children } ->
-      Fmt.str "ScatterGather %s%s (%d partitions)" table
+  | Plan.Partition_concat { table; alias; children } ->
+      Fmt.str "PartitionConcat %s%s (%d partitions)" table
         (if alias = table then "" else " as " ^ alias)
         (List.length children)
 

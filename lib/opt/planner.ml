@@ -132,8 +132,8 @@ let access_path env (block : Logical.block) (s : Logical.source) local_preds
   let out_card = rows *. blended_sel in
   match Database.partitioning env.db s.Logical.table with
   | Some part ->
-      (* partitioned source: scatter the surviving segments (all of them
-         unless {!Rewrite} pruned) and gather in segment order.  Access
+      (* partitioned source: concatenate the surviving segments (all of
+         them unless {!Rewrite} pruned) in segment order.  Access
          within a segment is sequential — the heap indexes span the
          whole table, so a segment-local probe would not be honest about
          I/O. *)
@@ -166,7 +166,7 @@ let access_path env (block : Logical.block) (s : Logical.source) local_preds
           surviving
       in
       let plan =
-        Plan.Scatter_gather
+        Plan.Partition_concat
           { table = s.Logical.table; alias = s.Logical.alias; children }
       in
       let cost =

@@ -45,20 +45,11 @@ type t = {
 
 let default_workers () = max 2 (min 4 (Domain.recommended_domain_count () - 1))
 
-(* Deadline and cancellation of the job currently running on this
-   domain, stashed in domain-local storage so nested fan-out — the
-   scatter runner submitting partition subtasks mid-query — inherits
-   them without threading context through the executor. *)
-let job_ctx_key : (float option * (unit -> bool)) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (None, fun () -> false))
-
-let current_deadline () = fst (Domain.DLS.get job_ctx_key)
-let current_cancelled () = snd (Domain.DLS.get job_ctx_key)
-
 let locked t f =
-  (* the scatter runner submits helper jobs mid-query, so this mutex can
-     be taken while the submitting session's locks are held *)
-  (* @acquires srv.scheduler.queue while srv.session db.rwlock *)
+  (* taken with nothing else held: a worker queues the jobs its job woke
+     once that job is done, and the rwlock timer and session teardown
+     wake outside their own mutexes *)
+  (* @acquires srv.scheduler.queue *)
   Obs.Lockdep.acquire "srv.scheduler.queue";
   Mutex.lock t.m;
   Fun.protect
@@ -131,13 +122,7 @@ let rec worker_loop t =
          job.expired Proto.Deadline_exceeded
        end
        else begin
-         Domain.DLS.set job_ctx_key (job.deadline, job.cancelled);
-         match
-           Fun.protect
-             ~finally:(fun () ->
-               Domain.DLS.set job_ctx_key (None, fun () -> false))
-             job.run
-         with
+         match job.run () with
          | `Done ->
              Obs.Metrics.record_time t.metrics "srv.queue_wait"
                (now -. job.enqueued_at);
@@ -201,22 +186,6 @@ let submit t job =
   | `Rejected _ -> Obs.Metrics.incr t.metrics "srv.jobs_rejected"
   | `Shutting_down -> ());
   verdict
-
-(* Enqueue pool-assisted work the server generates for itself — scatter
-   helper jobs fanning a query's partition subtasks across the pool.
-   Admission control is deliberately skipped: the submitting query
-   already passed it and is occupying a worker; bouncing its subtasks
-   would deadlock progress against the very backlog the query is part
-   of.  [false] when the pool is shutting down — the submitter then
-   runs every subtask itself. *)
-let submit_internal t job =
-  let admitted =
-    push t job ~refusal:(fun () ->
-        if t.stopping then Some `Shutting_down else None)
-    = `Admitted
-  in
-  if admitted then Obs.Metrics.incr t.metrics "srv.scatter_helpers";
-  admitted
 
 (* A woken job goes back to the queue tail without admission control: it
    was admitted once.  Deadline and cancellation are checked again at

@@ -48,18 +48,6 @@ val submit :
   t -> job -> [ `Admitted | `Rejected of int | `Shutting_down ]
 (** [`Rejected retry_after_ms] when the queue is at capacity. *)
 
-val submit_internal : t -> job -> bool
-(** Enqueue server-generated work (scatter helper jobs), skipping
-    admission control — the submitting query already passed it and
-    holds a worker.  [false] when shutting down; the caller must then
-    run the work itself. *)
-
-val current_deadline : unit -> float option
-val current_cancelled : unit -> unit -> bool
-(** Deadline / cancellation of the job currently running on this
-    domain ([None] / const-false outside a worker) — how the scatter
-    runner inherits the submitting query's limits. *)
-
 val resubmit : t -> job -> unit
 (** Queue a woken parked job again, without admission control. *)
 

@@ -77,9 +77,6 @@ let create ?workers ?(queue_capacity = 64) ?plan_cache_capacity
   Rel.Database.register_virtual (Core.Softdb.db sdb) ~name:"sys.sessions"
     ~schema:Obs.Sys_tables.sessions_schema (fun () ->
       List.rev_map Session.sys_row (locked t (fun () -> t.sessions)));
-  (* partition-parallel queries fan their subtasks over this server's
-     worker pool *)
-  Scatter.install t.scheduler;
   t
 
 let scheduler t = t.scheduler

@@ -37,13 +37,12 @@
    orders the server actually exhibits; a rank the racecheck traffic
    cannot exercise carries [lockdep-waive] with the reason beside it.
 
-   [srv.scheduler.queue] ranks *above* [db.rwlock]: the scatter runner
-   ({!Scatter}) submits partition subtasks to the pool from inside a
-   running query, i.e. while the session and read locks are held.
-   Nothing acquires session or engine locks while holding the queue
-   mutex (workers release it before running a job), so the high rank is
-   free.  [srv.scatter.batch] sits just above it: batch bookkeeping
-   happens under the same held set plus nothing else.
+   [srv.scheduler.queue] is taken with nothing else held: a worker pops
+   its job before taking any lock, and the jobs a release wakes are
+   queued once the waking job is done (the rwlock timer and session
+   teardown wake them outside their own mutexes).  Nothing is acquired
+   under it either: like [srv.breaker] it is a leaf, so any rank is
+   sound, and it keeps 35.
 
    [srv.breaker] is a leaf: the circuit breaker ({!Breaker}) decides
    admit/reject with nothing else held and acquires nothing while held
@@ -61,7 +60,6 @@
    @lock-order db.rwlock rank=30 reentrant
    @lock-order idx.lifecycle rank=32
    @lock-order srv.scheduler.queue rank=35
-   @lock-order srv.scatter.batch rank=37 lockdep-waive (scatter runs only against partitioned tables)
    @lock-order srv.rwlock.state rank=40
    @lock-order srv.server.registry rank=50
    @lock-order core.plan_cache rank=60

@@ -4,9 +4,10 @@
    soft constraints, routing-hard and SC-premised partition pruning with
    verifiable Check certificates, partition-local invalidation and the
    guarded fallback after a mid-flight overturn, the aligned-join
-   cardinality cap, sys.partitions with per-partition scan counters, and
-   crash recovery of a partitioned database (checkpointing, replay of
-   interleaved cross-shard traffic). *)
+   cardinality cap, sys.partitions with per-partition scan counters, the
+   in-line concatenation of segments (order, early stop, EXPLAIN
+   ANALYZE), and crash recovery of a partitioned database (checkpointing,
+   replay of interleaved cross-shard traffic). *)
 
 open Rel
 
@@ -466,6 +467,135 @@ let test_sys_partitions_and_scan_counters () =
           "SELECT table_name FROM sys.partitions")
          .Exec.Executor.rows)
 
+(* ---- the in-line concatenation of segments -------------------------------- *)
+
+let concat_plan (plan : Exec.Plan.t) =
+  let rec go = function
+    | Exec.Plan.Partition_concat _ as p -> Some p
+    | p -> List.find_map go (Exec.Plan.children p)
+  in
+  match go plan with
+  | Some p -> p
+  | None ->
+      Alcotest.failf "expected a PartitionConcat in %s"
+        (Exec.Plan.to_string plan)
+
+(* Same generator seed + same partitioning => byte-identical rows, in
+   segment order: the segments stream one after another, so the order is
+   the plan's and nothing else's. *)
+let test_concat_deterministic () =
+  let build () =
+    let sdb = Core.Softdb.create () in
+    Workload.Purchase.load
+      ~config:{ Workload.Purchase.default_config with rows = 1500; seed = 7 }
+      (Core.Softdb.db sdb);
+    ignore
+      (Core.Softdb.exec sdb
+         "ALTER TABLE purchase PARTITION BY RANGE (id) BOUNDS (500, 1000)");
+    Core.Softdb.runstats sdb;
+    sdb
+  in
+  let sql = "SELECT id, amount FROM purchase WHERE quantity >= 1" in
+  let a = build () and b = build () in
+  ignore (concat_plan (Core.Softdb.explain a sql).Opt.Explain.plan);
+  let rows sdb = (Core.Softdb.query sdb sql).Exec.Executor.rows in
+  let ra = rows a in
+  check tbool "non-empty result" true (List.length ra > 1000);
+  check tbool "database-to-database identical" true (ra = rows b);
+  check tbool "run-to-run identical" true (ra = rows a);
+  let segment row =
+    match Tuple.get row 0 with
+    | Value.Int id -> if id < 500 then 0 else if id < 1000 then 1 else 2
+    | _ -> Alcotest.fail "id column"
+  in
+  let segs = List.map segment ra in
+  check tbool "rows arrive in segment order" true
+    (List.sort compare segs = segs);
+  check (Alcotest.list tint) "every segment contributes" [ 0; 1; 2 ]
+    (List.sort_uniq compare segs)
+
+(* A LIMIT met inside segment 0 never opens segments 1..: they read no
+   page and scan no row. *)
+let test_concat_limit_stops_early () =
+  let sdb = psdb () in
+  let plan =
+    (Core.Softdb.explain sdb "SELECT id, v FROM p LIMIT 5").Opt.Explain.plan
+  in
+  ignore (concat_plan plan);
+  let counters = Exec.Operators.Counters.create () in
+  let rows = Exec.Operators.run (Core.Softdb.db sdb) ~counters plan in
+  check tint "LIMIT rows" 5 (List.length rows);
+  let slice i =
+    List.find_map
+      (fun (_, part, scanned, pages) ->
+        if part = i then Some (scanned, pages) else None)
+      (Exec.Operators.Counters.partition_counts counters)
+    |> Option.value ~default:(0, 0)
+  in
+  check tbool "segment 0 read" true (snd (slice 0) > 0);
+  check tint "segment 0 stopped at the limit" 5 (fst (slice 0));
+  List.iter
+    (fun i ->
+      check tint (Printf.sprintf "segment %d pages_read" i) 0 (snd (slice i));
+      check tint (Printf.sprintf "segment %d rows_scanned" i) 0 (fst (slice i)))
+    [ 1; 2 ];
+  check tint "pages are segment 0's alone" (snd (slice 0))
+    counters.Exec.Operators.Counters.pages_read
+
+(* EXPLAIN ANALYZE sees each segment: every PartitionScan reports the
+   rows it produced, and they add up to the concatenation's. *)
+let test_concat_explain_analyze () =
+  let sdb = Core.Softdb.create () in
+  ignore (Core.Softdb.exec sdb "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  List.iter
+    (fun (id, v) ->
+      ignore
+        (Core.Softdb.exec sdb
+           (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" id v)))
+    [ (1, 10); (2, 20); (3, 30); (4, 10); (5, 25); (6, 35); (7, 5); (8, 40);
+      (9, 50) ];
+  ignore
+    (Core.Softdb.exec sdb "ALTER TABLE t PARTITION BY RANGE (id) BOUNDS (4, 7)");
+  Core.Softdb.runstats sdb;
+  let sql = "SELECT id, v FROM t WHERE v >= 20" in
+  let a =
+    Core.Softdb.analyze sdb (Sqlfe.Parser.parse_query_string sql)
+  in
+  let children =
+    match concat_plan a.Opt.Explain.a_report.Opt.Explain.plan with
+    | Exec.Plan.Partition_concat { children; _ } -> List.map snd children
+    | _ -> assert false
+  in
+  check tint "three segments" 3 (List.length children);
+  let rec from_concat = function
+    | [] -> Alcotest.fail "no PartitionConcat node"
+    | (n : Opt.Explain.node_stat) :: rest ->
+        if String.starts_with ~prefix:"PartitionConcat" n.Opt.Explain.label
+        then (n, rest)
+        else from_concat rest
+  in
+  let concat, rest = from_concat a.Opt.Explain.nodes in
+  let scans =
+    List.filter
+      (fun (n : Opt.Explain.node_stat) ->
+        n.Opt.Explain.depth = concat.Opt.Explain.depth + 1)
+      rest
+  in
+  check tint "one node per segment" 3 (List.length scans);
+  List.iter2
+    (fun (n : Opt.Explain.node_stat) child ->
+      check tbool "child is a PartitionScan" true
+        (String.starts_with ~prefix:"PartitionScan" n.Opt.Explain.label);
+      check tint "two qualifying rows per segment" 2 n.Opt.Explain.actual_rows;
+      check tint
+        (n.Opt.Explain.label ^ ": actual = rows produced")
+        (List.length (Exec.Operators.run (Core.Softdb.db sdb) child))
+        n.Opt.Explain.actual_rows)
+    scans children;
+  check tint "children sum to the concatenation" concat.Opt.Explain.actual_rows
+    (List.fold_left (fun acc n -> acc + n.Opt.Explain.actual_rows) 0 scans);
+  check tint "concatenation produced the answer" 6 concat.Opt.Explain.actual_rows
+
 (* ---- recovery: checkpoint, cross-shard replay ---------------------------- *)
 
 let wal_fixture () =
@@ -602,6 +732,15 @@ let () =
         [
           Alcotest.test_case "sys.partitions and scan counters" `Quick
             test_sys_partitions_and_scan_counters;
+        ] );
+      ( "concat",
+        [
+          Alcotest.test_case "deterministic in segment order" `Quick
+            test_concat_deterministic;
+          Alcotest.test_case "LIMIT never opens later segments" `Quick
+            test_concat_limit_stops_early;
+          Alcotest.test_case "EXPLAIN ANALYZE counts each segment" `Quick
+            test_concat_explain_analyze;
         ] );
       ( "recovery",
         [

@@ -1435,12 +1435,8 @@ let test_sc_overturn_falls_back_across_sessions () =
   quit bclient;
   Srv.Server.shutdown server
 
-(* ---- partitioned scatter-gather through the server ------------------------- *)
+(* ---- the serving workload and partitioned tables through the server ------- *)
 
-(* Same generator seed + same partitioning ⇒ byte-identical result
-   ordering, run after run and server after server: the gather merges
-   its per-partition buffers in segment order, whatever the completion
-   order on the worker pool. *)
 (* The serving workload's request: a month-wide ship_date window under
    the shipping band with its exception table.  Over the wire the plan is
    the paper's §4.4 union — an order_date IndexScan beside the
@@ -1487,53 +1483,6 @@ let test_served_month_window_plan () =
         { Srv.Proto.id = 0; payload = p });
   quit cl;
   Srv.Server.shutdown server
-
-let test_scatter_gather_deterministic () =
-  let mk_server () =
-    let sdb = small_purchase_sdb () in
-    ignore
-      (Core.Softdb.exec sdb
-         "ALTER TABLE purchase PARTITION BY RANGE (id) BOUNDS (500, 1000)");
-    Core.Softdb.runstats sdb;
-    (sdb, Srv.Server.create ~workers:4 ~queue_capacity:64 sdb)
-  in
-  (* server1 is created last: the executor's scatter runner is
-     process-global and the most recently installed pool wins, so the
-     helper-job metric must be read from server1's registry *)
-  let _, server2 = mk_server () in
-  let sdb1, server1 = mk_server () in
-  (* touches all three segments; enough rows to interleave completions *)
-  let sql = "SELECT id, amount FROM purchase WHERE quantity >= 1" in
-  (match (Core.Softdb.explain sdb1 sql).Opt.Explain.plan with
-  | Exec.Plan.Scatter_gather _ | Exec.Plan.Project { input = Exec.Plan.Scatter_gather _; _ } -> ()
-  | p ->
-      Alcotest.failf "expected a scatter-gather plan, got %s" (Exec.Plan.to_string p));
-  let run server =
-    let cl = connect server in
-    let lines =
-      List.init 3 (fun _ ->
-          let id = send cl (Srv.Proto.Statement sql) in
-          let r = recv cl in
-          check tint "response correlates" id r.Srv.Proto.id;
-          Srv.Proto.response_to_line { r with Srv.Proto.id = 0 })
-    in
-    quit cl;
-    lines
-  in
-  (match run server1 with
-  | [ a; b; c ] ->
-      check tbool "non-empty result" true (String.length a > 40);
-      check tbool "run-to-run byte-identical" true (a = b && b = c);
-      (match run server2 with
-      | d :: _ ->
-          check tbool "server-to-server byte-identical" true (a = d)
-      | [] -> Alcotest.fail "no responses from server2")
-  | _ -> Alcotest.fail "expected three responses");
-  (* the parallel path actually engaged: helper jobs were offered *)
-  check tbool "scatter helpers submitted" true
-    (Obs.Metrics.counter (Core.Softdb.metrics sdb1) "srv.scatter_helpers" > 0);
-  Srv.Server.shutdown server1;
-  Srv.Server.shutdown server2
 
 (* Mid-flight partition-SC overturn: session a's prepared plan prunes
    segment 2 on the strength of its mined domain SC; session b inserts
@@ -2198,10 +2147,8 @@ let () =
           Alcotest.test_case "eight sessions over TCP under the lock witness"
             `Quick test_concurrent_sessions_tcp;
         ] );
-      ( "scatter",
+      ( "pruning",
         [
-          Alcotest.test_case "scatter-gather is deterministic" `Quick
-            test_scatter_gather_deterministic;
           Alcotest.test_case "partition SC overturn falls back" `Quick
             test_partition_sc_overturn_guarded_fallback;
         ] );
