@@ -14,7 +14,7 @@ val lock_scan_files : root:string -> string list
 
 val guard_scan_files : root:string -> string list
 (** The [.ml] files the guarded-by lint scans: the concurrent
-    subsystems (lib/srv, lib/core, lib/obs, lib/idx, lib/part). *)
+    subsystems (lib/srv, lib/core, lib/obs, lib/idx). *)
 
 val run :
   ?explain:bool ->

@@ -1,7 +1,7 @@
 (* Guarded-by analysis: shared mutable state must declare its lock.
 
-   The concurrent subsystems (lib/srv, lib/core, lib/obs, lib/idx,
-   lib/part) keep their shared mutable state — [mutable] record fields,
+   The concurrent subsystems (lib/srv, lib/core, lib/obs, lib/idx) keep
+   their shared mutable state — [mutable] record fields,
    [Hashtbl.t]/[Queue.t]/[Atomic.t] fields, module-level refs — behind
    locks from the canonical [@lock-order] rank table.  Which lock guards
    which state used to live in prose comments; this pass makes it a

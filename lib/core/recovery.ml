@@ -177,19 +177,6 @@ let on_index_state link idx =
     | Open { explicit_ = true; _ } | Closed -> ()
   end
 
-let on_txn link ev =
-  if alive link then
-    match ev with
-    | Txn.Began t when Txn.softdb t == link.sdb ->
-        (* close any dangling autocommit frame, then open the explicit one *)
-        commit_frame link;
-        let txn = Wal.fresh_txn link.wal in
-        Wal.append link.wal (Wal.Begin { txn });
-        link.frame <- Open { txn; explicit_ = true }
-    | Txn.Committed t when Txn.softdb t == link.sdb -> commit_frame link
-    | Txn.Rolled_back t when Txn.softdb t == link.sdb -> abort_frame link
-    | Txn.Began _ | Txn.Committed _ | Txn.Rolled_back _ -> ()
-
 let is_ddl (stmt : Sqlfe.Ast.statement) =
   match stmt with
   | Sqlfe.Ast.Create_table _ | Sqlfe.Ast.Drop_table _ | Sqlfe.Ast.Drop_index _
@@ -207,9 +194,17 @@ let autocommit link =
   | Open { explicit_ = false; _ } -> commit_frame link
   | Open { explicit_ = true; _ } | Closed -> ()
 
-let on_statement link ev =
+let on_event link ev =
   if alive link then
     match ev with
+    | Softdb.Began ->
+        (* close any dangling autocommit frame, then open the explicit one *)
+        commit_frame link;
+        let txn = Wal.fresh_txn link.wal in
+        Wal.append link.wal (Wal.Begin { txn });
+        link.frame <- Open { txn; explicit_ = true }
+    | Softdb.Committed -> commit_frame link
+    | Softdb.Rolled_back -> abort_frame link
     | Softdb.Stmt_started stmt -> if is_ddl stmt then link.suppress <- true
     | Softdb.Stmt_finished (stmt, ok) ->
         if is_ddl stmt then begin
@@ -236,8 +231,7 @@ let attach sdb wal =
   Database.on_mutation (Softdb.db sdb) (on_mutation link);
   Database.on_index_state (Softdb.db sdb) (on_index_state link);
   Sc_catalog.on_change (Softdb.catalog sdb) (on_sc_change link);
-  Txn.on_event (on_txn link);
-  Softdb.on_statement sdb (on_statement link);
+  Softdb.on_event sdb (on_event link);
   link
 
 let flush link =

@@ -25,8 +25,9 @@ type t
 (** A live link between a database and its WAL. *)
 
 val attach : Softdb.t -> Wal.t -> t
-(** Register the mutation / catalog / transaction / statement listeners
-    and declare the fault points. *)
+(** Register the mutation / index / catalog listeners and one
+    {!Softdb.on_event} listener (statement and transaction framing), and
+    declare the fault points. *)
 
 val softdb : t -> Softdb.t
 val wal : t -> Wal.t

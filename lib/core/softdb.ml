@@ -6,9 +6,12 @@
 
 open Rel
 
-type stmt_event =
+type event =
   | Stmt_started of Sqlfe.Ast.statement
   | Stmt_finished of Sqlfe.Ast.statement * bool  (** success? *)
+  | Began
+  | Committed
+  | Rolled_back
 
 (* @guarded-by db.rwlock — engine flags and hooks change via write
    statements (or before the server starts); readers see them frozen *)
@@ -26,9 +29,14 @@ type t = {
   mutable plan_cache_rows : unit -> Tuple.t list;
       (* sys.plan_cache generator, bound by Plan_cache.create (the cache
          depends on this module, not vice versa) *)
-  mutable stmt_listeners : (stmt_event -> unit) list;
-      (* statement framing hooks: the WAL link ({!Recovery}) uses them
-         for autocommit boundaries and DDL capture *)
+  mutable listeners : (event -> unit) list;
+      (* statement and transaction framing hooks: the WAL link
+         ({!Recovery}) uses them for its frame boundaries and DDL capture *)
+  mutable txn_recorder : (Database.mutation -> unit) option;
+      (* the open transaction's undo recorder ({!Txn}); [None] when no
+         transaction is open *)
+  mutable txn_ids : int; (* transactions begun so far *)
+  recalibration : Mutex.t; (* see [observe_twin] *)
   mutable constraints_named : int;
       (* unnamed constraints named so far: per database, so the same DDL
          gets the same names whatever else the process has run *)
@@ -233,10 +241,14 @@ let create ?(flags = Opt.Rewrite.all_on) () =
       feedback = true;
       feedback_tolerance = Obs.Feedback.default_tolerance;
       plan_cache_rows = (fun () -> []);
-      stmt_listeners = [];
+      listeners = [];
+      txn_recorder = None;
+      txn_ids = 0;
+      recalibration = Mutex.create ();
       constraints_named = 0;
     }
   in
+  Database.on_mutation db (fun m -> Option.iter (fun r -> r m) t.txn_recorder);
   register_sys_tables t;
   t
 
@@ -252,8 +264,14 @@ let set_feedback ?tolerance t on =
 
 let set_plan_cache_source t rows = t.plan_cache_rows <- rows
 
-let on_statement t f = t.stmt_listeners <- f :: t.stmt_listeners
-let notify_stmt t ev = List.iter (fun f -> f ev) t.stmt_listeners
+let on_event t f = t.listeners <- f :: t.listeners
+let notify t ev = List.iter (fun f -> f ev) t.listeners
+let txn_recorder t = t.txn_recorder
+let set_txn_recorder t r = t.txn_recorder <- r
+
+let next_txn_id t =
+  t.txn_ids <- t.txn_ids + 1;
+  t.txn_ids
 
 let planner_env t =
   Opt.Planner.make_env ~params:t.cost_params t.db t.stats
@@ -468,8 +486,8 @@ let rec twin_names acc (l : Opt.Logical.t) =
    server's worker pool many read queries finish concurrently, so the
    adjust branch is serialized behind one mutex — data and catalog
    structure mutations proper stay on the single-writer path (lib/srv),
-   and field-level confidence updates from readers are funnelled here. *)
-let recalibration_lock = Mutex.create ()
+   and field-level confidence updates from readers are funnelled here
+   (the database's [recalibration] mutex). *)
 
 (* Per-twin observation: the measured coverage of the SSC's statement
    against current data is the observed selectivity of the twinned
@@ -498,10 +516,10 @@ let observe_twin t sc_name =
               | Obs.Feedback.Adjust { confidence; refresh } ->
                   (* @acquires core.recalibration while srv.session db.rwlock *)
                   Obs.Lockdep.acquire "core.recalibration";
-                  Mutex.lock recalibration_lock;
+                  Mutex.lock t.recalibration;
                   Fun.protect
                     ~finally:(fun () ->
-                      Mutex.unlock recalibration_lock;
+                      Mutex.unlock t.recalibration;
                       Obs.Lockdep.release "core.recalibration")
                     (fun () ->
                       Sc_catalog.set_kind t.catalog sc
@@ -765,13 +783,13 @@ let exec_statement_inner t (stmt : Sqlfe.Ast.statement) : outcome =
 (* Statement execution framed by the [Stmt_started]/[Stmt_finished]
    hooks, which the WAL link uses for autocommit boundaries. *)
 let exec_statement t (stmt : Sqlfe.Ast.statement) : outcome =
-  notify_stmt t (Stmt_started stmt);
+  notify t (Stmt_started stmt);
   match exec_statement_inner t stmt with
   | outcome ->
-      notify_stmt t (Stmt_finished (stmt, true));
+      notify t (Stmt_finished (stmt, true));
       outcome
   | exception e ->
-      notify_stmt t (Stmt_finished (stmt, false));
+      notify t (Stmt_finished (stmt, false));
       raise e
 
 (* The string APIs have no session loop to drive an online backfill, so

@@ -44,15 +44,30 @@ val set_plan_cache_source : t -> (unit -> Tuple.t list) -> unit
     {!Plan_cache.create}; rows must match
     {!Obs.Sys_tables.plan_cache_schema}. *)
 
-type stmt_event =
+type event =
   | Stmt_started of Sqlfe.Ast.statement
   | Stmt_finished of Sqlfe.Ast.statement * bool  (** success? *)
+  | Began  (** then [Committed] or [Rolled_back]: the {!Txn} lifecycle *)
+  | Committed
+  | Rolled_back
 
-val on_statement : t -> (stmt_event -> unit) -> unit
-(** Statement framing hooks around {!exec_statement} — the WAL link
-    ({!Recovery}) uses them for autocommit boundaries and DDL capture.
-    [Stmt_finished] fires on both success ([true]) and exception
-    ([false], then re-raised). *)
+val on_event : t -> (event -> unit) -> unit
+(** Statement and transaction framing hooks — the WAL link
+    ({!Recovery}) uses them for its frame boundaries and DDL capture.
+    [Stmt_finished] fires around {!exec_statement} on both success
+    ([true]) and exception ([false], then re-raised). *)
+
+val notify : t -> event -> unit
+(** Publish to the {!on_event} hooks; {!Txn} publishes its lifecycle. *)
+
+val txn_recorder : t -> (Database.mutation -> unit) option
+val set_txn_recorder : t -> (Database.mutation -> unit) option -> unit
+(** The open transaction's undo recorder, fed every data mutation of
+    this database; [None] while no transaction is open.  Owned by
+    {!Txn}. *)
+
+val next_txn_id : t -> int
+(** This database's next transaction id, counting from 1. *)
 
 exception Error of string
 
@@ -88,7 +103,7 @@ type outcome =
   | Done of string
 
 val exec_statement : t -> Sqlfe.Ast.statement -> outcome
-(** One statement, framed by the {!on_statement} hooks.  A
+(** One statement, framed by the {!on_event} hooks.  A
     [CREATE INDEX ... ONLINE] registers only the write-only shell — the
     caller owns the backfill ({!Idx.Lifecycle}). *)
 

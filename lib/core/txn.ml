@@ -11,9 +11,13 @@
    consistent throughout because the compensating operations flow through
    the same mutation listeners.
 
-   Lifecycle events ([Began]/[Committed]/[Rolled_back]) let the
-   durability layer ({!Recovery}) frame WAL records; the catalog restore
-   goes through the {!Sc_catalog} setters for the same reason. *)
+   The state is the database's: its open transaction's undo recorder and
+   its id counter live in the {!Softdb.t}, so transactions on different
+   databases never see each other.  Lifecycle events
+   ([Softdb.Began]/[Committed]/[Rolled_back]) on the database's event
+   stream let the durability layer ({!Recovery}) frame WAL records; the
+   catalog restore goes through the {!Sc_catalog} setters for the same
+   reason. *)
 
 open Rel
 
@@ -37,28 +41,12 @@ type t = {
   mutable recording : bool;
 }
 
-type event = Began of t | Committed of t | Rolled_back of t
-
 exception Transaction_error of string
 exception Rollback_incomplete of exn list
 
 let fault_points = [ "txn.begin"; "txn.pre_commit"; "txn.rollback" ]
 
-(* @guarded-by db.rwlock — only the write-lock owner begins, commits,
-   or rolls back *)
-let current : t option ref = ref None
-
-(* @guarded-by db.rwlock *)
-let next_id = ref 0
-
-(* @guarded-by db.rwlock *)
-let listeners : (event -> unit) list ref = ref []
-
-let on_event f = listeners := f :: !listeners
-let notify ev = List.iter (fun f -> f ev) !listeners
-
 let id t = t.id
-let softdb t = t.sdb
 
 let snapshot_catalog catalog =
   List.map
@@ -73,33 +61,13 @@ let snapshot_catalog catalog =
       })
     (Sc_catalog.all catalog)
 
-(* one recording listener per database, routed through [current], so
-   repeated transactions do not accumulate listeners *)
-(* @guarded-by db.rwlock *)
-let registered : Database.t list ref = ref []
-
-let ensure_listener sdb =
-  let db = Softdb.db sdb in
-  if not (List.exists (fun d -> d == db) !registered) then begin
-    registered := db :: !registered;
-    Database.on_mutation db (fun m ->
-        match !current with
-        | Some t when t.active && t.recording && Softdb.db t.sdb == db ->
-            t.log <- m :: t.log
-        | _ -> ())
-  end
-
 let begin_ sdb =
-  (match !current with
-  | Some t when t.active ->
-      raise (Transaction_error "a transaction is already active")
-  | _ -> ());
-  ensure_listener sdb;
+  if Option.is_some (Softdb.txn_recorder sdb) then
+    raise (Transaction_error "a transaction is already active");
   Obs.Fault.point "txn.begin";
-  incr next_id;
   let t =
     {
-      id = !next_id;
+      id = Softdb.next_txn_id sdb;
       sdb;
       log = [];
       snapshots = snapshot_catalog (Softdb.catalog sdb);
@@ -107,16 +75,21 @@ let begin_ sdb =
       recording = true;
     }
   in
-  current := Some t;
-  notify (Began t);
+  Softdb.set_txn_recorder sdb
+    (Some (fun m -> if t.recording then t.log <- m :: t.log));
+  Softdb.notify sdb Softdb.Began;
   t
+
+(* the transaction is over: the database may begin another *)
+let finish t =
+  t.active <- false;
+  Softdb.set_txn_recorder t.sdb None
 
 let commit t =
   if not t.active then raise (Transaction_error "transaction is not active");
   Obs.Fault.point "txn.pre_commit";
-  t.active <- false;
-  current := None;
-  notify (Committed t)
+  finish t;
+  Softdb.notify t.sdb Softdb.Committed
 
 let rollback t =
   if not t.active then raise (Transaction_error "transaction is not active");
@@ -127,9 +100,8 @@ let rollback t =
      must not leave a phantom active transaction — and the abort is
      published so the WAL frames it. *)
   Fun.protect ~finally:(fun () ->
-      t.active <- false;
-      current := None;
-      notify (Rolled_back t))
+      finish t;
+      Softdb.notify t.sdb Softdb.Rolled_back)
   @@ fun () ->
   t.recording <- false;
   Obs.Fault.point "txn.rollback";
@@ -169,17 +141,6 @@ let rollback t =
   | errs -> raise (Rollback_incomplete errs)
 
 let mutation_count t = List.length t.log
-
-(* After a simulated crash the in-flight transaction is dead, not rolled
-   back: the crash matrix clears it without compensating (recovery is
-   what re-establishes the invariants). *)
-let abandon_current () =
-  (match !current with
-  | Some t ->
-      t.active <- false;
-      t.recording <- false
-  | None -> ());
-  current := None
 
 (* Run [f] atomically: commit on success, roll back on exception. *)
 let atomically sdb f =

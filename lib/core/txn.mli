@@ -10,8 +10,10 @@
     consistent throughout because the compensating operations flow
     through the same mutation listeners.
 
-    One transaction at a time; row identifiers of rows deleted and
-    restored by a rollback are not preserved. *)
+    One open transaction per database: its undo recorder and id counter
+    live in the {!Softdb.t}, and its lifecycle is published on that
+    database's {!Softdb.on_event} stream ([Began], then [Committed] or
+    [Rolled_back]) — {!Recovery} frames WAL records with it. *)
 
 exception Transaction_error of string
 
@@ -23,24 +25,16 @@ exception Rollback_incomplete of exn list
 
 type t
 
-type event = Began of t | Committed of t | Rolled_back of t
-(** Lifecycle notifications, published after the state change took
-    effect — {!Recovery} frames WAL records with these. *)
-
 val fault_points : string list
 (** The named fault sites this module fires ([txn.begin],
     [txn.pre_commit], [txn.rollback]). *)
 
-val on_event : (event -> unit) -> unit
-(** Register a global lifecycle listener. *)
-
 val id : t -> int
-(** Monotonic transaction id (session-local, not the WAL txn id). *)
-
-val softdb : t -> Softdb.t
+(** Monotonic transaction id, per database (not the WAL txn id). *)
 
 val begin_ : Softdb.t -> t
-(** Start recording; raises {!Transaction_error} if one is active. *)
+(** Start recording; raises {!Transaction_error} if this database
+    already has an open transaction. *)
 
 val commit : t -> unit
 (** Discard the undo log. *)
@@ -52,11 +46,6 @@ val rollback : t -> unit
     failures re-raised together as {!Rollback_incomplete}. *)
 
 val mutation_count : t -> int
-
-val abandon_current : unit -> unit
-(** Forget an in-flight transaction {e without} compensating — the
-    simulated-crash escape hatch: after a crash the process is presumed
-    dead, and recovery (not rollback) re-establishes the invariants. *)
 
 val atomically : Softdb.t -> (unit -> 'a) -> ('a, exn) result
 (** Run a thunk in a transaction: [Ok] commits, an exception rolls back

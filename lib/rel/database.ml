@@ -284,7 +284,22 @@ let find_constraint t name =
 
 let on_mutation t f = t.listeners <- f :: t.listeners
 
-let notify t m = List.iter (fun f -> f m) t.listeners
+(* A listener that raises does not keep the mutation from the others:
+   the open transaction's undo recorder must see every mutation that
+   reached storage, whichever listener fails.  The first failure is
+   re-raised once all have run. *)
+let notify t m =
+  match
+    List.filter_map
+      (fun f ->
+        try
+          f m;
+          None
+        with e -> Some e)
+      t.listeners
+  with
+  | [] -> ()
+  | e :: _ -> raise e
 
 (* ---- data modification ------------------------------------------------ *)
 

@@ -128,7 +128,9 @@ val find_constraint : t -> string -> Icdef.t option
 (** {1 Mutation listeners} *)
 
 val on_mutation : t -> (mutation -> unit) -> unit
-(** Register a listener invoked after every successful mutation. *)
+(** Register a listener invoked after every successful mutation.  Every
+    listener runs even when an earlier one raises; the first exception is
+    re-raised after the last. *)
 
 (** {1 Data modification}
 

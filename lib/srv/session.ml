@@ -460,8 +460,8 @@ let close ~rwlock t =
       if t.state <> Closed then begin
         (match t.txn with
         | Some txn ->
-            (try Core.Txn.rollback txn
-             with _ -> Core.Txn.abandon_current ());
+            (* rollback ends the transaction however its undo fails *)
+            (try Core.Txn.rollback txn with _ -> ());
             t.txn <- None
         | None -> ());
         t.state <- Closed

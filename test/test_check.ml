@@ -4,7 +4,8 @@
    contradictory SC pair, duplicate FDs, and dead SSCs; the lock-order
    lint catches rank inversions and unannotated sites in synthetic
    sources and passes on the real tree; the interface-coverage lint
-   passes on the real tree; the differential check re-runs every
+   passes on the real tree, where lib/core and lib/exec keep no
+   process-global mutable state; the differential check re-runs every
    query-suite scenario with rewrites on vs off and demands identical
    result sets; and sc_guard_fallbacks counts exactly once per guarded
    statement (multi-guard plans, re-executed invalidated cache entries). *)
@@ -551,6 +552,44 @@ let test_lockdep_lint_synthetic () =
 
 (* ---- the real tree --------------------------------------------------------- *)
 
+(* The column-0 value bindings (not functions) in [dir]'s .ml files whose
+   right-hand side makes fresh mutable state: process-global state. *)
+let mutable_globals root dir =
+  let fresh =
+    [ "ref "; "Hashtbl.create"; "Queue.create"; "Atomic.make"; "Mutex.create" ]
+  in
+  (* the right-hand side of [let x = rhs] or [let x : ty = rhs], which may
+     start on the next line *)
+  let value_rhs line next =
+    match String.index_opt line '=' with
+    | Some eq when String.starts_with ~prefix:"let " line -> (
+        match
+          String.split_on_char ' ' (String.sub line 4 (eq - 4))
+          |> List.filter (( <> ) "")
+        with
+        | [ _ ] | _ :: ":" :: _ ->
+            let rhs = String.sub line (eq + 1) (String.length line - eq - 1) in
+            Some (String.trim (if String.trim rhs = "" then next else rhs))
+        | _ -> None)
+    | _ -> None
+  in
+  let dir = Filename.concat root dir in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ml")
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         let lines = In_channel.with_open_text path In_channel.input_lines in
+         List.combine lines (List.tl lines @ [ "" ])
+         |> List.mapi (fun i (line, next) ->
+                match value_rhs line next with
+                | Some rhs
+                  when List.exists
+                         (fun prefix -> String.starts_with ~prefix rhs)
+                         fresh ->
+                    [ Printf.sprintf "%s:%d" path (i + 1) ]
+                | _ -> [])
+         |> List.concat)
+
 let test_real_tree_lints () =
   match Source_root.find () with
   | None -> () (* not running from a build tree; covered by `softdb check` *)
@@ -566,7 +605,12 @@ let test_real_tree_lints () =
         (errors_of
            (Check.Guard_lint.lint_files (Check.Driver.guard_scan_files ~root)));
       check tint "every lib module has an interface" 0
-        (errors_of (Check.Iface_lint.lint ~root))
+        (errors_of (Check.Iface_lint.lint ~root));
+      (* engine state belongs to its database: a per-database lock's
+         @guarded-by cannot cover a process global *)
+      check (Alcotest.list Alcotest.string) "no process globals in the engine"
+        []
+        (List.concat_map (mutable_globals root) [ "lib/core"; "lib/exec" ])
 
 (* ---- differential rewrite check -------------------------------------------- *)
 

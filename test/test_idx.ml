@@ -159,7 +159,6 @@ let test_crash_matrix_mid_backfill () =
           false
         with Obs.Fault.Injected_crash _ -> true
       in
-      Core.Txn.abandon_current ();
       Core.Recovery.kill link;
       Obs.Fault.reset ();
       check tbool (point ^ ": crashed") true crashed;

@@ -191,6 +191,47 @@ let test_recover_keeps_committed_overturn () =
        (Core.Sc_catalog.usable (Core.Softdb.catalog sdb2)));
   Core.Recovery.detach link
 
+(* Two databases in one process, each with its own WAL link: a
+   transaction open on one does not block BEGIN on the other, and each
+   rollback, commit and log frame stays with its own database. *)
+let test_two_databases_interleave () =
+  let a, wal_a, link_a = fixture () in
+  let b, wal_b, link_b = fixture () in
+  let ta = Core.Txn.begin_ a in
+  ignore (Core.Softdb.exec a "INSERT INTO t VALUES (10, 500)");
+  let tb = Core.Txn.begin_ b in
+  check tint "ids count per database" (Core.Txn.id ta) (Core.Txn.id tb);
+  ignore (Core.Softdb.exec b "INSERT INTO t VALUES (10, 500)");
+  ignore (Core.Softdb.exec b "INSERT INTO t VALUES (11, 22)");
+  Core.Txn.rollback ta;
+  Core.Txn.commit tb;
+  let usable sdb =
+    Core.Soft_constraint.is_usable (Option.get (find_sc sdb "asc_b"))
+  in
+  check tbool "a: pre state" true (rows_of a = pre_rows);
+  check tbool "a: ASC re-instated" true (usable a);
+  check tbool "b: post state" true (rows_of b = post_rows);
+  check tbool "b: overturn sticks" false (usable b);
+  Core.Recovery.flush link_a;
+  Core.Recovery.flush link_b;
+  let count p wal = List.length (List.filter p (Wal.records wal)) in
+  let abort = function Wal.Abort _ -> true | _ -> false in
+  let logs_a n = function
+    | Wal.Insert { row; _ } -> Tuple.get row 0 = Value.Int n
+    | _ -> false
+  in
+  check tint "a's log aborts a's transaction" 1 (count abort wal_a);
+  check tint "b's log aborts nothing" 0 (count abort wal_b);
+  check tint "b's row only in b's log" 0 (count (logs_a 11) wal_a);
+  check tint "b's log has b's row" 1 (count (logs_a 11) wal_b);
+  let a2 = Core.Recovery.recover (Wal.records wal_a) in
+  let b2 = Core.Recovery.recover (Wal.records wal_b) in
+  check tbool "a's log replays a" true (rows_of a2 = pre_rows && usable a2);
+  check tbool "b's log replays b" true
+    (rows_of b2 = post_rows && not (usable b2));
+  Core.Recovery.detach link_a;
+  Core.Recovery.detach link_b
+
 (* ---- replay cost ---------------------------------------------------------- *)
 
 (* a log creating [t], then [n] autocommitted single-row inserts *)
@@ -264,7 +305,6 @@ let run_crashed_probe point =
       false
     with Obs.Fault.Injected_crash _ -> true
   in
-  Core.Txn.abandon_current ();
   Core.Recovery.kill link;
   Obs.Fault.reset ();
   (crashed, Core.Recovery.recover (Wal.records wal))
@@ -320,7 +360,6 @@ let test_crash_during_rollback () =
   let t = Core.Txn.begin_ sdb in
   ignore (Core.Softdb.exec sdb "INSERT INTO t VALUES (10, 500)");
   (try Core.Txn.rollback t with Obs.Fault.Injected_crash _ -> ());
-  Core.Txn.abandon_current ();
   Core.Recovery.kill link;
   Obs.Fault.reset ();
   let sdb2 = Core.Recovery.recover (Wal.records wal) in
@@ -350,6 +389,30 @@ let test_io_error_is_single_shot () =
   let sdb2 = Core.Recovery.recover (Wal.load_file path) in
   check tbool "surviving insert recovered" true
     (List.mem [ Value.Int 2; Value.Int 4 ] (rows_of sdb2));
+  Core.Recovery.detach link;
+  Wal.close wal;
+  Sys.remove path
+
+(* A log write that fails inside a transaction fails the statement, but
+   the row it stored is still in the undo log: rollback removes it. *)
+let test_failed_write_rolls_back () =
+  Obs.Fault.reset ();
+  let path = Filename.temp_file "softdb_io" ".wal" in
+  let sdb = Core.Softdb.create () in
+  let wal = Wal.open_file path in
+  let link = Core.Recovery.attach sdb wal in
+  ignore (Core.Softdb.exec sdb "CREATE TABLE t (a INT, b INT)");
+  Core.Recovery.flush link;
+  let t = Core.Txn.begin_ sdb in
+  Obs.Fault.arm "wal.io" Obs.Fault.Io_error;
+  (match Core.Softdb.exec sdb "INSERT INTO t VALUES (1, 2)" with
+  | exception Obs.Fault.Injected_io_error _ -> ()
+  | _ -> Alcotest.fail "expected the injected I/O error");
+  check tint "the stored row is in the undo log" 1
+    (Core.Txn.mutation_count t);
+  Core.Txn.rollback t;
+  check tbool "rolled back" true (rows_of sdb = []);
+  Obs.Fault.reset ();
   Core.Recovery.detach link;
   Wal.close wal;
   Sys.remove path
@@ -600,7 +663,6 @@ let test_violated_asc_out_of_rewrites_after_recovery () =
   ignore (Core.Softdb.exec sdb violating_purchase_insert);
   Obs.Fault.arm "wal.pre_commit" Obs.Fault.Crash;
   (try Core.Txn.commit t with Obs.Fault.Injected_crash _ -> ());
-  Core.Txn.abandon_current ();
   Core.Recovery.kill link;
   Obs.Fault.reset ();
   let sdb3 = Core.Recovery.recover (Wal.records wal) in
@@ -668,7 +730,6 @@ let torn_probe ~point ~after mode =
   let sdb, link, path = file_fixture () in
   Obs.Fault.arm ~after point mode;
   (try probe_commit sdb with Obs.Fault.Injected_crash _ -> ());
-  Core.Txn.abandon_current ();
   Core.Recovery.kill link;
   Wal.close (Core.Recovery.wal link);
   Obs.Fault.reset ();
@@ -815,10 +876,8 @@ let test_bit_flip_after_last_commit () =
      salvaged even in strict mode *)
   let sdb, link, path = file_fixture () in
   Obs.Fault.arm ~after:1 "wal.io" (Obs.Fault.Bit_flip 9);
-  let t = Core.Txn.begin_ sdb in
+  ignore (Core.Txn.begin_ sdb);
   ignore (Core.Softdb.exec sdb "INSERT INTO t VALUES (10, 500)");
-  ignore t;
-  Core.Txn.abandon_current ();
   Core.Recovery.kill link;
   Wal.close (Core.Recovery.wal link);
   Obs.Fault.reset ();
@@ -1102,6 +1161,8 @@ let () =
             test_recover_skips_rolled_back_txn;
           Alcotest.test_case "committed overturn kept" `Quick
             test_recover_keeps_committed_overturn;
+          Alcotest.test_case "two databases interleave" `Quick
+            test_two_databases_interleave;
           Alcotest.test_case "linear in log length" `Quick test_replay_linear;
         ] );
       ( "crash_matrix",
@@ -1111,6 +1172,8 @@ let () =
             test_crash_during_rollback;
           Alcotest.test_case "io error single shot" `Quick
             test_io_error_is_single_shot;
+          Alcotest.test_case "failed write rolls back" `Quick
+            test_failed_write_rolls_back;
           Alcotest.test_case "latency counts hits" `Quick
             test_latency_counts_hits;
         ] );

@@ -1699,7 +1699,7 @@ let test_cancel_parked_request () =
 (* Shutdown answers a parked request and returns, though the lock it
    waits for is never released. *)
 let test_shutdown_with_parked_request () =
-  with_parked_insert @@ fun sdb server a b b_ins ->
+  with_parked_insert @@ fun _ server a b b_ins ->
   let stopped = Atomic.make false in
   let th =
     Thread.create
@@ -1714,11 +1714,40 @@ let test_shutdown_with_parked_request () =
   eventually ~timeout_s:5.0 "shutdown returns" (fun () -> Atomic.get stopped);
   Thread.join th;
   a.conn.Srv.Transport.close ();
-  b.conn.Srv.Transport.close ();
-  (* a's open transaction is the process's current one until its
-     session is torn down *)
-  eventually "sessions torn down" (fun () ->
-      counter sdb "srv.sessions_closed" = 2)
+  b.conn.Srv.Transport.close ()
+
+(* Two servers in one process, each over its own database: a session on
+   each holds an open transaction at the same time, and both commit. *)
+let test_two_servers_one_process () =
+  let servers =
+    List.map
+      (fun rows ->
+        let server =
+          Srv.Server.create ~workers:2 (small_purchase_sdb ~rows ())
+        in
+        (server, connect server, rows))
+      [ 200; 100 ]
+  in
+  let each f = List.iter f servers in
+  each (fun (_, cl, rows) ->
+      check tbool
+        (Printf.sprintf "%d-row server begins" rows)
+        true
+        (is_ok (rpc_retry cl Srv.Proto.Begin_txn)));
+  each (fun (_, cl, rows) ->
+      match rpc_retry cl (Srv.Proto.Statement (insert_sql (890000 + rows))) with
+      | Srv.Proto.Affected 1 -> ()
+      | _ -> Alcotest.failf "%d-row server: insert failed" rows);
+  each (fun (_, cl, rows) ->
+      check tbool
+        (Printf.sprintf "%d-row server commits" rows)
+        true
+        (is_ok (rpc_retry cl Srv.Proto.Commit_txn)));
+  each (fun (server, cl, rows) ->
+      check tint "each database holds its own rows" (rows + 1)
+        (count_purchases cl);
+      quit cl;
+      Srv.Server.shutdown server)
 
 (* A burst of transactions from more sessions than workers: parked
    BEGINs hold no worker, so the holder's own statements still run and
@@ -2137,6 +2166,8 @@ let () =
             test_cancel_parked_request;
           Alcotest.test_case "shutdown answers a parked request" `Quick
             test_shutdown_with_parked_request;
+          Alcotest.test_case "two servers in one process" `Quick
+            test_two_servers_one_process;
           Alcotest.test_case "BEGIN burst on two workers commits" `Quick
             test_begin_burst_commits;
           Alcotest.test_case "two online builds beside a reader" `Quick
