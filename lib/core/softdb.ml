@@ -13,6 +13,15 @@ type event =
   | Committed
   | Rolled_back
 
+(* An SC's measured coverage, valid while its table is the same table at
+   the same mutation count and the SC's statement is unchanged. *)
+type coverage = {
+  table : Table.t;
+  mutations : int;
+  statement : Soft_constraint.statement;
+  observed : float;
+}
+
 (* @guarded-by db.rwlock — engine flags and hooks change via write
    statements (or before the server starts); readers see them frozen *)
 type t = {
@@ -37,6 +46,9 @@ type t = {
          transaction is open *)
   mutable txn_ids : int; (* transactions begun so far *)
   recalibration : Mutex.t; (* see [observe_twin] *)
+  coverage : (string * coverage) list Atomic.t;
+      (* the last measured coverage per SC name, read and replaced from
+         the read path (see [observe_twin]) *)
   mutable constraints_named : int;
       (* unnamed constraints named so far: per database, so the same DDL
          gets the same names whatever else the process has run *)
@@ -245,6 +257,7 @@ let create ?(flags = Opt.Rewrite.all_on) () =
       txn_recorder = None;
       txn_ids = 0;
       recalibration = Mutex.create ();
+      coverage = Atomic.make [];
       constraints_named = 0;
     }
   in
@@ -489,6 +502,39 @@ let rec twin_names acc (l : Opt.Logical.t) =
    and field-level confidence updates from readers are funnelled here
    (the database's [recalibration] mutex). *)
 
+(* The measured coverage of [sc], rescanning its table only when the
+   table, its mutation count or the SC's statement changed since the last
+   measurement.  Concurrent readers may both measure and overwrite each
+   other's entry; that costs a rescan, never a stale value. *)
+let measured_coverage t (sc : Soft_constraint.t) =
+  let name = sc.Soft_constraint.name in
+  match Database.find_table t.db sc.Soft_constraint.table with
+  | None -> None
+  | Some tbl -> (
+      let memo = Atomic.get t.coverage in
+      match List.assoc_opt name memo with
+      | Some m
+        when m.table == tbl
+             && m.mutations = Table.mutations tbl
+             && m.statement = sc.Soft_constraint.statement ->
+          Some m.observed
+      | _ ->
+          let mutations = Table.mutations tbl in
+          let measured = Maintenance.measured_confidence t.db sc in
+          Option.iter
+            (fun observed ->
+              Atomic.set t.coverage
+                (( name,
+                   {
+                     table = tbl;
+                     mutations;
+                     statement = sc.Soft_constraint.statement;
+                     observed;
+                   } )
+                :: List.remove_assoc name memo))
+            measured;
+          measured)
+
 (* Per-twin observation: the measured coverage of the SSC's statement
    against current data is the observed selectivity of the twinned
    predicate class.  Recalibration (when enabled) pulls the catalog
@@ -502,7 +548,7 @@ let observe_twin t sc_name =
         | Soft_constraint.Statistical c -> c
         | Soft_constraint.Absolute -> 1.0
       in
-      match Maintenance.measured_confidence t.db sc with
+      match measured_coverage t sc with
       | None -> None
       | Some observed ->
           let adjusted =

@@ -75,8 +75,14 @@ let begin_ sdb =
       recording = true;
     }
   in
+  (* only direct mutations are logged: undoing one re-fires the
+     listeners, which undo its cascades (an exception-table copy) *)
+  let db = Softdb.db sdb in
   Softdb.set_txn_recorder sdb
-    (Some (fun m -> if t.recording then t.log <- m :: t.log));
+    (Some
+       (fun m ->
+         if t.recording && not (Database.cascading db) then
+           t.log <- m :: t.log));
   Softdb.notify sdb Softdb.Began;
   t
 

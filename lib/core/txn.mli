@@ -8,7 +8,10 @@
     order and restores every soft constraint's statement, kind, state and
     currency anchor to their values at {!begin_}.  Exception tables stay
     consistent throughout because the compensating operations flow
-    through the same mutation listeners.
+    through the same mutation listeners: the undo log holds only direct
+    mutations, never the copies a listener made in reaction
+    ({!Rel.Database.cascading}), so compensating a row re-derives its
+    exception-table copy exactly once.
 
     One open transaction per database: its undo recorder and id counter
     live in the {!Softdb.t}, and its lifecycle is published on that

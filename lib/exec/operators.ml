@@ -71,16 +71,20 @@ let drain (c : cursor) =
 
 (* ---- aggregation accumulators ----------------------------------------- *)
 
+(* A SUM stays an exact int while every input is an int; the first float
+   input converts the running sum and accumulates in float from there,
+   in input order. *)
 type acc = {
   mutable count : int; (* non-null inputs; all rows for a bare COUNT *)
-  mutable sum : float;
+  mutable isum : int;
+  mutable fsum : float;
   mutable sum_is_int : bool;
   mutable min_v : Value.t;
   mutable max_v : Value.t;
 }
 
 let fresh_acc () =
-  { count = 0; sum = 0.0; sum_is_int = true; min_v = Value.Null;
+  { count = 0; isum = 0; fsum = 0.0; sum_is_int = true; min_v = Value.Null;
     max_v = Value.Null }
 
 let feed_acc acc (v : Value.t) =
@@ -89,15 +93,22 @@ let feed_acc acc (v : Value.t) =
   | v ->
       acc.count <- acc.count + 1;
       (match v with
-      | Value.Int i -> acc.sum <- acc.sum +. float_of_int i
+      | Value.Int i ->
+          if acc.sum_is_int then acc.isum <- acc.isum + i
+          else acc.fsum <- acc.fsum +. float_of_int i
       | Value.Float f ->
-          acc.sum <- acc.sum +. f;
-          acc.sum_is_int <- false
+          if acc.sum_is_int then begin
+            acc.sum_is_int <- false;
+            acc.fsum <- float_of_int acc.isum +. f
+          end
+          else acc.fsum <- acc.fsum +. f
       | _ -> ());
       if Value.is_null acc.min_v || Value.compare_total v acc.min_v < 0 then
         acc.min_v <- v;
       if Value.is_null acc.max_v || Value.compare_total v acc.max_v > 0 then
         acc.max_v <- v
+
+let acc_sum a = if a.sum_is_int then float_of_int a.isum else a.fsum
 
 let finish_acc (fn : Plan.agg_fn) acc ~rows_in_group =
   match fn with
@@ -106,14 +117,75 @@ let finish_acc (fn : Plan.agg_fn) acc ~rows_in_group =
       match acc with
       | None | Some { count = 0; _ } -> Value.Null
       | Some a ->
-          if a.sum_is_int then Value.Int (int_of_float a.sum)
-          else Value.Float a.sum)
+          if a.sum_is_int then Value.Int a.isum else Value.Float a.fsum)
   | Plan.Avg -> (
       match acc with
       | None | Some { count = 0; _ } -> Value.Null
-      | Some a -> Value.Float (a.sum /. float_of_int a.count))
+      | Some a -> Value.Float (acc_sum a /. float_of_int a.count))
   | Plan.Min -> ( match acc with None -> Value.Null | Some a -> a.min_v)
   | Plan.Max -> ( match acc with None -> Value.Null | Some a -> a.max_v)
+
+(* The one hash table over value tuples — join keys, group keys, distinct
+   rows — hashed and compared by value, so an INT key meets the equal
+   FLOAT key as it does under [=]. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
+let has_null key = Array.exists Value.is_null key
+
+(* Rids in ascending slot order, one per call, then [-1].  [lists] hold
+   [count] distinct rids in all, each below [high_water].  A range that
+   covers a large share of the table marks a bitmap over the slots, read
+   lazily; a small one sorts its rids.  Either way the allocation is the
+   smaller of the two: [high_water / 8] bytes against [count] words. *)
+let slot_order ~high_water ~count lists =
+  if count * 64 >= high_water then begin
+    let bits = Bytes.make ((high_water + 7) lsr 3) '\000' in
+    List.iter
+      (List.iter (fun rid ->
+           let b = rid lsr 3 in
+           let byte = Char.code (Bytes.unsafe_get bits b) in
+           Bytes.unsafe_set bits b
+             (Char.unsafe_chr (byte lor (1 lsl (rid land 7))))))
+      lists;
+    let pos = ref 0 in
+    let rec next () =
+      let p = !pos in
+      if p >= high_water then -1
+      else
+        let byte = Char.code (Bytes.unsafe_get bits (p lsr 3)) lsr (p land 7) in
+        if byte = 0 then begin
+          pos := (p lor 7) + 1;
+          next ()
+        end
+        else begin
+          pos := p + 1;
+          if byte land 1 = 1 then p else next ()
+        end
+    in
+    next
+  end
+  else begin
+    let rids = Array.make count 0 and i = ref 0 in
+    List.iter
+      (List.iter (fun rid ->
+           rids.(!i) <- rid;
+           incr i))
+      lists;
+    Array.sort Int.compare rids;
+    let i = ref 0 in
+    fun () ->
+      if !i >= count then -1
+      else begin
+        let rid = rids.(!i) in
+        incr i;
+        rid
+      end
+  end
 
 (* ---- opening plans ------------------------------------------------------ *)
 
@@ -166,41 +238,41 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       counters.Counters.index_probes <- counters.Counters.index_probes + 1;
       let binding = Plan.binding db plan in
       let keep = Expr.compile_filter binding filter in
-      (* rids stream in index-key order: the first pull takes each key's
-         rid list (one cons per key, no sort) and charges the pages — by
+      (* the first pull takes the rids in range and charges the pages — by
          the page model each fetched rid costs a page read amortized by
-         clustering factor ~ rows_per_page *)
-      let keys = ref [] and rids = ref [] and started = ref false in
+         clustering factor ~ rows_per_page — then fetches the rows in
+         ascending slot order, as a heap scan would *)
+      let slots = ref None in
       let start () =
-        started := true;
         let n = ref 0 in
-        keys :=
-          List.rev
-            (Index.fold_range idx ~lo ~hi ~init:[] ~f:(fun acc _ rs ->
-                 n := !n + List.length rs;
-                 rs :: acc));
+        let lists =
+          Index.fold_range idx ~lo ~hi ~init:[] ~f:(fun acc _ rs ->
+              n := !n + List.length rs;
+              rs :: acc)
+        in
         let rpp = Table.rows_per_page tbl in
         counters.Counters.pages_read <-
-          counters.Counters.pages_read + ((!n + rpp - 1) / max 1 rpp)
+          counters.Counters.pages_read + ((!n + rpp - 1) / max 1 rpp);
+        slot_order ~high_water:(Table.high_water tbl) ~count:!n lists
       in
       let rec next () =
-        if not !started then start ();
-        match !rids with
-        | rid :: tl -> (
-            rids := tl;
+        let slot =
+          match !slots with
+          | Some s -> s
+          | None ->
+              let s = start () in
+              slots := Some s;
+              s
+        in
+        match slot () with
+        | -1 -> None
+        | rid -> (
             match Table.get tbl rid with
             | None -> next ()
             | Some r ->
                 counters.Counters.rows_scanned <-
                   counters.Counters.rows_scanned + 1;
                 if keep r then Some r else next ())
-        | [] -> (
-            match !keys with
-            | [] -> None
-            | rs :: tl ->
-                keys := tl;
-                rids := rs;
-                next ())
       in
       next
   | Plan.Index_only_scan { table; alias = _; index; columns; lo; hi; filter }
@@ -221,27 +293,51 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       let binding = Plan.binding db plan in
       let keep = Expr.compile_filter binding filter in
       (* one output row per (key, rid) entry — bag semantics, matching
-         what a heap scan projected onto the key columns would emit *)
-      let entries = ref 0 in
-      let rows =
-        Index.fold_entries idx ~lo ~hi ~init:[] ~f:(fun acc key rids ->
-            let n = List.length rids in
-            entries := !entries + n;
-            let rec rep k acc = if k = 0 then acc else rep (k - 1) (key :: acc)
-            in
-            rep n acc)
-        |> List.rev
+         what a heap scan projected onto the key columns would emit.  The
+         first pull takes the in-range keys with their entry counts and
+         charges the entries and their leaf pages, as the heap scans
+         charge on the first pull; a key the filter rejects is skipped
+         whole *)
+      let keys = ref None and pending = ref 0 and current = ref [||] in
+      let start () =
+        let entries = ref 0 in
+        let ks =
+          Index.fold_entries idx ~lo ~hi ~init:[] ~f:(fun acc key rids ->
+              let n = List.length rids in
+              entries := !entries + n;
+              (key, n) :: acc)
+        in
+        counters.Counters.rows_scanned <-
+          counters.Counters.rows_scanned + !entries;
+        (* page model: index leaf pages hold narrow key entries, not full
+           rows — this is where the index-only I/O saving comes from *)
+        let entry_width = Table.bytes_per_value * List.length columns in
+        let entries_per_page = max 1 (Table.page_size / max 1 entry_width) in
+        counters.Counters.pages_read <-
+          counters.Counters.pages_read
+          + ((!entries + entries_per_page - 1) / entries_per_page);
+        List.rev ks
       in
-      counters.Counters.rows_scanned <-
-        counters.Counters.rows_scanned + !entries;
-      (* page model: index leaf pages hold narrow key entries, not full
-         rows — this is where the index-only I/O saving comes from *)
-      let entry_width = Table.bytes_per_value * List.length columns in
-      let entries_per_page = max 1 (Table.page_size / max 1 entry_width) in
-      counters.Counters.pages_read <-
-        counters.Counters.pages_read
-        + ((!entries + entries_per_page - 1) / entries_per_page);
-      cursor_of_list (List.filter keep rows)
+      let rec next () =
+        if !pending > 0 then begin
+          decr pending;
+          Some !current
+        end
+        else
+          match !keys with
+          | None ->
+              keys := Some (start ());
+              next ()
+          | Some [] -> None
+          | Some ((key, n) :: tl) ->
+              keys := Some tl;
+              if keep key then begin
+                current := key;
+                pending := n
+              end;
+              next ()
+      in
+      next
   | Plan.Partition_scan { table; alias = _; partition; filter } ->
       let tbl = Database.table_exn db table in
       let part =
@@ -327,26 +423,37 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
                 next ())
       in
       next
-  | Plan.Hash_join { left; right; left_keys; right_keys; residual } ->
+  | Plan.Hash_join { left; right; left_keys; right_keys; residual; build } ->
       if List.length left_keys <> List.length right_keys then
         error "hash join key arity mismatch";
-      let lbind = Plan.binding db left and rbind = Plan.binding db right in
-      let lkey = List.map (Expr.compile lbind) left_keys in
-      let rkey = List.map (Expr.compile rbind) right_keys in
-      let out_binding = Plan.binding db plan in
-      let keep = Expr.compile_filter out_binding residual in
-      let key_of fns row =
-        List.map (fun f -> f row) fns
+      let key_fns input keys =
+        let binding = Plan.binding db input in
+        Array.of_list (List.map (Expr.compile binding) keys)
       in
-      (* build on the right input *)
-      let table = Hashtbl.create 1024 in
-      List.iter
-        (fun r ->
-          let k = key_of rkey r in
-          if not (List.exists Value.is_null k) then
-            Hashtbl.add table k r)
-        (drain (open_node wrap db counters right));
-      let lcur = open_node wrap db counters left in
+      let lkey = key_fns left left_keys and rkey = key_fns right right_keys in
+      let keep = Expr.compile_filter (Plan.binding db plan) residual in
+      let build_plan, build_key, probe_plan, probe_key, join =
+        match build with
+        | Plan.Right -> (right, rkey, left, lkey, fun p b -> Tuple.concat p b)
+        | Plan.Left -> (left, lkey, right, rkey, fun p b -> Tuple.concat b p)
+      in
+      (* drain the build input into the table at open; a NULL key never
+         joins, on either side *)
+      let table = Key_tbl.create 1024 in
+      let bcur = open_node wrap db counters build_plan in
+      let rec fill () =
+        match bcur () with
+        | None -> ()
+        | Some r ->
+            let k = Array.map (fun f -> f r) build_key in
+            (if not (has_null k) then
+               match Key_tbl.find_opt table k with
+               | Some rows -> rows := r :: !rows
+               | None -> Key_tbl.add table k (ref [ r ]));
+            fill ()
+      in
+      fill ();
+      let pcur = open_node wrap db counters probe_plan in
       let pending = ref [] in
       let rec next () =
         match !pending with
@@ -354,20 +461,23 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
             pending := tl;
             Some r
         | [] -> (
-            match lcur () with
+            match pcur () with
             | None -> None
-            | Some l ->
-                let k = key_of lkey l in
-                if List.exists Value.is_null k then next ()
-                else begin
-                  pending :=
-                    List.filter_map
-                      (fun r ->
-                        let joined = Tuple.concat l r in
-                        if keep joined then Some joined else None)
-                      (Hashtbl.find_all table k);
-                  next ()
-                end)
+            | Some p ->
+                let k = Array.map (fun f -> f p) probe_key in
+                let matches =
+                  if has_null k then None else Key_tbl.find_opt table k
+                in
+                (match matches with
+                | None -> ()
+                | Some rows ->
+                    pending :=
+                      List.filter_map
+                        (fun b ->
+                          let joined = join p b in
+                          if keep joined then Some joined else None)
+                        !rows);
+                next ())
       in
       next
   | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
@@ -454,81 +564,73 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       cursor_of_list (List.stable_sort cmp rows)
   | Plan.Group { input; keys; aggs } ->
       let binding = Plan.binding db input in
-      let key_fns = List.map (fun (e, _) -> Expr.compile binding e) keys in
-      let agg_fns =
-        List.map
-          (fun a -> (a, Option.map (Expr.compile binding) a.Plan.arg))
+      let key_fns =
+        Array.of_list (List.map (fun (e, _) -> Expr.compile binding e) keys)
+      in
+      let aggs = Array.of_list aggs in
+      let args =
+        Array.map (fun a -> Option.map (Expr.compile binding) a.Plan.arg) aggs
+      in
+      (* per group: its row count and one accumulator per argument-taking
+         aggregate; [order] keeps the groups in first-seen order *)
+      let groups = Key_tbl.create 256 in
+      let order = ref [] in
+      let c = open_node wrap db counters input in
+      let rec feed () =
+        match c () with
+        | None -> ()
+        | Some r ->
+            let k = Array.map (fun f -> f r) key_fns in
+            let nrows, accs =
+              match Key_tbl.find_opt groups k with
+              | Some entry -> entry
+              | None ->
+                  let entry =
+                    (ref 0, Array.map (Option.map (fun _ -> fresh_acc ())) args)
+                  in
+                  Key_tbl.add groups k entry;
+                  order := (k, entry) :: !order;
+                  entry
+            in
+            incr nrows;
+            Array.iteri
+              (fun i arg ->
+                match (arg, accs.(i)) with
+                | Some f, Some acc -> feed_acc acc (f r)
+                | _ -> ())
+              args;
+            feed ()
+      in
+      feed ();
+      let finish accs ~rows_in_group =
+        Array.mapi
+          (fun i a -> finish_acc a.Plan.fn accs.(i) ~rows_in_group)
           aggs
       in
-      let groups : (Value.t list, (int ref * acc option array)) Hashtbl.t =
-        Hashtbl.create 256
-      in
-      let order = ref [] in
-      let rows = drain (open_node wrap db counters input) in
-      List.iter
-        (fun r ->
-          let k = List.map (fun f -> f r) key_fns in
-          let nrows, accs =
-            match Hashtbl.find_opt groups k with
-            | Some entry -> entry
-            | None ->
-                let entry =
-                  ( ref 0,
-                    Array.of_list
-                      (List.map
-                         (fun (_, arg) ->
-                           match arg with
-                           | None -> None
-                           | Some _ -> Some (fresh_acc ()))
-                         agg_fns) )
-                in
-                Hashtbl.add groups k entry;
-                order := k :: !order;
-                entry
-          in
-          incr nrows;
-          List.iteri
-            (fun i (_, arg) ->
-              match (arg, accs.(i)) with
-              | Some f, Some acc -> feed_acc acc (f r)
-              | None, _ -> ()
-              | Some _, None -> assert false)
-            agg_fns)
-        rows;
-      let emit k =
-        let nrows, accs = Hashtbl.find groups k in
-        let agg_values =
-          List.mapi
-            (fun i (a, _) ->
-              finish_acc a.Plan.fn accs.(i) ~rows_in_group:!nrows)
-            agg_fns
-        in
-        Tuple.make (k @ agg_values)
-      in
       (* a global aggregate over an empty input still yields one row *)
-      if keys = [] && Hashtbl.length groups = 0 then
-        let agg_values =
-          List.map
-            (fun (a, _) -> finish_acc a.Plan.fn None ~rows_in_group:0)
-            agg_fns
-        in
-        cursor_of_list [ Tuple.make agg_values ]
-      else cursor_of_list (List.rev_map emit !order)
+      if keys = [] && !order = [] then
+        cursor_of_list
+          [ finish (Array.map (fun _ -> None) aggs) ~rows_in_group:0 ]
+      else
+        cursor_of_list
+          (List.rev_map
+             (fun (k, (nrows, accs)) ->
+               Tuple.concat k (finish accs ~rows_in_group:!nrows))
+             !order)
   | Plan.Distinct input ->
-      let rows = drain (open_node wrap db counters input) in
-      let seen = Hashtbl.create 256 in
-      let out =
-        List.filter
-          (fun r ->
-            let key = Tuple.to_list r in
-            if Hashtbl.mem seen key then false
+      let c = open_node wrap db counters input in
+      let seen = Key_tbl.create 256 in
+      let rec dedup acc =
+        match c () with
+        | None -> List.rev acc
+        | Some r ->
+            if Key_tbl.mem seen r then dedup acc
             else begin
-              Hashtbl.add seen key ();
-              true
-            end)
-          rows
+              Key_tbl.add seen r ();
+              dedup (r :: acc)
+            end
       in
-      cursor_of_list out
+      cursor_of_list (dedup [])
   | Plan.Union_all _ | Plan.Partition_concat _ ->
       (* inputs in order (a partitioned source's segments in segment
          order), each opened once its predecessor is exhausted: a LIMIT

@@ -17,6 +17,8 @@ type agg = {
 
 type sort_key = { key : Expr.t; asc : bool }
 
+type side = Left | Right
+
 type t =
   | Seq_scan of { table : string; alias : string; filter : Expr.pred }
   | Index_scan of {
@@ -49,6 +51,7 @@ type t =
       left_keys : Expr.t list;
       right_keys : Expr.t list;
       residual : Expr.pred;
+      build : side; (* the input drained into the hash table at open *)
     }
   | Merge_join of {
       left : t; (* both inputs are sorted on their keys by construction *)
@@ -73,6 +76,8 @@ type t =
       alias : string;
       children : (int * t) list; (* (partition, subplan), ascending *)
     }
+
+let side_name = function Left -> "left" | Right -> "right"
 
 let agg_fn_name = function
   | Count -> "count"
@@ -201,12 +206,12 @@ let rec pp ?(indent = 0) ppf plan =
       Fmt.pf ppf "%sNestedLoopJoin on %a@." pad Expr.pp_pred pred;
       pp ~indent:child ppf left;
       pp ~indent:child ppf right
-  | Hash_join { left; right; left_keys; right_keys; residual } ->
-      Fmt.pf ppf "%sHashJoin %a = %a%a@." pad
+  | Hash_join { left; right; left_keys; right_keys; residual; build } ->
+      Fmt.pf ppf "%sHashJoin %a = %a%a build %s@." pad
         (Fmt.list ~sep:(Fmt.any ", ") Expr.pp)
         left_keys
         (Fmt.list ~sep:(Fmt.any ", ") Expr.pp)
-        right_keys pp_filter residual;
+        right_keys pp_filter residual (side_name build);
       pp ~indent:child ppf left;
       pp ~indent:child ppf right
   | Merge_join { left; right; left_keys; right_keys; residual } ->

@@ -17,6 +17,8 @@ type agg = {
 
 type sort_key = { key : Expr.t; asc : bool }
 
+type side = Left | Right
+
 type t =
   | Seq_scan of { table : string; alias : string; filter : Expr.pred }
   | Index_scan of {
@@ -45,11 +47,15 @@ type t =
   | Project of { input : t; exprs : (Expr.t * string) list }
   | Nested_loop_join of { left : t; right : t; pred : Expr.pred }
   | Hash_join of {
-      left : t;  (** probe side *)
-      right : t;  (** build side *)
+      left : t;
+      right : t;
       left_keys : Expr.t list;
       right_keys : Expr.t list;
       residual : Expr.pred;
+      build : side;
+          (** the input drained into the hash table at open; the other
+              streams through it.  Either way the output row is
+              [left ++ right]. *)
     }
   | Merge_join of {
       left : t;
@@ -82,6 +88,9 @@ type t =
           layout holds with zero children (every segment pruned). *)
 
 val agg_fn_name : agg_fn -> string
+
+val side_name : side -> string
+(** ["left"] or ["right"], as EXPLAIN prints a hash join's build side. *)
 
 val binding : Database.t -> t -> Expr.Binding.t
 (** Output layout of a node ([db] supplies table schemas). *)

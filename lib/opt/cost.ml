@@ -37,9 +37,9 @@ let index_only_scan p ~entries_per_page ~match_rows =
   +. (p.io_page *. Float.of_int (int_of_float (ceil (match_rows /. epp))))
   +. (p.cpu_tuple *. match_rows)
 
-let hash_join p ~left_rows ~right_rows ~out_rows =
-  (p.hash_build_tuple *. right_rows)
-  +. (p.cpu_tuple *. left_rows)
+let hash_join p ~build_rows ~probe_rows ~out_rows =
+  (p.hash_build_tuple *. build_rows)
+  +. (p.cpu_tuple *. probe_rows)
   +. (p.cpu_tuple *. out_rows)
 
 let nested_loop_join p ~left_rows ~right_rows ~out_rows =

@@ -25,7 +25,9 @@ val index_only_scan :
     heap. *)
 
 val hash_join :
-  params -> left_rows:float -> right_rows:float -> out_rows:float -> float
+  params -> build_rows:float -> probe_rows:float -> out_rows:float -> float
+(** Hash the [build_rows] input, stream the [probe_rows] input through
+    it. *)
 
 val nested_loop_join :
   params -> left_rows:float -> right_rows:float -> out_rows:float -> float

@@ -322,7 +322,7 @@ let rec estimate senv scope (plan : Plan.t) =
       estimate senv scope left
       *. estimate senv scope right
       *. pred_sel senv (scans_below plan []) pred
-  | Plan.Hash_join { left; right; left_keys; right_keys; residual }
+  | Plan.Hash_join { left; right; left_keys; right_keys; residual; _ }
   | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
       let scans = scans_below plan [] in
       let key_sel l r =
@@ -390,12 +390,12 @@ let node_label (plan : Plan.t) =
         exprs
   | Plan.Nested_loop_join { pred; _ } ->
       Fmt.str "NestedLoopJoin on %a" Expr.pp_pred pred
-  | Plan.Hash_join { left_keys; right_keys; residual; _ } ->
-      Fmt.str "HashJoin %a = %a%a"
+  | Plan.Hash_join { left_keys; right_keys; residual; build; _ } ->
+      Fmt.str "HashJoin %a = %a%a build %s"
         (Fmt.list ~sep:(Fmt.any ", ") Expr.pp)
         left_keys
         (Fmt.list ~sep:(Fmt.any ", ") Expr.pp)
-        right_keys Plan.pp_filter residual
+        right_keys Plan.pp_filter residual (Plan.side_name build)
   | Plan.Merge_join { left_keys; right_keys; residual; _ } ->
       Fmt.str "MergeJoin %a = %a%a"
         (Fmt.list ~sep:(Fmt.any ", ") Expr.pp)

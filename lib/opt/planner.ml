@@ -452,6 +452,14 @@ let order_joins env (block : Logical.block) (cls : classified) base_rels =
                      if List.mem a1 !current.aliases then (k1, k2) else (k2, k1))
                    eqs)
             in
+            (* build on the cheaper side; the output stays current ++
+               candidate either way, so bindings above do not move *)
+            let cost ~build ~probe =
+              Cost.hash_join env.params ~build_rows:build.card
+                ~probe_rows:probe.card ~out_rows:out_card
+            in
+            let right_cost = cost ~build:cand ~probe:!current
+            and left_cost = cost ~build:!current ~probe:cand in
             ( Plan.Hash_join
                 {
                   left = !current.plan;
@@ -459,9 +467,10 @@ let order_joins env (block : Logical.block) (cls : classified) base_rels =
                   left_keys = lkeys;
                   right_keys = rkeys;
                   residual;
+                  build =
+                    (if left_cost < right_cost then Plan.Left else Plan.Right);
                 },
-              Cost.hash_join env.params ~left_rows:!current.card
-                ~right_rows:cand.card ~out_rows:out_card )
+              Float.min left_cost right_cost )
           end
           else
             ( Plan.Nested_loop_join

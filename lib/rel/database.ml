@@ -28,6 +28,7 @@ type t = {
   partitions : (string, Partition.t) Hashtbl.t; (* by table name *)
   mutable constraints : Icdef.t list;
   mutable listeners : (mutation -> unit) list;
+  mutable notifying : int; (* listener passes in progress, nested *)
   mutable index_listeners : (Index.t -> unit) list;
       (* index lifecycle transitions (write-only/backfilling/readable/
          demoted): the WAL link logs them for crash recovery *)
@@ -45,6 +46,7 @@ let create () =
     partitions = Hashtbl.create 4;
     constraints = [];
     listeners = [];
+    notifying = 0;
     index_listeners = [];
   }
 
@@ -289,7 +291,8 @@ let on_mutation t f = t.listeners <- f :: t.listeners
    reached storage, whichever listener fails.  The first failure is
    re-raised once all have run. *)
 let notify t m =
-  match
+  t.notifying <- t.notifying + 1;
+  let failures =
     List.filter_map
       (fun f ->
         try
@@ -297,9 +300,11 @@ let notify t m =
           None
         with e -> Some e)
       t.listeners
-  with
-  | [] -> ()
-  | e :: _ -> raise e
+  in
+  t.notifying <- t.notifying - 1;
+  match failures with [] -> () | e :: _ -> raise e
+
+let cascading t = t.notifying > 1
 
 (* ---- data modification ------------------------------------------------ *)
 

@@ -132,6 +132,12 @@ val on_mutation : t -> (mutation -> unit) -> unit
     listener runs even when an earlier one raises; the first exception is
     re-raised after the last. *)
 
+val cascading : t -> bool
+(** Inside a listener: [true] when the mutation it is told of was made by
+    another listener, reacting to an enclosing mutation (an
+    exception-table copy following its base row), [false] for a mutation
+    made directly. *)
+
 (** {1 Data modification}
 
     Each operation checks the enforced constraints (raising

@@ -126,7 +126,7 @@ let test_joins_agree () =
       (Plan.Nested_loop_join
          { left = scan "emp"; right = scan "dept"; pred = join_pred })
   in
-  let hj =
+  let hash build =
     run db
       (Plan.Hash_join
          {
@@ -135,8 +135,10 @@ let test_joins_agree () =
            left_keys = [ Expr.column ~rel:"emp" "dept" ];
            right_keys = [ Expr.column ~rel:"dept" "did" ];
            residual = Expr.Ptrue;
+           build;
          })
   in
+  let hj = hash Plan.Right and hj_left = hash Plan.Left in
   let mj =
     run db
       (Plan.Merge_join
@@ -152,6 +154,7 @@ let test_joins_agree () =
      NULL dept and dept 30/40 drop out *)
   check tint "nlj rows" 4 (List.length nlj.Executor.rows);
   check tbool "hash = nlj" true (Executor.same_rows nlj hj);
+  check tbool "hash built left = nlj" true (Executor.same_rows nlj hj_left);
   check tbool "merge = nlj" true (Executor.same_rows nlj mj)
 
 let test_join_residual () =
@@ -165,6 +168,7 @@ let test_join_residual () =
            left_keys = [ Expr.column ~rel:"emp" "dept" ];
            right_keys = [ Expr.column ~rel:"dept" "did" ];
            residual = Expr.Cmp (Expr.Gt, Expr.column "salary", Expr.int 150);
+           build = Plan.Right;
          })
   in
   check tint "residual filters" 3 (List.length r.Executor.rows)
@@ -319,6 +323,236 @@ let test_scan_stops_at_high_water () =
   check tint "pages charged once" 1
     counters.Operators.Counters.pages_read
 
+(* SUM over ints stays an exact int; the first float turns it into a
+   float sum *)
+let test_sum_int_exact () =
+  let db = Database.create () in
+  ignore
+    (Database.create_table db
+       (Schema.make "big"
+          [ Schema.column "g" Value.TInt; Schema.column "x" Value.TInt ]));
+  ignore
+    (Database.create_table db
+       (Schema.make "mixed"
+          [ Schema.column "g" Value.TInt; Schema.column "x" Value.TFloat ]));
+  let insert table x =
+    ignore (Database.insert db ~table (Tuple.make [ Value.Int 1; x ]))
+  in
+  insert "big" (Value.Int 9007199254740993);
+  insert "big" (Value.Int 0);
+  insert "mixed" (Value.Int 2);
+  insert "mixed" (Value.Float 0.5);
+  let aggregate table =
+    match
+      (run db
+         (Plan.Group
+            {
+              input = scan table;
+              keys = [];
+              aggs =
+                [
+                  { Plan.fn = Plan.Sum; arg = Some (Expr.column "x");
+                    out_name = "s" };
+                  { Plan.fn = Plan.Max; arg = Some (Expr.column "x");
+                    out_name = "m" };
+                  { Plan.fn = Plan.Avg; arg = Some (Expr.column "x");
+                    out_name = "a" };
+                ];
+            }))
+        .Executor.rows
+    with
+    | [ row ] -> row
+    | _ -> Alcotest.fail "expected one row"
+  in
+  let row = aggregate "big" in
+  check tbool "exact int sum" true (Tuple.get row 0 = Value.Int 9007199254740993);
+  check tbool "sum = max" true (Tuple.get row 0 = Tuple.get row 1);
+  check tbool "avg is a float" true
+    (Tuple.get row 2 = Value.Float (9007199254740993.0 /. 2.0));
+  let row = aggregate "mixed" in
+  check tbool "a float input makes a float sum" true
+    (Tuple.get row 0 = Value.Float 2.5);
+  check tbool "avg over mixed" true (Tuple.get row 2 = Value.Float 1.25)
+
+(* An INT key meets the equal FLOAT key in a hash join, as under [=]. *)
+let test_hash_join_int_float_keys () =
+  let db = Database.create () in
+  ignore
+    (Database.create_table db
+       (Schema.make "small" [ Schema.column "k" Value.TInt ]));
+  ignore
+    (Database.create_table db
+       (Schema.make "fi" [ Schema.column "f" Value.TFloat ]));
+  ignore (Database.insert db ~table:"small" (Tuple.make [ Value.Int 3 ]));
+  ignore (Database.insert db ~table:"fi" (Tuple.make [ Value.Float 3.0 ]));
+  ignore (Database.insert db ~table:"fi" (Tuple.make [ Value.Float 3.5 ]));
+  List.iter
+    (fun build ->
+      let r =
+        run db
+          (Plan.Hash_join
+             {
+               left = Plan.Seq_scan { table = "small"; alias = "s"; filter = Expr.Ptrue };
+               right = Plan.Seq_scan { table = "fi"; alias = "f"; filter = Expr.Ptrue };
+               left_keys = [ Expr.column ~rel:"s" "k" ];
+               right_keys = [ Expr.column ~rel:"f" "f" ];
+               residual = Expr.Ptrue;
+               build;
+             })
+      in
+      check tint
+        ("one match, built " ^ Plan.side_name build)
+        1 (List.length r.Executor.rows))
+    [ Plan.Left; Plan.Right ]
+
+(* A join built on its left input: NULL keys on either side never join,
+   duplicate keys multiply, the residual filters, and the output row is
+   still left ++ right. *)
+let test_hash_join_build_left () =
+  let db = Database.create () in
+  let table name cols =
+    ignore
+      (Database.create_table db
+         (Schema.make name (List.map (fun c -> Schema.column c Value.TInt) cols)))
+  in
+  table "l" [ "k"; "v" ];
+  table "r" [ "k"; "w" ];
+  let v = function Some i -> Value.Int i | None -> Value.Null in
+  List.iter
+    (fun (k, x) -> ignore (Database.insert db ~table:"l" (Tuple.make [ v k; Value.Int x ])))
+    [ (Some 1, 10); (Some 1, 11); (None, 12); (Some 2, 13); (Some 4, 14) ];
+  List.iter
+    (fun (k, x) -> ignore (Database.insert db ~table:"r" (Tuple.make [ v k; Value.Int x ])))
+    [ (Some 1, 20); (Some 1, 21); (Some 2, 22); (None, 23); (Some 3, 24) ];
+  let lscan = scan "l" and rscan = scan "r" in
+  let keys = ([ Expr.column ~rel:"l" "k" ], [ Expr.column ~rel:"r" "k" ]) in
+  let residual = Expr.Cmp (Expr.Ne, Expr.column "w", Expr.int 22) in
+  let hash build residual =
+    run db
+      (Plan.Hash_join
+         { left = lscan; right = rscan; left_keys = fst keys;
+           right_keys = snd keys; residual; build })
+  in
+  let nlj residual =
+    run db
+      (Plan.Nested_loop_join
+         {
+           left = lscan;
+           right = rscan;
+           pred =
+             Expr.conjoin
+               [
+                 Expr.Cmp (Expr.Eq, Expr.column ~rel:"l" "k", Expr.column ~rel:"r" "k");
+                 residual;
+               ];
+         })
+  in
+  let built_left = hash Plan.Left Expr.Ptrue in
+  check tint "2 x 2 duplicates plus one" 5 (List.length built_left.Executor.rows);
+  check tbool "= nested loop" true
+    (Executor.same_rows built_left (nlj Expr.Ptrue));
+  check tbool "= built right" true
+    (Executor.same_rows built_left (hash Plan.Right Expr.Ptrue));
+  check (Alcotest.list Alcotest.string) "left ++ right columns"
+    [ "k"; "v"; "k"; "w" ] built_left.Executor.columns;
+  List.iter
+    (fun row ->
+      check tbool "row is left ++ right" true
+        (Value.equal_total (Tuple.get row 0) (Tuple.get row 2)
+        && (match Tuple.get row 1 with Value.Int x -> x < 20 | _ -> false)
+        && match Tuple.get row 3 with Value.Int x -> x >= 20 | _ -> false))
+    built_left.Executor.rows;
+  let filtered = hash Plan.Left residual in
+  check tint "residual drops the w = 22 match" 4
+    (List.length filtered.Executor.rows);
+  check tbool "residual = nested loop" true
+    (Executor.same_rows filtered (nlj residual))
+
+(* An index range fetches its rows in slot order, whichever way it orders
+   the rids: sorted for a narrow range, a slot bitmap for a wide one.
+   Either way it returns what a heap scan returns, in the same order, and
+   charges the same pages as before. *)
+let test_index_scan_slot_order () =
+  let db = Database.create () in
+  ignore
+    (Database.create_table db
+       (Schema.make "t" [ Schema.column "id" Value.TInt; Schema.column "v" Value.TInt ]));
+  (* key order runs against slot order, and every third row leaves a
+     tombstone *)
+  for i = 0 to 299 do
+    ignore
+      (Database.insert db ~table:"t"
+         (Tuple.make [ Value.Int i; Value.Int ((7919 * i) mod 300) ]))
+  done;
+  ignore (Database.create_index db ~name:"t_v" ~table:"t" ~columns:[ "v" ] ());
+  for rid = 0 to 299 do
+    if rid mod 3 = 0 then ignore (Database.delete db ~table:"t" rid)
+  done;
+  let between lo hi =
+    Expr.conjoin
+      [
+        Expr.Cmp (Expr.Ge, Expr.column "v", Expr.int lo);
+        Expr.Cmp (Expr.Le, Expr.column "v", Expr.int hi);
+      ]
+  in
+  List.iter
+    (fun (what, lo, hi) ->
+      let heap = run db (scan ~filter:(between lo hi) "t") in
+      let idx =
+        run db
+          (Plan.Index_scan
+             {
+               table = "t";
+               alias = "t";
+               index = "t_v";
+               lo = Index.Incl (Value.Int lo);
+               hi = Index.Incl (Value.Int hi);
+               filter = Expr.Ptrue;
+             })
+      in
+      let n = List.length heap.Executor.rows in
+      check tbool (what ^ ": rows in range") true (n > 0);
+      check tbool (what ^ ": heap answer in heap order") true
+        (List.for_all2 Tuple.equal heap.Executor.rows idx.Executor.rows);
+      let c = idx.Executor.counters in
+      check tint (what ^ ": one fetch per live rid") n
+        c.Operators.Counters.rows_scanned;
+      let rpp = Table.rows_per_page (Database.table_exn db "t") in
+      check tint (what ^ ": pages by the page model")
+        ((n + rpp - 1) / rpp) c.Operators.Counters.pages_read)
+    [ ("sorted rids", 10, 11); ("slot bitmap", 0, 249) ]
+
+(* An index-only scan charges its entries and leaf pages on the first
+   pull, like the heap scans: opened and never pulled, it reads nothing. *)
+let test_index_only_scan_streams () =
+  let db = fixture () in
+  let ios =
+    Plan.Index_only_scan
+      {
+        table = "emp";
+        alias = "emp";
+        index = "emp_salary_idx";
+        columns = [ "salary" ];
+        lo = Index.Incl (Value.Int 200);
+        hi = Index.Unbounded;
+        filter = Expr.Cmp (Expr.Ne, Expr.column "salary", Expr.int 250);
+      }
+  in
+  let counters = Operators.Counters.create () in
+  let c = Operators.open_plan db counters ios in
+  check tint "no rows charged at open" 0 counters.Operators.Counters.rows_scanned;
+  check tint "no pages charged at open" 0 counters.Operators.Counters.pages_read;
+  check tbool "first row" true (c () = Some [| Value.Int 200 |]);
+  check tint "entries charged on the first pull" 4
+    counters.Operators.Counters.rows_scanned;
+  check tint "one leaf page" 1 counters.Operators.Counters.pages_read;
+  check tbool "the rest in key order, filtered" true
+    (Operators.drain c = [ [| Value.Int 300 |]; [| Value.Int 400 |] ]);
+  check tint "charged once" 4 counters.Operators.Counters.rows_scanned;
+  let r = run db (Plan.Limit { input = ios; n = 0 }) in
+  check tint "limit 0 reads no leaf pages" 0
+    r.Executor.counters.Operators.Counters.pages_read
+
 (* property: hash join = nested loop join on random data *)
 let joins_agree_prop =
   QCheck.Test.make ~name:"hash join = NLJ on random tables" ~count:60
@@ -359,7 +593,7 @@ let joins_agree_prop =
                    (Expr.Eq, Expr.column ~rel:"l" "k", Expr.column ~rel:"r" "k");
              })
       in
-      let hj =
+      let hash build =
         run db
           (Plan.Hash_join
              {
@@ -368,8 +602,10 @@ let joins_agree_prop =
                left_keys = [ Expr.column ~rel:"l" "k" ];
                right_keys = [ Expr.column ~rel:"r" "k" ];
                residual = Expr.Ptrue;
+               build;
              })
       in
+      let hj = hash Plan.Right and hj_left = hash Plan.Left in
       let mj =
         run db
           (Plan.Merge_join
@@ -381,7 +617,9 @@ let joins_agree_prop =
                residual = Expr.Ptrue;
              })
       in
-      Executor.same_rows nlj hj && Executor.same_rows nlj mj)
+      Executor.same_rows nlj hj
+      && Executor.same_rows nlj hj_left
+      && Executor.same_rows nlj mj)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -392,12 +630,19 @@ let () =
         [
           Alcotest.test_case "seq filter" `Quick test_seq_scan_filter;
           Alcotest.test_case "index range" `Quick test_index_scan;
+          Alcotest.test_case "index fetch in slot order" `Quick
+            test_index_scan_slot_order;
+          Alcotest.test_case "index-only scan streams" `Quick
+            test_index_only_scan_streams;
           Alcotest.test_case "project" `Quick test_project;
         ] );
       ( "join",
         [
           Alcotest.test_case "methods agree" `Quick test_joins_agree;
           Alcotest.test_case "residual" `Quick test_join_residual;
+          Alcotest.test_case "int and float keys" `Quick
+            test_hash_join_int_float_keys;
+          Alcotest.test_case "built on the left" `Quick test_hash_join_build_left;
         ]
         @ qsuite [ joins_agree_prop ] );
       ( "sort-group",
@@ -406,6 +651,7 @@ let () =
           Alcotest.test_case "group aggregates" `Quick test_group_aggregates;
           Alcotest.test_case "global agg on empty" `Quick
             test_global_aggregate_empty_input;
+          Alcotest.test_case "int sum is exact" `Quick test_sum_int_exact;
           Alcotest.test_case "distinct" `Quick test_distinct;
           Alcotest.test_case "union all + limit" `Quick
             test_union_all_and_limit;

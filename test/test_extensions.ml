@@ -224,6 +224,36 @@ let test_txn_rollback_keeps_exception_table_consistent () =
   check tbool "consistent after rollback" true
     (Core.Exception_table.consistent db handle)
 
+(* Undoing a DELETE restores the base row, whose listener re-derives the
+   exception copy: the copy's own cascaded delete must not be undone as
+   well, or the exception table ends up holding the row twice. *)
+let test_txn_rollback_delete_keeps_one_exception_copy () =
+  let sdb = Core.Softdb.create () in
+  ignore
+    (Core.Softdb.exec_script sdb
+       "CREATE TABLE p (a INT PRIMARY KEY, b INT);
+        INSERT INTO p VALUES (1, 5), (2, 50);
+        ALTER TABLE p ADD CONSTRAINT b_small CHECK (b < 10) SOFT;
+        CREATE EXCEPTION TABLE p_exc FOR CONSTRAINT b_small;");
+  let rows sql =
+    List.map Tuple.to_list (Core.Softdb.query sdb sql).Exec.Executor.rows
+  in
+  let exc () = rows "SELECT a, b FROM p_exc ORDER BY a" in
+  let base () = rows "SELECT a, b FROM p ORDER BY a" in
+  let before_base = base () and before_exc = exc () in
+  check tint "one exception row" 1 (List.length before_exc);
+  let rollback_of stmts =
+    let t = Core.Txn.begin_ sdb in
+    List.iter (fun sql -> ignore (Core.Softdb.exec sdb sql)) stmts;
+    Core.Txn.rollback t;
+    check tbool "base restored" true (base () = before_base);
+    check tbool "one exception copy" true (exc () = before_exc)
+  in
+  rollback_of [ "DELETE FROM p WHERE a = 2" ];
+  rollback_of [ "UPDATE p SET b = 3 WHERE a = 2" ];
+  rollback_of [ "UPDATE p SET b = 60 WHERE a = 1"; "DELETE FROM p WHERE a = 1" ];
+  rollback_of [ "UPDATE p SET b = 70 WHERE a = 2"; "DELETE FROM p" ]
+
 let test_txn_single_active () =
   let sdb = txn_sdb () in
   let t = Core.Txn.begin_ sdb in
@@ -649,6 +679,8 @@ let () =
             test_txn_reinstates_asc_on_abort;
           Alcotest.test_case "exception table consistent across rollback"
             `Quick test_txn_rollback_keeps_exception_table_consistent;
+          Alcotest.test_case "rollback of a delete keeps one exception copy"
+            `Quick test_txn_rollback_delete_keeps_one_exception_copy;
           Alcotest.test_case "single active" `Quick test_txn_single_active;
         ] );
       ( "equality_transitivity",

@@ -150,6 +150,58 @@ let test_explain_statement () =
       check tbool "mentions scan" true (string_contains text "SeqScan")
   | _ -> Alcotest.fail "expected report"
 
+(* An INT column joined to a FLOAT column: 3 = 3.0 through the hash join
+   as through a filter.  The join builds on its smaller (left) input, and
+   SELECT * still lists the left input's columns first. *)
+let test_hash_join_int_float () =
+  let sdb = Core.Softdb.create () in
+  ignore
+    (Core.Softdb.exec_script sdb
+       "CREATE TABLE small (k INT, a INT);
+        CREATE TABLE fi (f FLOAT, b INT);
+        INSERT INTO small VALUES (3, 1);");
+  for i = 0 to 39 do
+    ignore
+      (Core.Softdb.exec sdb
+         (Printf.sprintf "INSERT INTO fi VALUES (%d.5, %d)" (i + 10) i))
+  done;
+  ignore (Core.Softdb.exec_script sdb "INSERT INTO fi VALUES (3.0, 99); RUNSTATS;");
+  let sql = "SELECT s.k, f.f FROM small s, fi f WHERE s.k = f.f" in
+  let plan = Exec.Plan.to_string (Core.Softdb.explain sdb sql).Opt.Explain.plan in
+  check tbool "a hash join" true (string_contains plan "HashJoin");
+  check tint "3 = 3.0 through the join" 1
+    (List.length (rows_of (Core.Softdb.exec sdb sql)));
+  check tbool "built on the smaller input" true
+    (string_contains plan "build left");
+  check tint "3 = 3.0 through a filter" 1
+    (List.length
+       (rows_of
+          (Core.Softdb.exec sdb
+             "SELECT s.k FROM small s, fi f WHERE s.k + 0 = f.f + 0")));
+  match Core.Softdb.exec sdb "SELECT * FROM fi f, small s WHERE s.k = f.f" with
+  | Core.Softdb.Rows r ->
+      check (Alcotest.list Alcotest.string) "SELECT * columns"
+        [ "k"; "a"; "f"; "b" ] r.Exec.Executor.columns;
+      check tbool "one joined row" true
+        (List.map Tuple.to_list r.Exec.Executor.rows
+        = [ [ Value.Int 3; Value.Int 1; Value.Float 3.0; Value.Int 99 ] ])
+  | _ -> Alcotest.fail "expected rows"
+
+let test_int_sum_exact () =
+  let sdb = Core.Softdb.create () in
+  ignore
+    (Core.Softdb.exec_script sdb
+       "CREATE TABLE big (x INT);
+        INSERT INTO big VALUES (9007199254740993), (0);");
+  match
+    rows_of (Core.Softdb.exec sdb "SELECT SUM(x) AS s, MAX(x) AS m FROM big")
+  with
+  | [ row ] ->
+      check tbool "SUM is exact" true
+        (Tuple.get row 0 = Value.Int 9007199254740993);
+      check tbool "SUM = MAX" true (Tuple.get row 0 = Tuple.get row 1)
+  | _ -> Alcotest.fail "expected one row"
+
 let test_runstats_statement () =
   let sdb = Core.Softdb.create () in
   ignore
@@ -169,6 +221,9 @@ let () =
           Alcotest.test_case "runstats statement" `Quick
             test_runstats_statement;
           Alcotest.test_case "explain statement" `Quick test_explain_statement;
+          Alcotest.test_case "hash join on int and float keys" `Quick
+            test_hash_join_int_float;
+          Alcotest.test_case "int sum is exact" `Quick test_int_sum_exact;
         ] );
       ( "paper-examples",
         [

@@ -282,6 +282,71 @@ let test_ssc_recalibration () =
       check tbool "monotone approach" true (c > 0.65 && c <= 0.9)
   | Core.Soft_constraint.Absolute -> Alcotest.fail "SSC became absolute")
 
+(* The coverage a twin observes is reused while the table and the SC's
+   statement stay put; every kind of change must invalidate it, so the
+   observation always equals a fresh measurement. *)
+let test_coverage_memo_invalidation () =
+  let sdb = band_sdb () in
+  install_band_ssc sdb ~name:"ev_band" ~confidence:0.4;
+  let observe () =
+    ignore (Core.Softdb.query sdb twin_sql);
+    let last = Option.get (Obs.Query_log.last (Core.Softdb.query_log sdb)) in
+    match last.Obs.Query_log.twins with
+    | [ tw ] -> tw.Obs.Query_log.observed
+    | _ -> Alcotest.fail "expected one twin observation"
+  in
+  let fresh () =
+    let sc =
+      Option.get (Core.Sc_catalog.find (Core.Softdb.catalog sdb) "ev_band")
+    in
+    Option.get (Core.Maintenance.measured_confidence (Core.Softdb.db sdb) sc)
+  in
+  let previous = ref (observe ()) in
+  check (tfloat 1e-9) "first observation" (fresh ()) !previous;
+  check (tfloat 1e-9) "repeated observation" !previous (observe ());
+  let after ?(moves = true) what change =
+    change ();
+    let observed = observe () in
+    check (tfloat 1e-9) (what ^ ": observed = fresh") (fresh ()) observed;
+    if moves then
+      check tbool (what ^ " moved the coverage") true (observed <> !previous);
+    previous := observed
+  in
+  let exec sql = ignore (Core.Softdb.exec sdb sql) in
+  after "insert" (fun () ->
+      exec "INSERT INTO ev VALUES (200, 300), (201, 301), (202, 302)");
+  after "update" (fun () -> exec "UPDATE ev SET hi = lo + 100 WHERE lo < 5");
+  after "delete" (fun () -> exec "DELETE FROM ev WHERE hi - lo = 100");
+  (* inside the transaction the coverage moves; the rollback moves it
+     back, past the entry the transaction left behind *)
+  let inside = ref 0.0 in
+  let before = !previous in
+  after ~moves:false "rollback" (fun () ->
+      let t = Core.Txn.begin_ sdb in
+      exec "INSERT INTO ev VALUES (300, 400), (301, 401)";
+      inside := observe ();
+      Core.Txn.rollback t);
+  check tbool "the transaction's own observation differed" true
+    (!inside <> before);
+  check (tfloat 1e-9) "rollback restored the coverage" before !previous;
+  after "re-install" (fun () ->
+      Core.Sc_catalog.drop (Core.Softdb.catalog sdb) "ev_band";
+      let tbl = Database.table_exn (Core.Softdb.db sdb) "ev" in
+      let d =
+        Option.get (Mining.Diff_band.mine tbl ~col_hi:"hi" ~col_lo:"lo")
+      in
+      let band = Option.get (Mining.Diff_band.band_with d ~confidence:0.9) in
+      (* the same name over a narrower band *)
+      let band =
+        { band with Mining.Diff_band.d_max = band.Mining.Diff_band.d_min +. 2.0 }
+      in
+      Core.Softdb.install_sc sdb
+        (Core.Soft_constraint.make ~name:"ev_band" ~table:"ev"
+           ~kind:(Core.Soft_constraint.Statistical 0.4)
+           ~installed_at_mutations:
+             (Core.Sc_catalog.mutations_of (Core.Softdb.db sdb) "ev")
+           (Core.Soft_constraint.Diff_stmt (d, band))))
+
 let test_feedback_off_keeps_confidence () =
   let sdb = band_sdb () in
   install_band_ssc sdb ~name:"ev_band" ~confidence:0.4;
@@ -415,6 +480,8 @@ let () =
             test_ssc_recalibration;
           Alcotest.test_case "feedback off keeps confidence" `Quick
             test_feedback_off_keeps_confidence;
+          Alcotest.test_case "coverage memo invalidation" `Quick
+            test_coverage_memo_invalidation;
         ] );
       ( "sys_tables",
         [
