@@ -156,9 +156,15 @@ let record_time t name elapsed_s =
           tm.elapsed_s <- tm.elapsed_s +. elapsed_s
       | None -> Hashtbl.replace t.times name { calls = 1; elapsed_s })
 
+(* on the monotonic clock: [Sys.time] would count every thread's CPU
+   time, and costs a system call *)
 let time t name f =
-  let t0 = Sys.time () in
-  Fun.protect ~finally:(fun () -> record_time t name (Sys.time () -. t0)) f
+  let t0 = Monotonic_clock.now () in
+  Fun.protect
+    ~finally:(fun () ->
+      record_time t name
+        (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9))
+    f
 
 let timings t =
   locked t (fun () ->

@@ -282,36 +282,188 @@ let rec compile (binding : Binding.t) e : Tuple.t -> Value.t =
       let fa = compile binding a in
       fun row -> Value.neg (fa row)
 
-let compile_cmp c =
+(* Compiled predicates are the executor's per-row path, so they allocate
+   nothing per row and stop early:
+
+   - a comparison yields its truth value straight from
+     [Value.compare_total] after the NULL test (no [compare_sql] option);
+   - a column against a constant, and BETWEEN, are one closure each;
+   - arithmetic over INT and DATE operands ([ship_date - order_date])
+     runs on unboxed ints ({!int_path}), falling back to the boxed path on
+     a row where an operand is NULL or not of its column's type;
+   - AND stops at the first FALSE and OR at the first TRUE, left to right.
+
+   Three-valued logic is unchanged.  Short-circuiting does change one
+   thing: a [Value.Type_error] raised by the operand after a FALSE
+   conjunct (TRUE disjunct) is never evaluated, so it does not surface,
+   where {!eval_pred} evaluates both sides and raises. *)
+
+let cmp_holds c n =
   match c with
-  | Eq -> fun n -> n = 0
-  | Ne -> fun n -> n <> 0
-  | Lt -> fun n -> n < 0
-  | Le -> fun n -> n <= 0
-  | Gt -> fun n -> n > 0
-  | Ge -> fun n -> n >= 0
+  | Eq -> n = 0
+  | Ne -> n <> 0
+  | Lt -> n < 0
+  | Le -> n <= 0
+  | Gt -> n > 0
+  | Ge -> n >= 0
+
+let int_holds c (x : int) (y : int) =
+  match c with
+  | Eq -> x = y
+  | Ne -> x <> y
+  | Lt -> x < y
+  | Le -> x <= y
+  | Gt -> x > y
+  | Ge -> x >= y
+
+let cmp_truth c a b =
+  match (a, b) with
+  | Value.Null, _ | _, Value.Null -> Value.Unknown
+  | _ -> Value.truth_of_bool (cmp_holds c (Value.compare_total a b))
+
+(* [lo <= a <= hi] under three-valued logic: AND of the two comparisons *)
+let between_truth a lo hi =
+  match a with
+  | Value.Null -> Value.Unknown
+  | _ -> (
+      match (cmp_truth Ge a lo, cmp_truth Le a hi) with
+      | Value.False, _ | _, Value.False -> Value.False
+      | Value.True, Value.True -> Value.True
+      | _ -> Value.Unknown)
+
+exception Not_int
+
+(* The unboxed path of an expression built from INT and DATE columns and
+   constants under [+], [-], [*] and unary minus: its kind (an INT, or a
+   DATE as an epoch day) and a closure computing its value as an [int].
+   The closure raises [Not_int] on a row where a column holds anything
+   but its declared kind (NULL, say); the caller then evaluates the boxed
+   path, so a wrong declared type costs speed, never an answer.  The
+   kinds follow {!Value.add}/{!Value.sub}: DATE +/- INT is a DATE, DATE -
+   DATE is an INT; other mixes have no unboxed path. *)
+type int_kind = K_int | K_date
+
+let rec int_path (binding : Binding.t) e : (int_kind * (Tuple.t -> int)) option
+    =
+  match e with
+  | Const (Value.Int k) -> Some (K_int, fun _ -> k)
+  | Const (Value.Date d) -> Some (K_date, fun _ -> d)
+  | Const _ -> None
+  | Col r -> (
+      let i = Binding.resolve binding r in
+      match binding.(i).Binding.dtype with
+      | Some Value.TInt ->
+          Some
+            ( K_int,
+              fun row ->
+                match Tuple.get row i with
+                | Value.Int x -> x
+                | _ -> raise_notrace Not_int )
+      | Some Value.TDate ->
+          Some
+            ( K_date,
+              fun row ->
+                match Tuple.get row i with
+                | Value.Date x -> x
+                | _ -> raise_notrace Not_int )
+      | _ -> None)
+  | Binop (op, a, b) -> (
+      match (int_path binding a, int_path binding b) with
+      | Some (ka, fa), Some (kb, fb) -> (
+          let kind =
+            match (op, ka, kb) with
+            | (Add | Sub | Mul), K_int, K_int -> Some K_int
+            | Add, K_date, K_int | Add, K_int, K_date | Sub, K_date, K_int ->
+                Some K_date
+            | Sub, K_date, K_date -> Some K_int
+            | _ -> None
+          in
+          match (kind, op) with
+          | Some k, Add -> Some (k, fun row -> fa row + fb row)
+          | Some k, Sub -> Some (k, fun row -> fa row - fb row)
+          | Some k, Mul -> Some (k, fun row -> fa row * fb row)
+          | _ -> None)
+      | _ -> None)
+  | Neg a -> (
+      match int_path binding a with
+      | Some (K_int, fa) -> Some (K_int, fun row -> -fa row)
+      | _ -> None)
+
+(* [Some n] when [e] is an INT or DATE constant of kind [k] *)
+let int_const k e =
+  match (k, e) with
+  | K_int, Const (Value.Int n) | K_date, Const (Value.Date n) -> Some n
+  | _ -> None
+
+let compile_cmp (binding : Binding.t) c a b : Tuple.t -> Value.truth =
+  let boxed =
+    match (a, b) with
+    | Col r, Const v ->
+        let i = Binding.resolve binding r in
+        fun row -> cmp_truth c (Tuple.get row i) v
+    | Const v, Col r ->
+        let i = Binding.resolve binding r in
+        fun row -> cmp_truth c v (Tuple.get row i)
+    | _ ->
+        let fa = compile binding a and fb = compile binding b in
+        fun row -> cmp_truth c (fa row) (fb row)
+  in
+  match (int_path binding a, int_path binding b) with
+  | Some (ka, fa), Some (kb, fb) when ka = kb -> (
+      match int_const kb b with
+      | Some y -> (
+          fun row ->
+            match fa row with
+            | x -> Value.truth_of_bool (int_holds c x y)
+            | exception Not_int -> boxed row)
+      | None -> (
+          fun row ->
+            match int_holds c (fa row) (fb row) with
+            | holds -> Value.truth_of_bool holds
+            | exception Not_int -> boxed row))
+  | _ -> boxed
+
+let compile_between (binding : Binding.t) a lo hi : Tuple.t -> Value.truth =
+  let fa = compile binding a
+  and flo = compile binding lo
+  and fhi = compile binding hi in
+  let boxed row = between_truth (fa row) (flo row) (fhi row) in
+  match (int_path binding a, int_path binding lo, int_path binding hi) with
+  | Some (k, ia), Some (klo, ilo), Some (khi, ihi) when k = klo && k = khi
+    -> (
+      match (int_const k lo, int_const k hi) with
+      | Some l, Some h -> (
+          fun row ->
+            match ia row with
+            | x -> Value.truth_of_bool (l <= x && x <= h)
+            | exception Not_int -> boxed row)
+      | _ -> (
+          fun row ->
+            match
+              let x = ia row in
+              ilo row <= x && x <= ihi row
+            with
+            | holds -> Value.truth_of_bool holds
+            | exception Not_int -> boxed row))
+  | _ -> boxed
+
+let rec mem_total v = function
+  | [] -> false
+  | w :: rest -> Value.equal_total v w || mem_total v rest
 
 let rec compile_pred (binding : Binding.t) p : Tuple.t -> Value.truth =
   match p with
   | Ptrue -> fun _ -> Value.True
   | Pfalse -> fun _ -> Value.False
-  | Cmp (c, a, b) ->
-      let fa = compile binding a and fb = compile binding b in
-      let test = compile_cmp c in
-      fun row -> (
-        match Value.compare_sql (fa row) (fb row) with
-        | None -> Value.Unknown
-        | Some n -> Value.truth_of_bool (test n))
-  | Between (a, lo, hi) ->
-      compile_pred binding (And (Cmp (Ge, a, lo), Cmp (Le, a, hi)))
+  | Cmp (c, a, b) -> compile_cmp binding c a b
+  | Between (a, lo, hi) -> compile_between binding a lo hi
   | In_list (a, vs) ->
       let fa = compile binding a in
       let has_null = List.exists Value.is_null vs in
       fun row ->
         let va = fa row in
         if Value.is_null va then Value.Unknown
-        else if List.exists (fun v -> Value.equal_total va v) vs then
-          Value.True
+        else if mem_total va vs then Value.True
         else if has_null then Value.Unknown
         else Value.False
   | Is_null a ->
@@ -320,19 +472,25 @@ let rec compile_pred (binding : Binding.t) p : Tuple.t -> Value.truth =
   | Is_not_null a ->
       let fa = compile binding a in
       fun row -> Value.truth_of_bool (not (Value.is_null (fa row)))
-  | And (p, q) ->
+  | And (p, q) -> (
       let fp = compile_pred binding p and fq = compile_pred binding q in
-      fun row -> Value.truth_and (fp row) (fq row)
-  | Or (p, q) ->
+      fun row ->
+        match fp row with
+        | Value.False -> Value.False
+        | tp -> ( match fq row with Value.True -> tp | tq -> tq))
+  | Or (p, q) -> (
       let fp = compile_pred binding p and fq = compile_pred binding q in
-      fun row -> Value.truth_or (fp row) (fq row)
+      fun row ->
+        match fp row with
+        | Value.True -> Value.True
+        | tp -> ( match fq row with Value.False -> tp | tq -> tq))
   | Not p ->
       let fp = compile_pred binding p in
       fun row -> Value.truth_not (fp row)
 
 let compile_filter binding p =
   let fp = compile_pred binding p in
-  fun row -> Value.truth_to_bool (fp row)
+  fun row -> match fp row with Value.True -> true | _ -> false
 
 (* A predicate *satisfies* a row when it evaluates to [True]; SQL WHERE
    discards both [False] and [Unknown]. *)

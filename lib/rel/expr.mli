@@ -113,7 +113,12 @@ val eval_pred : Binding.t -> pred -> Tuple.t -> Value.truth
 (** {1 Compilation}
 
     Column references are resolved to positions once; the per-row cost is
-    a closure call.  The executor uses these on every operator. *)
+    a closure call.  The executor uses these on every operator.  A
+    compiled predicate allocates nothing per row: comparisons, [BETWEEN]
+    and arithmetic over INT and DATE columns run without boxing.  It has
+    {!eval_pred}'s three-valued answer, but AND stops at the first FALSE
+    and OR at the first TRUE, left to right, so a [Value.Type_error] in
+    an operand after that point does not surface. *)
 
 val compile : Binding.t -> t -> Tuple.t -> Value.t
 val compile_pred : Binding.t -> pred -> Tuple.t -> Value.truth

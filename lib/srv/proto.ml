@@ -59,12 +59,13 @@ let error fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
 (* ---- framing (the WAL's line codec) -------------------------------------- *)
 
-(* Frames are made by {!Wal.Writer} — one exactly-sized string, no field
-   list — and taken by {!Wal.Reader}, a cursor over the line.  Neither
-   keeps a buffer between calls.  A per-domain buffer would not be safe:
-   the connection reader loops are systhreads sharing the main domain,
-   each encoding its own inline replies, and a thread switch mid-frame
-   would leave two of them writing into one buffer. *)
+(* Frames are made by {!Wal.Writer} — one pass, no field list — and
+   taken by {!Wal.Reader}, a cursor over the line.  Neither keeps a
+   buffer between calls; [response_frame] writes into the caller's.  A
+   per-domain buffer would not be safe: the connection reader loops are
+   systhreads sharing the main domain, each encoding its own inline
+   replies, and a thread switch mid-frame would leave two of them
+   writing into one buffer. *)
 
 module W = Wal.Writer
 module R = Wal.Reader

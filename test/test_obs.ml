@@ -240,6 +240,42 @@ let test_explain_analyze_inclusive_times () =
   in
   check_nodes a.Opt.Explain.nodes
 
+(* A node below [LIMIT 0] is opened but never pulled: it reads actual=0
+   whatever its estimate, so the q-error summaries leave it out.  A
+   drained node is pulled once per row and once more for the end. *)
+let test_q_error_skips_unpulled () =
+  let sdb = Core.Softdb.create () in
+  ignore (Core.Softdb.exec sdb "CREATE TABLE t (id INT, v INT)");
+  ignore
+    (Core.Softdb.exec sdb
+       ("INSERT INTO t VALUES "
+       ^ String.concat ", "
+           (List.init 500 (fun i -> Printf.sprintf "(%d, %d)" i (i mod 7)))));
+  Core.Softdb.runstats sdb;
+  let analyze sql = Core.Softdb.analyze sdb (Sqlfe.Parser.parse_query_string sql) in
+  let scan a =
+    List.find
+      (fun n -> contains n.Opt.Explain.label "SeqScan")
+      a.Opt.Explain.nodes
+  in
+  let a = analyze "SELECT * FROM t LIMIT 0" in
+  let s = scan a in
+  check tint "scan never pulled" 0 s.Opt.Explain.pulls;
+  check tbool "its q-error is its estimate" true (s.Opt.Explain.node_q_error > 100.0);
+  let pulled =
+    List.filter (fun n -> n.Opt.Explain.pulls > 0) a.Opt.Explain.nodes
+  in
+  check tbool "the limit was pulled" true (pulled <> []);
+  check (Alcotest.float 1e-9) "max over pulled nodes only"
+    (List.fold_left (fun m n -> Float.max m n.Opt.Explain.node_q_error) 1.0 pulled)
+    (Opt.Explain.node_q_error_max a);
+  check tbool "geomean leaves it out" true
+    (Opt.Explain.node_q_error_geomean a < s.Opt.Explain.node_q_error);
+  let b = analyze "SELECT * FROM t WHERE v = 3" in
+  let s = scan b in
+  check tint "a drained scan: rows + 1 pulls" (s.Opt.Explain.actual_rows + 1)
+    s.Opt.Explain.pulls
+
 (* ---- SSC confidence recalibration end to end -------------------------------- *)
 
 let test_ssc_recalibration () =
@@ -473,6 +509,8 @@ let () =
           Alcotest.test_case "annotated plan" `Quick test_explain_analyze;
           Alcotest.test_case "inclusive times cover children" `Quick
             test_explain_analyze_inclusive_times;
+          Alcotest.test_case "q-error skips nodes never pulled" `Quick
+            test_q_error_skips_unpulled;
         ] );
       ( "recalibration",
         [

@@ -174,6 +174,158 @@ let test_compile_agrees_with_eval () =
         rows)
     preds
 
+(* Differential test of the predicate compiler against the interpreter.
+   Seeded predicates over every constructor, on rows with NULLs, INT and
+   FLOAT side by side, dates, and arithmetic.  Column [m] is declared INT
+   but holds any type, so the compiler's unboxed paths meet values their
+   declared type does not promise.  Where the interpreter answers, the
+   compiled predicate gives the same truth value.  Where the interpreter
+   raises [Type_error], the compiled one agrees with a left-to-right
+   short-circuit reading of AND/OR: a conjunct after a FALSE one (a
+   disjunct after a TRUE one) is not evaluated, so its type error does
+   not surface. *)
+
+let gen_schema =
+  Schema.make "g"
+    [
+      Schema.column "i" Value.TInt;
+      Schema.column "j" Value.TInt;
+      Schema.column "f" Value.TFloat;
+      Schema.column "d" Value.TDate;
+      Schema.column "e" Value.TDate;
+      Schema.column "s" Value.TString;
+      Schema.column "m" Value.TInt;
+    ]
+
+let gen_binding = Expr.Binding.of_schema gen_schema
+
+let gen_value st ty =
+  let small () = Random.State.int st 41 - 20 in
+  match Random.State.int st 8 with
+  | 0 -> Value.Null
+  | _ -> (
+      match ty with
+      | Value.TInt -> Value.Int (small ())
+      | Value.TFloat ->
+          Value.Float (float_of_int (small ()) /. [| 1.; 2.; 4. |].(Random.State.int st 3))
+      | Value.TDate -> Value.Date (10_950 + small ())
+      | Value.TString -> Value.String [| "a"; "b"; "ab" |].(Random.State.int st 3)
+      | Value.TBool -> Value.Bool (Random.State.bool st))
+
+let any_type st =
+  [| Value.TInt; Value.TFloat; Value.TDate; Value.TString; Value.TBool |].(Random.State.int st 5)
+
+let gen_row st =
+  Array.map
+    (fun (c : Schema.column) ->
+      if c.Schema.name = "m" then gen_value st (any_type st)
+      else gen_value st c.Schema.dtype)
+    gen_schema.Schema.columns
+
+let rec gen_expr st depth =
+  let leaf () =
+    if Random.State.int st 3 = 0 then
+      Expr.Const
+        (gen_value st
+           (if Random.State.int st 4 = 0 then any_type st
+            else [| Value.TInt; Value.TDate |].(Random.State.int st 2)))
+    else
+      Expr.column [| "i"; "j"; "f"; "d"; "e"; "s"; "m" |].(Random.State.int st 7)
+  in
+  if depth = 0 then leaf ()
+  else
+    match Random.State.int st 6 with
+    | 0 | 1 ->
+        let op = [| Expr.Add; Expr.Sub; Expr.Mul; Expr.Div |].(Random.State.int st 4) in
+        Expr.Binop (op, gen_expr st (depth - 1), gen_expr st (depth - 1))
+    | 2 -> Expr.Neg (gen_expr st (depth - 1))
+    | _ -> leaf ()
+
+let rec gen_pred st depth =
+  let cmp () =
+    [| Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge |].(Random.State.int st 6)
+  in
+  let e () = gen_expr st 2 in
+  match Random.State.int st (if depth = 0 then 7 else 10) with
+  | 0 | 1 -> Expr.Cmp (cmp (), e (), e ())
+  | 2 -> Expr.Between (e (), e (), e ())
+  | 3 ->
+      Expr.In_list
+        (e (), List.init (Random.State.int st 4) (fun _ -> gen_value st (any_type st)))
+  | 4 -> Expr.Is_null (e ())
+  | 5 -> Expr.Is_not_null (e ())
+  | 6 -> if Random.State.bool st then Expr.Ptrue else Expr.Pfalse
+  | 7 -> Expr.And (gen_pred st (depth - 1), gen_pred st (depth - 1))
+  | 8 -> Expr.Or (gen_pred st (depth - 1), gen_pred st (depth - 1))
+  | _ -> Expr.Not (gen_pred st (depth - 1))
+
+let rec short_circuit b p r =
+  match p with
+  | Expr.And (p, q) -> (
+      match short_circuit b p r with
+      | Value.False -> Value.False
+      | tp -> Value.truth_and tp (short_circuit b q r))
+  | Expr.Or (p, q) -> (
+      match short_circuit b p r with
+      | Value.True -> Value.True
+      | tp -> Value.truth_or tp (short_circuit b q r))
+  | Expr.Not p -> Value.truth_not (short_circuit b p r)
+  | leaf -> Expr.eval_pred b leaf r
+
+let outcome f = try Ok (f ()) with Value.Type_error _ -> Error ()
+
+let test_compile_differential () =
+  let st = Random.State.make [| 25 |] in
+  let rows = List.init 60 (fun _ -> gen_row st) in
+  let agreed = ref 0 and hidden = ref 0 in
+  for _ = 1 to 2000 do
+    let p = gen_pred st 3 in
+    let compiled = Expr.compile_pred gen_binding p in
+    let filter = Expr.compile_filter gen_binding p in
+    List.iter
+      (fun r ->
+        let name () =
+          Fmt.str "%s on [%a]" (Expr.to_string_pred p)
+            (Fmt.array ~sep:(Fmt.any "; ") Value.pp)
+            r
+        in
+        let got = outcome (fun () -> compiled r) in
+        if got <> outcome (fun () -> short_circuit gen_binding p r) then
+          Alcotest.failf "compiled <> short-circuit reading: %s" (name ());
+        match outcome (fun () -> Expr.eval_pred gen_binding p r) with
+        | Ok t ->
+            incr agreed;
+            if got <> Ok t then Alcotest.failf "compiled <> eval_pred: %s" (name ());
+            if filter r <> Expr.satisfies gen_binding p r then
+              Alcotest.failf "compile_filter <> satisfies: %s" (name ())
+        | Error () -> if Result.is_ok got then incr hidden)
+      rows
+  done;
+  (* both regimes are exercised: most cases answer, and some type errors
+     are hidden by a short circuit *)
+  check tbool "most cases answer" true (!agreed > 60_000);
+  check tbool "some type errors are short-circuited" true (!hidden > 0)
+
+let test_short_circuit_hides_type_error () =
+  (* i = 1 is FALSE on this row, so the string arithmetic after it is
+     never evaluated by the compiled AND; the interpreter raises *)
+  let p =
+    Expr.And
+      ( Expr.Cmp (Expr.Eq, Expr.column "i", Expr.int 1),
+        Expr.Cmp (Expr.Eq, Expr.Binop (Expr.Add, Expr.column "s", Expr.int 1), Expr.int 2) )
+  in
+  let r =
+    [| Value.Int 0; Value.Int 0; Value.Float 0.; Value.Date 0; Value.Date 0;
+       Value.String "a"; Value.Int 0 |]
+  in
+  check tbool "compiled AND stops at FALSE" true
+    (Expr.compile_pred gen_binding p r = Value.False);
+  check_raises_any "the interpreter evaluates both sides" (fun () ->
+      Expr.eval_pred gen_binding p r);
+  let q = Expr.Or (Expr.Not p, Expr.Cmp (Expr.Eq, Expr.Neg (Expr.column "s"), Expr.int 0)) in
+  check tbool "compiled OR stops at TRUE" true
+    (Expr.compile_pred gen_binding q r = Value.True)
+
 (* ---- B+-tree ---------------------------------------------------------------- *)
 
 module Itree = Bptree.Make (Int)
@@ -746,6 +898,10 @@ let () =
           Alcotest.test_case "check semantics" `Quick test_check_semantics;
           Alcotest.test_case "compiled agrees" `Quick
             test_compile_agrees_with_eval;
+          Alcotest.test_case "compiled agrees (generated)" `Quick
+            test_compile_differential;
+          Alcotest.test_case "short circuit hides a later type error" `Quick
+            test_short_circuit_hides_type_error;
         ] );
       ( "bptree",
         [

@@ -341,16 +341,26 @@ let gen_int st =
       lor (Random.State.bits st lsl 30)
       lxor (Random.State.bits st lsl 60)
 
+let largest_subnormal = Int64.float_of_bits 0x000f_ffff_ffff_ffffL
+
+(* any bit pattern, the sign bit included: negative normals, subnormals
+   and nans as often as positive ones *)
+let random_bits_float st =
+  let bits = Random.State.int64 st Int64.max_int in
+  Int64.float_of_bits
+    (if Random.State.bool st then Int64.logor bits Int64.min_int else bits)
+
 let gen_float st =
   match Random.State.int st 3 with
   | 0 ->
       pick st
         [
           nan; infinity; neg_infinity; -0.0; 0.0; 0.1; -1.5; min_float;
-          max_float; epsilon_float; 4.9e-324; 1e300;
+          -.min_float; max_float; -.max_float; epsilon_float; 4.9e-324;
+          -4.9e-324; 1e300; largest_subnormal; -.largest_subnormal;
         ]
   | 1 -> Random.State.float st 1000.0 -. 500.0
-  | _ -> Int64.float_of_bits (Random.State.int64 st Int64.max_int)
+  | _ -> random_bits_float st
 
 let gen_string st =
   let alphabet = "ab\t\n\r\\tnrx" in
@@ -445,6 +455,30 @@ let test_codec_encodes_byte_identical () =
       Alcotest.failf "request does not round-trip: %S" q_line;
     if compare (Srv.Proto.response_of_line r_line) r <> 0 then
       Alcotest.failf "response does not round-trip: %S" r_line
+  done
+
+(* The writer prints a normal float's "%h" image itself and hands the
+   rest (zero, subnormals, infinities, nan) to the C primitive; both must
+   match [Printf.sprintf "%h"] byte for byte, whatever the sign. *)
+let test_codec_hex_floats () =
+  let st = Random.State.make [| 0x4ef |] in
+  let same f =
+    let want = "F" ^ Printf.sprintf "%h" f in
+    let got = Wal.value_to_field (Value.Float f) in
+    if got <> want then Alcotest.failf "%h prints %S, expected %S" f got want
+  in
+  List.iter same
+    [
+      0.0; -0.0; 1.0; -1.0; 0.5; -2.0; min_float; -.min_float; max_float;
+      -.max_float; largest_subnormal; -.largest_subnormal; 4.9e-324;
+      -4.9e-324; infinity; neg_infinity; nan; -.nan; epsilon_float;
+      1.0 +. epsilon_float; -1.0 -. epsilon_float; 0.1; -0.1; 1e300; -1e-300;
+    ];
+  for _ = 1 to 200_000 do
+    same (random_bits_float st)
+  done;
+  for _ = 1 to 20_000 do
+    same (Random.State.float st 2e6 -. 1e6)
   done
 
 (* The server's send path: one buffer, reused across the whole corpus
@@ -2107,6 +2141,8 @@ let () =
             test_codec_decodes_like_reference;
           Alcotest.test_case "frame buffer holds the line" `Quick
             test_codec_frame_buffer;
+          Alcotest.test_case "hex floats print as %h" `Quick
+            test_codec_hex_floats;
         ] );
       ( "rwlock",
         [
