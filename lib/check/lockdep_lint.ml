@@ -1,8 +1,8 @@
 (* Cross-validation of the runtime lockdep witness against the static
    rank table — the dynamic half of the concurrency suite.
 
-   The witness ({!Obs.Lockdep}) dumps the acquisition-order edge graph a
-   real run exhibited; the [@lock-order] table declares the order the
+   The witness ({!Obs.Lockdep}) records the acquisition-order edge graph
+   a real run exhibited; the [@lock-order] table declares the order the
    sources promise.  Each checks the other:
 
    - every observed edge (held -> acquired) must name declared locks and
@@ -21,7 +21,8 @@
 
 let pass = "lockdep"
 
-let lint_graph ~decls (g : Obs.Lockdep.graph) =
+let lint ~sources (g : Obs.Lockdep.graph) =
+  let decls = Ann.decl_table (Ann.collect_decls sources) in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let subject = "lockdep-graph" in
@@ -75,14 +76,3 @@ let lint_graph ~decls (g : Obs.Lockdep.graph) =
                  run — retire it or mark it lockdep-waive with the reason"
                 d.Ann.d_name d.Ann.d_rank));
   List.rev !diags
-
-let lint_dump ~sources text =
-  match Obs.Lockdep.parse text with
-  | None ->
-      [
-        Diag.error ~pass ~subject:"lockdep-graph"
-          "not a lockdep edge-graph dump (missing 'lockdep' header line)";
-      ]
-  | Some g ->
-      let decls = Ann.decl_table (Ann.collect_decls sources) in
-      lint_graph ~decls g

@@ -17,12 +17,6 @@ let drift ~updates_since ~table_rows =
 let usable_confidence ~base ~updates_since ~table_rows =
   max 0.0 (base -. drift ~updates_since ~table_rows)
 
-(* An ASC whose table has seen any mutation since validation can no longer
-   be trusted for rewrite unless maintenance re-validated it; this
-   predicate captures "fresh enough for estimation" instead. *)
-let stale_beyond ~threshold ~updates_since ~table_rows =
-  drift ~updates_since ~table_rows > threshold
-
 (* Updates before the usable confidence falls below [floor]. *)
 let updates_until ~base ~floor ~table_rows =
   if base <= floor then 0

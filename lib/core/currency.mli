@@ -16,8 +16,5 @@ val usable_confidence : base:float -> updates_since:int -> table_rows:int ->
 (** [max 0 (base − drift)] — a true lower bound on the current
     confidence (verified as a property test). *)
 
-val stale_beyond : threshold:float -> updates_since:int -> table_rows:int ->
-  bool
-
 val updates_until : base:float -> floor:float -> table_rows:int -> int
 (** Mutations before the usable confidence falls below [floor]. *)

@@ -6,16 +6,15 @@
    is ASC-free.  If an ASC is overturned, a flag is raised and packages
    revert to the alternative plans."
 
-   A prepared entry keeps the optimized plan together with the names of
-   the soft constraints its rewrites relied on (from the rewrite log) and
-   a backup plan compiled with the whole soft-constraint machinery off.
-   Execution checks the dependencies against the live catalog: if every
-   *rewrite-critical* dependency is still Active the fast plan runs;
-   otherwise the entry flips to the backup.  Dependencies that are
-   estimation-only (twins) never invalidate — a plan chosen under stale
-   statistics is merely sub-optimal, exactly the paper's reading.
-   [reprepare] re-optimizes invalidated entries against the current
-   catalog, the "recompiled before they can be used again" path.
+   A prepared entry keeps the optimizer's report, which already carries
+   both halves of the tactic: the guards (the constraints its
+   result-changing rewrites relied on; twins, estimation-only, never
+   guard) and the rewrite-free backup plan.  Execution decides through
+   the same check as ad-hoc statements ({!Softdb.failed_guards}): the
+   fast plan runs while every guard holds; the first failure flags the
+   entry, and from then on its backup runs.  [reprepare] re-optimizes
+   flagged entries against the current catalog, the "recompiled before
+   they can be used again" path.
 
    The cache is bounded: past [capacity] entries the least-recently-used
    one is evicted (prepare-or-execute counts as use), the eviction tallied
@@ -29,9 +28,7 @@ type entry = {
   name : string;
   sql : string;
   query : Sqlfe.Ast.query;
-  mutable report : Opt.Explain.report;
-  mutable deps : string list; (* SCs whose validity the plan relies on *)
-  mutable backup : Exec.Plan.t; (* soft-constraint-free alternative *)
+  mutable report : Opt.Explain.report; (* fast plan, guards and backup *)
   mutable obj_tables : string list; (* tables any compiled plan opens *)
   mutable obj_indexes : string list; (* indexes any compiled plan probes *)
   mutable invalidated : bool;
@@ -64,12 +61,6 @@ let locked t f =
       Obs.Lockdep.release "core.plan_cache")
     f
 
-(* Rewrite-critical dependencies: every SC a non-estimation-only rewrite
-   relied on.  Twins (estimation-only) are excluded.  The report's guard
-   set is exactly this (with class-level attribution for rules that log
-   no constraint name), computed by {!Softdb.optimize}. *)
-let dependencies_of (report : Opt.Explain.report) = report.Opt.Explain.guards
-
 let touch t entry =
   t.use_seq <- t.use_seq + 1;
   entry.last_used <- t.use_seq
@@ -98,36 +89,28 @@ let enforce_capacity t =
    and takes engine-side locks of its own. *)
 let compile t sql =
   let query = Sqlfe.Parser.parse_query_string sql in
-  let report = Softdb.optimize t.sdb query in
-  let backup =
-    (Softdb.optimize ~flags:Opt.Rewrite.all_off t.sdb query).Opt.Explain.plan
-  in
-  (query, report, backup)
+  (query, Softdb.optimize t.sdb query)
 
-(* Catalog objects any of the entry's compiled plans dereference at
-   open: fast plan, SC-free backup, and the report's own guarded backup.
-   DDL against one of them — DROP TABLE, DROP INDEX, an index demotion —
-   makes the compiled plans unrunnable (not merely sub-optimal, as SC
+(* Catalog objects either compiled plan (fast or backup) dereferences at
+   open.  DDL against one of them — DROP TABLE, DROP INDEX, an index
+   demotion — makes the plans unrunnable (not merely sub-optimal, as SC
    invalidation does), so execution must re-prepare from SQL first. *)
-let plan_objects (report : Opt.Explain.report) backup =
+let plan_objects (report : Opt.Explain.report) =
   let plans =
-    report.Opt.Explain.plan :: backup
-    :: Option.to_list report.Opt.Explain.backup_plan
+    report.Opt.Explain.plan :: Option.to_list report.Opt.Explain.backup_plan
   in
   ( List.sort_uniq String.compare
       (List.concat_map Exec.Plan.referenced_tables plans),
     List.sort_uniq String.compare
       (List.concat_map Exec.Plan.referenced_indexes plans) )
 
-let fresh_entry ~name ~sql ~query ~report ~backup =
-  let obj_tables, obj_indexes = plan_objects report backup in
+let fresh_entry ~name ~sql ~query ~report =
+  let obj_tables, obj_indexes = plan_objects report in
   {
     name;
     sql;
     query;
     report;
-    deps = dependencies_of report;
-    backup;
     obj_tables;
     obj_indexes;
     invalidated = false;
@@ -137,9 +120,9 @@ let fresh_entry ~name ~sql ~query ~report ~backup =
   }
 
 let prepare t ~name sql =
-  let query, report, backup = compile t sql in
+  let query, report = compile t sql in
   locked t (fun () ->
-      let entry = fresh_entry ~name ~sql ~query ~report ~backup in
+      let entry = fresh_entry ~name ~sql ~query ~report in
       touch t entry;
       t.entries <- entry :: List.filter (fun e -> e.name <> name) t.entries;
       enforce_capacity t;
@@ -152,7 +135,7 @@ let find_or_prepare t ~name sql =
   match find t name with
   | Some e -> (e, false)
   | None ->
-      let query, report, backup = compile t sql in
+      let query, report = compile t sql in
       (* re-check under the lock: sessions prepare concurrently under a
          shared read lock, so two of them can both miss above and both
          compile — without this, the second insert would replace the
@@ -163,7 +146,7 @@ let find_or_prepare t ~name sql =
           match List.find_opt (fun e -> e.name = name) t.entries with
           | Some e -> (e, false)
           | None ->
-              let entry = fresh_entry ~name ~sql ~query ~report ~backup in
+              let entry = fresh_entry ~name ~sql ~query ~report in
               touch t entry;
               t.entries <- entry :: t.entries;
               enforce_capacity t;
@@ -172,16 +155,11 @@ let find_or_prepare t ~name sql =
 let find_exn t name =
   match find t name with Some e -> e | None -> raise (No_such_plan name)
 
-(* A dependency invalidates the plan when it exists but is no longer a
-   valid basis for the compiled rewrites.  A dependency that was *dropped
-   from the catalog entirely* also invalidates: the promise is gone.
-   Hard ICs (never in the SC catalog but named as deps via FK rules) and
-   exception-backed ASCs stay valid while still declared — the same
-   check the guarded executor applies ({!Softdb.guard_ok}). *)
-let dep_valid t dep = Softdb.guard_ok t.sdb dep
-
-let is_valid t entry =
-  (not entry.invalidated) && List.for_all (dep_valid t) entry.deps
+(* The fast plan may run: the entry is not flagged, and no guard has
+   failed since ({!Softdb.failed_guards}, the check ad-hoc execution
+   makes too). *)
+let valid t entry =
+  (not entry.invalidated) && Softdb.failed_guards t.sdb entry.report = []
 
 (* Creating the cache also binds the sys.plan_cache virtual table to it,
    so the cache's state is SQL-queryable through the facade. *)
@@ -202,8 +180,9 @@ let create ?(capacity = default_capacity) sdb =
       List.rev_map
         (fun e ->
           Obs.Sys_tables.plan_cache_row ~name:e.name ~sql:e.sql
-            ~valid:(is_valid t e) ~dependencies:e.deps ~fast_runs:e.fast_runs
-            ~backup_runs:e.backup_runs ~last_used:e.last_used)
+            ~valid:(valid t e) ~dependencies:e.report.Opt.Explain.guards
+            ~fast_runs:e.fast_runs ~backup_runs:e.backup_runs
+            ~last_used:e.last_used)
         entries);
   t
 
@@ -223,7 +202,7 @@ let stats t =
       {
         acc with
         entries = acc.entries + 1;
-        valid = (acc.valid + if is_valid t e then 1 else 0);
+        valid = (acc.valid + if valid t e then 1 else 0);
         fast_runs = acc.fast_runs + e.fast_runs;
         backup_runs = acc.backup_runs + e.backup_runs;
       })
@@ -237,13 +216,9 @@ let stats t =
     }
     entries
 
-(* Execute a prepared plan: the fast plan while its dependencies hold, the
-   ASC-free backup once overturned (the §4.1 flag-and-revert tactic).
-   Validity is checked and counters stamped under the lock; the plan
-   itself runs outside it. *)
 (* DDL staleness: a referenced table/index no longer exists, or a
-   referenced index is no longer readable.  Distinct from SC-dependency
-   invalidation — a stale plan cannot run at all. *)
+   referenced index is no longer readable.  Distinct from a failed guard
+   — a stale plan cannot run at all. *)
 let ddl_stale t entry =
   let db = Softdb.db t.sdb in
   List.exists
@@ -259,16 +234,21 @@ let ddl_stale t entry =
 (* Recompile an entry from its SQL (outside the lock — compile takes
    engine-side locks of its own) and swap its compiled state in place. *)
 let recompile_entry t entry =
-  let _, report, backup = compile t entry.sql in
+  let _, report = compile t entry.sql in
   locked t (fun () ->
       entry.report <- report;
-      entry.backup <- backup;
-      entry.deps <- dependencies_of report;
-      let obj_tables, obj_indexes = plan_objects report backup in
+      let obj_tables, obj_indexes = plan_objects report in
       entry.obj_tables <- obj_tables;
       entry.obj_indexes <- obj_indexes;
       entry.invalidated <- false)
 
+(* Execute a prepared plan: the fast plan while its guards hold, the
+   report's rewrite-free backup once one fails (the §4.1 flag-and-revert
+   tactic).  The flag is sticky until re-preparation, so the fallback is
+   counted once, on the transition: re-running an overturned entry is
+   not a new fallback event (cf. {!Softdb.execute_report}, one count per
+   statement however many guards failed).  Guards are checked and
+   counters stamped under the lock; the plan itself runs outside it. *)
 let execute t name =
   let entry = find_exn t name in
   (if ddl_stale t entry then begin
@@ -280,23 +260,21 @@ let execute t name =
   let plan =
     locked t (fun () ->
         touch t entry;
-        if is_valid t entry then begin
-          entry.fast_runs <- entry.fast_runs + 1;
-          entry.report.Opt.Explain.plan
+        let report = entry.report in
+        (if not entry.invalidated then
+           match Softdb.failed_guards t.sdb report with
+           | [] -> ()
+           | failed ->
+               entry.invalidated <- true;
+               Softdb.note_guard_fallback t.sdb failed);
+        if entry.invalidated then begin
+          entry.backup_runs <- entry.backup_runs + 1;
+          Option.value report.Opt.Explain.backup_plan
+            ~default:report.Opt.Explain.plan
         end
         else begin
-          (* count the fallback once, on the valid→invalidated transition:
-             re-running an already-overturned entry is not a new fallback
-             event, and per-run increments would multiply-count one
-             guarded statement (cf. Softdb.execute_report: one increment
-             per statement, however many guards failed) *)
-          if not entry.invalidated then begin
-            entry.invalidated <- true;
-            Softdb.note_guard_fallback t.sdb
-              (List.filter (fun d -> not (dep_valid t d)) entry.deps)
-          end;
-          entry.backup_runs <- entry.backup_runs + 1;
-          entry.backup
+          entry.fast_runs <- entry.fast_runs + 1;
+          report.Opt.Explain.plan
         end)
   in
   Exec.Executor.run (Softdb.db t.sdb) plan
@@ -309,14 +287,12 @@ let reprepare t =
   let entries = locked t (fun () -> t.entries) in
   List.iter
     (fun entry ->
-      if
-        entry.invalidated || ddl_stale t entry
-        || not (List.for_all (dep_valid t) entry.deps)
-      then try recompile_entry t entry with _ -> ())
+      if ddl_stale t entry || not (valid t entry) then
+        try recompile_entry t entry with _ -> ())
     entries
 
 let pp_entry ppf e =
-  Fmt.pf ppf "%s: deps=[%a] fast=%d backup=%d%s" e.name
+  Fmt.pf ppf "%s: guards=[%a] fast=%d backup=%d%s" e.name
     Fmt.(list ~sep:(any ", ") string)
-    e.deps e.fast_runs e.backup_runs
+    e.report.Opt.Explain.guards e.fast_runs e.backup_runs
     (if e.invalidated then " INVALIDATED" else "")

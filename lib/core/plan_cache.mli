@@ -5,12 +5,13 @@
     a 'backup' plan which is ASC-free.  If an ASC is overturned, a flag is
     raised and packages revert to the alternative plans."
 
-    A prepared entry keeps the optimized plan, the names of the soft
-    constraints its rewrites relied on, and a backup plan compiled with
-    the soft-constraint machinery off.  Execution runs the fast plan while
-    every rewrite-critical dependency is still Active, and the backup
-    afterwards; twins (estimation-only) never invalidate — a plan chosen
-    under stale statistics is merely sub-optimal.
+    A prepared entry keeps the optimizer's report: its fast plan, its
+    guards (the constraints its result-changing rewrites relied on) and
+    its rewrite-free backup plan.  Execution runs the fast plan until
+    {!Softdb.failed_guards} — the check ad-hoc statements make too —
+    reports a failed guard, and the backup from then on; twins
+    (estimation-only) never guard — a plan chosen under stale statistics
+    is merely sub-optimal.
 
     The cache is bounded and LRU-evicting (prepare and execute both count
     as use; evictions surface in {!stats}, the sys.plan_cache [last_used]
@@ -23,14 +24,15 @@ type entry = {
   sql : string;
   query : Sqlfe.Ast.query;
   mutable report : Opt.Explain.report;
-  mutable deps : string list;
-  mutable backup : Exec.Plan.t;
+      (** fast plan, guards ([report.guards]) and backup plan *)
   mutable obj_tables : string list;
       (** tables any compiled plan opens — DDL-staleness tracking *)
   mutable obj_indexes : string list;
       (** indexes any compiled plan probes; a dropped or demoted one
           forces re-preparation from SQL before the next run *)
   mutable invalidated : bool;
+      (** set by the first execution that finds a failed guard; the
+          backup runs until re-preparation clears it *)
   mutable fast_runs : int;
   mutable backup_runs : int;
   mutable last_used : int;  (** recency stamp for LRU eviction *)
@@ -49,9 +51,6 @@ val create : ?capacity:int -> Softdb.t -> t
     count (default {!default_capacity}); raises [Invalid_argument] when
     < 1. *)
 
-val dependencies_of : Opt.Explain.report -> string list
-(** The rewrite-critical SC names of a report (twins excluded). *)
-
 val prepare : t -> name:string -> string -> entry
 (** Optimize and cache under [name] (replacing an entry of that name).
     Past capacity, the least-recently-used entry is evicted. *)
@@ -66,11 +65,9 @@ val find_or_prepare : t -> name:string -> string -> entry * bool
     cache lock, so exactly one of N racing callers reports creation and
     the rest bind to the winner's entry. *)
 
-val is_valid : t -> entry -> bool
-
 type cache_stats = {
   entries : int;
-  valid : int;
+  valid : int;  (** entries whose fast plan would run now *)
   fast_runs : int;
   backup_runs : int;
   capacity : int;
@@ -82,7 +79,8 @@ val stats : t -> cache_stats
     capacity bound and total evictions. *)
 
 val execute : t -> string -> Exec.Executor.result
-(** Fast plan while valid, backup plan once a dependency is overturned.
+(** Fast plan while every guard holds, the report's backup plan once one
+    has failed (counted once per entry in [sc_guard_fallbacks]).
     If DDL made the compiled plans stale first (a referenced table or
     index dropped, a referenced index demoted), the entry is re-prepared
     from its SQL before running — counted in the

@@ -652,10 +652,19 @@ let guard_ok t name =
           | Some table -> Database.find_table t.db table <> None
           | None -> false)))
 
+(* The guards of [report] that no longer hold — empty while its fast plan
+   may run.  The one §4.1 decision: ad-hoc execution ({!execute_report})
+   and prepared plans ({!Plan_cache}) both revert on it.  A report with
+   no backup has no result-changing rewrite, so nothing to revert from. *)
+let failed_guards t (report : Opt.Explain.report) =
+  match report.Opt.Explain.backup_plan with
+  | None -> []
+  | Some _ ->
+      List.filter (fun name -> not (guard_ok t name)) report.Opt.Explain.guards
+
 (* One guarded fallback happened on the strength of [failed] guard
    names: count it, and attribute it to every partition whose domain SC
-   is among them.  Shared with {!Plan_cache}, whose prepared plans fall
-   back through their own validity check. *)
+   is among them. *)
 let note_guard_fallback t failed =
   Obs.Metrics.incr t.metrics "sc_guard_fallbacks";
   List.iter
@@ -674,17 +683,18 @@ let note_guard_fallback t failed =
    a rewrite relied on was overturned since planning, degrade to the
    rewrite-free backup plan (§4.1's flag-and-revert). *)
 let execute_report t (report : Opt.Explain.report) =
-  let result, fell_back =
-    Obs.Metrics.time t.metrics "time.query_execution" (fun () ->
-        Exec.Executor.run_guarded t.db ~guards:report.Opt.Explain.guards
-          ~guard_ok:(guard_ok t) ~backup:report.Opt.Explain.backup_plan
-          report.Opt.Explain.plan)
+  let failed = failed_guards t report in
+  let fell_back = failed <> [] in
+  let plan =
+    match report.Opt.Explain.backup_plan with
+    | Some backup when fell_back -> backup
+    | _ -> report.Opt.Explain.plan
   in
-  if fell_back then
-    note_guard_fallback t
-      (List.filter
-         (fun name -> not (guard_ok t name))
-         report.Opt.Explain.guards);
+  let result =
+    Obs.Metrics.time t.metrics "time.query_execution" (fun () ->
+        Exec.Executor.run t.db plan)
+  in
+  if fell_back then note_guard_fallback t failed;
   (result, fell_back)
 
 let run_query ?flags t (q : Sqlfe.Ast.query) =

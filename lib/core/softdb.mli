@@ -129,23 +129,30 @@ val optimize : ?flags:Opt.Rewrite.flags -> t -> Sqlfe.Ast.query ->
 val run_query : ?flags:Opt.Rewrite.flags -> t -> Sqlfe.Ast.query ->
   Exec.Executor.result
 
+val guard_ok : t -> string -> bool
+(** Is the named constraint still a valid basis for a compiled plan?
+    True for declared hard/informational ICs, usable soft constraints,
+    exception-backed ASCs whose exception table still exists, and
+    ["idx:<name>"] guards whose index still exists and is readable. *)
+
+val failed_guards : t -> Opt.Explain.report -> string list
+(** The report's guards that no longer hold ([[]] for a report without a
+    backup plan): the one fallback decision (paper §4.1's
+    flag-and-revert), shared by {!execute_report} and {!Plan_cache}.
+    Non-empty means the rewrite-free backup plan must run. *)
+
 val note_guard_fallback : t -> string list -> unit
 (** Record one guarded-plan fallback whose failed guards are the given
     constraint names: bumps [sc_guard_fallbacks] and, for every failed
     guard that is a partition-domain SC, the per-partition fallback
     counter [sys.partitions] reports. *)
 
-val guard_ok : t -> string -> bool
-(** Is the named constraint still a valid basis for a compiled plan?
-    True for declared hard/informational ICs, usable soft constraints,
-    and exception-backed ASCs whose exception table still exists. *)
-
 val execute_report : t -> Opt.Explain.report ->
   Exec.Executor.result * bool
-(** Execute with SC-guard checking at open (paper §4.1's
-    flag-and-revert): if a guard fails, run the rewrite-free backup plan
-    instead, increment the [sc_guard_fallbacks] metric, and return
-    [true] as the second component. *)
+(** Execute with SC-guard checking at open: if {!failed_guards} is
+    non-empty, run the rewrite-free backup plan instead, record the
+    fallback ({!note_guard_fallback}), and return [true] as the second
+    component. *)
 
 val analyze : ?flags:Opt.Rewrite.flags -> t -> Sqlfe.Ast.query ->
   Opt.Explain.analysis

@@ -18,17 +18,6 @@ let run db plan =
   let rows = Operators.run db ~counters plan in
   { columns = column_names db plan; rows; counters }
 
-(* Guarded execution (paper §4.1's flag-and-revert): a plan whose
-   rewrites relied on soft constraints carries their names as guards.
-   At open, each guard is checked through [guard_ok] (the catalog
-   lives above this layer); any invalid guard degrades the run to the
-   rewrite-free [backup] plan.  Returns whether the fallback ran. *)
-let run_guarded db ~guards ~guard_ok ~backup plan =
-  match backup with
-  | Some backup_plan when not (List.for_all guard_ok guards) ->
-      (run db backup_plan, true)
-  | _ -> (run db plan, false)
-
 (* Order-insensitive multiset equality of results: the soundness oracle
    for rewrite property tests. *)
 let same_rows a b =

@@ -13,14 +13,6 @@ val column_names : Database.t -> Plan.t -> string list
 
 val run : Database.t -> Plan.t -> result
 
-val run_guarded :
-  Database.t -> guards:string list -> guard_ok:(string -> bool) ->
-  backup:Plan.t option -> Plan.t -> result * bool
-(** Guarded execution (paper §4.1's flag-and-revert): check every guard
-    with [guard_ok] at open; if any fails and a [backup] (rewrite-free)
-    plan exists, run that instead.  The boolean reports whether the
-    fallback ran. *)
-
 val same_rows : result -> result -> bool
 (** Order-insensitive multiset equality — the soundness oracle for the
     rewrite property tests. *)

@@ -669,6 +669,10 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
                 next ())
       in
       next
+  | Plan.Limit { n; _ } when n <= 0 ->
+      (* a block proven empty (the planner's [Limit 0]) reads nothing:
+         its input is never opened *)
+      fun () -> None
   | Plan.Limit { input; n } ->
       let c = open_node wrap db counters input in
       let emitted = ref 0 in

@@ -51,8 +51,3 @@ let range_to_check (r : range_sc) =
 
 let value_set_to_check (s : value_set_sc) =
   Expr.In_list (Expr.column s.column, s.values)
-
-let mine_all_ranges table =
-  List.filter_map
-    (fun c -> mine_range table ~column:c.Schema.name)
-    (Schema.columns (Table.schema table))

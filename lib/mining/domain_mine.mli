@@ -17,5 +17,3 @@ val mine_value_set :
 
 val range_to_check : range_sc -> Expr.pred
 val value_set_to_check : value_set_sc -> Expr.pred
-
-val mine_all_ranges : Table.t -> range_sc list

@@ -67,7 +67,3 @@ let domains db ~table =
               :: !cands
       done;
       !cands
-
-let pp_candidate ppf c =
-  Fmt.pf ppf "partition %d (%d rows): %a" c.partition c.seg_rows Expr.pp_pred
-    c.pred

@@ -19,5 +19,3 @@ val domains : Database.t -> table:string -> candidate list
 (** One candidate per non-empty segment with at least one non-NULL
     partition-column value, ascending by partition index.  [[]] when the
     table is not partitioned. *)
-
-val pp_candidate : Format.formatter -> candidate -> unit

@@ -35,9 +35,3 @@ let recalibrate ?(tolerance = default_tolerance) ?(rate = default_rate)
       Float.min 1.0 (Float.max 0.0 (stored +. (rate *. (observed -. stored))))
     in
     Adjust { confidence; refresh = diff > 2.0 *. tolerance }
-
-let pp_verdict ppf = function
-  | Keep -> Fmt.string ppf "keep"
-  | Adjust { confidence; refresh } ->
-      Fmt.pf ppf "adjust to %.4f%s" confidence
-        (if refresh then " (refresh queued)" else "")

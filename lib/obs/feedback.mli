@@ -24,5 +24,3 @@ type verdict =
 val recalibrate :
   ?tolerance:float -> ?rate:float -> stored:float -> observed:float ->
   unit -> verdict
-
-val pp_verdict : Format.formatter -> verdict -> unit

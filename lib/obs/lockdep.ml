@@ -35,8 +35,7 @@
    *acquired-lock set*, and the *max held depth* are structural — fixed
    by which code paths run, not by interleavings — so they are safe to
    gate in BENCH.json.  Per-edge counts are deterministic for a fixed
-   workload but are excluded from the dump header to keep the headline
-   numbers robust. *)
+   workload but are not gated, to keep the headline numbers robust. *)
 
 (* ---- enablement ---------------------------------------------------------- *)
 
@@ -210,71 +209,17 @@ let violations () =
 let edges_observed () = locked (fun () -> Hashtbl.length edges)
 let max_held_depth () = locked (fun () -> !max_depth)
 
-(* ---- dump / parse ---------------------------------------------------------- *)
-
-(* Line-oriented, fully sorted, no timestamps or counts in the header:
-
-     lockdep edges=<n> max_held_depth=<d> violations=<v>
-     lock <name>
-     edge <from> <to> <count>
-     violation <message ...>
-*)
-
-let dump () =
-  let b = Buffer.create 512 in
-  let edges = edge_list () in
-  let viols = violations () in
-  Printf.bprintf b "lockdep edges=%d max_held_depth=%d violations=%d\n"
-    (List.length edges)
-    (max_held_depth ())
-    (List.length viols);
-  List.iter (fun name -> Printf.bprintf b "lock %s\n" name) (lock_list ());
-  List.iter
-    (fun (a, b', c) -> Printf.bprintf b "edge %s %s %d\n" a b' c)
-    edges;
-  List.iter (fun v -> Printf.bprintf b "violation %s\n" v) viols;
-  Buffer.contents b
+(* ---- the graph, for Check.Lockdep_lint ------------------------------------ *)
 
 type graph = {
   g_locks : string list;  (* every lock the run acquired, sorted *)
   g_edges : (string * string * int) list;  (* held -> acquired, sorted *)
-  g_max_depth : int;
   g_violations : string list;
 }
 
-let parse text =
-  let locks = ref [] and edges = ref [] and viols = ref [] in
-  let max_depth = ref 0 in
-  let ok = ref false in
-  String.split_on_char '\n' text
-  |> List.iter (fun line ->
-         match String.split_on_char ' ' (String.trim line) with
-         | "lockdep" :: fields ->
-             ok := true;
-             List.iter
-               (fun f ->
-                 match String.split_on_char '=' f with
-                 | [ "max_held_depth"; v ] -> (
-                     match int_of_string_opt v with
-                     | Some d -> max_depth := d
-                     | None -> ())
-                 | _ -> ())
-               fields
-         | [ "lock"; name ] -> locks := name :: !locks
-         | [ "edge"; a; b; c ] -> (
-             match int_of_string_opt c with
-             | Some c -> edges := (a, b, c) :: !edges
-             | None -> ())
-         | "violation" :: rest when rest <> [] ->
-             viols := String.concat " " rest :: !viols
-         | _ -> ())
-  |> ignore;
-  if not !ok then None
-  else
-    Some
-      {
-        g_locks = List.sort compare !locks;
-        g_edges = List.sort compare !edges;
-        g_max_depth = !max_depth;
-        g_violations = List.sort compare !viols;
-      }
+let graph () =
+  {
+    g_locks = lock_list ();
+    g_edges = edge_list ();
+    g_violations = violations ();
+  }

@@ -2,8 +2,8 @@
     record per-thread held stacks and grow an observed acquisition-order
     edge graph ((held -> acquired) with counts), catching non-reentrant
     re-acquisition and edge-graph cycles live.  {!Check.Lockdep_lint}
-    cross-validates the dumped graph against the static [@lock-order]
-    rank table.  Off by default; the disabled fast path is a single
+    cross-validates the observed {!graph} against the static
+    [@lock-order] rank table.  Off by default; the disabled fast path is a single
     atomic read per call. *)
 
 val enable : unit -> unit
@@ -44,16 +44,11 @@ val edges_observed : unit -> int
 val max_held_depth : unit -> int
 (** Deepest number of distinct locks any one thread held at once. *)
 
-val dump : unit -> string
-(** Deterministic line-oriented edge-graph dump (header, [lock] lines,
-    [edge] lines, [violation] lines, all sorted). *)
-
 type graph = {
-  g_locks : string list;
-  g_edges : (string * string * int) list;
-  g_max_depth : int;
-  g_violations : string list;
+  g_locks : string list;  (** {!lock_list} *)
+  g_edges : (string * string * int) list;  (** {!edge_list} *)
+  g_violations : string list;  (** {!violations} *)
 }
 
-val parse : string -> graph option
-(** Parse a {!dump}; [None] if the header line is missing. *)
+val graph : unit -> graph
+(** The witness's current state, for {!Check.Lockdep_lint}. *)

@@ -50,7 +50,3 @@ let sort p ~rows =
   else p.cpu_compare *. rows *. (Float.log rows /. Float.log 2.0)
 
 let group p ~rows = p.cpu_tuple *. rows
-
-let pp_params ppf p =
-  Fmt.pf ppf "cpu_tuple=%g io_page=%g probe=%g" p.cpu_tuple p.io_page
-    p.index_probe

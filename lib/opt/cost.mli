@@ -34,5 +34,3 @@ val nested_loop_join :
 
 val sort : params -> rows:float -> float
 val group : params -> rows:float -> float
-
-val pp_params : Format.formatter -> params -> unit

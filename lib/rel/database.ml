@@ -70,10 +70,6 @@ let register_virtual t ~name ~schema generate =
     error "cannot register virtual table %s: a base table exists" name;
   Hashtbl.replace t.virtuals key { vschema = schema; generate }
 
-let virtual_names t =
-  Hashtbl.fold (fun _ v acc -> v.vschema.Schema.table :: acc) t.virtuals []
-  |> List.sort String.compare
-
 let materialize_virtual (v : virtual_def) =
   let tbl = Table.create v.vschema in
   List.iter (fun row -> ignore (Table.insert tbl row)) (v.generate ());
@@ -401,10 +397,6 @@ let update t ~table rid row =
     (indexes_on t table);
   seg_update t table rid ~before ~after:(Table.get_exn tbl rid);
   notify t (Updated { table = Table.name tbl; rid; before; after })
-
-(* Bulk load: validates rows against the schema and enforced constraints
-   like [insert], but amortizes listener calls; returns rids. *)
-let insert_many t ~table rows = List.map (fun r -> insert t ~table r) rows
 
 (* Compensating re-insert for transaction rollback: restores a deleted
    row under its original rid, maintains indexes and notifies listeners,

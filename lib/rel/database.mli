@@ -34,7 +34,7 @@ val find_table : t -> string -> Table.t option
 val table_exn : t -> string -> Table.t
 
 val table_names : t -> string list
-(** Base tables only; see {!virtual_names}. *)
+(** Base tables only. *)
 
 (** {1 Virtual tables}
 
@@ -47,8 +47,6 @@ val register_virtual :
   t -> name:string -> schema:Schema.t -> (unit -> Tuple.t list) -> unit
 (** Registering under an existing virtual name replaces its generator;
     registering over a base table raises {!Catalog_error}. *)
-
-val virtual_names : t -> string list
 
 val drop_table : t -> string -> unit
 (** Also drops the table's indexes and constraints. *)
@@ -147,7 +145,6 @@ val cascading : t -> bool
 val insert : t -> table:string -> Tuple.t -> Table.rid
 val delete : t -> table:string -> Table.rid -> bool
 val update : t -> table:string -> Table.rid -> Tuple.t -> unit
-val insert_many : t -> table:string -> Tuple.t list -> Table.rid list
 
 val restore : t -> table:string -> Table.rid -> Tuple.t -> unit
 (** Compensating re-insert for transaction rollback: the original rid is

@@ -65,8 +65,6 @@ let add_days t n = t + n
 let diff_days a b = a - b
 let compare : t -> t -> int = Stdlib.compare
 let equal (a : t) (b : t) = a = b
-let min_date = days_from_civil ~year:1 ~month:1 ~day:1
-let max_date = days_from_civil ~year:9999 ~month:12 ~day:31
 
 (* 1970-01-01 was a Thursday; weekday 0 = Monday ... 6 = Sunday. *)
 let weekday t = ((t mod 7) + 7 + 3) mod 7

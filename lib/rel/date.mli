@@ -38,12 +38,6 @@ val diff_days : t -> t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val min_date : t
-(** 0001-01-01. *)
-
-val max_date : t
-(** 9999-12-31. *)
-
 val weekday : t -> int
 (** 0 = Monday … 6 = Sunday. *)
 

@@ -53,14 +53,6 @@ let str s = Const (Value.String s)
 let date d = Const (Value.Date d)
 let column ?rel name = Col (col ?rel name)
 
-let cmp_negate = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Lt -> Ge
-  | Le -> Gt
-  | Gt -> Le
-  | Ge -> Lt
-
 let cmp_flip = function
   | Eq -> Eq
   | Ne -> Ne

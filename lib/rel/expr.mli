@@ -46,9 +46,6 @@ val str : string -> t
 val date : Date.t -> t
 val column : ?rel:string -> string -> t
 
-val cmp_negate : cmp -> cmp
-(** Logical negation: [¬(a < b) ⟺ a >= b]. *)
-
 val cmp_flip : cmp -> cmp
 (** Operand swap: [a < b ⟺ b > a]. *)
 

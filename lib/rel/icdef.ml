@@ -34,14 +34,6 @@ let make ?(enforcement = Enforced) ~name ~table body =
 
 let is_enforced t = t.enforcement = Enforced
 
-let columns_of_body = function
-  | Primary_key cols | Unique cols -> cols
-  | Foreign_key { columns; _ } -> columns
-  | Check p ->
-      List.map (fun r -> r.Expr.col) (Expr.cols_of_pred p)
-      |> List.sort_uniq String.compare
-  | Not_null c -> [ c ]
-
 let pp_body ppf = function
   | Primary_key cols ->
       Fmt.pf ppf "PRIMARY KEY (%a)" Fmt.(list ~sep:(any ", ") string) cols

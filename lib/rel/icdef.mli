@@ -34,8 +34,5 @@ val make : ?enforcement:enforcement -> name:string -> table:string -> body -> t
 
 val is_enforced : t -> bool
 
-val columns_of_body : body -> string list
-(** The columns a constraint constrains (sorted, for [Check]). *)
-
 val pp_body : Format.formatter -> body -> unit
 val pp : Format.formatter -> t -> unit

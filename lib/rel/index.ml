@@ -213,6 +213,3 @@ let fold_entries t ~lo ~hi ~init ~f =
       ~f:(fun acc key rids ->
         let v = Tuple.get key 0 in
         if lo_ok v && hi_ok v then f acc key rids else acc)
-
-let min_key t = Option.map fst (Key_tree.min_binding t.tree)
-let max_key t = Option.map fst (Key_tree.max_binding t.tree)

@@ -88,6 +88,3 @@ val fold_entries :
     scans.  Bounds apply to the leading column — on a composite index
     only bindings whose leading value falls within them are yielded, so
     a leading-column probe narrows composite covering scans too. *)
-
-val min_key : t -> Tuple.t option
-val max_key : t -> Tuple.t option

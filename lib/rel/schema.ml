@@ -39,8 +39,6 @@ let index_exn t name =
       invalid_arg
         (Printf.sprintf "Schema: no column %s in table %s" name t.table)
 
-let dtype_of t name = (column_at t (index_exn t name)).dtype
-
 let pp ppf t =
   Fmt.pf ppf "%s(%a)" t.table
     (Fmt.list ~sep:(Fmt.any ", ") (fun ppf c ->

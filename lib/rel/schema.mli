@@ -22,7 +22,4 @@ val find_index : t -> string -> int option
 val index_exn : t -> string -> int
 (** Raises [Invalid_argument] when the column does not exist. *)
 
-val dtype_of : t -> string -> Value.dtype
-(** Type of a column by name; raises like {!index_exn}. *)
-
 val pp : Format.formatter -> t -> unit

@@ -33,14 +33,6 @@ let dtype_of_string s =
   | "DATE" -> Some TDate
   | _ -> None
 
-let type_of = function
-  | Null -> None
-  | Int _ -> Some TInt
-  | Float _ -> Some TFloat
-  | String _ -> Some TString
-  | Bool _ -> Some TBool
-  | Date _ -> Some TDate
-
 let is_null = function Null -> true | _ -> false
 
 (* A value [v] is acceptable for a column of type [ty] if it is null or of
@@ -110,10 +102,6 @@ let truth_or a b =
   | _ -> Unknown
 
 let truth_to_bool = function True -> true | False | Unknown -> false
-
-let pp_truth ppf t =
-  Fmt.string ppf
-    (match t with True -> "true" | False -> "false" | Unknown -> "unknown")
 
 (* Arithmetic.  Integer ops stay integral; any float operand promotes.
    Date ± int shifts by days; date − date yields an int day count. *)
@@ -199,15 +187,3 @@ let float_exn = function
   | Int i -> float_of_int i
   | Float f -> f
   | v -> type_error "expected FLOAT, got %s" (to_debug v)
-
-let string_exn = function
-  | String s -> s
-  | v -> type_error "expected VARCHAR, got %s" (to_debug v)
-
-let bool_exn = function
-  | Bool b -> b
-  | v -> type_error "expected BOOLEAN, got %s" (to_debug v)
-
-let date_exn = function
-  | Date d -> d
-  | v -> type_error "expected DATE, got %s" (to_debug v)

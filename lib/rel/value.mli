@@ -26,9 +26,6 @@ val dtype_name : dtype -> string
 val dtype_of_string : string -> dtype option
 (** Accepts the usual SQL type synonyms ([INTEGER], [DOUBLE], …). *)
 
-val type_of : t -> dtype option
-(** [None] for [Null]. *)
-
 val is_null : t -> bool
 
 val conforms : dtype -> t -> bool
@@ -59,8 +56,6 @@ val truth_or : truth -> truth -> truth
 
 val truth_to_bool : truth -> bool
 (** WHERE semantics: only [True] qualifies. *)
-
-val pp_truth : Format.formatter -> truth -> unit
 
 exception Type_error of string
 (** Raised by the arithmetic below on ill-typed operands (e.g.
@@ -97,6 +92,3 @@ val hash : t -> int
 
 val int_exn : t -> int
 val float_exn : t -> float
-val string_exn : t -> string
-val bool_exn : t -> bool
-val date_exn : t -> Date.t

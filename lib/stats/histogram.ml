@@ -59,13 +59,6 @@ let build ?(buckets = 32) values =
     { buckets = Array.of_list (List.rev !out); total = n }
   end
 
-let min_value t =
-  if Array.length t.buckets = 0 then None else Some t.buckets.(0).lo
-
-let max_value t =
-  let n = Array.length t.buckets in
-  if n = 0 then None else Some t.buckets.(n - 1).hi
-
 (* Numeric position of a value for interpolation; strings hash-order by
    first bytes, dates/ints/floats use their natural magnitude. *)
 let position v =

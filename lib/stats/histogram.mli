@@ -29,9 +29,6 @@ val build : ?buckets:int -> Value.t list -> t
 (** Build from a multiset of values (order irrelevant, nulls excluded);
     [buckets] defaults to 32. *)
 
-val min_value : t -> Value.t option
-val max_value : t -> Value.t option
-
 val rows_le : t -> Value.t -> float
 (** Estimated rows with value ≤ v. *)
 

@@ -42,9 +42,6 @@ val zipf_table : int -> float -> float array
 
 val zipf : t -> float array -> int
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates. *)
-
 val pick : t -> 'a array -> 'a
 
 val split : t -> t

@@ -86,7 +86,3 @@ let staleness t table =
   match find t (Table.name table) with
   | None -> Table.mutations table
   | Some ts -> max 0 (Table.mutations table - ts.collected_at_mutations)
-
-let pp_table_stats ppf ts =
-  Fmt.pf ppf "table %s: card=%d@." ts.table ts.cardinality;
-  List.iter (fun (_, cs) -> Fmt.pf ppf "  %a@." Col_stats.pp cs) ts.columns

@@ -34,5 +34,3 @@ val column_stats : t -> table:string -> column:string -> Col_stats.t option
 val staleness : t -> Table.t -> int
 (** Mutations the table has absorbed since its snapshot (the table's full
     mutation count when no snapshot exists). *)
-
-val pp_table_stats : Format.formatter -> table_stats -> unit

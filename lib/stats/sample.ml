@@ -34,9 +34,3 @@ let to_list t =
     t.reservoir []
 
 let size t = min t.seen t.capacity
-
-(* One-shot convenience over a fold-able source. *)
-let of_iter ?seed ~capacity iter =
-  let t = create ?seed capacity in
-  iter (fun x -> offer t x);
-  t

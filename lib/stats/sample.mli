@@ -14,6 +14,3 @@ val size : 'a t -> int
 
 val to_list : 'a t -> 'a list
 (** The current sample, at most [capacity] elements. *)
-
-val of_iter : ?seed:int -> capacity:int -> (('a -> unit) -> unit) -> 'a t
-(** One-shot convenience over an iterator. *)

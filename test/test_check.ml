@@ -7,8 +7,9 @@
    passes on the real tree, where lib/core and lib/exec keep no
    process-global mutable state; the differential check re-runs every
    query-suite scenario with rewrites on vs off and demands identical
-   result sets; and sc_guard_fallbacks counts exactly once per guarded
-   statement (multi-guard plans, re-executed invalidated cache entries). *)
+   result sets; sc_guard_fallbacks counts exactly once per guarded
+   statement (multi-guard plans, re-executed invalidated cache entries);
+   and prepared plans fall back exactly where ad-hoc execution does. *)
 
 open Rel
 
@@ -464,17 +465,12 @@ let test_lockdep_witness () =
   Obs.Lockdep.acquire ~reentrant:true "w.a";
   check tint "reentrant re-acquisition adds no violation" before
     (List.length (Obs.Lockdep.violations ()));
-  (* the dump round-trips through the parser *)
-  match Obs.Lockdep.parse (Obs.Lockdep.dump ()) with
-  | None -> Alcotest.fail "dump did not parse"
-  | Some g ->
-      check tint "parsed edge count matches" (Obs.Lockdep.edges_observed ())
-        (List.length g.Obs.Lockdep.g_edges);
-      check tint "parsed depth matches" (Obs.Lockdep.max_held_depth ())
-        g.Obs.Lockdep.g_max_depth;
-      check tint "parsed violations match"
-        (List.length (Obs.Lockdep.violations ()))
-        (List.length g.Obs.Lockdep.g_violations)
+  (* the graph the lint reads is the witness's own state *)
+  let g = Obs.Lockdep.graph () in
+  check tbool "graph holds the observed edges" true
+    (g.Obs.Lockdep.g_edges = Obs.Lockdep.edge_list ());
+  check tbool "graph holds the live violations" true
+    (g.Obs.Lockdep.g_violations = Obs.Lockdep.violations ())
 
 let test_lockdep_disabled_is_inert () =
   Obs.Lockdep.disable ();
@@ -493,23 +489,14 @@ let test_lockdep_disabled_is_inert () =
 let ld_sources = [ ("decls.ml", decls) ]
 
 let ld_graph ?(cover = [ "lk.a"; "lk.b"; "lk.r" ]) ?(violations = []) edges =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "lockdep edges=%d max_held_depth=2 violations=%d\n"
-       (List.length edges)
-       (List.length violations));
-  List.iter (fun l -> Buffer.add_string b (Printf.sprintf "lock %s\n" l)) cover;
-  List.iter
-    (fun (h, a, n) ->
-      Buffer.add_string b (Printf.sprintf "edge %s %s %d\n" h a n))
-    edges;
-  List.iter
-    (fun v -> Buffer.add_string b (Printf.sprintf "violation %s\n" v))
-    violations;
-  Buffer.contents b
+  {
+    Obs.Lockdep.g_locks = cover;
+    g_edges = edges;
+    g_violations = violations;
+  }
 
 let ld_lint ?cover ?violations edges =
-  Check.Lockdep_lint.lint_dump ~sources:ld_sources
+  Check.Lockdep_lint.lint ~sources:ld_sources
     (ld_graph ?cover ?violations edges)
 
 let test_lockdep_lint_synthetic () =
@@ -539,16 +526,12 @@ let test_lockdep_lint_synthetic () =
        "stale rank: lk.r");
   check tint "a waived rank may stay unexercised" 0
     (errors_of
-       (Check.Lockdep_lint.lint_dump
+       (Check.Lockdep_lint.lint
           ~sources:
             [ ( "decls.ml",
                 "(* @lock-order lk.a rank=10 *)\n\
                  (* @lock-order lk.w rank=50 lockdep-waive *)\n" ) ]
-          (ld_graph ~cover:[ "lk.a" ] [])));
-  check tbool "garbage input is not a dump" true
-    (has_error_containing
-       (Check.Lockdep_lint.lint_dump ~sources:ld_sources "hello\nworld\n")
-       "missing 'lockdep' header")
+          (ld_graph ~cover:[ "lk.a" ] [])))
 
 (* ---- the real tree --------------------------------------------------------- *)
 
@@ -698,6 +681,66 @@ let test_fallback_once_per_cache_entry () =
   check tint "backup ran every time" 3 s.Core.Plan_cache.backup_runs;
   check tint "fallback counted once, at invalidation" 1 (fallbacks sdb)
 
+(* Prepared and ad-hoc execution share one §4.1 path.  On every guarded
+   registry suite, a cached plan and the same report run ad hoc return
+   the same rows and fall back on the same statements, before and after
+   an insert that overturns the suite's SCs: the band (without an
+   exception table), and the last segment's domain SC (the row's id lies
+   past every segment). *)
+let test_prepared_matches_adhoc () =
+  List.iter
+    (fun name ->
+      let f =
+        List.find
+          (fun (f : Benchkit.Scenario.fixture) ->
+            f.Benchkit.Scenario.fixture_name = name)
+          Benchkit.Scenario.fixtures
+      in
+      let sdb = f.Benchkit.Scenario.fixture_setup Benchkit.Scenario.Quick in
+      let queries = f.Benchkit.Scenario.fixture_queries in
+      let cache =
+        Core.Plan_cache.create ~capacity:(List.length queries) sdb
+      in
+      let reports =
+        List.map
+          (fun sql ->
+            ignore (Core.Plan_cache.prepare cache ~name:sql sql);
+            Core.Softdb.optimize sdb (Sqlfe.Parser.parse_query_string sql))
+          queries
+      in
+      let round label =
+        List.fold_left2
+          (fun fallbacks sql report ->
+            let backup_runs () =
+              (Option.get (Core.Plan_cache.find cache sql))
+                .Core.Plan_cache.backup_runs
+            in
+            let before = backup_runs () in
+            let prepared = Core.Plan_cache.execute cache sql in
+            let adhoc, fell_back = Core.Softdb.execute_report sdb report in
+            let what = Printf.sprintf "%s %s: %s" name label sql in
+            check tbool (what ^ ": same rows") true
+              (Exec.Executor.same_rows prepared adhoc);
+            check tbool (what ^ ": rewrite-free rows") true
+              (Exec.Executor.same_rows adhoc
+                 (Core.Softdb.query_baseline sdb sql));
+            check tbool (what ^ ": same fallback") fell_back
+              (backup_runs () > before);
+            if fell_back then fallbacks + 1 else fallbacks)
+          0 queries reports
+      in
+      check tint (name ^ ": no fallback before the insert") 0 (round "before");
+      (* shipped 161 days after ordering, past any mined band, on a
+         queried day *)
+      ignore
+        (Core.Softdb.exec sdb
+           "INSERT INTO purchase VALUES (9000000, 1, DATE '1999-01-05', DATE \
+            '1999-06-15', 100.0, 3, 'north')");
+      let after = round "after" in
+      if name = "purchase/asc" || name = "purchase/part4" then
+        check tbool (name ^ ": the insert overturned a guard") true (after > 0))
+    [ "purchase/asc"; "purchase/exc"; "purchase/part4"; "purchase/idx" ]
+
 let () =
   Alcotest.run "check"
     [
@@ -754,5 +797,7 @@ let () =
             test_fallback_once_per_statement;
           Alcotest.test_case "once per cache entry" `Quick
             test_fallback_once_per_cache_entry;
+          Alcotest.test_case "prepared and ad-hoc agree" `Slow
+            test_prepared_matches_adhoc;
         ] );
     ]

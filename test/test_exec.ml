@@ -349,6 +349,30 @@ let test_union_all_and_limit () =
   check tint "limit 0 over an index reads no pages" 0
     r4.Executor.counters.Operators.Counters.pages_read
 
+(* A block proven empty is planned as [Limit 0]: its input — here a hash
+   join, whose open would drain the build side — is never opened, so it
+   reads nothing and the instrumented run never sees its nodes. *)
+let test_limit_zero_never_opens () =
+  let db = fixture () in
+  let join =
+    Plan.Hash_join
+      {
+        left = scan "emp";
+        right = scan "dept";
+        left_keys = [ Expr.column ~rel:"emp" "dept" ];
+        right_keys = [ Expr.column ~rel:"dept" "did" ];
+        residual = Expr.Ptrue;
+        build = Plan.Right;
+      }
+  in
+  let limit = Plan.Limit { input = join; n = 0 } in
+  let counters = Operators.Counters.create () in
+  let rows, stats = Operators.run_instrumented db ~counters limit in
+  check tint "no rows" 0 (List.length rows);
+  check tint "no rows scanned" 0 counters.Operators.Counters.rows_scanned;
+  check tint "no pages read" 0 counters.Operators.Counters.pages_read;
+  check tbool "only the limit ran" true (List.map fst stats = [ limit ])
+
 (* A scan streams from live storage up to the high-water mark it fixed at
    open: a row inserted mid-scan stays invisible to it. *)
 let test_scan_stops_at_high_water () =
@@ -703,6 +727,8 @@ let () =
           Alcotest.test_case "distinct" `Quick test_distinct;
           Alcotest.test_case "union all + limit" `Quick
             test_union_all_and_limit;
+          Alcotest.test_case "limit 0 never opens its input" `Quick
+            test_limit_zero_never_opens;
           Alcotest.test_case "a late union input's open is timed" `Quick
             test_late_open_timed;
           Alcotest.test_case "scan stops at its high-water mark" `Quick

@@ -466,7 +466,7 @@ let test_plan_cache_tracks_dependencies () =
   let sql = Workload.Queries.purchase_ship_eq (Date.of_ymd 1999 6 15) in
   let entry = Core.Plan_cache.prepare cache ~name:"q1" sql in
   check tbool "depends on the band" true
-    (List.mem "cache_band" entry.Core.Plan_cache.deps);
+    (List.mem "cache_band" entry.Core.Plan_cache.report.Opt.Explain.guards);
   let r = Core.Plan_cache.execute cache "q1" in
   check tbool "fast run counted" true
     ((Option.get (Core.Plan_cache.find cache "q1")).Core.Plan_cache.fast_runs
@@ -551,7 +551,7 @@ let test_plan_cache_ssc_deps_do_not_invalidate () =
   let sql = Workload.Queries.project_active_on (Date.of_ymd 1998 9 1) in
   let entry = Core.Plan_cache.prepare cache ~name:"p1" sql in
   check tbool "twin dep excluded" false
-    (List.mem "proj_ssc" entry.Core.Plan_cache.deps);
+    (List.mem "proj_ssc" entry.Core.Plan_cache.report.Opt.Explain.guards);
   ignore (Core.Plan_cache.execute cache "p1");
   check tbool "fast" true (entry.Core.Plan_cache.backup_runs = 0)
 

@@ -58,6 +58,13 @@ let date_qcheck =
       let y, m, d = Date.to_ymd days in
       Date.of_ymd y m d = days)
 
+let date_shift_prop =
+  QCheck.Test.make ~name:"add_days/diff_days inverse" ~count:500
+    QCheck.(pair (int_range (-500000) 2000000) (int_range (-10000) 10000))
+    (fun (d, n) ->
+      Date.diff_days (Date.add_days d n) d = n
+      && Date.add_days (Date.add_days d n) (-n) = d)
+
 (* ---- values --------------------------------------------------------------- *)
 
 let test_value_compare_total () =
@@ -709,165 +716,6 @@ let test_mutation_listener () =
   check (Alcotest.list tstring) "events" [ "ins"; "upd"; "del" ]
     (List.rev !seen)
 
-(* ---- CSV --------------------------------------------------------------------- *)
-
-let test_csv_roundtrip () =
-  let db = Database.create () in
-  ignore
-    (Database.create_table db
-       (Schema.make "csvt"
-          [
-            Schema.column "i" Value.TInt;
-            Schema.column "s" Value.TString;
-            Schema.column "d" Value.TDate;
-            Schema.column "f" Value.TFloat;
-            Schema.column "b" Value.TBool;
-          ]));
-  let rows =
-    [
-      [ Value.Int 1; Value.String "plain"; Value.Date (Date.of_ymd 1999 1 2);
-        Value.Float 1.5; Value.Bool true ];
-      [ Value.Int 2; Value.String "with,comma and \"quotes\""; Value.Null;
-        Value.Null; Value.Bool false ];
-      [ Value.Null; Value.String ""; Value.Date 0; Value.Float (-3.25);
-        Value.Null ];
-    ]
-  in
-  List.iter
-    (fun r -> ignore (Database.insert db ~table:"csvt" (Tuple.make r)))
-    rows;
-  let path = Filename.temp_file "softdb" ".csv" in
-  Csvio.export (Database.table_exn db "csvt") path;
-  ignore
-    (Database.create_table db
-       (Schema.make "csvt2"
-          [
-            Schema.column "i" Value.TInt;
-            Schema.column "s" Value.TString;
-            Schema.column "d" Value.TDate;
-            Schema.column "f" Value.TFloat;
-            Schema.column "b" Value.TBool;
-          ]));
-  (* import expects the header names to exist in the target *)
-  let n =
-    Csvio.import db ~table:"csvt2"
-      (let tmp2 = Filename.temp_file "softdb" ".csv" in
-       let contents = In_channel.with_open_text path In_channel.input_all in
-       let fixed = contents in
-       Out_channel.with_open_text tmp2 (fun oc ->
-           Out_channel.output_string oc fixed);
-       tmp2)
-  in
-  check tint "imported" 3 n;
-  let a = Table.to_list (Database.table_exn db "csvt") in
-  let b = Table.to_list (Database.table_exn db "csvt2") in
-  check tbool "identical" true (List.for_all2 Tuple.equal a b);
-  Sys.remove path
-
-(* A stray bad row must not abort the load: good rows land, each bad one
-   is reported with its line number; only an all-bad file raises. *)
-let test_csv_degraded_load () =
-  let db = Database.create () in
-  ignore
-    (Database.create_table db
-       (Schema.make "deg"
-          [ Schema.column "i" Value.TInt; Schema.column "s" Value.TString ]));
-  let write contents =
-    let path = Filename.temp_file "softdb_deg" ".csv" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc contents);
-    path
-  in
-  let path = write "i,s\n1,one\nnotanint,two\n3,three\n4\n5,five\n" in
-  let report = Csvio.load db ~table:"deg" path in
-  Sys.remove path;
-  check tint "good rows loaded" 3 report.Csvio.loaded;
-  check tint "stored" 3 (Table.cardinality (Database.table_exn db "deg"));
-  check (Alcotest.list tint) "error line numbers" [ 3; 5 ]
-    (List.map fst report.Csvio.row_errors);
-  (* enforced-constraint rejections degrade the same way *)
-  ignore
-    (Database.create_table db
-       (Schema.make "degk" [ Schema.column "k" Value.TInt ]));
-  Database.add_constraint db
-    (Icdef.make ~name:"degk_pk" ~table:"degk" (Icdef.Primary_key [ "k" ]));
-  let path = write "k\n1\n2\n1\n3\n" in
-  let report = Csvio.load db ~table:"degk" path in
-  Sys.remove path;
-  check tint "dup rejected, rest loaded" 3 report.Csvio.loaded;
-  check tint "one violation" 1 (List.length report.Csvio.row_errors);
-  (* all rows failing is a hard error *)
-  let path = write "i,s\nx,a\ny,b\n" in
-  check_raises_any "all rows bad" (fun () ->
-      ignore (Csvio.load db ~table:"deg" path));
-  Sys.remove path;
-  (* a header naming an unknown column is a hard error *)
-  let path = write "nosuch\n1\n" in
-  check_raises_any "bad header" (fun () ->
-      ignore (Csvio.load db ~table:"deg" path));
-  Sys.remove path
-
-(* random tables survive an export/import cycle exactly *)
-let csv_roundtrip_prop =
-  let gen_value =
-    QCheck.Gen.(
-      oneof
-        [
-          return Value.Null;
-          map (fun i -> Value.Int i) (int_range (-1000) 1000);
-          map (fun f -> Value.Float (Float.of_int f /. 8.0)) (int_range (-800) 800);
-          map (fun s -> Value.String s)
-            (oneofl [ ""; "plain"; "with,comma"; "with\"quote"; "a'b";
-                      "multi word" ]);
-          map (fun b -> Value.Bool b) bool;
-          map (fun d -> Value.Date d) (int_range (-3000) 3000);
-        ])
-  in
-  let gen_rows =
-    QCheck.Gen.(list_size (int_range 0 40)
-      (map (fun (a, b, c, d, e) -> [ a; b; c; d; e ])
-         (tup5 gen_value gen_value gen_value gen_value gen_value)))
-  in
-  QCheck.Test.make ~name:"csv export/import roundtrip" ~count:60
-    (QCheck.make gen_rows)
-    (fun rows ->
-      (* coerce each column to a fixed type: null or the matching value *)
-      let coerce ty v = if Value.conforms ty v then v else Value.Null in
-      let tys =
-        [ Value.TInt; Value.TFloat; Value.TString; Value.TBool; Value.TDate ]
-      in
-      let rows =
-        List.map (fun r -> List.map2 coerce tys r) rows
-      in
-      let db = Database.create () in
-      let cols =
-        List.mapi
-          (fun i ty -> Schema.column (Printf.sprintf "c%d" i) ty)
-          tys
-      in
-      ignore (Database.create_table db (Schema.make "src" cols));
-      ignore (Database.create_table db (Schema.make "dst" cols));
-      List.iter
-        (fun r -> ignore (Database.insert db ~table:"src" (Tuple.make r)))
-        rows;
-      let path = Filename.temp_file "softdb_prop" ".csv" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Csvio.export (Database.table_exn db "src") path;
-          let n = Csvio.import db ~table:"dst" path in
-          n = List.length rows
-          && List.for_all2 Tuple.equal
-               (Table.to_list (Database.table_exn db "src"))
-               (Table.to_list (Database.table_exn db "dst"))))
-
-let date_shift_prop =
-  QCheck.Test.make ~name:"add_days/diff_days inverse" ~count:500
-    QCheck.(pair (int_range (-500000) 2000000) (int_range (-10000) 10000))
-    (fun (d, n) ->
-      Date.diff_days (Date.add_days d n) d = n
-      && Date.add_days (Date.add_days d n) (-n) = d)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -881,7 +729,7 @@ let () =
           Alcotest.test_case "parse" `Quick test_date_parse;
           Alcotest.test_case "leap" `Quick test_date_leap;
         ]
-        @ qsuite [ date_qcheck ] );
+        @ qsuite [ date_qcheck; date_shift_prop ] );
       ( "value",
         [
           Alcotest.test_case "compare_total" `Quick test_value_compare_total;
@@ -936,10 +784,4 @@ let () =
             test_add_enforced_constraint_validates;
           Alcotest.test_case "mutation listener" `Quick test_mutation_listener;
         ] );
-      ( "csv",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "degraded load" `Quick test_csv_degraded_load;
-        ]
-        @ qsuite [ csv_roundtrip_prop; date_shift_prop ] );
     ]

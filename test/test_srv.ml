@@ -1254,7 +1254,7 @@ let test_concurrent_sessions_tcp () =
       check (Alcotest.list tstr) "lockdep graph lint-clean against the tree" []
         (List.map (Fmt.str "%a" Check.Diag.pp)
            (Check.Diag.errors
-              (Check.Lockdep_lint.lint_dump ~sources (Obs.Lockdep.dump ())))));
+              (Check.Lockdep_lint.lint ~sources (Obs.Lockdep.graph ())))));
   let observed =
     List.map (fun (held, acquired, _) -> (held, acquired))
       (Obs.Lockdep.edge_list ())
@@ -1442,7 +1442,8 @@ let test_sc_overturn_falls_back_across_sessions () =
   in
   check tint "first run used the fast plan" 1 (entry ()).Core.Plan_cache.fast_runs;
   check tbool "fast plan depends on the band" true
-    (List.mem "cache_band" (entry ()).Core.Plan_cache.deps);
+    (List.mem "cache_band"
+       (entry ()).Core.Plan_cache.report.Opt.Explain.guards);
   (* b overturns the ASC with a violating row shipped on the probe day *)
   (match
      rpc_retry bclient
@@ -1546,7 +1547,8 @@ let test_partition_sc_overturn_guarded_fallback () =
       (Core.Plan_cache.find (Srv.Server.plan_cache server) ("sql:" ^ sql))
   in
   check tbool "fast plan depends on the domain SC" true
-    (List.mem "purchase_p2_domain" (entry ()).Core.Plan_cache.deps);
+    (List.mem "purchase_p2_domain"
+       (entry ()).Core.Plan_cache.report.Opt.Explain.guards);
   (* b lands a row out of band; segment 2's SC overturns, siblings keep *)
   (match
      rpc_retry bclient
