@@ -345,16 +345,7 @@ let partition_diags sdb (report : Opt.Explain.report) =
                 :: sc_preds)
             in
             let interval_contradiction =
-              let q_entries, _ =
-                Opt.Interval.summarize ~key_of query_preds
-              in
-              let all_entries, _ =
-                Opt.Interval.summarize ~key_of (query_preds @ part_preds)
-              in
-              List.exists
-                (fun (key, (_, iv)) ->
-                  Opt.Interval.is_empty iv && List.mem_assoc key q_entries)
-                all_entries
+              Opt.Interval.contradicts ~key_of query_preds part_preds
             in
             let hash_exclusion =
               match Partition.spec part with

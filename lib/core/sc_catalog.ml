@@ -172,57 +172,25 @@ let rewrite_ctx ?(flags = Opt.Rewrite.all_on) t db : Opt.Rewrite.ctx =
         else None)
       usable
   in
-  (* typed shapes of the valid ASCs enable range propagation *)
-  let asc_shapes =
-    List.filter_map
-      (fun (sc : Soft_constraint.t) ->
-        if not (Soft_constraint.is_absolute sc && not (has_exceptions sc))
-        then None
-        else
-          match sc.Soft_constraint.statement with
-          | Soft_constraint.Diff_stmt (d, band) ->
-              Some
-                {
-                  Opt.Rewrite.ssc_name = sc.Soft_constraint.name;
-                  shape = Opt.Rewrite.Diff_band (d, band);
-                }
-          | Soft_constraint.Corr_stmt (c, band) ->
-              Some
-                {
-                  Opt.Rewrite.ssc_name = sc.Soft_constraint.name;
-                  shape = Opt.Rewrite.Corr_band (c, band);
-                }
-          | _ -> None)
-      usable
-  in
+  (* statistical bands, as their checks: twinning reads the bands there *)
   let sscs =
     List.filter_map
       (fun (sc : Soft_constraint.t) ->
-        if Soft_constraint.is_absolute sc then None
-        else
-          let conf = current_confidence db sc in
-          if conf <= use_threshold then None
-          else
-            match sc.Soft_constraint.statement with
-            | Soft_constraint.Diff_stmt (d, band) ->
+        match sc.Soft_constraint.statement with
+        | (Soft_constraint.Diff_stmt _ | Soft_constraint.Corr_stmt _)
+          when not (Soft_constraint.is_absolute sc) -> (
+            let confidence = current_confidence db sc in
+            match Soft_constraint.check_pred sc with
+            | Some check when confidence > use_threshold ->
                 Some
                   {
-                    Opt.Rewrite.ssc_name = sc.Soft_constraint.name;
-                    shape =
-                      Opt.Rewrite.Diff_band
-                        (d, { band with Mining.Diff_band.confidence = conf });
+                    Opt.Rewrite.name = sc.Soft_constraint.name;
+                    table = sc.Soft_constraint.table;
+                    check;
+                    confidence;
                   }
-            | Soft_constraint.Corr_stmt (c, band) ->
-                Some
-                  {
-                    Opt.Rewrite.ssc_name = sc.Soft_constraint.name;
-                    shape =
-                      Opt.Rewrite.Corr_band
-                        (c, { band with Mining.Correlation.confidence = conf });
-                  }
-            | Soft_constraint.Ic_stmt _ | Soft_constraint.Fd_stmt _
-            | Soft_constraint.Holes_stmt _ | Soft_constraint.Part_stmt _ ->
-                None)
+            | _ -> None)
+        | _ -> None)
       usable
   in
   let fds =
@@ -284,8 +252,7 @@ let rewrite_ctx ?(flags = Opt.Rewrite.all_on) t db : Opt.Rewrite.ctx =
         | None -> None)
       t.exception_tables
   in
-  Opt.Rewrite.make_ctx ~flags ~ascs ~asc_shapes ~sscs ~fds ~holes ~exceptions
-    ~parts db
+  Opt.Rewrite.make_ctx ~flags ~ascs ~sscs ~fds ~holes ~exceptions ~parts db
 
 let pp ppf t =
   Fmt.pf ppf "soft-constraint catalog (%d entries):@." (List.length t.scs);

@@ -86,30 +86,28 @@ let rewrite_ctx ?flags t =
 
 (* ---- index advisor -------------------------------------------------------- *)
 
-(* Distill the SC catalog into the advisor's hint language: diff/corr
-   bands become [Band] hints on the constrained column (range predicates
-   on a banded column select contiguous key runs), valid FDs become
-   covering-extension hints (dependent columns ride along for free). *)
+(* Distill the SC catalog into the advisor's hint language: the bands
+   the ASCs' and SSCs' checks state ({!Opt.Rewrite.band_widths})
+   become [Band] hints on the banded column (range predicates on it
+   select contiguous key runs), valid FDs become covering-extension hints
+   (dependent columns ride along for free). *)
 let advisor_hints t =
   let ctx = rewrite_ctx t in
-  let of_ssc (s : Opt.Rewrite.ssc) =
-    match s.Opt.Rewrite.shape with
-    | Opt.Rewrite.Diff_band (d, band) ->
-        Idx.Advisor.Band
-          {
-            table = d.Mining.Diff_band.table;
-            column = d.Mining.Diff_band.col_hi;
-            width = band.Mining.Diff_band.d_max -. band.Mining.Diff_band.d_min;
-          }
-    | Opt.Rewrite.Corr_band (corr, band) ->
-        Idx.Advisor.Band
-          {
-            table = corr.Mining.Correlation.table;
-            column = corr.Mining.Correlation.col_a;
-            width = 2.0 *. band.Mining.Correlation.eps;
-          }
+  let bands table check =
+    List.map
+      (fun (column, width) -> Idx.Advisor.Band { table; column; width })
+      (Opt.Rewrite.band_widths check)
   in
-  List.map of_ssc (ctx.Opt.Rewrite.asc_shapes @ ctx.Opt.Rewrite.sscs)
+  List.concat_map
+    (fun (ic : Icdef.t) ->
+      match ic.Icdef.body with
+      | Icdef.Check p -> bands ic.Icdef.table p
+      | _ -> [])
+    ctx.Opt.Rewrite.ascs
+  @ List.concat_map
+      (fun (s : Opt.Rewrite.ssc) ->
+        bands s.Opt.Rewrite.table s.Opt.Rewrite.check)
+      ctx.Opt.Rewrite.sscs
   @ List.map
       (fun (nf : Opt.Rewrite.named_fd) ->
         Idx.Advisor.Fd

@@ -308,6 +308,39 @@ let unsatisfiable ~key_of preds =
   List.exists (fun (_, (_, iv)) -> is_empty iv) entries
   || List.exists (fun p -> simplify_pred p = Expr.Pfalse) preds
 
+(* Do the [extra] conjuncts (a constraint's) contradict the [query]
+   conjuncts?  Only on a key the query itself bounds: a query range
+   rejects NULL there, while a constraint passes on it.  An OR conjunct
+   splits into cases and is refuted only when every case is, each on a
+   key that case bounds; a row the query admits satisfies one case.
+   Splitting stops at 64 cases: the ORs left stay residual, which is
+   sound (fewer conjuncts prove less) and keeps a query of many ORs from
+   costing exponential time. *)
+let contradicts ~key_of query extra =
+  let rec disjuncts = function
+    | Expr.Or (p, q) -> disjuncts p @ disjuncts q
+    | p -> [ p ]
+  in
+  let rec go budget query =
+    let ors, rest =
+      List.partition (function Expr.Or _ -> true | _ -> false) query
+    in
+    match ors with
+    | p :: ors when List.length (disjuncts p) <= budget ->
+        let cases = disjuncts p in
+        List.for_all
+          (fun d ->
+            go (budget / List.length cases) (rest @ ors @ Expr.conjuncts d))
+          cases
+    | _ ->
+        let bounded, _ = summarize ~key_of query in
+        let all, _ = summarize ~key_of (query @ extra) in
+        List.exists
+          (fun (key, (_, iv)) -> is_empty iv && List.mem_assoc key bounded)
+          all
+  in
+  go 64 query
+
 (* The equality bindings among conjuncts: column = constant. *)
 let const_bindings (preds : Expr.pred list) : (Expr.col_ref * Value.t) list =
   List.filter_map

@@ -73,6 +73,16 @@ val unsatisfiable :
 (** Sound emptiness test: [true] means no row can satisfy the
     conjunction. *)
 
+val contradicts :
+  key_of:(Expr.col_ref -> string option) -> Expr.pred list ->
+  Expr.pred list -> bool
+(** [contradicts ~key_of query extra]: adding the [extra] conjuncts (a
+    constraint's) to the [query] conjuncts empties the interval of a key
+    the query bounds — so no row satisfies both, NULLs included, since
+    a query range rejects NULL where a CHECK passes on it.  An OR conjunct
+    of [query] splits into cases and is refuted only when every case is,
+    each on a key that case bounds. *)
+
 val const_bindings : Expr.pred list -> (Expr.col_ref * Value.t) list
 (** The [column = constant] equalities among the conjuncts. *)
 

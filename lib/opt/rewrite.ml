@@ -50,13 +50,14 @@ let all_off =
     partition_pruning = false;
   }
 
-(* Statistical soft constraints usable for twinning come in the shapes our
-   miners produce. *)
-type ssc_shape =
-  | Diff_band of Mining.Diff_band.t * Mining.Diff_band.band
-  | Corr_band of Mining.Correlation.t * Mining.Correlation.band
-
-type ssc = { ssc_name : string; shape : ssc_shape }
+(* A statistical soft constraint usable for twinning: a check that holds
+   on about [confidence] of [table]'s rows. *)
+type ssc = {
+  name : string;
+  table : string;
+  check : Expr.pred;
+  confidence : float;
+}
 
 (* An ASC maintained as an exception table (AST): [exc_check] holds for
    every base-table row that is NOT recorded in [exc_table]. *)
@@ -87,9 +88,6 @@ type ctx = {
   db : Database.t;
   flags : flags;
   ascs : Icdef.t list; (* valid absolute soft constraints *)
-  asc_shapes : ssc list;
-    (* the same ASCs in typed mined form (bands valid at 100%), enabling
-       *range* propagation where generic check folding needs an equality *)
   sscs : ssc list;
   fds : named_fd list; (* valid (ASC-class) FDs *)
   holes : named_holes list; (* valid hole sets *)
@@ -97,9 +95,9 @@ type ctx = {
   parts : part_sc list; (* valid partition-domain SCs *)
 }
 
-let make_ctx ?(flags = all_on) ?(ascs = []) ?(asc_shapes = []) ?(sscs = [])
-    ?(fds = []) ?(holes = []) ?(exceptions = []) ?(parts = []) db =
-  { db; flags; ascs; asc_shapes; sscs; fds; holes; exceptions; parts }
+let make_ctx ?(flags = all_on) ?(ascs = []) ?(sscs = []) ?(fds = [])
+    ?(holes = []) ?(exceptions = []) ?(parts = []) db =
+  { db; flags; ascs; sscs; fds; holes; exceptions; parts }
 
 (* The structural change a rewrite made to the plan — one constructor per
    way a transformation can alter semantics (or, for twins, estimation).
@@ -291,15 +289,8 @@ let block_unsatisfiable ctx block =
   then true
   else begin
     let checks = implied_checks ctx block in
-    let q_entries, _ = Interval.summarize ~key_of:kf query_preds in
-    let all_entries, _ =
-      Interval.summarize ~key_of:kf (query_preds @ checks)
-    in
     let interval_contradiction =
-      List.exists
-        (fun (key, (_, iv_all)) ->
-          Interval.is_empty iv_all && List.mem_assoc key q_entries)
-        all_entries
+      Interval.contradicts ~key_of:kf query_preds checks
     in
     (* value-set contradiction: a query equality on a column whose implied
        IN-list check excludes the constant (query equality ⇒ the column is
@@ -504,6 +495,177 @@ let equality_transitivity ctx applied (block : Logical.block) =
   done;
   !result
 
+(* ---- bands: the range images a check states ---------------------------- *)
+
+let float_of_value v =
+  match v with
+  | Value.Int i -> Some (float_of_int i)
+  | Value.Float f -> Some f
+  | Value.Date d -> Some (float_of_int d)
+  | Value.Null | Value.String _ | Value.Bool _ -> None
+
+let value_of_float ~like x =
+  match like with
+  | Value.TInt -> Value.Int (int_of_float (Float.round x))
+  | Value.TDate -> Value.Date (int_of_float (Float.round x))
+  | _ -> Value.Float x
+
+(* position of interval endpoints in float space; None when unbounded or
+   non-numeric *)
+let endpoint_pos (e : Interval.endpoint option) =
+  match e with
+  | None -> None
+  | Some { Interval.v; _ } -> float_of_value v
+
+let column_dtype ctx table col =
+  match Database.find_table ctx.db table with
+  | None -> Value.TFloat
+  | Some tbl -> (
+      let schema = Table.schema tbl in
+      match Schema.find_index schema col with
+      | Some i -> (Schema.column_at schema i).Schema.dtype
+      | None -> Value.TFloat)
+
+(* With [outward] the endpoints round away from the interval (floor the
+   lower, ceil the upper) so the image is a superset — mandatory when the
+   derived predicate will actually execute; estimation-only twins round to
+   nearest. *)
+let typed_endpoint ~dtype ~outward side x =
+  let x =
+    if not outward then x
+    else
+      match dtype with
+      | Value.TInt | Value.TDate -> (
+          match side with `Lo -> Float.floor x | `Hi -> Float.ceil x)
+      | _ -> x
+  in
+  Some { Interval.v = value_of_float ~like:dtype x; incl = true }
+
+(* One direction of a band: a row whose [src] is x has [dst] in
+   [k·x + c − below, k·x + c + above]. *)
+type band_map = {
+  src : Expr.col_ref;
+  dst : Expr.col_ref;
+  k : float;
+  c : float;
+  below : float;
+  above : float;
+}
+
+(* The image of [iv] through [m]; an endpoint that is unbounded or not
+   numeric stays unbounded. *)
+let band_image ?(outward = false) m iv ~dtype =
+  let ep side bound e =
+    match endpoint_pos e with
+    | None -> None
+    | Some x -> typed_endpoint ~dtype ~outward side (bound ((m.k *. x) +. m.c))
+  in
+  let from_lo, from_hi =
+    if m.k >= 0.0 then (iv.Interval.lo, iv.Interval.hi)
+    else (iv.Interval.hi, iv.Interval.lo)
+  in
+  {
+    Interval.lo = ep `Lo (fun y -> y -. m.below) from_lo;
+    hi = ep `Hi (fun y -> y +. m.above) from_hi;
+  }
+
+(* A band a check conjunct states between two columns of one row, in
+   either shape the miners emit:
+   - [a - b BETWEEN k1 AND k2], a difference (rule prefix "band");
+   - [a BETWEEN k·b + c − e AND k·b + c + e], a line (prefix "corr").
+   [width] is the band's width on [a].  [maps] lists the directions in
+   the order introduction tries them; the first is the one twinning
+   takes: a difference's a→b, a line's b→a. *)
+type band = {
+  prefix : string;
+  a : Expr.col_ref;
+  width : float;
+  maps : band_map list;
+}
+
+let band_of (p : Expr.pred) =
+  let num = function Expr.Const v -> float_of_value v | _ -> None in
+  match p with
+  | Expr.Between (Expr.Binop (Expr.Sub, Expr.Col a, Expr.Col b), k1, k2) -> (
+      match (num k1, num k2) with
+      | Some k1, Some k2 ->
+          let map src dst below above =
+            { src; dst; k = 1.0; c = 0.0; below; above }
+          in
+          Some
+            {
+              prefix = "band";
+              a;
+              width = k2 -. k1;
+              maps = [ map a b k2 (-.k1); map b a (-.k1) k2 ];
+            }
+      | _ -> None)
+  | Expr.Between
+      ( Expr.Col a,
+        Expr.Binop
+          ( Expr.Sub,
+            (Expr.Binop (Expr.Add, Expr.Binop (Expr.Mul, k, Expr.Col b), c) as
+             line),
+            e ),
+        Expr.Binop (Expr.Add, line', e') )
+    when line = line' && e = e' -> (
+      match (num k, num c, num e) with
+      | Some k, Some c, Some e ->
+          (* the inverse exists unless the line is flat *)
+          let inverse =
+            if Float.abs k > 1e-12 then
+              let e = e /. Float.abs k in
+              [
+                {
+                  src = a;
+                  dst = b;
+                  k = 1.0 /. k;
+                  c = -.c /. k;
+                  below = e;
+                  above = e;
+                };
+              ]
+            else []
+          in
+          Some
+            {
+              prefix = "corr";
+              a;
+              width = 2.0 *. e;
+              maps =
+                { src = b; dst = a; k; c; below = e; above = e } :: inverse;
+            }
+      | _ -> None)
+  | _ -> None
+
+let bands_of_check check = List.filter_map band_of (Expr.conjuncts check)
+
+let band_widths check =
+  List.map (fun b -> (b.a.Expr.col, b.width)) (bands_of_check check)
+
+(* Each range the block's conjuncts imply for source [s] through the bands
+   of [check], rounded outward so that it holds on every row satisfying
+   the check: for each band direction whose source column the block
+   bounds, the band, the target column and its image. *)
+let band_images ctx block (s : Logical.source) check =
+  let alias = s.Logical.alias in
+  List.concat_map
+    (fun band ->
+      List.filter_map
+        (fun m ->
+          let iv = interval_on ctx block ~alias ~col:m.src.Expr.col in
+          if Interval.is_full iv then None
+          else
+            let img =
+              band_image ~outward:true m iv
+                ~dtype:(column_dtype ctx s.Logical.table m.dst.Expr.col)
+            in
+            if Interval.is_full img || Interval.is_empty img then None
+            else
+              Some (band, { Expr.rel = Some alias; col = m.dst.Expr.col }, img))
+        band.maps)
+    (bands_of_check check)
+
 (* ---- rule: predicate introduction ---------------------------------------- *)
 
 (* A candidate conjunct is worth introducing when it is a sargable range
@@ -529,68 +691,68 @@ let introduction_gain ctx block (c : Expr.pred) =
                 (* new interval must actually tighten the current one *)
                 if Interval.contains iv current then None else Some (s, r)))
 
+(* Two passes over every usable check of every source.  First the
+   block's equality bindings fold each check into conjuncts on its other
+   columns; then the folded block's ranges map through each band of each
+   check ({!band_images}).  Each conjunct lands once. *)
 let predicate_introduction ctx applied (block : Logical.block) =
+  let pass (block : Logical.block) propose =
+    let seen = ref (exec_pred_list block) and added = ref [] in
+    List.iter
+      (fun (s : Logical.source) ->
+        List.iter
+          (fun (name, check) ->
+            List.iter
+              (fun (c, rule, detail) ->
+                if not (List.mem c !seen) then begin
+                  seen := c :: !seen;
+                  log ~sc:name ~delta:(Pred_added c) applied
+                    "predicate_introduction" "%s" detail;
+                  added := Logical.introduced_pred ~rule c :: !added
+                end)
+              (propose s name check))
+          (usable_checks ctx s.Logical.table))
+      block.Logical.from;
+    { block with Logical.preds = block.Logical.preds @ List.rev !added }
+  in
   let bindings = bindings_of ctx block in
-  let existing = exec_pred_list block in
-  let new_items = ref [] in
-  List.iter
-    (fun (s : Logical.source) ->
-      List.iter
-        (fun (name, check) ->
-          let q = requalify s.Logical.alias check in
-          let folded =
-            Interval.simplify_pred (subst_with_bindings ctx block bindings q)
-          in
-          List.iter
-            (fun c ->
-              let c = Interval.normalize c in
-              if
-                (not (List.mem c existing))
-                && cols_all_not_nullable ctx block c
-                && introduction_gain ctx block c <> None
-              then begin
-                log ~sc:name ~delta:(Pred_added c) applied
-                  "predicate_introduction" "from %s on %s: %s" name
-                  s.Logical.alias (Expr.to_string_pred c);
-                new_items :=
-                  Logical.introduced_pred ~rule:("check:" ^ name) c
-                  :: !new_items
-              end)
-            (Expr.conjuncts folded))
-        (usable_checks ctx s.Logical.table))
-    block.Logical.from;
-  { block with Logical.preds = block.Logical.preds @ List.rev !new_items }
+  let folded =
+    pass block (fun s name check ->
+        Interval.simplify_pred
+          (subst_with_bindings ctx block bindings
+             (requalify s.Logical.alias check))
+        |> Expr.conjuncts
+        |> List.filter_map (fun c ->
+               let c = Interval.normalize c in
+               if
+                 cols_all_not_nullable ctx block c
+                 && introduction_gain ctx block c <> None
+               then
+                 Some
+                   ( c,
+                     "check:" ^ name,
+                     Printf.sprintf "from %s on %s: %s" name s.Logical.alias
+                       (Expr.to_string_pred c) )
+               else None))
+  in
+  pass folded (fun s name check ->
+      List.filter_map
+        (fun (band, (dst : Expr.col_ref), iv) ->
+          let c = Interval.to_pred dst iv in
+          let rule = band.prefix ^ ":" ^ name in
+          if
+            column_not_nullable ctx s.Logical.table dst.Expr.col
+            && introduction_gain ctx folded c <> None
+          then
+            Some
+              ( c,
+                rule,
+                Printf.sprintf "range propagation via %s: %s" rule
+                  (Expr.to_string_pred c) )
+          else None)
+        (band_images ctx folded s check))
 
 (* ---- rule: join-hole range trimming -------------------------------------- *)
-
-let float_of_value v =
-  match v with
-  | Value.Int i -> Some (float_of_int i)
-  | Value.Float f -> Some f
-  | Value.Date d -> Some (float_of_int d)
-  | Value.Null | Value.String _ | Value.Bool _ -> None
-
-let value_of_float ~like x =
-  match like with
-  | Value.TInt -> Value.Int (int_of_float (Float.round x))
-  | Value.TDate -> Value.Date (int_of_float (Float.round x))
-  | _ -> Value.Float x
-
-let column_dtype ctx table col =
-  match Database.find_table ctx.db table with
-  | None -> Value.TFloat
-  | Some tbl -> (
-      let schema = Table.schema tbl in
-      match Schema.find_index schema col with
-      | Some i -> (Schema.column_at schema i).Schema.dtype
-      | None -> Value.TFloat)
-
-(* position of interval endpoints in float space; None when unbounded or
-   non-numeric *)
-let endpoint_pos (e : Interval.endpoint option) =
-  match e with
-  | None -> None
-  | Some { Interval.v; _ } -> float_of_value v
 
 (* query interval [iv] lies within the hole's [lo, hi) span *)
 let covered_by iv ~lo ~hi =
@@ -990,65 +1152,6 @@ let fd_simplification ctx applied (block : Logical.block) =
 
 (* ---- rule: twinning from SSCs (estimation only) --------------------------- *)
 
-(* With [outward] the endpoints round away from the interval (floor the
-   lower, ceil the upper) so the image is a superset — mandatory when the
-   derived predicate will actually execute; estimation-only twins round to
-   nearest. *)
-let typed_endpoint ~dtype ~outward side x =
-  let x =
-    if not outward then x
-    else
-      match dtype with
-      | Value.TInt | Value.TDate -> (
-          match side with `Lo -> Float.floor x | `Hi -> Float.ceil x)
-      | _ -> x
-  in
-  Some { Interval.v = value_of_float ~like:dtype x; incl = true }
-
-let shift_interval ?(outward = false) iv ~flo ~fhi ~dtype =
-  (* map interval [iv] through x ↦ [x + flo, x + fhi] (monotone band) *)
-  let map_ep side delta (e : Interval.endpoint option) =
-    match e with
-    | None -> None
-    | Some { Interval.v; _ } -> (
-        match float_of_value v with
-        | None -> None
-        | Some x -> typed_endpoint ~dtype ~outward side (x +. delta))
-  in
-  {
-    Interval.lo = map_ep `Lo flo iv.Interval.lo;
-    hi = map_ep `Hi fhi iv.Interval.hi;
-  }
-
-let linear_interval ?(outward = false) iv ~k ~b ~eps ~dtype =
-  (* image of interval under x ↦ k·x + b ± eps *)
-  let pos e =
-    match e with
-    | None -> None
-    | Some { Interval.v; _ } -> float_of_value v
-  in
-  let lo = pos iv.Interval.lo and hi = pos iv.Interval.hi in
-  let ends =
-    List.filter_map
-      (fun x -> Option.map (fun x -> (k *. x) +. b) x)
-      [ lo; hi ]
-  in
-  match ends with
-  | [] -> Interval.full
-  | _ ->
-      let lo_img = List.fold_left min (List.hd ends) ends -. eps in
-      let hi_img = List.fold_left max (List.hd ends) ends +. eps in
-      let bounded_lo = (if k >= 0.0 then lo else hi) <> None in
-      let bounded_hi = (if k >= 0.0 then hi else lo) <> None in
-      {
-        Interval.lo =
-          (if bounded_lo then typed_endpoint ~dtype ~outward `Lo lo_img
-           else None);
-        hi =
-          (if bounded_hi then typed_endpoint ~dtype ~outward `Hi hi_img
-           else None);
-      }
-
 let twinning ctx applied (block : Logical.block) =
   (* twins serve the estimator, which skips exception-union folds: a
      fold is implied by the block, so it is no predicate of the query *)
@@ -1077,142 +1180,33 @@ let twinning ctx applied (block : Logical.block) =
   in
   List.iter
     (fun (ssc : ssc) ->
-      match ssc.shape with
-      | Diff_band (d, band) ->
-          List.iter
-            (fun (s : Logical.source) ->
-              if norm s.Logical.table = norm d.Mining.Diff_band.table then begin
-                let alias = s.Logical.alias in
-                let col_hi = d.Mining.Diff_band.col_hi
-                and col_lo = d.Mining.Diff_band.col_lo in
-                let ih = interval_on ctx view ~alias ~col:col_hi
-                and il = interval_on ctx view ~alias ~col:col_lo in
-                let dmin = band.Mining.Diff_band.d_min
-                and dmax = band.Mining.Diff_band.d_max in
-                (* a twin only helps when predicates exist on BOTH columns
-                   (the paper's case: reduce "range predicates on two
-                   columns to a pair of range predicates on one column") *)
-                if not (Interval.is_full ih || Interval.is_full il) then
-                  (* hi ∈ Ih  ⇒  lo = hi − diff ∈ [Ih.lo − dmax, Ih.hi − dmin] *)
-                  add_twin ~sc:ssc.ssc_name
-                    ~confidence:band.Mining.Diff_band.confidence ~alias
-                    ~target_col:col_lo ~source_col:col_hi
-                    (shift_interval ih ~flo:(-.dmax) ~fhi:(-.dmin)
-                       ~dtype:(column_dtype ctx s.Logical.table col_lo))
-              end)
-            block.Logical.from
-      | Corr_band (c, band) ->
-          List.iter
-            (fun (s : Logical.source) ->
-              if norm s.Logical.table = norm c.Mining.Correlation.table then begin
-                let alias = s.Logical.alias in
-                let col_a = c.Mining.Correlation.col_a
-                and col_b = c.Mining.Correlation.col_b in
-                let ib = interval_on ctx view ~alias ~col:col_b in
-                let ia = interval_on ctx view ~alias ~col:col_a in
-                let k = c.Mining.Correlation.k and b0 = c.Mining.Correlation.b in
-                let eps = band.Mining.Correlation.eps in
-                (* both columns must carry predicates (see diff bands) *)
-                if not (Interval.is_full ib || Interval.is_full ia) then
-                  (* B ∈ Ib  ⇒  A ∈ k·Ib + b ± ε *)
-                  add_twin ~sc:ssc.ssc_name
-                    ~confidence:band.Mining.Correlation.confidence ~alias
-                    ~target_col:col_a ~source_col:col_b
-                    (linear_interval ib ~k ~b:b0 ~eps
-                       ~dtype:(column_dtype ctx s.Logical.table col_a))
-              end)
-            block.Logical.from)
+      List.iter
+        (fun (s : Logical.source) ->
+          if norm s.Logical.table = norm ssc.table then
+            List.iter
+              (fun band ->
+                match band.maps with
+                | m :: _ ->
+                    let alias = s.Logical.alias in
+                    let isrc = interval_on ctx view ~alias ~col:m.src.Expr.col
+                    and idst =
+                      interval_on ctx view ~alias ~col:m.dst.Expr.col
+                    in
+                    (* a twin only helps when predicates exist on BOTH
+                       columns (the paper's case: reduce "range predicates
+                       on two columns to a pair of range predicates on one
+                       column") *)
+                    if not (Interval.is_full isrc || Interval.is_full idst) then
+                      add_twin ~sc:ssc.name ~confidence:ssc.confidence ~alias
+                        ~target_col:m.dst.Expr.col ~source_col:m.src.Expr.col
+                        (band_image m isrc
+                           ~dtype:
+                             (column_dtype ctx s.Logical.table m.dst.Expr.col))
+                | [] -> ())
+              (bands_of_check ssc.check))
+        block.Logical.from)
     ctx.sscs;
   { block with Logical.preds = block.Logical.preds @ List.rev !twins }
-
-(* ---- rule: executable range propagation through valid bands -------------- *)
-
-(* The generic predicate-introduction rule folds a check statement against
-   *equality* bindings.  When the valid statement is a typed band
-   (difference or linear), a plain *range* predicate on one column also
-   implies a range on the other: propagate it, with outward rounding so
-   the executable predicate is a superset of the implied image. *)
-let shape_introduction ctx applied (block : Logical.block) =
-  let existing = exec_pred_list block in
-  let new_items = ref [] in
-  let try_add ~sc ~rule ~alias ~target_table ~target_col iv =
-    if not (Interval.is_full iv || Interval.is_empty iv) then begin
-      let r = { Expr.rel = Some alias; col = target_col } in
-      let pred = Interval.to_pred r iv in
-      if
-        (not (List.mem pred existing))
-        && column_not_nullable ctx target_table target_col
-        && introduction_gain ctx block pred <> None
-        && not
-             (List.exists
-                (fun (it : Logical.pred_item) -> it.Logical.pred = pred)
-                !new_items)
-      then begin
-        log ~sc ~delta:(Pred_added pred) applied "predicate_introduction"
-          "range propagation via %s: %s" rule (Expr.to_string_pred pred);
-        new_items := Logical.introduced_pred ~rule pred :: !new_items
-      end
-    end
-  in
-  List.iter
-    (fun (ssc : ssc) ->
-      match ssc.shape with
-      | Diff_band (d, band) ->
-          List.iter
-            (fun (s : Logical.source) ->
-              if norm s.Logical.table = norm d.Mining.Diff_band.table then begin
-                let alias = s.Logical.alias in
-                let col_hi = d.Mining.Diff_band.col_hi
-                and col_lo = d.Mining.Diff_band.col_lo in
-                let ih = interval_on ctx block ~alias ~col:col_hi
-                and il = interval_on ctx block ~alias ~col:col_lo in
-                let dmin = band.Mining.Diff_band.d_min
-                and dmax = band.Mining.Diff_band.d_max in
-                if not (Interval.is_full ih) then
-                  try_add ~sc:ssc.ssc_name ~rule:("band:" ^ ssc.ssc_name)
-                    ~alias
-                    ~target_table:s.Logical.table ~target_col:col_lo
-                    (shift_interval ~outward:true ih ~flo:(-.dmax)
-                       ~fhi:(-.dmin)
-                       ~dtype:(column_dtype ctx s.Logical.table col_lo));
-                if not (Interval.is_full il) then
-                  try_add ~sc:ssc.ssc_name ~rule:("band:" ^ ssc.ssc_name)
-                    ~alias
-                    ~target_table:s.Logical.table ~target_col:col_hi
-                    (shift_interval ~outward:true il ~flo:dmin ~fhi:dmax
-                       ~dtype:(column_dtype ctx s.Logical.table col_hi))
-              end)
-            block.Logical.from
-      | Corr_band (c, band) ->
-          List.iter
-            (fun (s : Logical.source) ->
-              if norm s.Logical.table = norm c.Mining.Correlation.table
-              then begin
-                let alias = s.Logical.alias in
-                let col_a = c.Mining.Correlation.col_a
-                and col_b = c.Mining.Correlation.col_b in
-                let ia = interval_on ctx block ~alias ~col:col_a
-                and ib = interval_on ctx block ~alias ~col:col_b in
-                let k = c.Mining.Correlation.k
-                and b0 = c.Mining.Correlation.b in
-                let eps = band.Mining.Correlation.eps in
-                if not (Interval.is_full ib) then
-                  try_add ~sc:ssc.ssc_name ~rule:("corr:" ^ ssc.ssc_name)
-                    ~alias
-                    ~target_table:s.Logical.table ~target_col:col_a
-                    (linear_interval ~outward:true ib ~k ~b:b0 ~eps
-                       ~dtype:(column_dtype ctx s.Logical.table col_a));
-                if (not (Interval.is_full ia)) && Float.abs k > 1e-12 then
-                  try_add ~sc:ssc.ssc_name ~rule:("corr:" ^ ssc.ssc_name)
-                    ~alias
-                    ~target_table:s.Logical.table ~target_col:col_b
-                    (linear_interval ~outward:true ia ~k:(1.0 /. k)
-                       ~b:(-.b0 /. k) ~eps:(eps /. Float.abs k)
-                       ~dtype:(column_dtype ctx s.Logical.table col_b))
-              end)
-            block.Logical.from)
-    ctx.asc_shapes;
-  { block with Logical.preds = block.Logical.preds @ List.rev !new_items }
 
 (* ---- rule: exception-table union (ASC-as-AST, paper §4.4) ---------------- *)
 
@@ -1228,25 +1222,13 @@ let null_rejected ctx block (r : Expr.col_ref) =
            (Interval.is_full
               (interval_on ctx block ~alias:s.Logical.alias ~col:r.Expr.col))
 
-(* A check conjunct [a - b BETWEEN k1 AND k2]: a difference band. *)
-let diff_band_of (c : Expr.pred) =
-  match c with
-  | Expr.Between
-      (Expr.Binop (Expr.Sub, Expr.Col a, Expr.Col b), Expr.Const k1, Expr.Const k2)
-    -> (
-      match (float_of_value k1, float_of_value k2) with
-      | Some k1, Some k2 -> Some (a, b, k1, k2)
-      | _ -> None)
-  | _ -> None
-
 (* The fast branch's conjuncts for source [s] under [check], or None when
    no fold opens an index path.  Equality bindings fold the check into an
-   equivalent statement.  Failing that, each difference-band conjunct
-   [a - b BETWEEN k1 AND k2] maps the block's range on [a] to
-   [b ∈ [lo − k2, hi − k1]] and a range on [b] to [a ∈ [lo + k1, hi + k2]];
-   such a range only bounds the rows satisfying the check, so the check
-   itself stays beside it — without it a violator inside the derived
-   range would come back from both branches. *)
+   equivalent statement.  Failing that, the block's ranges map through the
+   check's bands ({!band_images}); such a range only bounds the rows
+   satisfying the check, so the check itself stays beside it — without it
+   a violator inside the derived range would come back from both
+   branches. *)
 let fold_check ctx block bindings (s : Logical.source) check =
   let folded =
     Interval.simplify_pred (subst_with_bindings ctx block bindings check)
@@ -1256,25 +1238,12 @@ let fold_check ctx block bindings (s : Logical.source) check =
   if List.exists (fun c -> introduction_gain ctx block c <> None) folded then
     Some folded
   else
-    let image (src : Expr.col_ref) (dst : Expr.col_ref) ~flo ~fhi =
-      let iv = interval_on ctx block ~alias:s.Logical.alias ~col:src.Expr.col in
-      if Interval.is_full iv then []
-      else
-        let p =
-          Interval.to_pred dst
-            (shift_interval ~outward:true iv ~flo ~fhi
-               ~dtype:(column_dtype ctx s.Logical.table dst.Expr.col))
-        in
-        if introduction_gain ctx block p <> None then [ p ] else []
-    in
     let derived =
-      List.concat_map
-        (fun c ->
-          match diff_band_of c with
-          | None -> []
-          | Some (a, b, k1, k2) ->
-              image a b ~flo:(-.k2) ~fhi:(-.k1) @ image b a ~flo:k1 ~fhi:k2)
-        (Expr.conjuncts check)
+      List.filter_map
+        (fun (_, dst, iv) ->
+          let p = Interval.to_pred dst iv in
+          if introduction_gain ctx block p <> None then Some p else None)
+        (band_images ctx block s check)
     in
     if derived = [] then None else Some (Expr.conjuncts check @ derived)
 
@@ -1396,17 +1365,8 @@ let partition_scs_of ctx (s : Logical.source) i =
     ctx.parts
 
 let partition_contradicts ctx block (s : Logical.source) part_preds =
-  let kf = key_of ctx block in
-  let query_preds = exec_pred_list block in
-  let part_preds = List.map (requalify s.Logical.alias) part_preds in
-  let q_entries, _ = Interval.summarize ~key_of:kf query_preds in
-  let all_entries, _ =
-    Interval.summarize ~key_of:kf (query_preds @ part_preds)
-  in
-  List.exists
-    (fun (key, (_, iv)) ->
-      Interval.is_empty iv && List.mem_assoc key q_entries)
-    all_entries
+  Interval.contradicts ~key_of:(key_of ctx block) (exec_pred_list block)
+    (List.map (requalify s.Logical.alias) part_preds)
 
 (* A hash partition survives only the bucket an equality on the partition
    column routes to — routing-hard, so such a prune needs no SC premise. *)
@@ -1507,7 +1467,6 @@ let rewrite_block_phase1 ctx applied block =
       block
       |> equality_transitivity ctx applied
       |> predicate_introduction ctx applied
-      |> shape_introduction ctx applied
     else block
   in
   block

@@ -6,8 +6,8 @@
     {e valid absolute} soft constraints:
     - join elimination over referential integrity (paper §2, [6]);
     - predicate introduction from check-shaped statements (§2, [10]) —
-      both equality folding ({!predicate_introduction}) and range
-      propagation through typed bands ({!shape_introduction});
+      equality folding, then range propagation through every band a
+      usable check states ({!band_widths});
     - join-hole range trimming (§2, [8]);
     - union-all branch pruning by branch constraints (§5);
     - group-by / order-by simplification via FDs (§2, [29]);
@@ -40,13 +40,15 @@ type flags = {
 val all_on : flags
 val all_off : flags
 
-(** Statistical soft constraints usable for twinning come in the shapes
-    the miners produce. *)
-type ssc_shape =
-  | Diff_band of Mining.Diff_band.t * Mining.Diff_band.band
-  | Corr_band of Mining.Correlation.t * Mining.Correlation.band
-
-type ssc = { ssc_name : string; shape : ssc_shape }
+type ssc = {
+  name : string;
+  table : string;
+  check : Expr.pred;
+  confidence : float;  (** currency-decayed *)
+}
+(** A statistical soft constraint usable for twinning: [check] holds on
+    about [confidence] of [table]'s rows.  Twinning reads its bands
+    ({!band_widths}). *)
 
 (** An ASC maintained as an exception table: [exc_check] holds for every
     base-table row NOT recorded in [exc_table]. *)
@@ -78,12 +80,10 @@ type part_sc = {
 type ctx = {
   db : Database.t;
   flags : flags;
-  ascs : Icdef.t list;  (** valid absolute soft constraints *)
-  asc_shapes : ssc list;
-      (** the same ASCs in typed mined form (bands valid at 100%),
-          enabling range propagation where generic folding needs an
-          equality *)
-  sscs : ssc list;
+  ascs : Icdef.t list;
+      (** valid absolute soft constraints, used exactly as ICs: their
+          checks feed predicate introduction, bands included *)
+  sscs : ssc list;  (** statistical band SCs, for twinning *)
   fds : named_fd list;  (** valid (ASC-class) FDs *)
   holes : named_holes list;
   exceptions : exception_info list;
@@ -91,10 +91,18 @@ type ctx = {
 }
 
 val make_ctx :
-  ?flags:flags -> ?ascs:Icdef.t list -> ?asc_shapes:ssc list ->
-  ?sscs:ssc list -> ?fds:named_fd list ->
-  ?holes:named_holes list -> ?exceptions:exception_info list ->
-  ?parts:part_sc list -> Database.t -> ctx
+  ?flags:flags -> ?ascs:Icdef.t list -> ?sscs:ssc list ->
+  ?fds:named_fd list -> ?holes:named_holes list ->
+  ?exceptions:exception_info list -> ?parts:part_sc list -> Database.t -> ctx
+
+val band_widths : Expr.pred -> (string * float) list
+(** The bands a check states, each as the column [a] it bands and its
+    width there, read in either shape the miners emit
+    ({!Mining.Diff_band.to_check_pred}, {!Mining.Correlation.to_check_pred})
+    however the check was declared: [a - b BETWEEN k1 AND k2] (width
+    [k2 − k1]) and [a BETWEEN k·b + c − e AND k·b + c + e] (width [2e]).
+    The same reading drives predicate introduction, the exception-union
+    fold and twinning. *)
 
 (** The structural change a rewrite made to the plan — together with the
     premise list this forms the machine-checkable certificate that

@@ -645,10 +645,15 @@ let test_fallback_once_per_statement () =
       (Mining.Diff_band.mine tbl ~col_hi:"ship_date" ~col_lo:"order_date")
   in
   let band = Option.get (Mining.Diff_band.band_with d ~confidence:1.0) in
+  (* one day wider below, so its fold is a second, distinct conjunct: the
+     same conjunct is introduced only once *)
+  let wider =
+    { band with Mining.Diff_band.d_min = band.Mining.Diff_band.d_min -. 1.0 }
+  in
   Core.Softdb.install_sc sdb
     (Core.Soft_constraint.make ~name:"band2" ~table:"purchase"
        ~installed_at_mutations:(Table.mutations tbl)
-       (Core.Soft_constraint.Diff_stmt (d, band)));
+       (Core.Soft_constraint.Diff_stmt (d, wider)));
   let report =
     Core.Softdb.optimize sdb (Sqlfe.Parser.parse_query_string ship_eq)
   in

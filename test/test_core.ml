@@ -104,9 +104,8 @@ let test_catalog_ctx_confidence_decay () =
   (* the rewrite ctx must carry the decayed confidence *)
   let ctx = Core.Softdb.rewrite_ctx sdb in
   match ctx.Opt.Rewrite.sscs with
-  | [ { Opt.Rewrite.shape = Opt.Rewrite.Diff_band (_, band); _ } ] ->
-      check (tfloat 1e-6) "ctx confidence" conf1
-        band.Mining.Diff_band.confidence
+  | [ { Opt.Rewrite.name = "pb"; confidence; _ } ] ->
+      check (tfloat 1e-6) "ctx confidence" conf1 confidence
   | _ -> Alcotest.fail "expected one ssc in ctx"
 
 (* ---- exception tables ---------------------------------------------------------- *)

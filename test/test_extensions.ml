@@ -1,7 +1,8 @@
 (* Tests for the extension features: Sybase-style min/max domain tracking
    (paper §4.2 runtime parameterization), the transaction layer with
-   soft-constraint reinstatement on abort (§4.1), and equality-transitivity
-   constant propagation in the rewrite engine. *)
+   soft-constraint reinstatement on abort (§4.1), equality-transitivity
+   constant propagation in the rewrite engine, and bands that reach every
+   rewrite the same way however they were declared. *)
 
 open Rel
 
@@ -605,10 +606,122 @@ let test_linear_correlation_opens_index () =
         (opt.Exec.Executor.counters.Exec.Operators.Counters.rows_scanned
         < base.Exec.Executor.counters.Exec.Operators.Counters.rows_scanned))
     [
-      (* equality binding: the generic check-folding path *)
+      (* equality binding: the check folds against the constant *)
       "SELECT * FROM lin WHERE b = 500";
-      (* range predicate: the shape-introduction (range image) path *)
+      (* range predicate: the range on b maps through the check's band *)
       "SELECT * FROM lin WHERE b BETWEEN 100 AND 120";
+    ];
+  (* behind an exception table the band is used only by the exception
+     union, whose fast branch takes the same fold and range image; a
+     violator must come back through the exception branch *)
+  ignore
+    (Core.Softdb.exec sdb
+       "CREATE EXCEPTION TABLE lin_exc FOR CONSTRAINT lin_corr");
+  ignore (Core.Softdb.exec sdb "INSERT INTO lin VALUES (5000, 9999.0, 110)");
+  List.iter
+    (fun sql ->
+      check tbool ("exception union fired: " ^ sql) true
+        (List.mem "exception_union"
+           (rules_fired (Core.Softdb.explain sdb sql)));
+      let base = Core.Softdb.query_baseline sdb sql in
+      check tbool ("violator returned: " ^ sql) true
+        (List.exists
+           (fun row -> Tuple.get row 0 = Value.Int 5000)
+           base.Exec.Executor.rows);
+      check tbool ("sound: " ^ sql) true
+        (Exec.Executor.same_rows base (Core.Softdb.query sdb sql)))
+    [
+      "SELECT * FROM lin WHERE b = 110";
+      "SELECT * FROM lin WHERE b BETWEEN 100 AND 120";
+    ]
+
+(* ---- one band, however it was declared ----------------------------------- *)
+
+(* [purchase] with every order shipped on time, carrying the paper's
+   [0, 21] shipping band declared in SQL ([sql], a SOFT check that holds
+   and so is an ASC), installed as a mined [Diff_stmt] ASC ([mined]), or
+   both. *)
+let banded_purchase ~sql ~mined =
+  let sdb = Core.Softdb.create () in
+  Workload.Purchase.load
+    ~config:
+      {
+        Workload.Purchase.default_config with
+        rows = 3_000;
+        late_fraction = 0.0;
+      }
+    (Core.Softdb.db sdb);
+  Core.Softdb.runstats sdb;
+  if sql then begin
+    ignore
+      (Core.Softdb.exec sdb
+         "ALTER TABLE purchase ADD CONSTRAINT ship_3w CHECK (ship_date - \
+          order_date BETWEEN 0 AND 21) SOFT");
+    check tbool "declared band is an ASC" true
+      (Core.Soft_constraint.is_absolute
+         (Option.get
+            (Core.Sc_catalog.find (Core.Softdb.catalog sdb) "ship_3w")))
+  end;
+  if mined then begin
+    let tbl = Database.table_exn (Core.Softdb.db sdb) "purchase" in
+    let d =
+      Option.get
+        (Mining.Diff_band.mine tbl ~col_hi:"ship_date" ~col_lo:"order_date")
+    in
+    Core.Softdb.install_sc sdb
+      (Core.Soft_constraint.make ~name:"ship_band" ~table:"purchase"
+         ~installed_at_mutations:(Table.mutations tbl)
+         (Core.Soft_constraint.Diff_stmt
+            ( d,
+              { Mining.Diff_band.confidence = 1.0; d_min = 0.0; d_max = 21.0 }
+            )))
+  end;
+  sdb
+
+let introduced (report : Opt.Explain.report) =
+  List.filter_map
+    (fun (a : Opt.Rewrite.applied) ->
+      match a.Opt.Rewrite.delta with
+      | Opt.Rewrite.Pred_added p
+        when a.Opt.Rewrite.rule = "predicate_introduction" ->
+          Some (Expr.to_string_pred p)
+      | _ -> None)
+    report.Opt.Explain.applied
+
+let ship_day = Date.of_ymd 1999 6 10
+
+(* The SQL band, the mined band, and both at once introduce the same
+   conjuncts, each once, read the same rows and give the same estimate. *)
+let test_one_band_however_declared () =
+  let fixtures =
+    [
+      ("declared", banded_purchase ~sql:true ~mined:false);
+      ("mined", banded_purchase ~sql:false ~mined:true);
+      ("both", banded_purchase ~sql:true ~mined:true);
+    ]
+  in
+  List.iter
+    (fun sql ->
+      let on (label, sdb) =
+        let r = Core.Softdb.query sdb sql in
+        check tbool (label ^ " sound: " ^ sql) true
+          (Exec.Executor.same_rows (Core.Softdb.query_baseline sdb sql) r);
+        let report = Core.Softdb.explain sdb sql in
+        ( introduced report,
+          r.Exec.Executor.counters.Exec.Operators.Counters.rows_scanned,
+          report.Opt.Explain.estimated_cardinality )
+      in
+      match List.map on fixtures with
+      | [ ((preds, scanned, _) as declared); mined; both ] ->
+          check tint ("one conjunct introduced: " ^ sql) 1 (List.length preds);
+          check tbool ("index narrows the scan: " ^ sql) true (scanned < 3_000);
+          let same = Alcotest.(triple (list string) int (float 1e-9)) in
+          check same ("mined as declared: " ^ sql) declared mined;
+          check same ("both as either alone: " ^ sql) declared both
+      | _ -> assert false)
+    [
+      Workload.Queries.purchase_ship_eq ship_day;
+      Workload.Queries.purchase_ship_range ship_day (Date.add_days ship_day 6);
     ]
 
 (* ---- APB-style hierarchies end to end ----------------------------------------- *)
@@ -702,6 +815,11 @@ let () =
         [
           Alcotest.test_case "[10]: correlation opens index" `Quick
             test_linear_correlation_opens_index;
+        ] );
+      ( "band_reach",
+        [
+          Alcotest.test_case "one band, however declared" `Quick
+            test_one_band_however_declared;
         ] );
       ( "plan_cache",
         [

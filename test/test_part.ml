@@ -289,6 +289,43 @@ let test_routing_hard_prune () =
     = List.sort compare
         (List.map Tuple.to_list (Core.Softdb.query sdb sql).Exec.Executor.rows))
 
+(* An OR prunes a segment only when every disjunct contradicts it:
+   [purchase] at (1500, 3000, 4500) under [id < 1400 OR id > 4600] keeps
+   segments 0 and 3, and a disjunct overlapping segment 1 keeps it. *)
+let test_disjunction_prune () =
+  let sdb = Core.Softdb.create () in
+  Workload.Purchase.load
+    ~config:{ Workload.Purchase.default_config with rows = 6_000 }
+    (Core.Softdb.db sdb);
+  ignore
+    (Core.Softdb.exec sdb
+       "ALTER TABLE purchase PARTITION BY RANGE (id) BOUNDS (1500, 3000, \
+        4500)");
+  Core.Softdb.runstats sdb;
+  List.iter
+    (fun (sql, want_pruned) ->
+      let report = Core.Softdb.explain sdb sql in
+      check (Alcotest.list tint) ("pruned: " ^ sql) want_pruned
+        (List.map fst (pruned_partitions report) |> List.sort compare);
+      check (Alcotest.list tint) ("scanned: " ^ sql)
+        (List.filter (fun i -> not (List.mem i want_pruned)) [ 0; 1; 2; 3 ])
+        (scan_partitions report.Opt.Explain.plan);
+      let _, diags = Check.Cert.check_query sdb sql in
+      check tint ("certificates verify: " ^ sql) 0
+        (List.length (Check.Diag.errors diags));
+      let rows r =
+        List.sort compare (List.map Tuple.to_list r.Exec.Executor.rows)
+      in
+      let base = Core.Softdb.query_baseline sdb sql in
+      check tbool ("non-empty: " ^ sql) true (base.Exec.Executor.rows <> []);
+      check tbool ("same rows as rewrites-off: " ^ sql) true
+        (rows base = rows (Core.Softdb.query sdb sql)))
+    [
+      ("SELECT id FROM purchase WHERE id < 1400 OR id > 4600", [ 1; 2 ]);
+      ( "SELECT id FROM purchase WHERE id < 1400 OR id BETWEEN 2000 AND 2100",
+        [ 2; 3 ] );
+    ]
+
 let test_sc_premised_prune () =
   let sdb = psdb () in
   ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
@@ -718,6 +755,8 @@ let () =
         [
           Alcotest.test_case "routing-hard prune" `Quick test_routing_hard_prune;
           Alcotest.test_case "SC-premised prune" `Quick test_sc_premised_prune;
+          Alcotest.test_case "disjunction prunes segments" `Quick
+            test_disjunction_prune;
           Alcotest.test_case "overturn and guarded fallback" `Quick
             test_overturn_and_guarded_fallback;
         ] );
