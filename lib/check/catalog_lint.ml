@@ -12,7 +12,10 @@
    - exception-backed ASCs whose exception table has grown past the
      rewrite-profitability bound: the union plan scans the exceptions on
      every query, so past ~10% of the base table the rewrite stops
-     paying. *)
+     paying;
+   - enforced PRIMARY KEY / UNIQUE constraints with no unique index on
+     exactly their columns: the checker then finds duplicates by scanning
+     the whole table, so every insert scans the table. *)
 
 open Rel
 
@@ -198,6 +201,28 @@ let exception_diags sdb =
           else None)
     (Core.Sc_catalog.exception_tables cat)
 
+let key_index_diags sdb =
+  let db = Core.Softdb.db sdb in
+  List.filter_map
+    (fun (ic : Icdef.t) ->
+      match ic.Icdef.body with
+      | (Icdef.Primary_key cols | Icdef.Unique cols) when Icdef.is_enforced ic
+        ->
+          let backs idx =
+            Index.is_unique idx
+            && List.map norm (Index.columns idx) = List.map norm cols
+          in
+          if List.exists backs (Database.indexes_on db ic.Icdef.table) then
+            None
+          else
+            Some
+              (Diag.warning ~pass ~subject:(norm ic.Icdef.table)
+                 "enforced key %s (%s) has no unique index on exactly its \
+                  columns: every insert scans the table"
+                 ic.Icdef.name (String.concat ", " cols))
+      | _ -> None)
+    (Database.constraints db)
+
 let lint sdb =
   contradiction_diags sdb @ band_disjoint_diags sdb @ fd_diags sdb
-  @ confidence_diags sdb @ exception_diags sdb
+  @ confidence_diags sdb @ exception_diags sdb @ key_index_diags sdb

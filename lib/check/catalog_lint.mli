@@ -1,7 +1,8 @@
 (** The catalog linter (tentpole pass 2): contradictory SCs (errors),
     duplicate / subsumed soft FDs, SSCs at or below the planner's use
-    threshold, and exception tables grown past the rewrite-profitability
-    bound (warnings). *)
+    threshold, exception tables grown past the rewrite-profitability
+    bound, and enforced keys with no unique index on exactly their
+    columns, whose every insert scans the table (warnings). *)
 
 val exception_growth_bound : float
 (** Exception-table rows beyond this fraction of the base table make the

@@ -77,7 +77,6 @@ let check_foreign_key env ic ~columns ~ref_table ~ref_columns table row =
 
 let check_row env ic table row ?exclude () =
   let schema = Table.schema table in
-  let binding = Expr.Binding.of_schema schema in
   match ic.Icdef.body with
   | Icdef.Primary_key cols ->
       check_key_like env ~kind:`Primary ic table cols row ?exclude ()
@@ -86,7 +85,7 @@ let check_row env ic table row ?exclude () =
   | Icdef.Foreign_key { columns; ref_table; ref_columns } ->
       check_foreign_key env ic ~columns ~ref_table ~ref_columns table row
   | Icdef.Check p ->
-      if Expr.check_violated binding p row then
+      if Expr.check_violated (Expr.Binding.of_schema schema) p row then
         Some
           (violation ic.Icdef.name "CHECK (%s) is false for row %s"
              (Expr.to_string_pred p)

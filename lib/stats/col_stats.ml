@@ -21,40 +21,54 @@ let null_fraction t =
   if t.row_count = 0 then 0.0
   else float_of_int t.null_count /. float_of_int t.row_count
 
+(* One sort: the non-null values in [Value.compare_total] order give
+   [distinct], [low]/[high] and the frequency runs, and feed the histogram
+   as they are.  Runs come out in ascending value order, so a stable sort
+   by count (descending) ranks ties by value. *)
 let build ?(histogram_buckets = 32) ?(frequent_k = 10) ~column values =
-  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-  let row_count = List.length values in
-  let null_count = row_count - List.length non_null in
-  let counts = Hashtbl.create 256 in
-  List.iter
+  let row_count = Array.length values in
+  let null_count =
+    Array.fold_left (fun n v -> if Value.is_null v then n + 1 else n) 0 values
+  in
+  let sorted = Array.make (row_count - null_count) Value.Null in
+  let k = ref 0 in
+  Array.iter
     (fun v ->
-      let c = Option.value (Hashtbl.find_opt counts v) ~default:0 in
-      Hashtbl.replace counts v (c + 1))
-    non_null;
-  let distinct = Hashtbl.length counts in
-  let sorted = List.sort Value.compare_total non_null in
-  let low = match sorted with [] -> None | v :: _ -> Some v in
-  let high =
-    match List.rev sorted with [] -> None | v :: _ -> Some v
+      if not (Value.is_null v) then begin
+        sorted.(!k) <- v;
+        incr k
+      end)
+    values;
+  Array.stable_sort Value.compare_total sorted;
+  let n = Array.length sorted in
+  (* does a run of equal values end just before [i]? *)
+  let run_ends i =
+    i = n || not (Value.equal_total sorted.(i - 1) sorted.(i))
   in
-  let frequent =
-    Hashtbl.fold (fun value count acc -> { value; count } :: acc) counts []
-    |> List.sort (fun a b ->
-           match compare b.count a.count with
-           | 0 -> Value.compare_total a.value b.value
-           | c -> c)
-    |> fun l ->
-    List.filteri (fun i _ -> i < frequent_k) l
-  in
+  let distinct = ref 0 in
+  for i = 1 to n do
+    if run_ends i then incr distinct
+  done;
+  let runs = Array.make !distinct { value = Value.Null; count = 0 } in
+  let start = ref 0 and r = ref 0 in
+  for i = 1 to n do
+    if run_ends i then begin
+      runs.(!r) <- { value = sorted.(!start); count = i - !start };
+      incr r;
+      start := i
+    end
+  done;
+  Array.stable_sort (fun a b -> Int.compare b.count a.count) runs;
   {
     column;
     row_count;
     null_count;
-    distinct;
-    low;
-    high;
-    frequent;
-    histogram = Histogram.build ~buckets:histogram_buckets non_null;
+    distinct = !distinct;
+    low = (if n = 0 then None else Some sorted.(0));
+    high = (if n = 0 then None else Some sorted.(n - 1));
+    frequent =
+      Array.to_list (Array.sub runs 0 (max 0 (min frequent_k !distinct)));
+    histogram = Histogram.of_sorted ~buckets:histogram_buckets sorted;
   }
 
 (* -- selectivity primitives (fractions of *all* rows, nulls excluded

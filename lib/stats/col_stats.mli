@@ -19,7 +19,12 @@ type t = {
 
 val build :
   ?histogram_buckets:int -> ?frequent_k:int -> column:string ->
-  Value.t list -> t
+  Value.t array -> t
+(** Statistics over one column's values (nulls included; the array is not
+    modified).  The non-null values are sorted once, stably, by
+    {!Value.compare_total}: [frequent] ranks by count descending, then by
+    value ascending; [histogram] has [histogram_buckets] (default 32)
+    buckets and [frequent] at most [frequent_k] (default 10) entries. *)
 
 val null_fraction : t -> float
 

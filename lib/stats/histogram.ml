@@ -25,11 +25,8 @@ let empty = { buckets = [||]; total = 0 }
 let total t = t.total
 let buckets t = Array.to_list t.buckets
 
-(* [values] need not be sorted; nulls must already be excluded. *)
-let build ?(buckets = 32) values =
-  let values = List.filter (fun v -> not (Value.is_null v)) values in
-  let arr = Array.of_list values in
-  Array.sort Value.compare_total arr;
+(* [arr] holds non-null values in [Value.compare_total] order. *)
+let of_sorted ?(buckets = 32) arr =
   let n = Array.length arr in
   if n = 0 then empty
   else begin
@@ -58,6 +55,12 @@ let build ?(buckets = 32) values =
     done;
     { buckets = Array.of_list (List.rev !out); total = n }
   end
+
+(* [values] need not be sorted; nulls are dropped. *)
+let build ?buckets values =
+  let arr = Array.of_list (List.filter (fun v -> not (Value.is_null v)) values) in
+  Array.sort Value.compare_total arr;
+  of_sorted ?buckets arr
 
 (* Numeric position of a value for interpolation; strings hash-order by
    first bytes, dates/ints/floats use their natural magnitude. *)

@@ -29,6 +29,11 @@ val build : ?buckets:int -> Value.t list -> t
 (** Build from a multiset of values (order irrelevant, nulls excluded);
     [buckets] defaults to 32. *)
 
+val of_sorted : ?buckets:int -> Value.t array -> t
+(** Build from non-null values already in {!Value.compare_total} order,
+    as {!build} does after filtering and sorting; the array is not
+    modified. *)
+
 val rows_le : t -> Value.t -> float
 (** Estimated rows with value ≤ v. *)
 

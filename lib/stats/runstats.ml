@@ -18,6 +18,17 @@ let create () = { snapshots = Hashtbl.create 16 }
 
 let norm = String.lowercase_ascii
 
+(* One value array per column, filled in row order. *)
+let column_arrays arity n iter =
+  let cols = Array.init arity (fun _ -> Array.make n Value.Null) in
+  let k = ref 0 in
+  iter (fun row ->
+      for i = 0 to arity - 1 do
+        cols.(i).(!k) <- Tuple.get row i
+      done;
+      incr k);
+  cols
+
 (* Collect statistics for [table]; [sample] bounds the rows inspected for
    histograms (the full scan still counts cardinality exactly). *)
 let collect ?(histogram_buckets = 32) ?sample table =
@@ -26,24 +37,13 @@ let collect ?(histogram_buckets = 32) ?sample table =
   let columns_values =
     match sample with
     | None ->
-        let acc = Array.make arity [] in
-        Table.iter table ~f:(fun row ->
-            for i = 0 to arity - 1 do
-              acc.(i) <- Tuple.get row i :: acc.(i)
-            done);
-        acc
+        column_arrays arity (Table.cardinality table) (fun f ->
+            Table.iter table ~f)
     | Some capacity ->
         let s = Sample.create capacity in
         Table.iter table ~f:(fun row -> Sample.offer s row);
         let rows = Sample.to_list s in
-        let acc = Array.make arity [] in
-        List.iter
-          (fun row ->
-            for i = 0 to arity - 1 do
-              acc.(i) <- Tuple.get row i :: acc.(i)
-            done)
-          rows;
-        acc
+        column_arrays arity (List.length rows) (fun f -> List.iter f rows)
   in
   let columns =
     List.mapi
@@ -74,12 +74,25 @@ let runstats_all ?histogram_buckets ?sample t db =
 
 let find t table = Hashtbl.find_opt t.snapshots (norm table)
 
+(* ASCII case-insensitive equality, without lowercased copies *)
+let same_name a b =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let rec from i =
+    i = n
+    || Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[i]
+       && from (i + 1)
+  in
+  from 0
+
 let column_stats t ~table ~column =
   match find t table with
   | None -> None
   | Some ts ->
-      List.assoc_opt (norm column)
-        (List.map (fun (n, s) -> (norm n, s)) ts.columns)
+      List.find_map
+        (fun (n, s) -> if same_name n column then Some s else None)
+        ts.columns
 
 (* How many mutations has [table] absorbed since its stats were taken? *)
 let staleness t table =

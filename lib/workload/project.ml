@@ -36,6 +36,9 @@ let load ?(config = default_config) db =
   Database.add_constraint db
     (Icdef.make ~name:"project_pk" ~table:"project" (Icdef.Primary_key [ "id" ]));
   ignore
+    (Database.create_index db ~name:"project_id_idx" ~table:"project"
+       ~columns:[ "id" ] ~unique:true ());
+  ignore
     (Database.create_index db ~name:"project_start_idx" ~table:"project"
        ~columns:[ "start_date" ] ());
   ignore

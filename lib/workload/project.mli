@@ -20,6 +20,10 @@ val base_date : Date.t
 val schema : Schema.t
 
 val load : ?config:config -> Database.t -> unit
+(** Create [project] with its enforced primary key on [id], backed by the
+    unique index [project_id_idx] so each insert's key check is an index
+    probe, plus indexes on [start_date] and [end_date]; then load
+    [config.rows] rows. *)
 
 val active_on : Database.t -> Date.t -> int
 (** Ground truth for experiment E4: projects with

@@ -86,7 +86,13 @@ let load ?(config = default_config) db =
   done
 
 (* A stream of further inserts (for staleness/maintenance experiments):
-   [violating] controls the fraction shipped late. *)
+   [violating] controls the fraction shipped late.  A late row is drawn
+   from the loader's own late range, 22-90 days, so it violates an
+   absolute band only when the band was mined on data without late rows
+   (late_fraction = 0); an absolute band mined on the default 1%-late
+   data already spans it.
+   The draws are left as they are: the maintenance scenario's baseline
+   figures depend on them. *)
 let insert_batch ?(violating = 0.0) ~rng ~start_id ~count db =
   for i = start_id to start_id + count - 1 do
     let order =

@@ -36,4 +36,10 @@ val insert_batch :
   ?violating:float -> rng:Stats.Rng.t -> start_id:int -> count:int ->
   Database.t -> unit
 (** A stream of further inserts for staleness / maintenance experiments;
-    [violating] is the fraction shipped late. *)
+    [violating] is the fraction shipped late.  A late row ships 22–90
+    days after its order, the same range {!load} gives its late rows, so
+    it violates an absolute (100%) band only when that band was mined on
+    data without late rows ([late_fraction = 0.0]).  An absolute band
+    mined on data with late shipments (the default 1%) already spans
+    it: to break such a band, insert a row later than the band's upper
+    bound yourself. *)

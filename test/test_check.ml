@@ -1,7 +1,8 @@
 (* Tests for the static-analysis subsystem (lib/check): the certificate
    checker rejects deliberately unsound certificates and accepts every
    certificate the rewriter actually emits; the catalog linter flags a
-   contradictory SC pair, duplicate FDs, and dead SSCs; the lock-order
+   contradictory SC pair, duplicate FDs, dead SSCs and an enforced key
+   with no unique index behind it; the lock-order
    lint catches rank inversions and unannotated sites in synthetic
    sources and passes on the real tree; the interface-coverage lint
    passes on the real tree, where lib/core and lib/exec keep no
@@ -294,6 +295,54 @@ let test_catalog_dead_ssc () =
          d.Check.Diag.severity = Check.Diag.Warning
          && d.Check.Diag.pass = "catalog")
        diags)
+
+(* An enforced key is checked on every insert; without a unique index on
+   exactly its columns the check scans the whole table. *)
+let test_catalog_unindexed_key () =
+  let sdb = Core.Softdb.create () in
+  let db = Core.Softdb.db sdb in
+  ignore
+    (Database.create_table db
+       (Schema.make "k"
+          [
+            Schema.column ~nullable:false "id" Value.TInt;
+            Schema.column "v" Value.TInt;
+          ]));
+  Database.add_constraint db
+    (Icdef.make ~name:"k_pk" ~table:"k" (Icdef.Primary_key [ "id" ]));
+  Database.add_constraint db
+    (Icdef.make ~enforcement:Icdef.Informational ~name:"k_v" ~table:"k"
+       (Icdef.Unique [ "v" ]));
+  let scans () =
+    List.filter
+      (fun (d : Check.Diag.t) ->
+        contains d.Check.Diag.message "every insert scans the table")
+      (Check.Catalog_lint.lint sdb)
+  in
+  (match scans () with
+  | [ d ] ->
+      check tbool "names the enforced key" true
+        (contains d.Check.Diag.message "k_pk");
+      check tbool "a warning" true (d.Check.Diag.severity = Check.Diag.Warning)
+  | ds -> Alcotest.failf "expected one key diagnostic, got %d" (List.length ds));
+  ignore
+    (Database.create_index db ~name:"k_id_plain" ~table:"k" ~columns:[ "id" ]
+       ());
+  check tint "a non-unique index does not back it" 1 (List.length (scans ()));
+  ignore
+    (Database.create_index db ~name:"k_id_idx" ~table:"k" ~columns:[ "id" ]
+       ~unique:true ());
+  check tint "a unique index on its columns does" 0 (List.length (scans ()));
+  ignore
+    (Core.Softdb.exec sdb "CREATE TABLE s (id INT PRIMARY KEY, w INT)");
+  ignore (Core.Softdb.exec sdb "ALTER TABLE s ADD CONSTRAINT s_w UNIQUE (w)");
+  check tint "SQL-declared keys come index-backed" 0 (List.length (scans ()));
+  let project = Core.Softdb.create () in
+  Workload.Project.load
+    ~config:{ Workload.Project.default_config with rows = 50 }
+    (Core.Softdb.db project);
+  check tint "the project loader backs its key" 0
+    (List.length (Check.Catalog_lint.lint project))
 
 (* ---- lock-order lint ------------------------------------------------------- *)
 
@@ -768,6 +817,8 @@ let () =
           Alcotest.test_case "duplicate and subsumed FDs" `Quick
             test_catalog_fd_dupes;
           Alcotest.test_case "dead SSC" `Quick test_catalog_dead_ssc;
+          Alcotest.test_case "enforced key without a unique index" `Quick
+            test_catalog_unindexed_key;
         ] );
       ( "lock",
         [

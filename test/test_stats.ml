@@ -1,6 +1,7 @@
 (* Tests for statistics: RNG determinism and distribution sanity,
    reservoir sampling, histograms (mass conservation, selectivity
-   monotonicity, accuracy against ground truth), column stats, RUNSTATS. *)
+   monotonicity, accuracy against ground truth, sorted input), column
+   stats and RUNSTATS against the three-pass algorithm they replaced. *)
 
 open Rel
 
@@ -169,7 +170,7 @@ let test_col_stats () =
   let values =
     ints [ 5; 5; 5; 1; 2; 3 ] @ [ Value.Null; Value.Null ]
   in
-  let cs = Stats.Col_stats.build ~column:"c" values in
+  let cs = Stats.Col_stats.build ~column:"c" (Array.of_list values) in
   check tint "rows" 8 cs.Stats.Col_stats.row_count;
   check tint "nulls" 2 cs.Stats.Col_stats.null_count;
   check tint "ndv" 4 cs.Stats.Col_stats.distinct;
@@ -217,6 +218,171 @@ let test_runstats_sampled () =
   check tbool "ndv from sample close" true
     (cs.Stats.Col_stats.distinct <= 10 && cs.Stats.Col_stats.distinct >= 8)
 
+(* ---- one sort per column, against the three-pass oracle --------------------- *)
+
+(* The three-pass algorithm [Col_stats.build] replaced, kept as an oracle:
+   a hash count of the non-null values, a sort for low/high, a sort of
+   every distinct value by (count desc, value asc) for the top-k, and
+   [Histogram.build] over the non-null values. *)
+let reference_stats ?(histogram_buckets = 32) ?(frequent_k = 10) values =
+  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
+  let counts = Hashtbl.create 256 in
+  List.iter
+    (fun v ->
+      let c = Option.value (Hashtbl.find_opt counts v) ~default:0 in
+      Hashtbl.replace counts v (c + 1))
+    non_null;
+  let sorted = List.sort Value.compare_total non_null in
+  let frequent =
+    Hashtbl.fold (fun v c acc -> (v, c) :: acc) counts []
+    |> List.sort (fun (va, a) (vb, b) ->
+           match compare b a with 0 -> Value.compare_total va vb | c -> c)
+    |> List.filteri (fun i _ -> i < frequent_k)
+  in
+  ( List.length values,
+    List.length values - List.length non_null,
+    Hashtbl.length counts,
+    (match sorted with [] -> None | v :: _ -> Some v),
+    (match List.rev sorted with [] -> None | v :: _ -> Some v),
+    frequent,
+    Stats.Histogram.buckets
+      (Stats.Histogram.build ~buckets:histogram_buckets non_null) )
+
+let summary (cs : Stats.Col_stats.t) =
+  ( cs.Stats.Col_stats.row_count,
+    cs.Stats.Col_stats.null_count,
+    cs.Stats.Col_stats.distinct,
+    cs.Stats.Col_stats.low,
+    cs.Stats.Col_stats.high,
+    List.map
+      (fun (f : Stats.Col_stats.frequent) ->
+        (f.Stats.Col_stats.value, f.Stats.Col_stats.count))
+      cs.Stats.Col_stats.frequent,
+    Stats.Histogram.buckets cs.Stats.Col_stats.histogram )
+
+(* The [k]-th of a few values of one column type: INT, FLOAT, DATE or
+   VARCHAR. *)
+let typed_value ty k =
+  match ty with
+  | 0 -> Value.Int (k - 5)
+  | 1 -> Value.Float ((float_of_int k /. 4.0) -. 1.0)
+  | 2 -> Value.Date (Date.add_days (Date.of_ymd 1999 1 1) (3 * k))
+  | _ -> Value.String (String.make (1 + (k mod 3)) (Char.chr (97 + k)))
+
+(* One column of one type: up to 25 distinct values, so heavy duplicates
+   and ties in frequency, and about one NULL in five. *)
+let column_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 3 >>= fun ty ->
+    int_range 1 25 >>= fun domain ->
+    list_size (int_range 0 300)
+      (frequency
+         [
+           (1, return Value.Null);
+           (4, map (typed_value ty) (int_range 0 (domain - 1)));
+         ])
+  in
+  QCheck.make gen ~print:(fun vs -> String.concat " " (List.map Value.to_debug vs))
+
+let col_stats_oracle_prop =
+  QCheck.Test.make ~name:"Col_stats.build matches the three-pass oracle"
+    ~count:300
+    QCheck.(triple column_arb (int_range 1 40) (int_range 0 12))
+    (fun (values, histogram_buckets, frequent_k) ->
+      summary
+        (Stats.Col_stats.build ~histogram_buckets ~frequent_k ~column:"c"
+           (Array.of_list values))
+      = reference_stats ~histogram_buckets ~frequent_k values)
+
+let histogram_of_sorted_prop =
+  QCheck.Test.make ~name:"of_sorted on sorted values = build on them shuffled"
+    ~count:200
+    QCheck.(triple (list (int_range (-20) 20)) (int_range 1 20) int)
+    (fun (xs, buckets, seed) ->
+      let sorted = Array.of_list (ints xs) in
+      Array.stable_sort Value.compare_total sorted;
+      let shuffled = Array.of_list (Value.Null :: ints xs) in
+      let rng = Random.State.make [| seed |] in
+      for i = Array.length shuffled - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = shuffled.(i) in
+        shuffled.(i) <- shuffled.(j);
+        shuffled.(j) <- t
+      done;
+      let a = Stats.Histogram.of_sorted ~buckets sorted
+      and b = Stats.Histogram.build ~buckets (Array.to_list shuffled) in
+      Stats.Histogram.total a = Stats.Histogram.total b
+      && Stats.Histogram.buckets a = Stats.Histogram.buckets b)
+
+(* RUNSTATS over a table with deleted slots, in full and sampled: each
+   column's statistics equal the oracle's over the rows inspected. *)
+let test_runstats_matches_reference () =
+  let db = Database.create () in
+  let names = [ "i"; "f"; "d"; "s" ] in
+  ignore
+    (Database.create_table db
+       (Schema.make "t"
+          [
+            Schema.column "i" Value.TInt;
+            Schema.column "f" Value.TFloat;
+            Schema.column "d" Value.TDate;
+            Schema.column "s" Value.TString;
+          ]));
+  let rng = Stats.Rng.create 7 in
+  let cell ty =
+    if Stats.Rng.int rng 5 = 0 then Value.Null
+    else typed_value ty (Stats.Rng.int rng 20)
+  in
+  let rids =
+    List.init 3000 (fun _ ->
+        Database.insert db ~table:"t" (Tuple.make (List.init 4 cell)))
+  in
+  List.iteri
+    (fun n rid -> if n mod 7 = 3 then ignore (Database.delete db ~table:"t" rid))
+    rids;
+  let tbl = Database.table_exn db "t" in
+  let agrees label rows (ts : Stats.Runstats.table_stats) =
+    check tint (label ^ ": exact cardinality") (Table.cardinality tbl)
+      ts.Stats.Runstats.cardinality;
+    List.iteri
+      (fun i name ->
+        let cs = List.assoc name ts.Stats.Runstats.columns in
+        check tbool
+          (Printf.sprintf "%s: column %s matches the oracle" label name)
+          true
+          (summary cs
+          = reference_stats (List.map (fun row -> Tuple.get row i) rows)))
+      names
+  in
+  agrees "full" (Table.to_list tbl) (Stats.Runstats.collect tbl);
+  (* the reservoir is seeded: the same offers draw the same sample *)
+  let sample = Stats.Sample.create 500 in
+  Table.iter tbl ~f:(Stats.Sample.offer sample);
+  agrees "sampled" (Stats.Sample.to_list sample)
+    (Stats.Runstats.collect ~sample:500 tbl)
+
+let test_column_stats_lookup () =
+  let db = Database.create () in
+  ignore
+    (Database.create_table db
+       (Schema.make "T"
+          [ Schema.column "Ab" Value.TInt; Schema.column "c" Value.TInt ]));
+  ignore
+    (Database.insert db ~table:"T" (Tuple.make [ Value.Int 1; Value.Int 2 ]));
+  let stats = Stats.Runstats.create () in
+  ignore (Stats.Runstats.runstats stats (Database.table_exn db "T"));
+  let col table column =
+    Option.map
+      (fun (cs : Stats.Col_stats.t) -> cs.Stats.Col_stats.column)
+      (Stats.Runstats.column_stats stats ~table ~column)
+  in
+  check Alcotest.(option string) "exact" (Some "Ab") (col "T" "Ab");
+  check Alcotest.(option string) "either case" (Some "Ab") (col "t" "aB");
+  check Alcotest.(option string) "second column" (Some "c") (col "t" "C");
+  check Alcotest.(option string) "prefix is no match" None (col "t" "A");
+  check Alcotest.(option string) "longer is no match" None (col "t" "abc")
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -244,12 +410,22 @@ let () =
           Alcotest.test_case "skew" `Quick test_histogram_skew;
           Alcotest.test_case "empty/null" `Quick test_histogram_empty_and_null;
         ]
-        @ qsuite [ histogram_mass_prop; histogram_monotone_prop ] );
+        @ qsuite
+            [
+              histogram_mass_prop;
+              histogram_monotone_prop;
+              histogram_of_sorted_prop;
+            ] );
       ( "col_stats",
         [
           Alcotest.test_case "basic" `Quick test_col_stats;
           Alcotest.test_case "runstats staleness" `Quick
             test_runstats_staleness;
           Alcotest.test_case "runstats sampled" `Quick test_runstats_sampled;
-        ] );
+          Alcotest.test_case "runstats matches the oracle" `Quick
+            test_runstats_matches_reference;
+          Alcotest.test_case "column lookup ignores case" `Quick
+            test_column_stats_lookup;
+        ]
+        @ qsuite [ col_stats_oracle_prop ] );
     ]
