@@ -13,6 +13,9 @@
      rewrite-profitability bound: the union plan scans the exceptions on
      every query, so past ~10% of the base table the rewrite stops
      paying;
+   - exception tables that do not hold exactly the base rows violating
+     their SC's current check (errors): the union plan then duplicates
+     or drops rows;
    - enforced PRIMARY KEY / UNIQUE constraints with no unique index on
      exactly their columns: the checker then finds duplicates by scanning
      the whole table, so every insert scans the table. *)
@@ -201,6 +204,37 @@ let exception_diags sdb =
           else None)
     (Core.Sc_catalog.exception_tables cat)
 
+(* The exception-union plan reads the SC's current check in its fast
+   branch and the exception table in the other, so the table must hold
+   exactly the base rows that violate that check: a stored row the check
+   now admits comes back twice, a violator missing from the table is
+   lost. *)
+let exception_contract_diags sdb =
+  let db = Core.Softdb.db sdb and cat = Core.Softdb.catalog sdb in
+  List.filter_map
+    (fun (name, exc_table) ->
+      match Core.Sc_catalog.find cat name with
+      | Some sc when Database.find_table db exc_table <> None -> (
+          match Core.Soft_constraint.check_pred sc with
+          | Some check
+            when not
+                   (Core.Exception_table.consistent db
+                      {
+                        Core.Exception_table.constraint_name = name;
+                        base_table = sc.Core.Soft_constraint.table;
+                        exception_table = exc_table;
+                        check;
+                      }) ->
+              Some
+                (Diag.error ~pass ~subject:name
+                   "exception table %s does not hold exactly the rows of %s \
+                    that violate the current check: the exception-union \
+                    plan duplicates or drops rows"
+                   exc_table sc.Core.Soft_constraint.table)
+          | _ -> None)
+      | _ -> None)
+    (Core.Sc_catalog.exception_tables cat)
+
 let key_index_diags sdb =
   let db = Core.Softdb.db sdb in
   List.filter_map
@@ -225,4 +259,5 @@ let key_index_diags sdb =
 
 let lint sdb =
   contradiction_diags sdb @ band_disjoint_diags sdb @ fd_diags sdb
-  @ confidence_diags sdb @ exception_diags sdb @ key_index_diags sdb
+  @ confidence_diags sdb @ exception_diags sdb @ exception_contract_diags sdb
+  @ key_index_diags sdb

@@ -1,5 +1,6 @@
-(** The catalog linter (tentpole pass 2): contradictory SCs (errors),
-    duplicate / subsumed soft FDs, SSCs at or below the planner's use
+(** The catalog linter (tentpole pass 2): contradictory SCs and
+    exception tables that do not hold exactly the base rows violating
+    their SC's current check (errors), duplicate / subsumed soft FDs, SSCs at or below the planner's use
     threshold, exception tables grown past the rewrite-profitability
     bound, and enforced keys with no unique index on exactly their
     columns, whose every insert scans the table (warnings). *)

@@ -13,6 +13,8 @@
                        [run_repairs] re-mine it from current data later
                        ("dropped from active, and queued for repair").
 
+   An SC with an exception table is never repaired: see [handle_violation].
+
    SSCs are never checked synchronously (their whole point); their
    confidences decay via {!Currency} and are restored by
    [refresh_statistics], the RUNSTATS-analogue. *)
@@ -101,38 +103,28 @@ let build_fd_state db (sc : Soft_constraint.t) (fd : Mining.Fd_mine.fd) =
 
 (* ---- violation detection per statement ---------------------------------- *)
 
+(* The one row test of check shapes and partition-domain statements
+   (whose test routes first); [false] for every other statement class,
+   which is tested elsewhere or not at all. *)
 let row_violates db (sc : Soft_constraint.t) row =
+  let test pred =
+    match Database.find_table db sc.Soft_constraint.table with
+    | Some tbl ->
+        Expr.check_violated (Expr.Binding.of_schema (Table.schema tbl)) pred row
+    | None -> false
+  in
   match sc.Soft_constraint.statement with
   | Soft_constraint.Part_stmt { partition; pred } -> (
       (* partition-local: a row that routes to a sibling segment cannot
          violate this SC, so one hot shard's churn never overturns the
          other shards' domain constraints *)
-      match
-        ( Database.find_table db sc.Soft_constraint.table,
-          Database.partitioning db sc.Soft_constraint.table )
-      with
-      | Some tbl, Some part when Partition.route part row = partition ->
-          Expr.check_violated
-            (Expr.Binding.of_schema (Table.schema tbl))
-            pred row
+      match Database.partitioning db sc.Soft_constraint.table with
+      | Some part when Partition.route part row = partition -> test pred
       | _ -> false)
   | _ -> (
       match Soft_constraint.check_pred sc with
-      | Some p -> (
-          match Database.find_table db sc.Soft_constraint.table with
-          | Some tbl ->
-              Expr.check_violated
-                (Expr.Binding.of_schema (Table.schema tbl))
-                p row
-          | None -> false)
+      | Some p -> test p
       | None -> false)
-
-(* Statements testable one row at a time by [row_violates]: check shapes
-   plus partition-domain statements (whose test routes first). *)
-let row_checkable (sc : Soft_constraint.t) =
-  match sc.Soft_constraint.statement with
-  | Soft_constraint.Part_stmt _ -> true
-  | _ -> Soft_constraint.check_pred sc <> None
 
 (* ---- repairs -------------------------------------------------------------- *)
 
@@ -159,6 +151,22 @@ let sync_repair t (sc : Soft_constraint.t) row =
   | Some tbl -> (
       let schema = Table.schema tbl in
       let value col = Tuple.get row (Schema.index_exn schema col) in
+      (* a check or partition-domain statement widens when it is a
+         single-column BETWEEN; a NULL needs no widening *)
+      let widen pred restate =
+        match pred with
+        | Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi) ->
+            let v = value r.Expr.col in
+            if not (Value.is_null v) then begin
+              let lo = if Value.compare_total v lo < 0 then v else lo
+              and hi = if Value.compare_total v hi > 0 then v else hi in
+              Sc_catalog.set_statement t.catalog sc
+                (restate
+                   (Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi)))
+            end;
+            true
+        | _ -> false
+      in
       match sc.Soft_constraint.statement with
       | Soft_constraint.Diff_stmt (d, band) -> (
           match
@@ -190,46 +198,10 @@ let sync_repair t (sc : Soft_constraint.t) row =
                      } ));
               true
           | _ -> false)
-      | Soft_constraint.Ic_stmt (Icdef.Check p) -> (
-          (* widenable when the check is a single-column BETWEEN range *)
-          match p with
-          | Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi) ->
-              let v = value r.Expr.col in
-              if Value.is_null v then true
-              else begin
-                let lo' =
-                  if Value.compare_total v lo < 0 then v else lo
-                and hi' =
-                  if Value.compare_total v hi > 0 then v else hi
-                in
-                Sc_catalog.set_statement t.catalog sc
-                  (Soft_constraint.Ic_stmt
-                     (Icdef.Check
-                        (Expr.Between
-                           (Expr.Col r, Expr.Const lo', Expr.Const hi'))));
-                true
-              end
-          | _ -> false)
-      | Soft_constraint.Part_stmt { partition; pred } -> (
-          (* widenable like a check when the partition-domain statement is
-             a single-column BETWEEN *)
-          match pred with
-          | Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi) ->
-              let v = value r.Expr.col in
-              if Value.is_null v then true
-              else begin
-                let lo' = if Value.compare_total v lo < 0 then v else lo
-                and hi' = if Value.compare_total v hi > 0 then v else hi in
-                Sc_catalog.set_statement t.catalog sc
-                  (Soft_constraint.Part_stmt
-                     {
-                       partition;
-                       pred =
-                         Expr.Between (Expr.Col r, Expr.Const lo', Expr.Const hi');
-                     });
-                true
-              end
-          | _ -> false)
+      | Soft_constraint.Ic_stmt (Icdef.Check p) ->
+          widen p (fun p -> Soft_constraint.Ic_stmt (Icdef.Check p))
+      | Soft_constraint.Part_stmt { partition; pred } ->
+          widen pred (fun pred -> Soft_constraint.Part_stmt { partition; pred })
       | Soft_constraint.Ic_stmt _ | Soft_constraint.Fd_stmt _
       | Soft_constraint.Holes_stmt _ ->
           false)
@@ -248,7 +220,14 @@ let handle_violation t (sc : Soft_constraint.t) row =
   Obs.Fault.point "maintenance.violation";
   Sc_catalog.set_violations t.catalog sc
     (sc.Soft_constraint.violation_count + 1);
-  match policy_of t sc.Soft_constraint.name with
+  (* an SC with an exception table stores its violations there: repairing
+     it would widen or re-mine the check the exception-union plan reads,
+     while the table keeps the rows the installed check rejects — a
+     stored row would then come back from both branches *)
+  let stored =
+    Sc_catalog.exception_table_for t.catalog sc.Soft_constraint.name <> None
+  in
+  match if stored then Drop else policy_of t sc.Soft_constraint.name with
   | Drop ->
       Sc_catalog.set_state t.catalog sc Soft_constraint.Violated;
       record t sc.Soft_constraint.name "dropped on violation"
@@ -279,7 +258,7 @@ let on_row_arrival t table row =
         sc.Soft_constraint.state = Soft_constraint.Probation
         && Soft_constraint.is_absolute sc
       then begin
-        if row_checkable sc && row_violates t.db sc row then begin
+        if row_violates t.db sc row then begin
           Sc_catalog.set_violations t.catalog sc
             (sc.Soft_constraint.violation_count + 1);
           record t sc.Soft_constraint.name "violation during probation"
@@ -287,7 +266,7 @@ let on_row_arrival t table row =
       end;
       if Soft_constraint.is_usable sc && Soft_constraint.is_absolute sc then begin
         (* check-shaped and partition-domain statements: direct row test *)
-        if row_checkable sc && row_violates t.db sc row then
+        if row_violates t.db sc row then
           handle_violation t sc row;
         (* FD statements: incremental map *)
         match sc.Soft_constraint.statement with

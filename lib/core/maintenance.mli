@@ -12,6 +12,12 @@
       {!run_repairs} re-mine it from current data later ("dropped from
       active, and queued for repair").
 
+    An SC with an exception table is never repaired, whatever its
+    policy: its violations are stored there, and it is dropped as under
+    [Drop].  Widening or re-mining would change the check the
+    exception-union plan reads, and the rows already stored would then
+    come back from both branches of the union.
+
     SSCs are never checked synchronously (their whole point); their
     confidences decay via {!Currency} and are restored by
     {!refresh_statistics}, the RUNSTATS-analogue. *)
@@ -48,6 +54,9 @@ val track_fd : t -> Soft_constraint.t -> unit
     [Violated] if the FD does not even hold at install time. *)
 
 val row_violates : Database.t -> Soft_constraint.t -> Tuple.t -> bool
+(** The row test of check-shaped and partition-domain statements (a row
+    that routes to a sibling segment violates no partition-domain SC);
+    [false] for every other statement class. *)
 
 val run_repairs : t -> unit
 (** Drain the asynchronous repair queue: re-mine each queued statement

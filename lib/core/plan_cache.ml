@@ -161,7 +161,7 @@ let find_exn t name =
 let valid t entry =
   (not entry.invalidated) && Softdb.failed_guards t.sdb entry.report = []
 
-(* Creating the cache also binds the sys.plan_cache virtual table to it,
+(* Creating the cache also re-registers the sys.plan_cache view over it,
    so the cache's state is SQL-queryable through the facade. *)
 let create ?(capacity = default_capacity) sdb =
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity must be >= 1";
@@ -175,15 +175,20 @@ let create ?(capacity = default_capacity) sdb =
       entries = [];
     }
   in
-  Softdb.set_plan_cache_source sdb (fun () ->
-      let entries = locked t (fun () -> t.entries) in
+  Obs.Sys_tables.(register (Softdb.db sdb) "sys.plan_cache" plan_cache)
+    (fun () ->
       List.rev_map
         (fun e ->
-          Obs.Sys_tables.plan_cache_row ~name:e.name ~sql:e.sql
-            ~valid:(valid t e) ~dependencies:e.report.Opt.Explain.guards
-            ~fast_runs:e.fast_runs ~backup_runs:e.backup_runs
-            ~last_used:e.last_used)
-        entries);
+          {
+            Obs.Sys_tables.name = e.name;
+            sql = e.sql;
+            valid = valid t e;
+            dependencies = e.report.Opt.Explain.guards;
+            fast_runs = e.fast_runs;
+            backup_runs = e.backup_runs;
+            last_used = e.last_used;
+          })
+        (locked t (fun () -> t.entries)));
   t
 
 type cache_stats = {

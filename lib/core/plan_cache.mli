@@ -46,8 +46,8 @@ val default_capacity : int
 (** 64. *)
 
 val create : ?capacity:int -> Softdb.t -> t
-(** Also binds the facade's sys.plan_cache virtual table to this cache
-    (via {!Softdb.set_plan_cache_source}).  [capacity] bounds the entry
+(** Also re-registers the facade's sys.plan_cache view over this cache
+    ({!Obs.Sys_tables.plan_cache}).  [capacity] bounds the entry
     count (default {!default_capacity}); raises [Invalid_argument] when
     < 1. *)
 

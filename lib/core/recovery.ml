@@ -660,16 +660,19 @@ let analyze ~mode scanned =
   }
 
 let register_report sdb (r : report) =
-  Database.register_virtual (Softdb.db sdb) ~name:"sys.recovery"
-    ~schema:Obs.Sys_tables.recovery_schema (fun () ->
+  Obs.Sys_tables.(register (Softdb.db sdb) "sys.recovery" recovery) (fun () ->
       [
-        Obs.Sys_tables.recovery_row ~mode:(mode_name r.mode)
-          ~torn_tail:r.torn_tail ~scanned_lines:r.scanned_lines
-          ~applied_records:r.applied_records ~committed_txns:r.committed_txns
-          ~dropped_txns:r.dropped_txns
-          ~corrupt_lines:(List.length r.corrupt)
-          ~quarantined_bytes:r.quarantined_bytes
-          ~salvage_path:r.salvage_path;
+        {
+          Obs.Sys_tables.mode = mode_name r.mode;
+          torn_tail = r.torn_tail;
+          scanned_lines = r.scanned_lines;
+          applied_records = r.applied_records;
+          committed_txns = r.committed_txns;
+          dropped_txns = r.dropped_txns;
+          corrupt_lines = List.length r.corrupt;
+          quarantined_bytes = r.quarantined_bytes;
+          salvage_path = r.salvage_path;
+        };
       ])
 
 (* Quarantine the bytes recovery will not keep: appended to

@@ -172,25 +172,24 @@ let rewrite_ctx ?(flags = Opt.Rewrite.all_on) t db : Opt.Rewrite.ctx =
         else None)
       usable
   in
-  (* statistical bands, as their checks: twinning reads the bands there *)
+  (* usable statistical SCs, as their checks: twinning reads the bands
+     there, however the SC was declared or mined *)
   let sscs =
     List.filter_map
       (fun (sc : Soft_constraint.t) ->
-        match sc.Soft_constraint.statement with
-        | (Soft_constraint.Diff_stmt _ | Soft_constraint.Corr_stmt _)
-          when not (Soft_constraint.is_absolute sc) -> (
-            let confidence = current_confidence db sc in
-            match Soft_constraint.check_pred sc with
-            | Some check when confidence > use_threshold ->
-                Some
-                  {
-                    Opt.Rewrite.name = sc.Soft_constraint.name;
-                    table = sc.Soft_constraint.table;
-                    check;
-                    confidence;
-                  }
-            | _ -> None)
-        | _ -> None)
+        if Soft_constraint.is_absolute sc then None
+        else
+          let confidence = current_confidence db sc in
+          match Soft_constraint.check_pred sc with
+          | Some check when confidence > use_threshold ->
+              Some
+                {
+                  Opt.Rewrite.name = sc.Soft_constraint.name;
+                  table = sc.Soft_constraint.table;
+                  check;
+                  confidence;
+                }
+          | _ -> None)
       usable
   in
   let fds =

@@ -35,9 +35,6 @@ type t = {
   mutable cost_params : Opt.Cost.params;
   mutable feedback : bool; (* recalibrate SSC confidence from execution *)
   mutable feedback_tolerance : float;
-  mutable plan_cache_rows : unit -> Tuple.t list;
-      (* sys.plan_cache generator, bound by Plan_cache.create (the cache
-         depends on this module, not vice versa) *)
   mutable listeners : (event -> unit) list;
       (* statement and transaction framing hooks: the WAL link
          ({!Recovery}) uses them for its frame boundaries and DDL capture *)
@@ -134,104 +131,95 @@ let advice_statement (c : Idx.Advisor.candidate) =
     (String.concat ", " c.Idx.Advisor.cand_columns)
 
 (* The sys.* views: read-only virtual tables over the live registries, so
-   the repl can SELECT against its own observability state. *)
+   the repl can SELECT against its own observability state.  Each is one
+   column list ({!Obs.Sys_tables}); sys.plan_cache and sys.recovery start
+   empty so they are queryable on every database, and {!Plan_cache} and
+   {!Recovery} re-register them with rows. *)
 let register_sys_tables t =
-  Database.register_virtual t.db ~name:"sys.metrics"
-    ~schema:Obs.Sys_tables.metrics_schema (fun () ->
-      Obs.Sys_tables.metrics_rows t.metrics);
-  Database.register_virtual t.db ~name:"sys.query_log"
-    ~schema:Obs.Sys_tables.query_log_schema (fun () ->
-      Obs.Sys_tables.query_log_rows t.query_log);
-  Database.register_virtual t.db ~name:"sys.soft_constraints"
-    ~schema:Obs.Sys_tables.soft_constraints_schema (fun () ->
-      List.map
-        (fun (sc : Soft_constraint.t) ->
-          Obs.Sys_tables.soft_constraint_row ~name:sc.Soft_constraint.name
-            ~table_name:sc.Soft_constraint.table
-            ~kind:
-              (match sc.Soft_constraint.kind with
-              | Soft_constraint.Absolute -> "ASC"
-              | Soft_constraint.Statistical _ -> "SSC")
-            ~state:(Fmt.str "%a" Soft_constraint.pp_state sc.Soft_constraint.state)
-            ~confidence:
-              (match sc.Soft_constraint.kind with
-              | Soft_constraint.Absolute -> None
-              | Soft_constraint.Statistical c -> Some c)
-            ~current_confidence:
-              (Some (Sc_catalog.current_confidence t.db sc))
-            ~violations:sc.Soft_constraint.violation_count
-            ~statement:
-              (Fmt.str "%a" Soft_constraint.pp_statement
-                 sc.Soft_constraint.statement))
-        (Sc_catalog.all t.catalog));
-  Database.register_virtual t.db ~name:"sys.plan_cache"
-    ~schema:Obs.Sys_tables.plan_cache_schema (fun () -> t.plan_cache_rows ());
-  Database.register_virtual t.db ~name:"sys.indexes"
-    ~schema:Obs.Sys_tables.indexes_schema (fun () ->
-      List.map
-        (fun idx ->
-          Obs.Sys_tables.index_row ~name:(Index.name idx)
-            ~table_name:(Index.table_name idx)
-            ~columns:(Index.columns idx) ~is_unique:(Index.is_unique idx)
-            ~state:(Index.state_to_string (Index.state idx))
-            ~entries:(Index.entries idx)
-            ~distinct_keys:(Index.distinct_keys idx))
-        (Database.all_indexes t.db));
-  Database.register_virtual t.db ~name:"sys.index_advisor"
-    ~schema:Obs.Sys_tables.index_advisor_schema (fun () ->
-      List.mapi
-        (fun i (c : Idx.Advisor.candidate) ->
-          Obs.Sys_tables.index_advisor_row ~rank:(i + 1)
-            ~table_name:c.Idx.Advisor.cand_table
-            ~columns:c.Idx.Advisor.cand_columns
-            ~covering:c.Idx.Advisor.cand_covering
-            ~score:c.Idx.Advisor.cand_score
-            ~queries:c.Idx.Advisor.cand_queries ~reason:c.Idx.Advisor.cand_reason
-            ~statement:(advice_statement c))
-        (advise t));
-  (* empty until a WAL recovery replaces the generator ({!Recovery}) —
-     registering it here keeps the table queryable on every database *)
-  Database.register_virtual t.db ~name:"sys.recovery"
-    ~schema:Obs.Sys_tables.recovery_schema (fun () -> []);
-  (* the lockdep witness's observed edges; empty unless enabled *)
-  Database.register_virtual t.db ~name:"sys.lockdep"
-    ~schema:Obs.Sys_tables.lockdep_schema Obs.Sys_tables.lockdep_rows;
-  Database.register_virtual t.db ~name:"sys.partitions"
-    ~schema:Obs.Sys_tables.partitions_schema (fun () ->
+  let open Obs.Sys_tables in
+  register t.db "sys.metrics" metrics (fun () -> Obs.Metrics.snapshot t.metrics);
+  register t.db "sys.query_log" query_log (fun () ->
+      Obs.Query_log.entries t.query_log);
+  register t.db "sys.soft_constraints"
+    [
+      str "name" (fun sc -> sc.Soft_constraint.name);
+      str "table_name" (fun sc -> sc.Soft_constraint.table);
+      str "kind" (fun sc ->
+          match sc.Soft_constraint.kind with
+          | Soft_constraint.Absolute -> "ASC"
+          | Soft_constraint.Statistical _ -> "SSC");
+      str "state" (fun sc ->
+          Fmt.to_to_string Soft_constraint.pp_state sc.Soft_constraint.state);
+      opt_float "confidence" (fun sc ->
+          match sc.Soft_constraint.kind with
+          | Soft_constraint.Absolute -> None
+          | Soft_constraint.Statistical c -> Some c);
+      opt_float "current_confidence" (fun sc ->
+          Some (Sc_catalog.current_confidence t.db sc));
+      int "violations" (fun sc -> sc.Soft_constraint.violation_count);
+      str "statement" (fun sc ->
+          Fmt.to_to_string Soft_constraint.pp_statement
+            sc.Soft_constraint.statement);
+    ]
+    (fun () -> Sc_catalog.all t.catalog);
+  register t.db "sys.plan_cache" plan_cache (fun () -> []);
+  register t.db "sys.indexes"
+    [
+      str "name" Index.name;
+      str "table_name" Index.table_name;
+      str "columns" (fun idx -> String.concat "," (Index.columns idx));
+      bool "is_unique" Index.is_unique;
+      str "state" (fun idx -> Index.state_to_string (Index.state idx));
+      int "entries" Index.entries;
+      int "distinct_keys" Index.distinct_keys;
+    ]
+    (fun () -> Database.all_indexes t.db);
+  register t.db "sys.index_advisor"
+    [
+      int "rank" fst;
+      str "table_name" (fun (_, c) -> c.Idx.Advisor.cand_table);
+      str "columns" (fun (_, c) -> String.concat "," c.Idx.Advisor.cand_columns);
+      bool "covering" (fun (_, c) -> c.Idx.Advisor.cand_covering);
+      float "score" (fun (_, c) -> c.Idx.Advisor.cand_score);
+      int "queries" (fun (_, c) -> c.Idx.Advisor.cand_queries);
+      str "reason" (fun (_, c) -> c.Idx.Advisor.cand_reason);
+      str "statement" (fun (_, c) -> advice_statement c);
+    ]
+    (fun () -> List.mapi (fun i c -> (i + 1, c)) (advise t));
+  register t.db "sys.recovery" recovery (fun () -> []);
+  register t.db "sys.lockdep" lockdep Obs.Lockdep.edge_list;
+  (* one row per segment (table, partitioning, index) *)
+  let segment_sc (table, _, i) = find_partition_sc t ~table ~partition:i in
+  let counter what (table, _, i) =
+    Obs.Metrics.counter t.metrics (part_metric what table i)
+  in
+  register t.db "sys.partitions"
+    [
+      str "table_name" (fun (table, _, _) -> table);
+      int "part_index" (fun (_, _, i) -> i);
+      str "spec" (fun (_, part, _) ->
+          Partition.spec_to_string (Partition.spec part));
+      str "part_bounds" (fun (_, part, i) ->
+          Fmt.to_to_string Expr.pp_pred (Partition.constraint_pred part i));
+      int "rows" (fun (_, part, i) -> Partition.rows part i);
+      opt_str "sc_name" (fun seg ->
+          Option.map (fun sc -> sc.Soft_constraint.name) (segment_sc seg));
+      opt_str "sc_state" (fun seg ->
+          Option.map
+            (fun sc ->
+              Fmt.to_to_string Soft_constraint.pp_state sc.Soft_constraint.state)
+            (segment_sc seg));
+      int "rows_scanned" (counter "rows_scanned");
+      int "pages_read" (counter "pages_read");
+      int "fallbacks" (counter "fallbacks");
+    ]
+    (fun () ->
       List.concat_map
         (fun table ->
           match Database.partitioning t.db table with
           | None -> []
           | Some part ->
-              let spec = Partition.spec_to_string (Partition.spec part) in
-              List.init (Partition.count part) (fun i ->
-                  let sc = find_partition_sc t ~table ~partition:i in
-                  Obs.Sys_tables.partition_row ~table_name:table ~partition:i
-                    ~spec
-                    ~bounds:
-                      (Fmt.str "%a" Expr.pp_pred
-                         (Partition.constraint_pred part i))
-                    ~rows:(Partition.rows part i)
-                    ~sc_name:
-                      (Option.map
-                         (fun (sc : Soft_constraint.t) ->
-                           sc.Soft_constraint.name)
-                         sc)
-                    ~sc_state:
-                      (Option.map
-                         (fun (sc : Soft_constraint.t) ->
-                           Fmt.str "%a" Soft_constraint.pp_state
-                             sc.Soft_constraint.state)
-                         sc)
-                    ~rows_scanned:
-                      (Obs.Metrics.counter t.metrics
-                         (part_metric "rows_scanned" table i))
-                    ~pages_read:
-                      (Obs.Metrics.counter t.metrics
-                         (part_metric "pages_read" table i))
-                    ~fallbacks:
-                      (Obs.Metrics.counter t.metrics
-                         (part_metric "fallbacks" table i))))
+              List.init (Partition.count part) (fun i -> (table, part, i)))
         (Database.partitioned_tables t.db))
 
 let create ?(flags = Opt.Rewrite.all_on) () =
@@ -250,7 +238,6 @@ let create ?(flags = Opt.Rewrite.all_on) () =
       cost_params = Opt.Cost.default_params;
       feedback = true;
       feedback_tolerance = Obs.Feedback.default_tolerance;
-      plan_cache_rows = (fun () -> []);
       listeners = [];
       txn_recorder = None;
       txn_ids = 0;
@@ -272,8 +259,6 @@ let query_log t = t.query_log
 let set_feedback ?tolerance t on =
   t.feedback <- on;
   Option.iter (fun tol -> t.feedback_tolerance <- tol) tolerance
-
-let set_plan_cache_source t rows = t.plan_cache_rows <- rows
 
 let on_event t f = t.listeners <- f :: t.listeners
 let notify t ev = List.iter (fun f -> f ev) t.listeners

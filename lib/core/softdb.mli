@@ -39,11 +39,6 @@ val set_feedback : ?tolerance:float -> t -> bool -> unit
 (** Toggle confidence recalibration; [tolerance] defaults to
     {!Obs.Feedback.default_tolerance}. *)
 
-val set_plan_cache_source : t -> (unit -> Tuple.t list) -> unit
-(** Bind the sys.plan_cache row generator — called by
-    {!Plan_cache.create}; rows must match
-    {!Obs.Sys_tables.plan_cache_schema}. *)
-
 type event =
   | Stmt_started of Sqlfe.Ast.statement
   | Stmt_finished of Sqlfe.Ast.statement * bool  (** success? *)

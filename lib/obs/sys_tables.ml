@@ -1,294 +1,113 @@
-(* Schemas and row builders for the sys.* virtual tables.
+(* The sys.* virtual tables.  Each view is declared once, as a list of
+   columns that carry their name, type, nullability and getter;
+   [register] derives both the schema and the rows from that list, so a
+   column cannot be added to one and not the other.
 
-   The actual registration happens in {!Core.Softdb} (which owns the
-   metrics registry, query log, catalog, and plan cache); this module only
-   fixes the layouts so every producer and every test agree on them.
-   Column named [table_name] rather than [table]: TABLE is a keyword. *)
+   The views over this library's own registries live here; the others
+   live with their data ({!Core.Softdb}, {!Srv.Session}).  sys.plan_cache
+   and sys.recovery are registered empty by {!Core.Softdb.create} and
+   refilled by modules above it, so their rows are the records below.
+   Column names dodge SQL keywords: [table_name] (TABLE), [part_index]
+   (PARTITION), [part_bounds] (BOUNDS), [is_unique] (UNIQUE),
+   [times_seen] (COUNT). *)
 
 open Rel
 
-let str s = Value.String s
-let int i = Value.Int i
-let flt f = Value.Float f
-let opt_flt = function Some f -> Value.Float f | None -> Value.Null
-let boolean b = Value.Bool b
+type 'a column = { column : Schema.column; get : 'a -> Value.t }
 
-(* ---- sys.metrics -------------------------------------------------------- *)
+let column dtype nullable value name get =
+  { column = Schema.column ~nullable name dtype; get = (fun x -> value (get x)) }
 
-let metrics_schema =
-  Schema.make "sys.metrics"
-    [
-      Schema.column ~nullable:false "name" Value.TString;
-      Schema.column ~nullable:false "kind" Value.TString;
-      Schema.column ~nullable:false "value" Value.TFloat;
-    ]
+let nullable value = function Some x -> value x | None -> Value.Null
+let str name = column Value.TString false (fun s -> Value.String s) name
+let int name = column Value.TInt false (fun i -> Value.Int i) name
+let float name = column Value.TFloat false (fun f -> Value.Float f) name
+let bool name = column Value.TBool false (fun b -> Value.Bool b) name
 
-let metrics_rows (m : Metrics.t) =
-  List.map
-    (fun (name, kind, v) -> Tuple.make [ str name; str kind; flt v ])
-    (Metrics.snapshot m)
+let opt_str name =
+  column Value.TString true (nullable (fun s -> Value.String s)) name
 
-(* ---- sys.query_log ------------------------------------------------------- *)
+let opt_float name =
+  column Value.TFloat true (nullable (fun f -> Value.Float f)) name
 
-let query_log_schema =
-  Schema.make "sys.query_log"
-    [
-      Schema.column ~nullable:false "seq" Value.TInt;
-      Schema.column ~nullable:false "sql" Value.TString;
-      Schema.column ~nullable:false "estimated_rows" Value.TFloat;
-      Schema.column ~nullable:false "actual_rows" Value.TInt;
-      Schema.column ~nullable:false "q_error" Value.TFloat;
-      Schema.column ~nullable:false "rewrites" Value.TString;
-      Schema.column ~nullable:false "twins" Value.TString;
-      Schema.column ~nullable:false "fell_back" Value.TBool;
-    ]
+let register db name columns rows =
+  let schema = Schema.make name (List.map (fun c -> c.column) columns) in
+  Database.register_virtual db ~name ~schema (fun () ->
+      List.map
+        (fun x -> Tuple.make (List.map (fun c -> c.get x) columns))
+        (rows ()))
 
-let query_log_rows (l : Query_log.t) =
-  List.map
-    (fun (e : Query_log.entry) ->
-      Tuple.make
-        [
-          int e.Query_log.seq;
-          str e.Query_log.sql;
-          flt e.Query_log.estimated_rows;
-          int e.Query_log.actual_rows;
-          flt e.Query_log.q_error;
-          str (String.concat "," e.Query_log.rewrites);
-          str
-            (String.concat ","
-               (List.map
-                  (fun (t : Query_log.twin_observation) -> t.Query_log.sc)
-                  e.Query_log.twins));
-          boolean e.Query_log.fell_back;
-        ])
-    (Query_log.entries l)
+let metrics =
+  [
+    str "name" (fun (name, _, _) -> name);
+    str "kind" (fun (_, kind, _) -> kind);
+    float "value" (fun (_, _, value) -> value);
+  ]
 
-(* ---- sys.soft_constraints ------------------------------------------------ *)
+let query_log =
+  [
+    int "seq" (fun e -> e.Query_log.seq);
+    str "sql" (fun e -> e.Query_log.sql);
+    float "estimated_rows" (fun e -> e.Query_log.estimated_rows);
+    int "actual_rows" (fun e -> e.Query_log.actual_rows);
+    float "q_error" (fun e -> e.Query_log.q_error);
+    str "rewrites" (fun e -> String.concat "," e.Query_log.rewrites);
+    str "twins" (fun e ->
+        String.concat ","
+          (List.map (fun o -> o.Query_log.sc) e.Query_log.twins));
+    bool "fell_back" (fun e -> e.Query_log.fell_back);
+  ]
 
-let soft_constraints_schema =
-  Schema.make "sys.soft_constraints"
-    [
-      Schema.column ~nullable:false "name" Value.TString;
-      Schema.column ~nullable:false "table_name" Value.TString;
-      Schema.column ~nullable:false "kind" Value.TString;
-      Schema.column ~nullable:false "state" Value.TString;
-      Schema.column "confidence" Value.TFloat;
-      Schema.column "current_confidence" Value.TFloat;
-      Schema.column ~nullable:false "violations" Value.TInt;
-      Schema.column ~nullable:false "statement" Value.TString;
-    ]
+let lockdep =
+  [
+    str "held_lock" (fun (held, _, _) -> held);
+    str "acquired_lock" (fun (_, acquired, _) -> acquired);
+    int "times_seen" (fun (_, _, count) -> count);
+  ]
 
-let soft_constraint_row ~name ~table_name ~kind ~state ~confidence
-    ~current_confidence ~violations ~statement =
-  Tuple.make
-    [
-      str name;
-      str table_name;
-      str kind;
-      str state;
-      opt_flt confidence;
-      opt_flt current_confidence;
-      int violations;
-      str statement;
-    ]
+type plan_cache_row = {
+  name : string;
+  sql : string;
+  valid : bool;
+  dependencies : string list;
+  fast_runs : int;
+  backup_runs : int;
+  last_used : int;
+}
 
-(* ---- sys.plan_cache ------------------------------------------------------ *)
+let plan_cache =
+  [
+    str "name" (fun r -> r.name);
+    str "sql" (fun r -> r.sql);
+    bool "valid" (fun r -> r.valid);
+    str "dependencies" (fun r -> String.concat "," r.dependencies);
+    int "fast_runs" (fun r -> r.fast_runs);
+    int "backup_runs" (fun r -> r.backup_runs);
+    int "last_used" (fun r -> r.last_used);
+  ]
 
-let plan_cache_schema =
-  Schema.make "sys.plan_cache"
-    [
-      Schema.column ~nullable:false "name" Value.TString;
-      Schema.column ~nullable:false "sql" Value.TString;
-      Schema.column ~nullable:false "valid" Value.TBool;
-      Schema.column ~nullable:false "dependencies" Value.TString;
-      Schema.column ~nullable:false "fast_runs" Value.TInt;
-      Schema.column ~nullable:false "backup_runs" Value.TInt;
-      Schema.column ~nullable:false "last_used" Value.TInt;
-    ]
+type recovery_row = {
+  mode : string;
+  torn_tail : bool;
+  scanned_lines : int;
+  applied_records : int;
+  committed_txns : int;
+  dropped_txns : int list;
+  corrupt_lines : int;
+  quarantined_bytes : int;
+  salvage_path : string option;
+}
 
-let plan_cache_row ~name ~sql ~valid ~dependencies ~fast_runs ~backup_runs
-    ~last_used =
-  Tuple.make
-    [
-      str name;
-      str sql;
-      boolean valid;
-      str (String.concat "," dependencies);
-      int fast_runs;
-      int backup_runs;
-      int last_used;
-    ]
-
-(* ---- sys.partitions ------------------------------------------------------ *)
-
-let partitions_schema =
-  Schema.make "sys.partitions"
-    [
-      Schema.column ~nullable:false "table_name" Value.TString;
-      (* [part_index], not [partition]: PARTITION is a keyword *)
-      Schema.column ~nullable:false "part_index" Value.TInt;
-      Schema.column ~nullable:false "spec" Value.TString;
-      (* [part_bounds]: BOUNDS is a keyword, like PARTITION above *)
-      Schema.column ~nullable:false "part_bounds" Value.TString;
-      Schema.column ~nullable:false "rows" Value.TInt;
-      Schema.column "sc_name" Value.TString;
-      Schema.column "sc_state" Value.TString;
-      Schema.column ~nullable:false "rows_scanned" Value.TInt;
-      Schema.column ~nullable:false "pages_read" Value.TInt;
-      Schema.column ~nullable:false "fallbacks" Value.TInt;
-    ]
-
-let opt_str = function Some s -> Value.String s | None -> Value.Null
-
-let partition_row ~table_name ~partition ~spec ~bounds ~rows ~sc_name
-    ~sc_state ~rows_scanned ~pages_read ~fallbacks =
-  Tuple.make
-    [
-      str table_name;
-      int partition;
-      str spec;
-      str bounds;
-      int rows;
-      opt_str sc_name;
-      opt_str sc_state;
-      int rows_scanned;
-      int pages_read;
-      int fallbacks;
-    ]
-
-(* ---- sys.indexes --------------------------------------------------------- *)
-
-let indexes_schema =
-  Schema.make "sys.indexes"
-    [
-      Schema.column ~nullable:false "name" Value.TString;
-      Schema.column ~nullable:false "table_name" Value.TString;
-      Schema.column ~nullable:false "columns" Value.TString;
-      (* [is_unique], not [unique]: UNIQUE is a keyword *)
-      Schema.column ~nullable:false "is_unique" Value.TBool;
-      Schema.column ~nullable:false "state" Value.TString;
-      Schema.column ~nullable:false "entries" Value.TInt;
-      Schema.column ~nullable:false "distinct_keys" Value.TInt;
-    ]
-
-let index_row ~name ~table_name ~columns ~is_unique ~state ~entries
-    ~distinct_keys =
-  Tuple.make
-    [
-      str name;
-      str table_name;
-      str (String.concat "," columns);
-      boolean is_unique;
-      str state;
-      int entries;
-      int distinct_keys;
-    ]
-
-(* ---- sys.index_advisor --------------------------------------------------- *)
-
-let index_advisor_schema =
-  Schema.make "sys.index_advisor"
-    [
-      Schema.column ~nullable:false "rank" Value.TInt;
-      Schema.column ~nullable:false "table_name" Value.TString;
-      Schema.column ~nullable:false "columns" Value.TString;
-      Schema.column ~nullable:false "covering" Value.TBool;
-      Schema.column ~nullable:false "score" Value.TFloat;
-      Schema.column ~nullable:false "queries" Value.TInt;
-      Schema.column ~nullable:false "reason" Value.TString;
-      Schema.column ~nullable:false "statement" Value.TString;
-    ]
-
-let index_advisor_row ~rank ~table_name ~columns ~covering ~score ~queries
-    ~reason ~statement =
-  Tuple.make
-    [
-      int rank;
-      str table_name;
-      str (String.concat "," columns);
-      boolean covering;
-      flt score;
-      int queries;
-      str reason;
-      str statement;
-    ]
-
-(* ---- sys.recovery -------------------------------------------------------- *)
-
-let recovery_schema =
-  Schema.make "sys.recovery"
-    [
-      Schema.column ~nullable:false "mode" Value.TString;
-      Schema.column ~nullable:false "torn_tail" Value.TBool;
-      Schema.column ~nullable:false "scanned_lines" Value.TInt;
-      Schema.column ~nullable:false "applied_records" Value.TInt;
-      Schema.column ~nullable:false "committed_txns" Value.TInt;
-      Schema.column ~nullable:false "dropped_txns" Value.TString;
-      Schema.column ~nullable:false "corrupt_lines" Value.TInt;
-      Schema.column ~nullable:false "quarantined_bytes" Value.TInt;
-      Schema.column "salvage_path" Value.TString;
-    ]
-
-let recovery_row ~mode ~torn_tail ~scanned_lines ~applied_records
-    ~committed_txns ~dropped_txns ~corrupt_lines ~quarantined_bytes
-    ~salvage_path =
-  Tuple.make
-    [
-      str mode;
-      boolean torn_tail;
-      int scanned_lines;
-      int applied_records;
-      int committed_txns;
-      str (String.concat "," (List.map string_of_int dropped_txns));
-      int corrupt_lines;
-      int quarantined_bytes;
-      opt_str salvage_path;
-    ]
-
-(* ---- sys.lockdep --------------------------------------------------------- *)
-
-(* The runtime witness's observed acquisition-order edges: one row per
-   (held -> acquired) pair.  Empty unless lockdep is enabled. *)
-let lockdep_schema =
-  Schema.make "sys.lockdep"
-    [
-      Schema.column ~nullable:false "held_lock" Value.TString;
-      Schema.column ~nullable:false "acquired_lock" Value.TString;
-      (* [times_seen], not [count]: COUNT is a keyword *)
-      Schema.column ~nullable:false "times_seen" Value.TInt;
-    ]
-
-let lockdep_rows () =
-  List.map
-    (fun (held, acquired, count) ->
-      Tuple.make [ str held; str acquired; int count ])
-    (Lockdep.edge_list ())
-
-(* ---- sys.sessions -------------------------------------------------------- *)
-
-let sessions_schema =
-  Schema.make "sys.sessions"
-    [
-      Schema.column ~nullable:false "session_id" Value.TInt;
-      Schema.column ~nullable:false "name" Value.TString;
-      Schema.column ~nullable:false "state" Value.TString;
-      Schema.column ~nullable:false "in_txn" Value.TBool;
-      Schema.column ~nullable:false "queries" Value.TInt;
-      Schema.column ~nullable:false "writes" Value.TInt;
-      Schema.column ~nullable:false "errors" Value.TInt;
-      Schema.column ~nullable:false "prepared" Value.TInt;
-    ]
-
-let session_row ~session_id ~name ~state ~in_txn ~queries ~writes ~errors
-    ~prepared =
-  Tuple.make
-    [
-      int session_id;
-      str name;
-      str state;
-      boolean in_txn;
-      int queries;
-      int writes;
-      int errors;
-      int prepared;
-    ]
+let recovery =
+  [
+    str "mode" (fun r -> r.mode);
+    bool "torn_tail" (fun r -> r.torn_tail);
+    int "scanned_lines" (fun r -> r.scanned_lines);
+    int "applied_records" (fun r -> r.applied_records);
+    int "committed_txns" (fun r -> r.committed_txns);
+    str "dropped_txns" (fun r ->
+        String.concat "," (List.map string_of_int r.dropped_txns));
+    int "corrupt_lines" (fun r -> r.corrupt_lines);
+    int "quarantined_bytes" (fun r -> r.quarantined_bytes);
+    opt_str "salvage_path" (fun r -> r.salvage_path);
+  ]

@@ -1,103 +1,83 @@
-(** Schemas and row builders for the sys.* virtual tables.
+(** The sys.* virtual tables, each declared once as a list of columns.
 
-    Registration happens in {!Core.Softdb}, which owns the metrics
-    registry, query log, catalog, and plan cache; this module only fixes
-    the layouts so producers and tests agree.  The soft-constraint view
-    uses [table_name] rather than [table]: TABLE is a keyword. *)
+    A column carries its name, type, nullability and getter; {!register}
+    derives the view's schema and its rows from the one list, in list
+    order.  The views over this library's registries are declared here;
+    sys.soft_constraints, sys.indexes, sys.index_advisor and
+    sys.partitions in {!Core.Softdb}; sys.sessions in {!Srv.Session}.
+    sys.plan_cache and sys.recovery are registered empty by
+    {!Core.Softdb.create}; {!Core.Plan_cache.create} and
+    {!Core.Recovery} re-register them with rows (registering replaces a
+    view by name), so their rows are the records below. *)
 
 open Rel
 
-val metrics_schema : Schema.t
-(** sys.metrics(name, kind, value) *)
+type 'a column
+(** One column of a view whose rows are ['a]s. *)
 
-val metrics_rows : Metrics.t -> Tuple.t list
+(** {1 Columns}
 
-val query_log_schema : Schema.t
+    [str]/[int]/[float]/[bool] are NOT NULL; [opt_str]/[opt_float] are
+    nullable and map [None] to NULL. *)
+
+val str : string -> ('a -> string) -> 'a column
+val int : string -> ('a -> int) -> 'a column
+val float : string -> ('a -> float) -> 'a column
+val bool : string -> ('a -> bool) -> 'a column
+val opt_str : string -> ('a -> string option) -> 'a column
+val opt_float : string -> ('a -> float option) -> 'a column
+
+val register :
+  Database.t -> string -> 'a column list -> (unit -> 'a list) -> unit
+(** [register db name columns rows]: the virtual table [name] with one
+    column per element of [columns] and one row per element of
+    [rows ()], read at every query. *)
+
+(** {1 Views} *)
+
+val metrics : (string * string * float) column list
+(** sys.metrics(name, kind, value) over {!Metrics.snapshot}. *)
+
+val query_log : Query_log.entry column list
 (** sys.query_log(seq, sql, estimated_rows, actual_rows, q_error,
-    rewrites, twins) *)
+    rewrites, twins, fell_back); [rewrites] and [twins] are
+    comma-joined. *)
 
-val query_log_rows : Query_log.t -> Tuple.t list
+val lockdep : (string * string * int) column list
+(** sys.lockdep(held_lock, acquired_lock, times_seen) over
+    {!Lockdep.edge_list}: the runtime witness's observed
+    acquisition-order edges, empty unless {!Lockdep.enable}d. *)
 
-val soft_constraints_schema : Schema.t
-(** sys.soft_constraints(name, table_name, kind, state, confidence,
-    current_confidence, violations, statement) *)
+type plan_cache_row = {
+  name : string;
+  sql : string;
+  valid : bool;  (** the fast plan would run now *)
+  dependencies : string list;  (** the plan's guards *)
+  fast_runs : int;
+  backup_runs : int;
+  last_used : int;  (** the cache's LRU recency stamp *)
+}
 
-val soft_constraint_row :
-  name:string -> table_name:string -> kind:string -> state:string ->
-  confidence:float option -> current_confidence:float option ->
-  violations:int -> statement:string -> Tuple.t
-
-val plan_cache_schema : Schema.t
+val plan_cache : plan_cache_row column list
 (** sys.plan_cache(name, sql, valid, dependencies, fast_runs,
-    backup_runs, last_used) — [last_used] is the cache's LRU recency
-    stamp. *)
+    backup_runs, last_used). *)
 
-val plan_cache_row :
-  name:string -> sql:string -> valid:bool -> dependencies:string list ->
-  fast_runs:int -> backup_runs:int -> last_used:int -> Tuple.t
+type recovery_row = {
+  mode : string;  (** strict / salvage *)
+  torn_tail : bool;  (** a torn tail was truncated *)
+  scanned_lines : int;
+  applied_records : int;
+  committed_txns : int;
+  dropped_txns : int list;
+      (** committed transactions interior corruption forced Salvage mode
+          to drop *)
+  corrupt_lines : int;
+  quarantined_bytes : int;
+  salvage_path : string option;  (** where quarantined bytes went *)
+}
 
-val partitions_schema : Schema.t
-(** sys.partitions(table_name, part_index, spec, part_bounds, rows,
-    sc_name, sc_state, rows_scanned, pages_read, fallbacks) — one row
-    per partition segment of every partitioned table.  [part_index] and
-    [part_bounds] dodge the PARTITION/BOUNDS keywords.
-    [sc_name]/[sc_state] are NULL until a domain SC has been mined for
-    the segment; [rows_scanned]/[pages_read]/[fallbacks] read the
-    cumulative per-partition counters out of {!Metrics}. *)
-
-val partition_row :
-  table_name:string -> partition:int -> spec:string -> bounds:string ->
-  rows:int -> sc_name:string option -> sc_state:string option ->
-  rows_scanned:int -> pages_read:int -> fallbacks:int -> Tuple.t
-
-val indexes_schema : Schema.t
-(** sys.indexes(name, table_name, columns, is_unique, state, entries,
-    distinct_keys) — one row per secondary index with its lifecycle
-    state (write-only / backfilling / readable / demoted).  [is_unique]
-    dodges the UNIQUE keyword. *)
-
-val index_row :
-  name:string -> table_name:string -> columns:string list ->
-  is_unique:bool -> state:string -> entries:int -> distinct_keys:int ->
-  Tuple.t
-
-val index_advisor_schema : Schema.t
-(** sys.index_advisor(rank, table_name, columns, covering, score,
-    queries, reason, statement) — ranked index candidates mined from
-    sys.query_log and the SC catalog by {!Idx.Advisor}; [statement] is
-    the ready-to-run CREATE INDEX ... ONLINE text. *)
-
-val index_advisor_row :
-  rank:int -> table_name:string -> columns:string list -> covering:bool ->
-  score:float -> queries:int -> reason:string -> statement:string -> Tuple.t
-
-val recovery_schema : Schema.t
+val recovery : recovery_row column list
 (** sys.recovery(mode, torn_tail, scanned_lines, applied_records,
     committed_txns, dropped_txns, corrupt_lines, quarantined_bytes,
-    salvage_path) — one row describing the last WAL recovery of this
-    database: Strict/Salvage mode, whether a torn tail was truncated
-    and how many bytes were quarantined (to [salvage_path]), and which
-    committed transactions interior corruption forced Salvage mode to
-    drop ([dropped_txns] is a comma-joined id list). *)
-
-val recovery_row :
-  mode:string -> torn_tail:bool -> scanned_lines:int ->
-  applied_records:int -> committed_txns:int -> dropped_txns:int list ->
-  corrupt_lines:int -> quarantined_bytes:int -> salvage_path:string option ->
-  Tuple.t
-
-val lockdep_schema : Schema.t
-(** sys.lockdep(held_lock, acquired_lock, times_seen) — the runtime
-    witness's observed acquisition-order edges; empty unless
-    {!Lockdep.enable}d. *)
-
-val lockdep_rows : unit -> Tuple.t list
-
-val sessions_schema : Schema.t
-(** sys.sessions(session_id, name, state, in_txn, queries, writes,
-    errors, prepared) — one row per server session, registered by
-    {!Srv.Server}. *)
-
-val session_row :
-  session_id:int -> name:string -> state:string -> in_txn:bool ->
-  queries:int -> writes:int -> errors:int -> prepared:int -> Tuple.t
+    salvage_path): one row for the database's last WAL recovery;
+    [dropped_txns] is a comma-joined id list. *)

@@ -74,9 +74,8 @@ let create ?workers ?(queue_capacity = 64) ?plan_cache_capacity
   (* sys.sessions: the registry as a SQL view.  The generator runs during
      query execution on a worker; it takes only the registry mutex, never
      a lock the executing query already holds. *)
-  Rel.Database.register_virtual (Core.Softdb.db sdb) ~name:"sys.sessions"
-    ~schema:Obs.Sys_tables.sessions_schema (fun () ->
-      List.rev_map Session.sys_row (locked t (fun () -> t.sessions)));
+  Obs.Sys_tables.register (Core.Softdb.db sdb) "sys.sessions"
+    Session.sys_columns (fun () -> List.rev (locked t (fun () -> t.sessions)));
   t
 
 let scheduler t = t.scheduler

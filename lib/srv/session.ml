@@ -76,7 +76,7 @@
 type state = Idle | Active | Closed
 
 (* @guarded-by srv.session — the traffic counters are additionally read
-   lock-free by [sys_row], a deliberate stale-tolerant snapshot *)
+   lock-free by [sys_columns], a deliberate stale-tolerant snapshot *)
 type t = {
   id : int;
   sdb : Core.Softdb.t;
@@ -139,13 +139,21 @@ let is_cancelled t req_id =
 let state_string t =
   match t.state with Idle -> "idle" | Active -> "active" | Closed -> "closed"
 
-(* The sys.sessions row; counters are read without the session mutex —
+(* The sys.sessions view; counters are read without the session mutex —
    they are word-sized and a snapshot that is one query stale is fine
    for an observability view. *)
-let sys_row t =
-  Obs.Sys_tables.session_row ~session_id:t.id ~name:t.name
-    ~state:(state_string t) ~in_txn:(t.txn <> None) ~queries:t.queries
-    ~writes:t.writes ~errors:t.errors ~prepared:(Hashtbl.length t.prepared)
+let sys_columns =
+  Obs.Sys_tables.
+    [
+      int "session_id" (fun t -> t.id);
+      str "name" (fun (t : t) -> t.name);
+      str "state" state_string;
+      bool "in_txn" (fun t -> t.txn <> None);
+      int "queries" (fun t -> t.queries);
+      int "writes" (fun t -> t.writes);
+      int "errors" (fun t -> t.errors);
+      int "prepared" (fun t -> Hashtbl.length t.prepared);
+    ]
 
 (* ---- statement execution -------------------------------------------------- *)
 

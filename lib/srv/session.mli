@@ -57,5 +57,7 @@ val close : rwlock:Rwlock.t -> t -> unit
     write ownership, wake the session's parked requests, mark closed
     (they and still-queued jobs answer [Session_closed]). *)
 
-val sys_row : t -> Rel.Tuple.t
-(** This session's sys.sessions row. *)
+val sys_columns : t Obs.Sys_tables.column list
+(** sys.sessions(session_id, name, state, in_txn, queries, writes,
+    errors, prepared), one row per session; {!Server.create} registers
+    it over the session registry. *)

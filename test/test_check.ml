@@ -296,6 +296,31 @@ let test_catalog_dead_ssc () =
          && d.Check.Diag.pass = "catalog")
        diags)
 
+(* The exception-union contract: the exception table holds exactly the
+   base rows that violate the SC's current check.  A check widened after
+   a violation was stored (what a repair of an exception-backed ASC used
+   to do) admits the stored row to the fast branch too. *)
+let test_catalog_exception_contract () =
+  let sdb = purchase_banded () in
+  ignore
+    (Core.Softdb.exec sdb "CREATE EXCEPTION TABLE band_exc FOR CONSTRAINT band");
+  ignore
+    (Core.Softdb.exec sdb
+       "INSERT INTO purchase VALUES (900001, 1, DATE '1999-06-01', \
+        DATE '1999-07-11', 10.0, 1, 'north')");
+  let contract diags = has_error_containing diags "does not hold exactly" in
+  check tbool "stored violation keeps the contract" false
+    (contract (Check.Catalog_lint.lint sdb));
+  let sc = Option.get (Core.Sc_catalog.find (Core.Softdb.catalog sdb) "band") in
+  (match sc.Core.Soft_constraint.statement with
+  | Core.Soft_constraint.Diff_stmt (d, band) ->
+      Core.Sc_catalog.set_statement (Core.Softdb.catalog sdb) sc
+        (Core.Soft_constraint.Diff_stmt
+           (d, { band with Mining.Diff_band.d_max = 40.0 }))
+  | _ -> Alcotest.fail "expected a difference band");
+  check tbool "widened check breaks the contract" true
+    (contract (Check.Catalog_lint.lint sdb))
+
 (* An enforced key is checked on every insert; without a unique index on
    exactly its columns the check scans the whole table. *)
 let test_catalog_unindexed_key () =
@@ -817,6 +842,8 @@ let () =
           Alcotest.test_case "duplicate and subsumed FDs" `Quick
             test_catalog_fd_dupes;
           Alcotest.test_case "dead SSC" `Quick test_catalog_dead_ssc;
+          Alcotest.test_case "exception-union contract" `Quick
+            test_catalog_exception_contract;
           Alcotest.test_case "enforced key without a unique index" `Quick
             test_catalog_unindexed_key;
         ] );

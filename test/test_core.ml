@@ -230,6 +230,48 @@ let test_async_repair_policy () =
       check (tfloat 1e-9) "coverage" 1.0 (Mining.Diff_band.coverage tbl d band)
   | _ -> Alcotest.fail "wrong statement"
 
+(* An exception-backed ASC stores its violations; no policy may repair
+   it, or the widened check would admit a stored row to the fast branch
+   of the exception-union plan as well, and the row would come back
+   twice. *)
+let test_exception_backed_asc_stores_violations () =
+  List.iter
+    (fun (label, policy) ->
+      let sdb = purchase_sdb ~rows:5000 ~late:0.0 () in
+      let sc = install_band sdb ~name:"ship_band" ~confidence:1.0 in
+      check tbool "absolute" true (Core.Soft_constraint.is_absolute sc);
+      let m = Core.Softdb.maintenance sdb in
+      Core.Maintenance.set_policy m "ship_band" policy;
+      ignore
+        (Core.Softdb.exec sdb
+           "CREATE EXCEPTION TABLE ship_exc FOR CONSTRAINT ship_band");
+      let before = sc.Core.Soft_constraint.statement in
+      (* shipped 40 days after its order *)
+      ignore
+        (Core.Softdb.exec sdb
+           "INSERT INTO purchase VALUES (900001, 1, DATE '1999-06-01', \
+            DATE '1999-07-11', 10.0, 1, 'north')");
+      Core.Maintenance.run_repairs m;
+      let sql = "SELECT id FROM purchase WHERE ship_date = DATE '1999-07-11'" in
+      let ids r = List.sort compare r.Exec.Executor.rows in
+      let rewritten = Core.Softdb.query sdb sql in
+      check tbool (label ^ ": exception union fired") true
+        (List.exists
+           (fun (a : Opt.Rewrite.applied) -> a.rule = "exception_union")
+           (Core.Softdb.explain sdb sql).Opt.Explain.applied);
+      check tint (label ^ ": late row once")
+        (List.length (Core.Softdb.query_baseline sdb sql).Exec.Executor.rows)
+        (List.length rewritten.Exec.Executor.rows);
+      check tbool (label ^ ": same rows as the baseline") true
+        (ids rewritten = ids (Core.Softdb.query_baseline sdb sql));
+      check tbool (label ^ ": statement not widened") true
+        (sc.Core.Soft_constraint.statement = before))
+    [
+      ("drop", Core.Maintenance.Drop);
+      ("sync", Core.Maintenance.Sync_repair);
+      ("async", Core.Maintenance.Async_repair);
+    ]
+
 let test_fd_violation_detection () =
   let sdb = Core.Softdb.create () in
   ignore
@@ -381,6 +423,8 @@ let () =
           Alcotest.test_case "sync repair widens" `Quick test_sync_repair_policy;
           Alcotest.test_case "async repair re-mines" `Quick
             test_async_repair_policy;
+          Alcotest.test_case "exception-backed ASC stores violations" `Quick
+            test_exception_backed_asc_stores_violations;
           Alcotest.test_case "fd violation detection" `Quick
             test_fd_violation_detection;
           Alcotest.test_case "ssc refresh" `Quick test_ssc_refresh;

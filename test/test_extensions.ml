@@ -724,6 +724,72 @@ let test_one_band_however_declared () =
       Workload.Queries.purchase_ship_range ship_day (Date.add_days ship_day 6);
     ]
 
+(* A statistical band twins however it came to be: mined, declared in
+   SQL with SOFT CONFIDENCE, or declared SOFT and found not to hold (then
+   kept as an SSC at its measured confidence). *)
+let twin_sql =
+  "SELECT * FROM purchase WHERE order_date BETWEEN DATE '1999-03-01' AND \
+   DATE '1999-03-31' AND ship_date <= DATE '1999-04-10'"
+
+let twinned sdb =
+  List.exists
+    (fun (a : Opt.Rewrite.applied) -> a.Opt.Rewrite.rule = "twinning")
+    (Core.Softdb.explain sdb twin_sql).Opt.Explain.applied
+
+let test_ssc_twins_however_declared () =
+  let purchase () =
+    let sdb = Core.Softdb.create () in
+    Workload.Purchase.load
+      ~config:{ Workload.Purchase.default_config with rows = 5_000 }
+      (Core.Softdb.db sdb);
+    Core.Softdb.runstats sdb;
+    sdb
+  in
+  let mined = purchase () in
+  let tbl = Database.table_exn (Core.Softdb.db mined) "purchase" in
+  let d =
+    Option.get
+      (Mining.Diff_band.mine tbl ~col_hi:"ship_date" ~col_lo:"order_date")
+  in
+  let band =
+    { (Option.get (Mining.Diff_band.band_with d ~confidence:0.95)) with
+      Mining.Diff_band.confidence = 0.95 }
+  in
+  Core.Softdb.install_sc mined
+    (Core.Soft_constraint.make ~name:"ship_band" ~table:"purchase"
+       ~kind:(Core.Soft_constraint.Statistical 0.95)
+       ~installed_at_mutations:(Table.mutations tbl)
+       (Core.Soft_constraint.Diff_stmt (d, band)));
+  let declared = purchase () in
+  ignore
+    (Core.Softdb.exec declared
+       (Printf.sprintf
+          "ALTER TABLE purchase ADD CONSTRAINT ship_band CHECK (ship_date - \
+           order_date BETWEEN %.0f AND %.0f) SOFT CONFIDENCE 0.95"
+          band.Mining.Diff_band.d_min band.Mining.Diff_band.d_max));
+  let failed = purchase () in
+  ignore
+    (Core.Softdb.exec_script failed
+       "ALTER TABLE purchase ADD CONSTRAINT ship_3w CHECK (ship_date - \
+        order_date BETWEEN 0 AND 21) SOFT;\n\
+        CREATE EXCEPTION TABLE late_shipments FOR CONSTRAINT ship_3w;");
+  check tbool "a failed SOFT band is an SSC" false
+    (Core.Soft_constraint.is_absolute
+       (Option.get (Core.Sc_catalog.find (Core.Softdb.catalog failed) "ship_3w")));
+  List.iter
+    (fun (label, sdb) ->
+      check tbool (label ^ " twins") true (twinned sdb);
+      check tbool (label ^ " sound") true
+        (Exec.Executor.same_rows
+           (Core.Softdb.query_baseline sdb twin_sql)
+           (Core.Softdb.query sdb twin_sql)))
+    [ ("mined", mined); ("declared", declared); ("failed", failed) ];
+  let estimate sdb =
+    (Core.Softdb.explain sdb twin_sql).Opt.Explain.estimated_cardinality
+  in
+  check (Alcotest.float 1e-9) "declared estimates as mined" (estimate mined)
+    (estimate declared)
+
 (* ---- APB-style hierarchies end to end ----------------------------------------- *)
 
 let test_apb_hierarchy_fds () =
@@ -820,6 +886,8 @@ let () =
         [
           Alcotest.test_case "one band, however declared" `Quick
             test_one_band_however_declared;
+          Alcotest.test_case "an SSC twins, however declared" `Quick
+            test_ssc_twins_however_declared;
         ] );
       ( "plan_cache",
         [

@@ -484,6 +484,140 @@ let test_sys_plan_cache_sql () =
   check tint "stats fast" 2 s.Core.Plan_cache.fast_runs;
   check tint "stats backup" 0 s.Core.Plan_cache.backup_runs
 
+(* ---- every view's layout, pinned ------------------------------------------- *)
+
+let view_layouts =
+  let s = Value.TString and i = Value.TInt and f = Value.TFloat
+  and b = Value.TBool in
+  let nn name dtype = (name, dtype, false) and null name dtype = (name, dtype, true) in
+  [
+    ("sys.metrics", [ nn "name" s; nn "kind" s; nn "value" f ]);
+    ( "sys.query_log",
+      [
+        nn "seq" i; nn "sql" s; nn "estimated_rows" f; nn "actual_rows" i;
+        nn "q_error" f; nn "rewrites" s; nn "twins" s; nn "fell_back" b;
+      ] );
+    ( "sys.soft_constraints",
+      [
+        nn "name" s; nn "table_name" s; nn "kind" s; nn "state" s;
+        null "confidence" f; null "current_confidence" f; nn "violations" i;
+        nn "statement" s;
+      ] );
+    ( "sys.plan_cache",
+      [
+        nn "name" s; nn "sql" s; nn "valid" b; nn "dependencies" s;
+        nn "fast_runs" i; nn "backup_runs" i; nn "last_used" i;
+      ] );
+    ( "sys.indexes",
+      [
+        nn "name" s; nn "table_name" s; nn "columns" s; nn "is_unique" b;
+        nn "state" s; nn "entries" i; nn "distinct_keys" i;
+      ] );
+    ( "sys.index_advisor",
+      [
+        nn "rank" i; nn "table_name" s; nn "columns" s; nn "covering" b;
+        nn "score" f; nn "queries" i; nn "reason" s; nn "statement" s;
+      ] );
+    ( "sys.recovery",
+      [
+        nn "mode" s; nn "torn_tail" b; nn "scanned_lines" i;
+        nn "applied_records" i; nn "committed_txns" i; nn "dropped_txns" s;
+        nn "corrupt_lines" i; nn "quarantined_bytes" i; null "salvage_path" s;
+      ] );
+    ("sys.lockdep", [ nn "held_lock" s; nn "acquired_lock" s; nn "times_seen" i ]);
+    ( "sys.partitions",
+      [
+        nn "table_name" s; nn "part_index" i; nn "spec" s; nn "part_bounds" s;
+        nn "rows" i; null "sc_name" s; null "sc_state" s; nn "rows_scanned" i;
+        nn "pages_read" i; nn "fallbacks" i;
+      ] );
+    ( "sys.sessions",
+      [
+        nn "session_id" i; nn "name" s; nn "state" s; nn "in_txn" b;
+        nn "queries" i; nn "writes" i; nn "errors" i; nn "prepared" i;
+      ] );
+  ]
+
+(* A database on which every view has rows: recovered from a log, with a
+   banded table and its exception table, a partitioned and indexed
+   table, logged queries, and a served session that prepared and ran a
+   plan under the lock-order witness. *)
+let with_populated_views f =
+  let path = Filename.temp_file "softdb_views" ".wal" in
+  let sdb, link, _ = Core.Recovery.resume path in
+  ignore (Core.Softdb.exec sdb "CREATE TABLE w (id INT PRIMARY KEY)");
+  ignore (Core.Softdb.exec sdb "INSERT INTO w VALUES (1)");
+  Core.Recovery.detach link;
+  let sdb, link, _ = Core.Recovery.resume path in
+  Workload.Purchase.load
+    ~config:{ Workload.Purchase.default_config with rows = 1_000 }
+    (Core.Softdb.db sdb);
+  List.iter
+    (fun sql -> ignore (Core.Softdb.exec sdb sql))
+    [
+      "ALTER TABLE purchase ADD CONSTRAINT ship_3w CHECK (ship_date - \
+       order_date BETWEEN 0 AND 21) SOFT";
+      "CREATE EXCEPTION TABLE late_shipments FOR CONSTRAINT ship_3w";
+      "CREATE TABLE p (id INT PRIMARY KEY, v INT)";
+      "INSERT INTO p VALUES (1, 1), (2, 2), (150, 3), (250, 4)";
+      "ALTER TABLE p PARTITION BY RANGE (id) BOUNDS (100, 200)";
+    ];
+  Core.Softdb.runstats sdb;
+  ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
+  ignore
+    (Core.Softdb.query sdb
+       "SELECT * FROM purchase WHERE ship_date = DATE '1999-03-15'");
+  Obs.Lockdep.enable ();
+  let server = Srv.Server.create ~workers:1 sdb in
+  let client, server_end = Srv.Transport.pipe () in
+  ignore (Srv.Server.serve_connection_async server server_end);
+  List.iteri
+    (fun id payload ->
+      client.Srv.Transport.send
+        (Srv.Proto.request_to_line { Srv.Proto.id; payload });
+      ignore (client.Srv.Transport.recv ()))
+    [
+      Srv.Proto.Prepare { handle = "h"; sql = "SELECT COUNT(*) FROM p" };
+      Srv.Proto.Execute { handle = "h" };
+    ];
+  Fun.protect
+    ~finally:(fun () ->
+      client.Srv.Transport.close ();
+      Srv.Server.shutdown server;
+      Obs.Lockdep.disable ();
+      Obs.Lockdep.reset ();
+      Core.Recovery.detach link;
+      Sys.remove path)
+    (fun () -> f sdb)
+
+let test_sys_view_layouts () =
+  with_populated_views (fun sdb ->
+      List.iter
+        (fun (view, golden) ->
+          let schema =
+            Table.schema (Database.table_exn (Core.Softdb.db sdb) view)
+          in
+          let layout =
+            List.map (fun (name, dtype, nullable) ->
+                (name, Value.dtype_name dtype, nullable))
+          in
+          check
+            Alcotest.(list (triple string string bool))
+            (view ^ " layout") (layout golden)
+            (layout
+               (List.map
+                  (fun (c : Schema.column) ->
+                    (c.Schema.name, c.Schema.dtype, c.Schema.nullable))
+                  (Schema.columns schema)));
+          let r = Core.Softdb.query_baseline sdb ("SELECT * FROM " ^ view) in
+          check tbool (view ^ " has rows") true (r.Exec.Executor.rows <> []);
+          check
+            Alcotest.(list string)
+            (view ^ " SELECT * columns")
+            (List.map (fun (name, _, _) -> name) golden)
+            r.Exec.Executor.columns)
+        view_layouts)
+
 (* ---------------------------------------------------------------------------- *)
 
 let () =
@@ -528,5 +662,6 @@ let () =
             test_sys_soft_constraints_sql;
           Alcotest.test_case "sys.query_log" `Quick test_sys_query_log_sql;
           Alcotest.test_case "sys.plan_cache" `Quick test_sys_plan_cache_sql;
+          Alcotest.test_case "every view's layout" `Quick test_sys_view_layouts;
         ] );
     ]
