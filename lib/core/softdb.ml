@@ -90,20 +90,20 @@ let rewrite_ctx ?flags t =
    (dependent columns ride along for free). *)
 let advisor_hints t =
   let ctx = rewrite_ctx t in
-  let bands table check =
+  let bands ~ssc table check =
     List.map
-      (fun (column, width) -> Idx.Advisor.Band { table; column; width })
+      (fun (column, width) -> Idx.Advisor.Band { table; column; width; ssc })
       (Opt.Rewrite.band_widths check)
   in
   List.concat_map
     (fun (ic : Icdef.t) ->
       match ic.Icdef.body with
-      | Icdef.Check p -> bands ic.Icdef.table p
+      | Icdef.Check p -> bands ~ssc:false ic.Icdef.table p
       | _ -> [])
     ctx.Opt.Rewrite.ascs
   @ List.concat_map
       (fun (s : Opt.Rewrite.ssc) ->
-        bands s.Opt.Rewrite.table s.Opt.Rewrite.check)
+        bands ~ssc:true s.Opt.Rewrite.table s.Opt.Rewrite.check)
       ctx.Opt.Rewrite.sscs
   @ List.map
       (fun (nf : Opt.Rewrite.named_fd) ->

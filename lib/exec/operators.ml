@@ -71,63 +71,71 @@ let drain (c : cursor) =
 
 (* ---- aggregation accumulators ----------------------------------------- *)
 
-(* A SUM stays an exact int while every input is an int; the first float
-   input converts the running sum and accumulates in float from there,
-   in input order. *)
-type acc = {
-  mutable count : int; (* non-null inputs; all rows for a bare COUNT *)
-  mutable isum : int;
-  mutable fsum : float;
-  mutable sum_is_int : bool;
-  mutable min_v : Value.t;
-  mutable max_v : Value.t;
-}
+(* One aggregate's running state, per group; each does only its own
+   function's work.  COUNT( * ) reads the group's row count.  SUM and AVG
+   share one: a SUM stays an exact int while every input is an int; the
+   first float input converts the running sum and accumulates in float
+   from there, in input order.  The float sum sits in a float-only record,
+   stored unboxed, so adding to it allocates nothing. *)
+type fsum = { mutable f : float }
 
-let fresh_acc () =
-  { count = 0; isum = 0; fsum = 0.0; sum_is_int = true; min_v = Value.Null;
-    max_v = Value.Null }
+type acc =
+  | Rows
+  | Count of { mutable n : int }
+  | Sum of {
+      mutable n : int; (* non-null inputs *)
+      mutable isum : int;
+      fsum : fsum;
+      mutable exact : bool;
+    }
+  | Min of { mutable v : Value.t }
+  | Max of { mutable v : Value.t }
+
+let fresh_acc (fn : Plan.agg_fn) ~has_arg =
+  match fn with
+  | Plan.Count -> if has_arg then Count { n = 0 } else Rows
+  | Plan.Sum | Plan.Avg ->
+      Sum { n = 0; isum = 0; fsum = { f = 0.0 }; exact = true }
+  | Plan.Min -> Min { v = Value.Null }
+  | Plan.Max -> Max { v = Value.Null }
 
 let feed_acc acc (v : Value.t) =
-  match v with
-  | Value.Null -> ()
-  | v ->
-      acc.count <- acc.count + 1;
-      (match v with
+  match (v, acc) with
+  | Value.Null, _ | _, Rows -> ()
+  | _, Count c -> c.n <- c.n + 1
+  | _, Sum s -> (
+      s.n <- s.n + 1;
+      match v with
       | Value.Int i ->
-          if acc.sum_is_int then acc.isum <- acc.isum + i
-          else acc.fsum <- acc.fsum +. float_of_int i
-      | Value.Float f ->
-          if acc.sum_is_int then begin
-            acc.sum_is_int <- false;
-            acc.fsum <- float_of_int acc.isum +. f
+          if s.exact then s.isum <- s.isum + i
+          else s.fsum.f <- s.fsum.f +. float_of_int i
+      | Value.Float x ->
+          if s.exact then begin
+            s.exact <- false;
+            s.fsum.f <- float_of_int s.isum +. x
           end
-          else acc.fsum <- acc.fsum +. f
-      | _ -> ());
-      if Value.is_null acc.min_v || Value.compare_total v acc.min_v < 0 then
-        acc.min_v <- v;
-      if Value.is_null acc.max_v || Value.compare_total v acc.max_v > 0 then
-        acc.max_v <- v
-
-let acc_sum a = if a.sum_is_int then float_of_int a.isum else a.fsum
+          else s.fsum.f <- s.fsum.f +. x
+      | _ -> ())
+  | _, Min m ->
+      if Value.is_null m.v || Value.compare_total v m.v < 0 then m.v <- v
+  | _, Max m ->
+      if Value.is_null m.v || Value.compare_total v m.v > 0 then m.v <- v
 
 let finish_acc (fn : Plan.agg_fn) acc ~rows_in_group =
-  match fn with
-  | Plan.Count -> Value.Int (match acc with None -> rows_in_group | Some a -> a.count)
-  | Plan.Sum -> (
-      match acc with
-      | None | Some { count = 0; _ } -> Value.Null
-      | Some a ->
-          if a.sum_is_int then Value.Int a.isum else Value.Float a.fsum)
-  | Plan.Avg -> (
-      match acc with
-      | None | Some { count = 0; _ } -> Value.Null
-      | Some a -> Value.Float (acc_sum a /. float_of_int a.count))
-  | Plan.Min -> ( match acc with None -> Value.Null | Some a -> a.min_v)
-  | Plan.Max -> ( match acc with None -> Value.Null | Some a -> a.max_v)
+  match (fn, acc) with
+  | _, Rows -> Value.Int rows_in_group
+  | _, Count c -> Value.Int c.n
+  | _, Sum { n = 0; _ } -> Value.Null
+  | Plan.Avg, Sum s ->
+      let sum = if s.exact then float_of_int s.isum else s.fsum.f in
+      Value.Float (sum /. float_of_int s.n)
+  | _, Sum s -> if s.exact then Value.Int s.isum else Value.Float s.fsum.f
+  | _, (Min { v } | Max { v }) -> v
 
 (* The one hash table over value tuples — join keys, group keys, distinct
    rows — hashed and compared by value, so an INT key meets the equal
-   FLOAT key as it does under [=]. *)
+   FLOAT key as it does under [=]: {!Value.hash} agrees with
+   {!Value.equal_total}, past 2^53 too. *)
 module Key_tbl = Hashtbl.Make (struct
   type t = Value.t array
 
@@ -135,7 +143,49 @@ module Key_tbl = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-let has_null key = Array.exists Value.is_null key
+(* What [fill_key] found in a key: a NULL, which never joins; a number
+   beyond 2^53 ({!Value.beyond_exact}), where keys equal to one probe
+   need not equal each other; or neither. *)
+type key_kind = Has_null | Wide | Plain
+
+(* [key.(i) <- fns.(i) row] for every column.  One scratch key serves
+   every row of a join side or a grouping, so computing a key allocates
+   nothing; a table keeps a copy only of a key it adds. *)
+let fill_key fns row key =
+  let kind = ref Plain in
+  for i = 0 to Array.length fns - 1 do
+    let v = (Array.unsafe_get fns i) row in
+    Array.unsafe_set key i v;
+    match v with
+    | Value.Null -> kind := Has_null
+    | v -> (
+        match !kind with
+        | Plain when Value.beyond_exact v -> kind := Wide
+        | _ -> ())
+  done;
+  !kind
+
+(* The joined rows of each outer row with its candidate list, built and
+   tested lazily, as they are pulled: [candidates o] is the inner rows
+   that may join [o] (a hash bucket, or the whole inner input), [join]
+   builds the output row and [keep] tests it. *)
+let join_cursor (outer : cursor) ~candidates ~join ~keep : cursor =
+  let o = ref [||] and pending = ref [] in
+  let rec next () =
+    match !pending with
+    | r :: tl ->
+        pending := tl;
+        let joined = join !o r in
+        if keep joined then Some joined else next ()
+    | [] -> (
+        match outer () with
+        | None -> None
+        | Some row ->
+            o := row;
+            pending := candidates row;
+            next ())
+  in
+  next
 
 (* Rids in ascending slot order, one per call, then [-1].  [lists] hold
    [count] distinct rids in all, each below [high_water].  A range that
@@ -151,6 +201,12 @@ let has_null key = Array.exists Value.is_null key
    the scan there until a major cycle swept it: on a serving path that
    allocates little else, a few megabytes of dead bitmaps. *)
 let chunk_bits = 13 (* 8192 slots, 1 KiB *)
+
+(* the index of the lowest set bit of each nonzero byte *)
+let trailing_zeros =
+  String.init 256 (fun b ->
+      let rec tz b i = if b land 1 = 1 || i = 8 then i else tz (b lsr 1) (i + 1) in
+      Char.chr (tz b 0))
 
 let slot_order ~high_water ~count lists =
   if count * 64 >= high_water then begin
@@ -183,8 +239,10 @@ let slot_order ~high_water ~count lists =
           next ()
         end
         else begin
+          (* straight to the byte's next set bit *)
+          let p = p + Char.code (String.unsafe_get trailing_zeros byte) in
           pos := p + 1;
-          if byte land 1 = 1 then p else next ()
+          p
         end
     in
     next
@@ -415,8 +473,15 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       let fns = List.map (fun (e, _) -> Expr.compile binding e) exprs in
       let fns = Array.of_list fns in
       let c = open_node wrap db counters input in
-      fun () ->
-        Option.map (fun r -> Array.map (fun f -> f r) fns) (c ())
+      (fun () ->
+        match c () with
+        | None -> None
+        | Some r ->
+            let out = Array.make (Array.length fns) Value.Null in
+            for i = 0 to Array.length fns - 1 do
+              Array.unsafe_set out i ((Array.unsafe_get fns i) r)
+            done;
+            Some out)
   | Plan.Nested_loop_join { left; right; pred } ->
       let out_binding = Plan.binding db plan in
       let keep = Expr.compile_filter out_binding pred in
@@ -424,25 +489,7 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       (* materialize the inner side once; re-scanning real storage would
          double-count I/O that a block-nested-loop would cache *)
       let inner = drain (open_node wrap db counters right) in
-      let pending = ref [] in
-      let rec next () =
-        match !pending with
-        | r :: tl ->
-            pending := tl;
-            Some r
-        | [] -> (
-            match lcur () with
-            | None -> None
-            | Some l ->
-                pending :=
-                  List.filter_map
-                    (fun r ->
-                      let joined = Tuple.concat l r in
-                      if keep joined then Some joined else None)
-                    inner;
-                next ())
-      in
-      next
+      join_cursor lcur ~candidates:(fun _ -> inner) ~join:Tuple.concat ~keep
   | Plan.Hash_join { left; right; left_keys; right_keys; residual; build } ->
       if List.length left_keys <> List.length right_keys then
         error "hash join key arity mismatch";
@@ -457,49 +504,44 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
         | Plan.Right -> (right, rkey, left, lkey, fun p b -> Tuple.concat p b)
         | Plan.Left -> (left, lkey, right, rkey, fun p b -> Tuple.concat b p)
       in
-      (* drain the build input into the table at open; a NULL key never
-         joins, on either side *)
+      (* drain the build input into the table at open, one fresh key per
+         bucket; a NULL key never joins, on either side.  Equal keys
+         below 2^53 share a bucket.  A wide key gets a bucket of its own
+         row, and a wide probe collects every bucket equal to it: 2^53.0
+         meets both 2^53 and 2^53 + 1, which differ *)
       let table = Key_tbl.create 1024 in
+      let key = Array.make (Array.length build_key) Value.Null in
       let bcur = open_node wrap db counters build_plan in
       let rec fill () =
         match bcur () with
         | None -> ()
         | Some r ->
-            let k = Array.map (fun f -> f r) build_key in
-            (if not (has_null k) then
-               match Key_tbl.find_opt table k with
-               | Some rows -> rows := r :: !rows
-               | None -> Key_tbl.add table k (ref [ r ]));
+            (match fill_key build_key r key with
+            | Has_null -> ()
+            | Wide -> Key_tbl.add table (Array.copy key) (ref [ r ])
+            | Plain -> (
+                match Key_tbl.find table key with
+                | rows -> rows := r :: !rows
+                | exception Not_found ->
+                    Key_tbl.add table (Array.copy key) (ref [ r ])));
             fill ()
       in
       fill ();
-      let pcur = open_node wrap db counters probe_plan in
-      let pending = ref [] in
-      let rec next () =
-        match !pending with
-        | r :: tl ->
-            pending := tl;
-            Some r
-        | [] -> (
-            match pcur () with
-            | None -> None
-            | Some p ->
-                let k = Array.map (fun f -> f p) probe_key in
-                let matches =
-                  if has_null k then None else Key_tbl.find_opt table k
-                in
-                (match matches with
-                | None -> ()
-                | Some rows ->
-                    pending :=
-                      List.filter_map
-                        (fun b ->
-                          let joined = join p b in
-                          if keep joined then Some joined else None)
-                        !rows);
-                next ())
+      (* each probe row's key goes into one scratch array, and its bucket
+         is walked as the output is pulled *)
+      let key = Array.make (Array.length probe_key) Value.Null in
+      let candidates p =
+        match fill_key probe_key p key with
+        | Has_null -> []
+        | Plain -> (
+            match Key_tbl.find table key with
+            | rows -> !rows
+            | exception Not_found -> [])
+        | Wide -> List.concat_map ( ! ) (Key_tbl.find_all table key)
       in
-      next
+      join_cursor
+        (open_node wrap db counters probe_plan)
+        ~candidates ~join ~keep
   | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
       (* materialized merge join over inputs sorted on their keys *)
       let lbind = Plan.binding db left and rbind = Plan.binding db right in
@@ -591,34 +633,39 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       let args =
         Array.map (fun a -> Option.map (Expr.compile binding) a.Plan.arg) aggs
       in
-      (* per group: its row count and one accumulator per argument-taking
-         aggregate; [order] keeps the groups in first-seen order *)
+      let fresh_accs () =
+        Array.map
+          (fun a -> fresh_acc a.Plan.fn ~has_arg:(Option.is_some a.Plan.arg))
+          aggs
+      in
+      (* per group: its row count and one accumulator per aggregate;
+         [order] keeps the groups in first-seen order.  Each row's key
+         goes into one scratch array, copied only for a new group *)
       let groups = Key_tbl.create 256 in
       let order = ref [] in
+      let key = Array.make (Array.length key_fns) Value.Null in
       let c = open_node wrap db counters input in
       let rec feed () =
         match c () with
         | None -> ()
         | Some r ->
-            let k = Array.map (fun f -> f r) key_fns in
+            ignore (fill_key key_fns r key : key_kind);
             let nrows, accs =
-              match Key_tbl.find_opt groups k with
-              | Some entry -> entry
-              | None ->
-                  let entry =
-                    (ref 0, Array.map (Option.map (fun _ -> fresh_acc ())) args)
-                  in
+              match Key_tbl.find groups key with
+              | entry -> entry
+              | exception Not_found ->
+                  let k = Array.copy key in
+                  let entry = (ref 0, fresh_accs ()) in
                   Key_tbl.add groups k entry;
                   order := (k, entry) :: !order;
                   entry
             in
             incr nrows;
-            Array.iteri
-              (fun i arg ->
-                match (arg, accs.(i)) with
-                | Some f, Some acc -> feed_acc acc (f r)
-                | _ -> ())
-              args;
+            for i = 0 to Array.length args - 1 do
+              match Array.unsafe_get args i with
+              | Some f -> feed_acc (Array.unsafe_get accs i) (f r)
+              | None -> ()
+            done;
             feed ()
       in
       feed ();
@@ -629,8 +676,7 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       in
       (* a global aggregate over an empty input still yields one row *)
       if keys = [] && !order = [] then
-        cursor_of_list
-          [ finish (Array.map (fun _ -> None) aggs) ~rows_in_group:0 ]
+        cursor_of_list [ finish (fresh_accs ()) ~rows_in_group:0 ]
       else
         cursor_of_list
           (List.rev_map

@@ -9,11 +9,12 @@
      collect the equality columns, range columns, and every column the
      block needs from that table (the covering target).
    - [hints]: distilled soft-constraint facts.  A [Band] hint says an
-     ASC bounds the column within a tight band — range predicates on it
-     select contiguous key runs, exactly where a B+-tree shines.  An
-     [Fd] hint says determinant → dependents holds (perhaps softly):
-     appending the dependents to an index keyed on the determinant adds
-     no distinct keys, so a covering index is nearly free.
+     ASC, or an SSC for most rows, bounds the column within a tight band
+     — range predicates on it select contiguous key runs, exactly where a
+     B+-tree shines.  An [Fd] hint says determinant → dependents holds
+     (perhaps softly): appending the dependents to an index keyed on the
+     determinant adds no distinct keys, so a covering index is nearly
+     free.
 
    A candidate's key is equality columns first (most selective prefix),
    then range columns; its score is workload frequency × a table-size
@@ -24,7 +25,7 @@
 open Rel
 
 type sc_hint =
-  | Band of { table : string; column : string; width : float }
+  | Band of { table : string; column : string; width : float; ssc : bool }
   | Fd of { table : string; determinant : string list;
             dependents : string list }
 
@@ -204,8 +205,8 @@ type accum = {
 let band_hints hints table =
   List.filter_map
     (function
-      | Band { table = t; column; width } when norm t = table ->
-          Some (norm column, width)
+      | Band { table = t; column; ssc; _ } when norm t = table ->
+          Some (norm column, ssc)
       | _ -> None)
     hints
 
@@ -311,10 +312,18 @@ let advise db ~queries ~hints =
           let banded =
             List.filter (fun c -> List.mem_assoc c bands) key
           in
-          if banded <> [] then
-            note
-              (Printf.sprintf "tight ASC band on %s"
-                 (String.concat "," banded));
+          (* an ASC's band holds for every row, an SSC's for most: a
+             column banded by both reads as the ASC's *)
+          let asc, ssc =
+            List.partition (fun c -> List.mem (c, false) bands) banded
+          in
+          List.iter
+            (fun (kind, cols) ->
+              if cols <> [] then
+                note
+                  (Printf.sprintf "tight %s band on %s" kind
+                     (String.concat "," cols)))
+            [ ("ASC", asc); ("SSC", ssc) ];
           let pages =
             match base_table db table with
             | Some t -> Table.pages t

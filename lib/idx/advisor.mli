@@ -11,9 +11,11 @@ open Rel
 
 (** Distilled soft-constraint facts relevant to index choice. *)
 type sc_hint =
-  | Band of { table : string; column : string; width : float }
-      (** an ASC bounds the column in a band of relative width [width]
-          — range predicates on it select contiguous key runs *)
+  | Band of { table : string; column : string; width : float; ssc : bool }
+      (** an SC bounds the column in a band of relative width [width]
+          — range predicates on it select contiguous key runs.  The band
+          is an ASC's (every row) or, when [ssc], an SSC's (most rows);
+          the candidate's reason names which *)
   | Fd of { table : string; determinant : string list;
             dependents : string list }
       (** determinant → dependents: appending the dependents to an

@@ -26,7 +26,11 @@ let compare (a : t) (b : t) =
   loop 0
 
 let hash (t : t) =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
+  let h = ref 17 in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash (Array.unsafe_get t i)
+  done;
+  !h
 
 let project (t : t) idxs = Array.map (fun i -> t.(i)) idxs
 

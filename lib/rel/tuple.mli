@@ -19,6 +19,7 @@ val compare : t -> t -> int
 (** Lexicographic {!Value.compare_total}; shorter tuples first on ties. *)
 
 val hash : t -> int
+(** Consistent with {!equal}: combines {!Value.hash} of each slot. *)
 
 val project : t -> int array -> t
 (** [project row positions] extracts the given slots, in order. *)

@@ -167,17 +167,46 @@ and neg = function
 let to_string = to_debug
 let pp ppf v = Fmt.string ppf (to_debug v)
 
-let hash = function
+(* Hashing, consistent with [equal_total]: equal values hash alike.
+   [compare_total] meets an INT and a FLOAT through [float_of_int], which
+   is exact below 2^53 in magnitude and rounds above it, where many INTs
+   equal one FLOAT.  So an INT below 2^53, and an integral FLOAT below
+   it, hash by the integer; every other INT hashes as [float_of_int i]
+   and every other FLOAT by its bits, one hash for every NaN (they
+   compare equal).  Numbers, dates and booleans hash inline without
+   allocating; [mix] spreads the entropy into the low bits, which
+   [Hashtbl.Make] picks its buckets by. *)
+let exact_int_limit = 1 lsl 53
+
+let mix x =
+  let x = (x lxor (x lsr 32)) * 0x3c79ac492ba7b653 in
+  let x = (x lxor (x lsr 29)) * 0x1c69b3f74ac4ae35 in
+  (x lxor (x lsr 32)) land max_int
+
+let hash_float f =
+  if Float.is_nan f then 0x7ff8
+  else
+    let bits = Int64.bits_of_float f in
+    mix (Int64.to_int (Int64.logxor bits (Int64.shift_right_logical bits 32)))
+
+(* Past 2^53 the INT-FLOAT equality stops being transitive: 2^53 + 1 and
+   2^53 both equal 2^53.0, yet not each other. *)
+let beyond_exact = function
+  | Int i -> i <= -exact_int_limit || i >= exact_int_limit
+  | Float f -> Float.abs f >= 0x1p53
+  | Null | String _ | Bool _ | Date _ -> false
+
+let hash v =
+  match v with
   | Null -> 0
-  | Int i -> Hashtbl.hash (2, i)
-  | Float f ->
-      (* keep Int 3 and Float 3. hashing equal since they compare equal *)
-      if Float.is_integer f && Float.abs f < 1e18 then
-        Hashtbl.hash (2, int_of_float f)
-      else Hashtbl.hash (2, f)
-  | String s -> Hashtbl.hash (4, s)
-  | Bool b -> Hashtbl.hash (1, b)
-  | Date d -> Hashtbl.hash (3, d)
+  | Int i when not (beyond_exact v) -> mix i
+  | Int i -> hash_float (float_of_int i)
+  | Float f when Float.is_integer f && not (beyond_exact v) ->
+      mix (int_of_float f)
+  | Float f -> hash_float f
+  | String s -> Hashtbl.hash s
+  | Bool b -> if b then 0x2b1 else 0x2b0
+  | Date d -> mix (d lxor 0x5bd1e995)
 
 let int_exn = function
   | Int i -> i

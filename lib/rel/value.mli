@@ -84,9 +84,18 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
+val beyond_exact : t -> bool
+(** A number of magnitude at least 2^53, where [float_of_int] rounds.
+    There {!equal_total} is not transitive across INT and FLOAT: 2^53 + 1
+    and 2^53 both equal 2^53.0, yet not each other.  Below it, equality
+    is an equivalence. *)
+
 val hash : t -> int
-(** Consistent with {!equal_total} (an [Int] and the equal [Float] hash
-    alike). *)
+(** Consistent with {!equal_total}: values it finds equal hash alike, so
+    an [Int] hashes as the [Float] it equals.  Below 2^53 in magnitude
+    both hash by the integer; beyond it, where [float_of_int] rounds, an
+    [Int] hashes as [float_of_int i].  Allocates nothing for numbers,
+    dates and booleans, and spreads entropy into the low bits. *)
 
 (** {1 Checked projections} — raise {!Type_error} on mismatch. *)
 

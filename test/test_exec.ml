@@ -471,6 +471,67 @@ let test_hash_join_int_float_keys () =
         1 (List.length r.Executor.rows))
     [ Plan.Left; Plan.Right ]
 
+(* Beyond 2^53 an INT equals the FLOAT it rounds to: 2^60 = 2^60.0 and
+   2^53 + 1 = 2^53.0, as [=] in a filter says.  Hash join (built either
+   side), GROUP BY and DISTINCT must meet them too, so the hash cannot
+   split what the comparison joins. *)
+let test_hash_keys_beyond_2_53 () =
+  let db = Database.create () in
+  ignore
+    (Database.create_table db (Schema.make "a" [ Schema.column "k" Value.TInt ]));
+  ignore
+    (Database.create_table db (Schema.make "b" [ Schema.column "x" Value.TFloat ]));
+  List.iter
+    (fun k -> ignore (Database.insert db ~table:"a" (Tuple.make [ Value.Int k ])))
+    [ 1 lsl 60; (1 lsl 53) + 1 ];
+  List.iter
+    (fun x -> ignore (Database.insert db ~table:"b" (Tuple.make [ Value.Float x ])))
+    [ 0x1p60; 0x1p53 ];
+  let a = Plan.Seq_scan { table = "a"; alias = "a"; filter = Expr.Ptrue }
+  and b = Plan.Seq_scan { table = "b"; alias = "b"; filter = Expr.Ptrue } in
+  let nlj =
+    run db
+      (Plan.Nested_loop_join
+         {
+           left = a;
+           right = b;
+           pred = Expr.Cmp (Expr.Eq, Expr.column ~rel:"a" "k", Expr.column ~rel:"b" "x");
+         })
+  in
+  check tint "the filter joins both pairs" 2 (List.length nlj.Executor.rows);
+  List.iter
+    (fun build ->
+      let r =
+        run db
+          (Plan.Hash_join
+             {
+               left = a;
+               right = b;
+               left_keys = [ Expr.column ~rel:"a" "k" ];
+               right_keys = [ Expr.column ~rel:"b" "x" ];
+               residual = Expr.Ptrue;
+               build;
+             })
+      in
+      check tbool ("hash join = nested loop, built " ^ Plan.side_name build) true
+        (Executor.same_rows nlj r))
+    [ Plan.Left; Plan.Right ];
+  let both = Plan.Union_all [ a; b ] in
+  let groups =
+    run db
+      (Plan.Group
+         {
+           input = both;
+           keys = [ (Expr.column "k", "_g0") ];
+           aggs = [ { Plan.fn = Plan.Count; arg = None; out_name = "n" } ];
+         })
+  in
+  check tbool "GROUP BY: two groups of two" true
+    (List.map (fun r -> Tuple.get r 1) groups.Executor.rows
+    = [ Value.Int 2; Value.Int 2 ]);
+  check tint "DISTINCT: two rows" 2
+    (List.length (run db (Plan.Distinct both)).Executor.rows)
+
 (* A join built on its left input: NULL keys on either side never join,
    duplicate keys multiply, the residual filters, and the output row is
    still left ++ right. *)
@@ -693,6 +754,226 @@ let joins_agree_prop =
       && Executor.same_rows nlj hj_left
       && Executor.same_rows nlj mj)
 
+(* property: a hash join built either side returns the nested loop's
+   multiset.  INT keys on the left, FLOAT keys on the right, drawn from
+   small pools so keys repeat and INT meets FLOAT (2^53 + 1 rounds to
+   2^53.0), NULLs on both sides, and a residual over the payloads. *)
+let int_float_join_prop =
+  let row st keys =
+    (keys.(Random.State.int st (Array.length keys)), Random.State.int st 10)
+  in
+  let ints =
+    Value.Null
+    :: Value.Int ((1 lsl 53) + 1)
+    :: Value.Int (1 lsl 53)
+    :: List.init 5 (fun i -> Value.Int i)
+  and floats =
+    [ Value.Null; Value.Float 0x1p53; Value.Float 2.5 ]
+    @ List.init 5 (fun i -> Value.Float (float_of_int i))
+  in
+  let gen st =
+    let n () = Random.State.int st 25 in
+    ( List.init (n ()) (fun _ -> row st (Array.of_list ints)),
+      List.init (n ()) (fun _ -> row st (Array.of_list floats)) )
+  in
+  let print (l, r) =
+    let side rows =
+      String.concat "; "
+        (List.map (fun (k, v) -> Printf.sprintf "%s/%d" (Value.to_debug k) v) rows)
+    in
+    side l ^ " | " ^ side r
+  in
+  QCheck.Test.make ~name:"hash join = NLJ on INT/FLOAT/NULL keys" ~count:150
+    (QCheck.make ~print gen)
+    (fun (left_rows, right_rows) ->
+      let db = Database.create () in
+      let table name kty payload rows =
+        ignore
+          (Database.create_table db
+             (Schema.make name
+                [ Schema.column "k" kty; Schema.column payload Value.TInt ]));
+        List.iter
+          (fun (k, v) ->
+            ignore (Database.insert db ~table:name (Tuple.make [ k; Value.Int v ])))
+          rows
+      in
+      table "l" Value.TInt "v" left_rows;
+      table "r" Value.TFloat "w" right_rows;
+      let residual = Expr.Cmp (Expr.Lt, Expr.column "v", Expr.column "w") in
+      let nlj =
+        run db
+          (Plan.Nested_loop_join
+             {
+               left = scan "l";
+               right = scan "r";
+               pred =
+                 Expr.conjoin
+                   [
+                     Expr.Cmp
+                       (Expr.Eq, Expr.column ~rel:"l" "k", Expr.column ~rel:"r" "k");
+                     residual;
+                   ];
+             })
+      in
+      List.for_all
+        (fun build ->
+          Executor.same_rows nlj
+            (run db
+               (Plan.Hash_join
+                  {
+                    left = scan "l";
+                    right = scan "r";
+                    left_keys = [ Expr.column ~rel:"l" "k" ];
+                    right_keys = [ Expr.column ~rel:"r" "k" ];
+                    residual;
+                    build;
+                  })))
+        [ Plan.Left; Plan.Right ])
+
+(* property: [Group] returns what a plain fold over its input returns,
+   row for row and in first-seen group order, for COUNT( * ), COUNT(x),
+   SUM, AVG, MIN and MAX, keyed and global.  The input mixes INT, FLOAT
+   and NULL in one column: each row sits in an INT or a FLOAT table, and
+   a union of one single-row scan per row feeds them in generated order.
+   SUM must stay an exact int while every input is an INT (2^53 + 1
+   shows it). *)
+let group_fold_prop =
+  let gen st =
+    List.init (Random.State.int st 30) (fun _ ->
+        let g =
+          if Random.State.int st 6 = 0 then Value.Null
+          else Value.Int (Random.State.int st 4)
+        in
+        let x =
+          match Random.State.int st 8 with
+          | 0 -> Value.Null
+          | 1 -> Value.Int ((1 lsl 53) + 1)
+          | 2 | 3 -> Value.Float (float_of_int (Random.State.int st 11 - 5) /. 2.0)
+          | _ -> Value.Int (Random.State.int st 11 - 5)
+        in
+        (g, x))
+  in
+  let print rows =
+    String.concat "; "
+      (List.map
+         (fun (g, x) -> Value.to_debug g ^ "/" ^ Value.to_debug x)
+         rows)
+  in
+  (* the reference: SUM adds ints exactly until the first float, then
+     floats in input order; MIN and MAX keep the first of equal values *)
+  let reference_aggs xs =
+    let nonnull = List.filter (fun v -> not (Value.is_null v)) xs in
+    let rec exact acc = function
+      | [] -> Value.Int acc
+      | Value.Int i :: tl -> exact (acc + i) tl
+      | Value.Float f :: tl -> inexact (float_of_int acc +. f) tl
+      | _ :: tl -> exact acc tl
+    and inexact acc = function
+      | [] -> Value.Float acc
+      | v :: tl -> inexact (acc +. Value.as_float v) tl
+    in
+    let pick better =
+      match nonnull with
+      | [] -> Value.Null
+      | v :: tl ->
+          List.fold_left
+            (fun m v -> if better (Value.compare_total v m) then v else m)
+            v tl
+    in
+    let n = List.length nonnull in
+    let sum = if n = 0 then Value.Null else exact 0 nonnull in
+    [|
+      Value.Int (List.length xs);
+      Value.Int n;
+      sum;
+      (if n = 0 then Value.Null
+       else Value.Float (Value.as_float sum /. float_of_int n));
+      pick (fun c -> c < 0);
+      pick (fun c -> c > 0);
+    |]
+  in
+  let reference ~keyed rows =
+    if not keyed then [ reference_aggs (List.map snd rows) ]
+    else
+      let groups =
+        List.fold_left
+          (fun acc (g, _) ->
+            if List.exists (Value.equal_total g) acc then acc else g :: acc)
+          [] rows
+        |> List.rev
+      in
+      List.map
+        (fun g ->
+          Array.append [| g |]
+            (reference_aggs
+               (List.filter_map
+                  (fun (g', x) -> if Value.equal_total g g' then Some x else None)
+                  rows)))
+        groups
+  in
+  QCheck.Test.make ~name:"GROUP BY = a reference fold" ~count:150
+    (QCheck.make ~print gen)
+    (fun rows ->
+      let db = Database.create () in
+      let table name ty =
+        ignore
+          (Database.create_table db
+             (Schema.make name
+                [
+                  Schema.column "id" Value.TInt;
+                  Schema.column "g" Value.TInt;
+                  Schema.column "x" ty;
+                ]))
+      in
+      table "ti" Value.TInt;
+      table "tf" Value.TFloat;
+      let input =
+        Plan.Union_all
+          (List.mapi
+             (fun id (g, x) ->
+               let table = match x with Value.Float _ -> "tf" | _ -> "ti" in
+               ignore
+                 (Database.insert db ~table (Tuple.make [ Value.Int id; g; x ]));
+               Plan.Seq_scan
+                 {
+                   table;
+                   alias = "t";
+                   filter = Expr.Cmp (Expr.Eq, Expr.column "id", Expr.int id);
+                 })
+             rows)
+      in
+      let agg fn arg out_name =
+        { Plan.fn; arg = Option.map Expr.column arg; out_name }
+      in
+      let aggs =
+        [
+          agg Plan.Count None "n";
+          agg Plan.Count (Some "x") "nx";
+          agg Plan.Sum (Some "x") "s";
+          agg Plan.Avg (Some "x") "a";
+          agg Plan.Min (Some "x") "lo";
+          agg Plan.Max (Some "x") "hi";
+        ]
+      in
+      let group ~keyed =
+        if rows = [] then []
+        else
+          (run db
+             (Plan.Group
+                {
+                  input;
+                  keys = (if keyed then [ (Expr.column "g", "_g0") ] else []);
+                  aggs;
+                }))
+            .Executor.rows
+      in
+      let same got want =
+        List.equal (fun a b -> Stdlib.compare a b = 0) got want
+      in
+      rows = []
+      || (same (group ~keyed:true) (reference ~keyed:true rows)
+         && same (group ~keyed:false) (reference ~keyed:false rows)))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -715,8 +996,14 @@ let () =
           Alcotest.test_case "int and float keys" `Quick
             test_hash_join_int_float_keys;
           Alcotest.test_case "built on the left" `Quick test_hash_join_build_left;
+          Alcotest.test_case "int and float keys beyond 2^53" `Quick
+            test_hash_keys_beyond_2_53;
         ]
-        @ qsuite [ joins_agree_prop ] );
+        @ qsuite [ joins_agree_prop ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |])
+              int_float_join_prop;
+          ] );
       ( "sort-group",
         [
           Alcotest.test_case "sort" `Quick test_sort;
@@ -733,5 +1020,9 @@ let () =
             test_late_open_timed;
           Alcotest.test_case "scan stops at its high-water mark" `Quick
             test_scan_stops_at_high_water;
-        ] );
+        ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+              group_fold_prop;
+          ] );
     ]

@@ -11,6 +11,11 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* ---- fixtures ------------------------------------------------------------ *)
 
 (* [t] with [rows] rows: id unique, k = id mod 10 (duplicates), v = 3*id *)
@@ -399,7 +404,8 @@ let test_advisor_sc_hints () =
   let plain = Idx.Advisor.advise db ~queries:range_q ~hints:[] in
   let banded =
     Idx.Advisor.advise db ~queries:range_q
-      ~hints:[ Idx.Advisor.Band { table = "t"; column = "c"; width = 0.1 } ]
+      ~hints:
+        [ Idx.Advisor.Band { table = "t"; column = "c"; width = 0.1; ssc = false } ]
   in
   let score cands =
     match
@@ -412,6 +418,47 @@ let test_advisor_sc_hints () =
     | None -> Alcotest.fail "no candidate on the banded column"
   in
   check tbool "band hint boosts the score" true (score banded > score plain)
+
+(* A declared band that fails verification becomes an SSC.  Its band
+   still boosts the ship_date candidate, and the reason must call it an
+   SSC's: an ASC's band would hold for every row. *)
+let test_advisor_ssc_band () =
+  let sdb = Core.Softdb.create () in
+  Workload.Purchase.load
+    ~config:{ Workload.Purchase.default_config with rows = 5_000; seed = 1 }
+    (Core.Softdb.db sdb);
+  Core.Softdb.runstats sdb;
+  ignore
+    (Core.Softdb.exec sdb
+       "ALTER TABLE purchase ADD CONSTRAINT ship_3w CHECK (ship_date - \
+        order_date BETWEEN 0 AND 21) SOFT");
+  check tbool "ship_3w failed verification: an SSC" true
+    (List.exists
+       (fun sc ->
+         sc.Core.Soft_constraint.name = "ship_3w"
+         && match sc.Core.Soft_constraint.kind with
+            | Core.Soft_constraint.Statistical _ -> true
+            | Core.Soft_constraint.Absolute -> false)
+       (Core.Sc_catalog.all (Core.Softdb.catalog sdb)));
+  for _ = 1 to 3 do
+    ignore
+      (Core.Softdb.query sdb
+         "SELECT * FROM purchase WHERE ship_date BETWEEN DATE '1999-03-01' \
+          AND DATE '1999-03-07'")
+  done;
+  match
+    List.find_opt
+      (fun (c : Idx.Advisor.candidate) ->
+        c.Idx.Advisor.cand_table = "purchase"
+        && c.Idx.Advisor.cand_columns = [ "ship_date" ])
+      (Core.Softdb.advise sdb)
+  with
+  | None -> Alcotest.fail "no ship_date candidate"
+  | Some c ->
+      let reason = c.Idx.Advisor.cand_reason in
+      check tbool ("names the SSC band: " ^ reason) true
+        (contains reason "tight SSC band on ship_date");
+      check tbool ("no ASC band: " ^ reason) false (contains reason "ASC band")
 
 (* ---- plan cache: DDL staleness ------------------------------------------- *)
 
@@ -487,6 +534,8 @@ let () =
             test_advisor_from_query_log;
           Alcotest.test_case "SC hints shape the ranking" `Quick
             test_advisor_sc_hints;
+          Alcotest.test_case "an SSC band reads as an SSC" `Quick
+            test_advisor_ssc_band;
         ] );
       ( "plan-cache",
         [

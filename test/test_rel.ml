@@ -99,6 +99,75 @@ let tvl_de_morgan =
       Value.truth_not (Value.truth_and a b)
       = Value.truth_or (Value.truth_not a) (Value.truth_not b))
 
+(* Equal values hash alike.  Each case is a small pool of values drawn
+   around the places where INT and FLOAT meet: ±2^53, where
+   [float_of_int] starts to round, ±1e18, where hashing once switched
+   rules, and [max_int]/[min_int]; each integer comes with its FLOAT
+   twin, so equal pairs are common.  NULL, ±0.0, NaN, DATE, VARCHAR and
+   BOOL ride along. *)
+let hash_pool_gen st =
+  let near base = base + Random.State.int st 7 - 3 in
+  let int () =
+    match Random.State.int st 6 with
+    | 0 -> near (1 lsl 53)
+    | 1 -> - near (1 lsl 53)
+    | 2 -> near 1_000_000_000_000_000_000
+    | 3 -> - near 1_000_000_000_000_000_000
+    | 4 -> if Random.State.bool st then max_int - Random.State.int st 3
+           else min_int + Random.State.int st 3
+    | _ -> Random.State.int st 9 - 4
+  in
+  let value () =
+    match Random.State.int st 12 with
+    | 0 -> Value.Null
+    | 1 -> Value.Float (if Random.State.bool st then 0.0 else -0.0)
+    | 2 -> Value.Float Float.nan
+    | 3 -> Value.Date (Random.State.int st 3)
+    | 4 -> Value.String [| "a"; "b" |].(Random.State.int st 2)
+    | 5 -> Value.Bool (Random.State.bool st)
+    | 6 -> Value.Float (float_of_int (int ()) +. 0.5)
+    | 7 | 8 -> Value.Float (float_of_int (int ()))
+    | _ -> Value.Int (int ())
+  in
+  List.init (2 + Random.State.int st 14) (fun _ -> value ())
+
+let hash_agrees_with_equality =
+  QCheck.Test.make ~name:"equal values hash alike" ~count:500
+    (QCheck.make
+       ~print:(fun vs -> String.concat "; " (List.map Value.to_debug vs))
+       hash_pool_gen)
+    (fun pool ->
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b -> (not (Value.equal_total a b)) || Value.hash a = Value.hash b)
+            pool)
+        pool
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 let t = [| a; b |] and u = [| b; a |] in
+                 (not (Tuple.equal t u)) || Tuple.hash t = Tuple.hash u)
+               pool)
+           pool)
+
+(* the cases the rule is about, spelled out *)
+let test_value_hash_large_numbers () =
+  let agree what a b =
+    check tbool (what ^ ": equal") true (Value.equal_total a b);
+    check tbool (what ^ ": same hash") true (Value.hash a = Value.hash b)
+  in
+  agree "2^60" (Value.Int (1 lsl 60)) (Value.Float 0x1p60);
+  agree "2^53 + 1 rounds to 2^53" (Value.Int ((1 lsl 53) + 1)) (Value.Float 0x1p53);
+  agree "-(2^53 + 1)" (Value.Int (-((1 lsl 53) + 1))) (Value.Float (-0x1p53));
+  agree "max_int" (Value.Int max_int) (Value.Float (float_of_int max_int));
+  agree "min_int" (Value.Int min_int) (Value.Float (float_of_int min_int));
+  agree "1e18" (Value.Int 1_000_000_000_000_000_000) (Value.Float 1e18);
+  agree "2^53 - 1" (Value.Int ((1 lsl 53) - 1)) (Value.Float (0x1p53 -. 1.0));
+  agree "zeros" (Value.Float 0.0) (Value.Float (-0.0));
+  agree "NaNs" (Value.Float Float.nan) (Value.Float (-.Float.nan))
+
 let test_value_arithmetic () =
   check tbool "date minus date" true
     (Value.sub (Value.Date 10) (Value.Date 3) = Value.Int 7);
@@ -737,8 +806,14 @@ let () =
           Alcotest.test_case "three-valued logic" `Quick test_three_valued_logic;
           Alcotest.test_case "arithmetic" `Quick test_value_arithmetic;
           Alcotest.test_case "conforms" `Quick test_value_conforms;
+          Alcotest.test_case "hash beyond 2^53" `Quick
+            test_value_hash_large_numbers;
         ]
-        @ qsuite [ tvl_de_morgan ] );
+        @ qsuite [ tvl_de_morgan ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 53 |])
+              hash_agrees_with_equality;
+          ] );
       ( "expr",
         [
           Alcotest.test_case "eval" `Quick test_expr_eval;
