@@ -148,13 +148,8 @@ let extract_targets db (workload : Sqlfe.Ast.query list) : targets =
 
 (* ---- candidate generation -------------------------------------------------- *)
 
-let fresh_name =
-  let counter = ref 0 in
-  fun prefix ->
-    incr counter;
-    Printf.sprintf "%s_%d" prefix !counter
-
-let mine_candidates ?(confidences = [ 1.0; 0.99; 0.9 ]) db targets =
+let mine_candidates ?(confidences = [ 1.0; 0.99; 0.9 ]) ~catalog db targets =
+  let fresh_name = Sc_catalog.fresh_name catalog in
   let candidates = ref [] in
   let add sc = candidates := sc :: !candidates in
   let anchored table =
@@ -254,7 +249,7 @@ type outcome = {
 let advise ?flags ?mutations_per_workload ?k ?confidences
     ?(probation = false) ~db ~stats ~catalog ~workload () =
   let targets = extract_targets db workload in
-  let candidates = mine_candidates ?confidences db targets in
+  let candidates = mine_candidates ?confidences ~catalog db targets in
   let selected =
     Selection.select ?flags ?mutations_per_workload ?k ~db ~stats ~catalog
       ~workload candidates

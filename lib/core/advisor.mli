@@ -24,9 +24,11 @@ type targets = {
 val extract_targets : Database.t -> Sqlfe.Ast.query list -> targets
 
 val mine_candidates :
-  ?confidences:float list -> Database.t -> targets -> Soft_constraint.t list
+  ?confidences:float list -> catalog:Sc_catalog.t -> Database.t -> targets ->
+  Soft_constraint.t list
 (** Bands at 100% become ASC candidates, lower confidences SSC
-    candidates. *)
+    candidates.  Each is named by {!Sc_catalog.fresh_name} in
+    [catalog]. *)
 
 type outcome = {
   candidates : int;

@@ -30,9 +30,11 @@ type t = {
   mutable exception_tables : (string * string) list;
       (* constraint name -> exception table name *)
   mutable listeners : (change -> unit) list;
+  mutable mined : int; (* names issued by [fresh_name] *)
 }
 
-let create () = { scs = []; exception_tables = []; listeners = [] }
+let create () =
+  { scs = []; exception_tables = []; listeners = []; mined = 0 }
 
 let norm = String.lowercase_ascii
 
@@ -52,6 +54,18 @@ let add t sc =
 
 let find t name =
   List.find_opt (fun s -> norm s.Soft_constraint.name = norm name) t.scs
+
+(* Numbered per catalog, so the names a database's advisor mines (and
+   EXPLAIN shows) do not depend on what other databases in the process
+   mined; a number whose name the catalog already holds, say one
+   recovered from the log, is skipped. *)
+let fresh_name t prefix =
+  let rec next () =
+    t.mined <- t.mined + 1;
+    let name = Printf.sprintf "%s_%d" prefix t.mined in
+    if Option.is_some (find t name) then next () else name
+  in
+  next ()
 
 let drop t name =
   match find t name with

@@ -28,6 +28,7 @@ type t = {
   mutable exception_tables : (string * string) list;
       (** constraint name → exception table name *)
   mutable listeners : (change -> unit) list;
+  mutable mined : int;  (** names issued by {!fresh_name} *)
 }
 
 val create : unit -> t
@@ -39,6 +40,12 @@ val on_change : t -> (change -> unit) -> unit
 
 val add : t -> Soft_constraint.t -> unit
 val find : t -> string -> Soft_constraint.t option
+
+val fresh_name : t -> string -> string
+(** [prefix_n] for the catalog's next [n] whose name no SC in it holds:
+    the name of a mined candidate.  Numbered per catalog, so a
+    database's mined names do not depend on other databases in the
+    process. *)
 
 val drop : t -> string -> unit
 (** Marks the constraint [Dropped] and removes it. *)

@@ -187,12 +187,15 @@ let join_cursor (outer : cursor) ~candidates ~join ~keep : cursor =
   in
   next
 
-(* Rids in ascending slot order, one per call, then [-1].  [lists] hold
-   [count] distinct rids in all, each below [high_water].  A range that
-   covers a large share of the table marks a bitmap over the slots, read
-   lazily; a small one sorts its rids.  Either way the allocation is
-   about the smaller of the two: [high_water / 8] bytes (and a few words
-   per 8,192 slots) against [count] words.
+(* Rids in ascending slot order, one per call, then [-1].  [postings]
+   hold [count] distinct rids in all, each below [high_water].  A range
+   that covers a large share of the table marks a bitmap over the slots,
+   read lazily; a small one copies its rids out and sorts them, or, for
+   a single key, whose posting is already ascending, only copies them.
+   The copy keeps the cursor apart from the index, whose postings change
+   in place.  Either way the allocation is about the smaller of the two:
+   [high_water / 8] bytes (and a few words per 8,192 slots) against
+   [count] words.
 
    The bitmap is cut into 1 KiB chunks, the last only as long as its
    slots need, each small enough for the minor heap, where it dies with
@@ -208,7 +211,7 @@ let trailing_zeros =
       let rec tz b i = if b land 1 = 1 || i = 8 then i else tz (b lsr 1) (i + 1) in
       Char.chr (tz b 0))
 
-let slot_order ~high_water ~count lists =
+let slot_order ~high_water ~count (postings : Index.posting list) =
   if count * 64 >= high_water then begin
     let chunks =
       Array.init
@@ -221,12 +224,15 @@ let slot_order ~high_water ~count lists =
     in
     let byte_of p = (p lsr 3) land ((1 lsl (chunk_bits - 3)) - 1) in
     List.iter
-      (List.iter (fun rid ->
-           let bits = Array.unsafe_get chunks (rid lsr chunk_bits) in
-           let byte = Char.code (Bytes.unsafe_get bits (byte_of rid)) in
-           Bytes.unsafe_set bits (byte_of rid)
-             (Char.unsafe_chr (byte lor (1 lsl (rid land 7))))))
-      lists;
+      (fun p ->
+        for j = 1 to p.(0) do
+          let rid = Array.unsafe_get p j in
+          let bits = Array.unsafe_get chunks (rid lsr chunk_bits) in
+          let byte = Char.code (Bytes.unsafe_get bits (byte_of rid)) in
+          Bytes.unsafe_set bits (byte_of rid)
+            (Char.unsafe_chr (byte lor (1 lsl (rid land 7))))
+        done)
+      postings;
     let pos = ref 0 in
     let rec next () =
       let p = !pos in
@@ -248,13 +254,19 @@ let slot_order ~high_water ~count lists =
     next
   end
   else begin
-    let rids = Array.make count 0 and i = ref 0 in
-    List.iter
-      (List.iter (fun rid ->
-           rids.(!i) <- rid;
-           incr i))
-      lists;
-    Array.sort Int.compare rids;
+    let rids =
+      match postings with
+      | [ p ] -> Array.sub p 1 count
+      | _ ->
+          let rids = Array.make count 0 and i = ref 0 in
+          List.iter
+            (fun p ->
+              Array.blit p 1 rids !i p.(0);
+              i := !i + p.(0))
+            postings;
+          Array.sort Int.compare rids;
+          rids
+    in
     let i = ref 0 in
     fun () ->
       if !i >= count then -1
@@ -323,15 +335,15 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       let slots = ref None in
       let start () =
         let n = ref 0 in
-        let lists =
-          Index.fold_range idx ~lo ~hi ~init:[] ~f:(fun acc _ rs ->
-              n := !n + List.length rs;
-              rs :: acc)
+        let postings =
+          Index.fold_range idx ~lo ~hi ~init:[] ~f:(fun acc _ p ->
+              n := !n + p.(0);
+              p :: acc)
         in
         let rpp = Table.rows_per_page tbl in
         counters.Counters.pages_read <-
           counters.Counters.pages_read + ((!n + rpp - 1) / max 1 rpp);
-        slot_order ~high_water:(Table.high_water tbl) ~count:!n lists
+        slot_order ~high_water:(Table.high_water tbl) ~count:!n postings
       in
       let rec next () =
         let slot =
@@ -380,8 +392,8 @@ and open_raw wrap db (counters : Counters.t) (plan : Plan.t) : cursor =
       let start () =
         let entries = ref 0 in
         let ks =
-          Index.fold_entries idx ~lo ~hi ~init:[] ~f:(fun acc key rids ->
-              let n = List.length rids in
+          Index.fold_entries idx ~lo ~hi ~init:[] ~f:(fun acc key p ->
+              let n = p.(0) in
               entries := !entries + n;
               (key, n) :: acc)
         in

@@ -31,8 +31,9 @@ let key_values schema row cols =
 let exists_with_key env table cols vals ?exclude () =
   match env.find_index (Table.name table) cols with
   | Some idx ->
-      let rids = Index.lookup idx (Tuple.make vals) in
-      List.exists (fun rid -> Some rid <> exclude) rids
+      (* a posting's rids are distinct: two hold one besides [exclude] *)
+      let p = Index.lookup idx (Tuple.make vals) in
+      p.(0) > 1 || (p.(0) = 1 && Some p.(1) <> exclude)
   | None ->
       let schema = Table.schema table in
       let found = ref false in

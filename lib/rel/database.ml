@@ -331,7 +331,9 @@ let insert t ~table row =
   let row = Table.get_exn tbl rid in
   (try List.iter (fun idx -> Index.on_insert idx rid row) (indexes_on t table)
    with Index.Unique_violation _ as e ->
-     (* roll the heap insert back so storage and indexes agree *)
+     (* roll the heap insert back so storage and indexes agree: the
+        indexes that took the row before the veto drop it again *)
+     List.iter (fun idx -> Index.on_delete idx rid row) (indexes_on t table);
      ignore (Table.delete tbl rid);
      raise e);
   seg_insert t table rid row;

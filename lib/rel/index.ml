@@ -1,7 +1,7 @@
 (* Secondary indexes over heap tables: a B+-tree keyed on the projected
-   column values, mapping each distinct key to the sorted list of rids
-   holding it.  Composite keys compare lexicographically via
-   {!Tuple.compare}.
+   column values, mapping each distinct key to a posting — the rids
+   holding it, ascending, in one array.  Composite keys compare
+   lexicographically via {!Tuple.compare}.
 
    An index is a lifecycle-managed object (fdb-record-layer shape):
 
@@ -37,13 +37,62 @@ let state_of_string = function
   | "demoted" -> Some Demoted
   | _ -> None
 
+(* A posting: the rids of one key, ascending and distinct, in one array
+   whose slot 0 counts them — [p.(0) = n], the rids in [p.(1)] ..
+   [p.(n)], the slots after them spare.  A range scan reads each key's
+   rids contiguously, with no pointer to chase per rid.  One block per
+   key: a lone rid (every key of a unique index) takes three words, and
+   n appended rids at most 2n + 2.  Rids are allocated upward, so loads,
+   inserts and rebuilds append above every rid already there: the
+   append fills a spare slot in place, and a full posting moves to a
+   copy with twice the room, so n appends copy fewer than 2n words in
+   all, and only a move touches the tree (whose insert path-copies).
+   An out-of-order rid (rollback's [restore], recovery's [place]) and a
+   delete shift the tail in place. *)
+type posting = Table.rid array
+
+(* a lookup's miss; never stored in the tree, so never mutated *)
+let empty : posting = [| 0 |]
+
+(* The slot of [rid] in [p], or of the first rid above it. *)
+let search (p : posting) rid =
+  let n = p.(0) in
+  if n = 0 || p.(n) < rid then n + 1
+  else begin
+    let lo = ref 1 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if p.(mid) < rid then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
+let holds (p : posting) i rid = i <= p.(0) && p.(i) = rid
+
+(* [p] with a rid it lacks put at slot [i], its sorted place: [p] itself
+   while a slot is spare, else the copy it moved to. *)
+let insert_at (p : posting) i rid =
+  let n = p.(0) in
+  let q =
+    if n + 1 < Array.length p then p
+    else begin
+      let q = Array.make (1 + (2 * n)) 0 in
+      Array.blit p 0 q 0 (n + 1);
+      q
+    end
+  in
+  Array.blit q i q (i + 1) (n + 1 - i);
+  q.(i) <- rid;
+  q.(0) <- n + 1;
+  q
+
 type t = {
   name : string;
   table : string;
   columns : string list; (* indexed column names, in key order *)
   positions : int array; (* their positions in the table schema *)
   unique : bool;
-  tree : Table.rid list Key_tree.t;
+  tree : posting Key_tree.t;
   mutable state : state;
 }
 
@@ -66,20 +115,33 @@ let make ~name ~table ~columns ~unique ~state =
     state;
   }
 
+(* Record (key, rid), idempotently: [false] when the rid was already
+   under its key — the backfill and a concurrent writer raced on this
+   row, and recording it once is exactly the contract. *)
+let add t rid row =
+  let key = key_of t row in
+  match Key_tree.find t.tree key with
+  | None ->
+      ignore (Key_tree.insert t.tree key [| 1; rid |]);
+      true
+  | Some p ->
+      let i = search p rid in
+      if holds p i rid then false
+      else begin
+        if t.unique then
+          raise
+            (Unique_violation
+               (Printf.sprintf "unique index %s: duplicate key %s" t.name
+                  (Fmt.str "%a" Tuple.pp key)));
+        let moved = insert_at p i rid in
+        if moved != p then ignore (Key_tree.insert t.tree key moved);
+        true
+      end
+
 let create ~name ~table ~columns ?(unique = false) () =
   let t = make ~name ~table ~columns ~unique ~state:Readable in
   (* bulk-build from existing rows *)
-  Table.iteri table ~f:(fun rid row ->
-      let key = key_of t row in
-      let existing =
-        Option.value (Key_tree.find t.tree key) ~default:[]
-      in
-      if unique && existing <> [] then
-        raise
-          (Unique_violation
-             (Printf.sprintf "unique index %s: duplicate key %s" name
-                (Fmt.str "%a" Tuple.pp key)));
-      ignore (Key_tree.insert t.tree key (rid :: existing)));
+  Table.iteri table ~f:(fun rid row -> ignore (add t rid row : bool));
   t
 
 (* An empty shell for the online build path: registered in the catalog
@@ -97,9 +159,7 @@ let set_state t state = t.state <- state
 let is_readable t = t.state = Readable
 let distinct_keys t = Key_tree.length t.tree
 
-let entries t =
-  Key_tree.fold t.tree ~init:0 ~f:(fun acc _ rids ->
-      acc + List.length rids)
+let entries t = Key_tree.fold t.tree ~init:0 ~f:(fun acc _ p -> acc + p.(0))
 
 (* Maintenance hooks called by {!Database} on every table mutation.
    A Demoted index is abandoned — its contents are untrustworthy and the
@@ -108,37 +168,11 @@ let entries t =
    a foreground write on the strength of entries it cannot vouch for. *)
 
 let on_insert t rid row =
-  if t.state = Demoted then ()
-  else
-  let key = key_of t row in
-  let existing = Option.value (Key_tree.find t.tree key) ~default:[] in
-  if List.mem rid existing then ()
-    (* already indexed: the backfill and a concurrent writer raced on
-       this row; recording it once is exactly the contract *)
-  else begin
-    if t.unique && existing <> [] then
-      raise
-        (Unique_violation
-           (Printf.sprintf "unique index %s: duplicate key %s" t.name
-              (Fmt.str "%a" Tuple.pp key)));
-    ignore (Key_tree.insert t.tree key (rid :: existing))
-  end
+  if t.state <> Demoted then ignore (add t rid row : bool)
 
 (* The backfill's idempotent insertion: returns whether the row was new
    to the tree, so the build can count real work. *)
-let backfill_insert t rid row =
-  let key = key_of t row in
-  let existing = Option.value (Key_tree.find t.tree key) ~default:[] in
-  if List.mem rid existing then false
-  else begin
-    if t.unique && existing <> [] then
-      raise
-        (Unique_violation
-           (Printf.sprintf "unique index %s: duplicate key %s" t.name
-              (Fmt.str "%a" Tuple.pp key)));
-    ignore (Key_tree.insert t.tree key (rid :: existing));
-    true
-  end
+let backfill_insert = add
 
 let on_delete t rid row =
   if t.state = Demoted then ()
@@ -146,10 +180,14 @@ let on_delete t rid row =
   let key = key_of t row in
   match Key_tree.find t.tree key with
   | None -> ()
-  | Some rids -> (
-      match List.filter (fun r -> r <> rid) rids with
-      | [] -> ignore (Key_tree.remove t.tree key)
-      | remaining -> ignore (Key_tree.insert t.tree key remaining))
+  | Some p ->
+      let n = p.(0) and i = search p rid in
+      if holds p i rid then
+        if n = 1 then ignore (Key_tree.remove t.tree key)
+        else begin
+          Array.blit p (i + 1) p i (n - i);
+          p.(0) <- n - 1
+        end
 
 let on_update t rid ~before ~after =
   if not (Tuple.equal (key_of t before) (key_of t after)) then begin
@@ -159,7 +197,8 @@ let on_update t rid ~before ~after =
 
 (* Probes. *)
 
-let lookup t key = Option.value (Key_tree.find t.tree key) ~default:[]
+let lookup t key =
+  match Key_tree.find t.tree key with Some p -> p | None -> empty
 
 let lookup_value t v = lookup t (Tuple.of_array [| v |])
 
@@ -177,7 +216,7 @@ let fold_range t ~lo ~hi ~init ~f =
     invalid_arg "Index.fold_range: requires a single-column index";
   Key_tree.fold_range t.tree ~lo:(to_tree_bound lo) ~hi:(to_tree_bound hi)
     ~init
-    ~f:(fun acc key rids -> f acc (Tuple.get key 0) rids)
+    ~f:(fun acc key p -> f acc (Tuple.get key 0) p)
 
 (* Full-key iteration for index-only scans: yields each (key, rids)
    binding in key order.  Bounds apply to the leading column.  On a
@@ -210,6 +249,6 @@ let fold_entries t ~lo ~hi ~init ~f =
       | Excl b -> Value.compare_total v b < 0
     in
     Key_tree.fold_range t.tree ~lo:seek ~hi:Key_tree.Unbounded ~init
-      ~f:(fun acc key rids ->
+      ~f:(fun acc key p ->
         let v = Tuple.get key 0 in
-        if lo_ok v && hi_ok v then f acc key rids else acc)
+        if lo_ok v && hi_ok v then f acc key p else acc)

@@ -1,6 +1,6 @@
 (** Secondary indexes over heap tables: a B+-tree keyed on the projected
-    column values, mapping each distinct key to the rids holding it.
-    Composite keys compare lexicographically.
+    column values, mapping each distinct key to the {!posting} of rids
+    holding it.  Composite keys compare lexicographically.
 
     An index is a lifecycle-managed object: [Write_only] (maintained,
     not probed) → [Backfilling] (online build in progress) → [Readable]
@@ -12,6 +12,14 @@
     probes. *)
 
 type t
+
+type posting = Table.rid array
+(** The rids of one key, counted in slot 0: for [n = p.(0)], the rids
+    are [p.(1)] to [p.(n)], distinct and ascending.  The slots after
+    them are spare capacity, not rids.  A posting a probe returns is the
+    index's own, not a copy: it is read-only, and valid only until the
+    index's next mutation, which may shift, move or drop it.  Copy what
+    must outlive that. *)
 
 type state = Write_only | Backfilling | Readable | Demoted
 
@@ -47,7 +55,8 @@ val distinct_keys : t -> int
 (** Number of distinct key values currently indexed. *)
 
 val entries : t -> int
-(** Total (key, rid) entries currently indexed — O(keys). *)
+(** Total (key, rid) entries currently indexed, the sum of the postings'
+    counts — O(keys). *)
 
 val key_of : t -> Tuple.t -> Tuple.t
 (** The index key of a table row (projection onto the key columns). *)
@@ -66,25 +75,27 @@ val backfill_insert : t -> Table.rid -> Tuple.t -> bool
 
 (** {1 Probes} *)
 
-val lookup : t -> Tuple.t -> Table.rid list
-(** Rids with exactly this (composite) key. *)
+val lookup : t -> Tuple.t -> posting
+(** The posting of exactly this (composite) key; its count is 0 when no
+    row holds it. *)
 
-val lookup_value : t -> Value.t -> Table.rid list
+val lookup_value : t -> Value.t -> posting
 (** Single-column convenience. *)
 
 type bound = Unbounded | Incl of Value.t | Excl of Value.t
 
 val fold_range :
   t -> lo:bound -> hi:bound -> init:'a ->
-  f:('a -> Value.t -> Table.rid list -> 'a) -> 'a
-(** In-key-order iteration over the (key, rids) bindings within the
-    bounds.  Only valid on single-column indexes (raises
-    [Invalid_argument] otherwise). *)
+  f:('a -> Value.t -> posting -> 'a) -> 'a
+(** In-key-order iteration over the (key, posting) bindings within the
+    bounds; every posting it yields is non-empty.  Only valid on
+    single-column indexes (raises [Invalid_argument] otherwise). *)
 
 val fold_entries :
   t -> lo:bound -> hi:bound -> init:'a ->
-  f:('a -> Tuple.t -> Table.rid list -> 'a) -> 'a
-(** In-key-order iteration over (key, rids) bindings for index-only
-    scans.  Bounds apply to the leading column — on a composite index
-    only bindings whose leading value falls within them are yielded, so
-    a leading-column probe narrows composite covering scans too. *)
+  f:('a -> Tuple.t -> posting -> 'a) -> 'a
+(** In-key-order iteration over (key, posting) bindings for index-only
+    scans; every posting it yields is non-empty.  Bounds apply to the
+    leading column — on a composite index only bindings whose leading
+    value falls within them are yielded, so a leading-column probe
+    narrows composite covering scans too. *)

@@ -10,20 +10,28 @@ let to_list = Array.to_list
 let of_array (a : Value.t array) : t = a
 let copy = Array.copy
 
+(* Both are plain loops: a local recursive function would close over
+   [a], [b] and [n] and allocate that closure on every call, and every
+   hash-table probe and B+-tree comparison lands here. *)
 let equal (a : t) (b : t) =
-  Array.length a = Array.length b
-  && (let n = Array.length a in
-      let rec loop i = i >= n || (Value.equal_total a.(i) b.(i) && loop (i + 1)) in
-      loop 0)
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && Value.equal_total a.(!i) b.(!i) do
+    incr i
+  done;
+  !i = n
 
 let compare (a : t) (b : t) =
-  let n = min (Array.length a) (Array.length b) in
-  let rec loop i =
-    if i >= n then Stdlib.compare (Array.length a) (Array.length b)
-    else
-      match Value.compare_total a.(i) b.(i) with 0 -> loop (i + 1) | c -> c
-  in
-  loop 0
+  let la = Array.length a and lb = Array.length b in
+  let n = min la lb in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < n do
+    c := Value.compare_total a.(!i) b.(!i);
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare la lb
 
 let hash (t : t) =
   let h = ref 17 in

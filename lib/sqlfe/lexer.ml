@@ -41,10 +41,9 @@ let keywords =
     "ANALYZE"; "PARTITION"; "RANGE"; "HASH"; "BOUNDS"; "BUCKETS"; "ONLINE";
   ]
 
-let keyword_set =
-  let h = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace h k ()) keywords;
-  h
+module Keywords = Set.Make (String)
+
+let keyword_set = Keywords.of_list keywords
 
 exception Lex_error of string * int (* message, position *)
 
@@ -73,7 +72,7 @@ let lex_ident st =
   go ();
   let text = String.sub st.src start (st.pos - start) in
   let upper = String.uppercase_ascii text in
-  if Hashtbl.mem keyword_set upper then KW upper else IDENT text
+  if Keywords.mem upper keyword_set then KW upper else IDENT text
 
 let lex_number st =
   let start = st.pos in

@@ -10,15 +10,19 @@
    operation, like DB2's or Postgres's soft cancel between operators,
    only coarser).
 
-   The scheduler knows nothing about locks or sessions: jobs do their
-   own locking (see {!Rwlock} and {!Session}), so the pool stays a pure
-   execution resource.  A job that has to wait for a lock answers
-   [`Parked] instead of blocking its worker, and whoever wakes it calls
-   [resubmit]; a parked job holds no worker, so a burst of transactions
-   cannot convoy the pool while the lock holder's next statement waits
-   behind them.  [shutdown] stops admissions, lets workers drain the
-   queue by *expiring* every remaining job (each client still gets a
-   response), and joins the domains. *)
+   A worker takes the oldest queued job whose session has no job on a
+   worker, so one session's jobs start in the order they were queued and
+   never overlap: two workers that popped a session's two pipelined
+   jobs at once would race for its mutex, and the later statement could
+   run first.  Beyond that the scheduler knows nothing about locks or
+   sessions: jobs do their own locking (see {!Rwlock} and {!Session}),
+   so the pool stays a pure execution resource.  A job that has to wait
+   for a lock answers [`Parked] instead of blocking its worker, and
+   whoever wakes it calls [resubmit]; a parked job holds no worker, so a
+   burst of transactions cannot convoy the pool while the lock holder's
+   next statement waits behind them.  [shutdown] stops admissions, lets
+   workers drain the queue by *expiring* every remaining job (each
+   client still gets a response), and joins the domains. *)
 
 type job = {
   session : int;
@@ -39,6 +43,8 @@ type t = {
   workers : int;
   metrics : Obs.Metrics.t;
   mutable stopping : bool;
+  mutable running : int list; (* sessions with a job on a worker *)
+  mutable stalled : int; (* workers waiting beside queued jobs *)
   mutable domains : unit Domain.t list;
   mutable domains_seen : int list; (* raw Domain ids that ran a job *)
 }
@@ -85,62 +91,106 @@ let push t job ~refusal =
 let woken_key : job list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let rec worker_loop t =
+let runnable t job = not (List.mem job.session t.running)
+
+(* The oldest queued job whose session has none running; the jobs it
+   passes over keep their places. *)
+let take_runnable t =
+  let runnable = runnable t in
+  match Queue.peek_opt t.queue with
+  | None -> None
+  | Some job when runnable job -> Some (Queue.pop t.queue)
+  | Some _ ->
+      let found = ref None and kept = Queue.create () in
+      Queue.iter
+        (fun job ->
+          if Option.is_none !found && runnable job then found := Some job
+          else Queue.push job kept)
+        t.queue;
+      if Option.is_some !found then begin
+        Queue.clear t.queue;
+        Queue.transfer kept t.queue
+      end;
+      !found
+
+(* [finished]: the session whose job this worker just ran. *)
+let rec worker_loop t ~finished =
   (* @acquires srv.scheduler.queue *)
   Mutex.lock t.m;
-  while Queue.is_empty t.queue && not t.stopping do
-    (* @waits srv.scheduler.queue *)
-    Condition.wait t.nonempty t.m
-  done;
-  if Queue.is_empty t.queue && t.stopping then Mutex.unlock t.m
-  else begin
-    let job = Queue.pop t.queue in
-    let stopping = t.stopping in
-    Mutex.unlock t.m;
-    Obs.Metrics.add_gauge t.metrics "srv.queue_depth" (-1.0);
-    note_domain t;
-    let now = Unix.gettimeofday () in
-    let woken = ref [] in
-    Domain.DLS.set woken_key (Some woken);
-    (try
-       if stopping then begin
-         Obs.Metrics.incr t.metrics "srv.jobs_expired";
-         job.expired Proto.Shutting_down
-       end
-       else if job.cancelled () then begin
-         Obs.Metrics.incr t.metrics "srv.jobs_cancelled";
-         job.expired Proto.Cancelled
-       end
-       else if
-         match job.deadline with Some d -> now > d | None -> false
-       then begin
-         Obs.Metrics.incr t.metrics "srv.jobs_expired";
-         (* distinct from jobs_expired (which shutdown drains also
-            tick): admitted work that died of queue wait — the overload
-            signal the circuit breaker and chaoscheck gate watch *)
-         Obs.Metrics.incr t.metrics "srv.jobs_deadline_killed";
-         job.expired Proto.Deadline_exceeded
-       end
-       else begin
-         match job.run () with
-         | `Done ->
-             Obs.Metrics.record_time t.metrics "srv.queue_wait"
-               (now -. job.enqueued_at);
-             Obs.Metrics.record_time t.metrics "srv.query_latency"
-               (Unix.gettimeofday () -. now);
-             Obs.Metrics.incr t.metrics "srv.jobs_completed"
-         | `Parked -> () (* whoever wakes it resubmits it *)
-       end
-     with _ ->
-       (* [run]/[expired] answer the client themselves; a leak here must
-          not kill the worker *)
-       Obs.Metrics.incr t.metrics "srv.job_errors");
-    Domain.DLS.set woken_key None;
-    List.iter
-      (fun job -> ignore (push t job ~refusal:(fun () -> None)))
-      (List.rev !woken);
-    worker_loop t
-  end
+  Option.iter
+    (fun s -> t.running <- List.filter (( <> ) s) t.running)
+    finished;
+  let rec next () =
+    match take_runnable t with
+    | Some job -> Some job
+    | None when t.stopping && Queue.is_empty t.queue -> None
+    | None ->
+        (* every queued job's session has a job running *)
+        let stalled = not (Queue.is_empty t.queue) in
+        if stalled then t.stalled <- t.stalled + 1;
+        (* @waits srv.scheduler.queue *)
+        Condition.wait t.nonempty t.m;
+        if stalled then t.stalled <- t.stalled - 1;
+        next ()
+  in
+  match next () with
+  | None ->
+      (* a sibling may be waiting on a job this worker ran last *)
+      Condition.broadcast t.nonempty;
+      Mutex.unlock t.m
+  | Some job ->
+      t.running <- job.session :: t.running;
+      (* a stalled sibling may wait for a job left runnable, say the
+         next of the session this worker just finished *)
+      if
+        t.stalled > 0
+        && Queue.fold (fun any j -> any || runnable t j) false t.queue
+      then Condition.signal t.nonempty;
+      let stopping = t.stopping in
+      Mutex.unlock t.m;
+      Obs.Metrics.add_gauge t.metrics "srv.queue_depth" (-1.0);
+      note_domain t;
+      let now = Unix.gettimeofday () in
+      let woken = ref [] in
+      Domain.DLS.set woken_key (Some woken);
+      (try
+         if stopping then begin
+           Obs.Metrics.incr t.metrics "srv.jobs_expired";
+           job.expired Proto.Shutting_down
+         end
+         else if job.cancelled () then begin
+           Obs.Metrics.incr t.metrics "srv.jobs_cancelled";
+           job.expired Proto.Cancelled
+         end
+         else if
+           match job.deadline with Some d -> now > d | None -> false
+         then begin
+           Obs.Metrics.incr t.metrics "srv.jobs_expired";
+           (* distinct from jobs_expired (which shutdown drains also
+              tick): admitted work that died of queue wait — the overload
+              signal the circuit breaker and chaoscheck gate watch *)
+           Obs.Metrics.incr t.metrics "srv.jobs_deadline_killed";
+           job.expired Proto.Deadline_exceeded
+         end
+         else begin
+           match job.run () with
+           | `Done ->
+               Obs.Metrics.record_time t.metrics "srv.queue_wait"
+                 (now -. job.enqueued_at);
+               Obs.Metrics.record_time t.metrics "srv.query_latency"
+                 (Unix.gettimeofday () -. now);
+               Obs.Metrics.incr t.metrics "srv.jobs_completed"
+           | `Parked -> () (* whoever wakes it resubmits it *)
+         end
+       with _ ->
+         (* [run]/[expired] answer the client themselves; a leak here must
+            not kill the worker *)
+         Obs.Metrics.incr t.metrics "srv.job_errors");
+      Domain.DLS.set woken_key None;
+      List.iter
+        (fun job -> ignore (push t job ~refusal:(fun () -> None)))
+        (List.rev !woken);
+      worker_loop t ~finished:(Some job.session)
 
 let create ?workers ?(queue_capacity = 64) metrics =
   let workers =
@@ -157,11 +207,14 @@ let create ?workers ?(queue_capacity = 64) metrics =
       workers;
       metrics;
       stopping = false;
+      running = [];
+      stalled = 0;
       domains = [];
       domains_seen = [];
     }
   in
-  t.domains <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t.domains <- List.init workers (fun _ ->
+        Domain.spawn (fun () -> worker_loop t ~finished:None));
   t
 
 let workers t = t.workers

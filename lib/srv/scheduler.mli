@@ -4,7 +4,10 @@
     with a retry-after hint scaled to the backlog.  Deadlines and
     cancellation are checked when a worker dequeues a job — an expired
     or cancelled job never starts, and [expired] is invoked instead of
-    [run] so the client still gets an answer.  The scheduler is
+    [run] so the client still gets an answer.  A worker takes the
+    oldest queued job whose [session] has no job on a worker, so one
+    session's jobs start in queue order and never overlap; other
+    sessions' jobs pass a waiting one.  Beyond that the scheduler is
     lock-agnostic: jobs do their own locking ({!Rwlock}), the pool is a
     pure execution resource; a job waiting for a lock parks off the pool
     and comes back through {!resubmit}.
@@ -17,7 +20,7 @@
     gauge, and srv.queue_wait / srv.query_latency wall-clock timings. *)
 
 type job = {
-  session : int;
+  session : int;  (** at most one job per session runs at a time *)
   req_id : int;
   enqueued_at : float;
   deadline : float option;  (** absolute Unix time *)

@@ -7,10 +7,12 @@
    and registries by internal mutexes, data/catalog/WAL by the
    single-writer lock ({!Rwlock}).
 
-   A session's requests can be pipelined, so two of its jobs may land on
-   two worker domains at once; the per-session mutex serializes them,
+   A session's requests can be pipelined, but the scheduler never runs
+   two of its jobs at once, and starts them in queue order ({!Scheduler}),
    which is exactly a session's contract (statements of one session
-   execute in order of admission, sessions interleave freely).
+   execute in order of admission, sessions interleave freely).  The
+   mutex alone would not keep that order: two workers holding a
+   session's two jobs race for it, and the later one may win.
 
    The locking discipline, uniform across every request:
    session mutex → reader/writer lock → engine.  Reads take the shared
@@ -439,9 +441,9 @@ let dispatch ~rwlock ~waiter ~deadline t (payload : Proto.request_payload) =
          server bug, not a client error *)
       failed Proto.Exec_error "request cannot be queued"
 
-(* Runs on a worker domain, under this session's mutex: one session's
-   pipelined jobs execute one at a time, in admission order.  [None]
-   when the request parked. *)
+(* Runs on a worker domain, under this session's mutex; the scheduler
+   runs one session's pipelined jobs one at a time, in admission order.
+   [None] when the request parked. *)
 let handle ~rwlock ~waiter ~deadline t payload =
   locked t (fun () ->
       let answer =

@@ -622,27 +622,42 @@ let globals_in_source ~path source =
       "Bytes.make" ]
   in
   let lines = Array.of_list (String.split_on_char '\n' source) in
+  (* [let name = rhs] or [let name : ty = rhs], as (name, rhs); a
+     function's parameters make it no value binding *)
+  let value_binding text =
+    match String.index_opt text '=' with
+    | None -> None
+    | Some eq -> (
+        match
+          String.split_on_char ' ' (String.sub text 4 (eq - 4))
+          |> List.filter (( <> ) "")
+        with
+        | [ name ] | name :: ":" :: _ ->
+            Some
+              ( name,
+                String.trim
+                  (String.sub text (eq + 1) (String.length text - eq - 1)) )
+        | _ -> None)
+  in
+  (* fresh state, or a [let ... in] whose value binding is fresh state —
+     the counter a closure hides in [let f = let n = ref 0 in fun ...] *)
+  let rec fresh_rhs rhs =
+    List.exists (fun prefix -> String.starts_with ~prefix rhs) fresh
+    || String.starts_with ~prefix:"let " rhs
+       &&
+       match value_binding rhs with
+       | Some (_, inner) -> fresh_rhs inner
+       | None -> false
+  in
   let binding i =
     let window =
       String.concat " "
         (Array.to_list
            (Array.sub lines i (min 4 (Array.length lines - i))))
     in
-    match String.index_opt window '=' with
-    | None -> None
-    | Some eq -> (
-        match
-          String.split_on_char ' ' (String.sub window 4 (eq - 4))
-          |> List.filter (( <> ) "")
-        with
-        | [ name ] | name :: ":" :: _ ->
-            let rhs =
-              String.trim (String.sub window (eq + 1) (String.length window - eq - 1))
-            in
-            if List.exists (fun prefix -> String.starts_with ~prefix rhs) fresh
-            then Some name
-            else None
-        | _ -> None)
+    match value_binding window with
+    | Some (name, rhs) when fresh_rhs rhs -> Some name
+    | _ -> None
   in
   List.concat
     (List.init (Array.length lines) (fun i ->
@@ -679,6 +694,15 @@ let test_globals_lint () =
        \    =\n\
        \  ref ignore\n\
         let e : Value.t array = Array.make 4 Value.Null\n");
+  check (Alcotest.list Alcotest.string) "state a let-in hides" [ "1 f"; "5 g" ]
+    (hits
+       "let f =\n\
+       \  let counter = ref 0 in\n\
+       \  fun () -> incr counter; !counter\n\
+        let k = 3\n\
+        let g =\n\
+       \  let seen : (int, unit) Hashtbl.t = Hashtbl.create 8 in\n\
+       \  Hashtbl.mem seen\n");
   check (Alcotest.list Alcotest.string) "functions, locals and constants pass" []
     (hits
        "let f x = ref x\n\
@@ -686,7 +710,13 @@ let test_globals_lint () =
        \  let r = ref 0 in\n\
        \  !r\n\
         let k = 3\n\
-        let s = String.make 3 'a'\n")
+        let s = String.make 3 'a'\n\
+        let h =\n\
+       \  let x = 2 in\n\
+       \  x + 1\n\
+        let m =\n\
+       \  let make () = ref 0 in\n\
+       \  make\n")
 
 let test_real_tree_lints () =
   match Source_root.find () with

@@ -398,6 +398,26 @@ let test_advisor_end_to_end () =
       check tbool "advisor output sound" true (Exec.Executor.same_rows base opt))
     Workload.Queries.advisor_workload
 
+(* Mined SC names are numbered per database, not per process: building
+   the advisor scenario twice in one process installs the same names. *)
+let test_advisor_names_per_database () =
+  let fixture =
+    List.find
+      (fun f -> f.Benchkit.Scenario.fixture_name = "advisor/asc")
+      Benchkit.Scenario.fixtures
+  in
+  let names () =
+    let sdb = fixture.Benchkit.Scenario.fixture_setup Benchkit.Scenario.Quick in
+    List.map
+      (fun sc -> sc.Core.Soft_constraint.name)
+      (Core.Sc_catalog.all (Core.Softdb.catalog sdb))
+  in
+  let first = names () in
+  check tbool "the advisor installed SCs" true (first <> []);
+  check
+    Alcotest.(list string)
+    "the same names the second time" first (names ())
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -434,5 +454,7 @@ let () =
           Alcotest.test_case "ranks useful above useless" `Quick
             test_selection_ranks_useful_sc;
           Alcotest.test_case "advisor end to end" `Slow test_advisor_end_to_end;
+          Alcotest.test_case "advisor names are per database" `Quick
+            test_advisor_names_per_database;
         ] );
     ]

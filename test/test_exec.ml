@@ -649,6 +649,66 @@ let index_scan_slot_order size =
         ((n + rpp - 1) / rpp) c.Operators.Counters.pages_read)
     [ ("sorted rids", 10, 11); ("slot bitmap", 0, size * 5 / 6) ]
 
+(* An index range over random data answers as the heap scan with the
+   same filter does: the same rows in the same (slot) order, one fetch
+   per matching row and the page model's pages for them.  Half the rows
+   arrive before the index is built and half after, tombstones are
+   spread through the table, and the ranges run from empty through one
+   key (the posting read without a sort) to most of the table (the slot
+   bitmap). *)
+let index_scan_agrees_prop =
+  QCheck.Test.make ~name:"IndexScan = SeqScan over a random range" ~count:60
+    QCheck.(
+      quad (int_range 1 1500) (int_range 1 300)
+        (pair (int_range (-5) 305) (int_range (-1) 40))
+        (int_range 2 5))
+    (fun (size, keys, (lo, width), every) ->
+      let db = Database.create () in
+      ignore
+        (Database.create_table db
+           (Schema.make "t"
+              [ Schema.column "id" Value.TInt; Schema.column "v" Value.TInt ]));
+      let insert i =
+        ignore
+          (Database.insert db ~table:"t"
+             (Tuple.make [ Value.Int i; Value.Int (7919 * i mod keys) ]))
+      in
+      for i = 0 to (size / 2) - 1 do insert i done;
+      ignore
+        (Database.create_index db ~name:"t_v" ~table:"t" ~columns:[ "v" ] ());
+      for i = size / 2 to size - 1 do insert i done;
+      for rid = 0 to size - 1 do
+        if rid mod every = 0 then ignore (Database.delete db ~table:"t" rid)
+      done;
+      let hi = lo + width in
+      let filter =
+        Expr.conjoin
+          [
+            Expr.Cmp (Expr.Ge, Expr.column "v", Expr.int lo);
+            Expr.Cmp (Expr.Le, Expr.column "v", Expr.int hi);
+          ]
+      in
+      let heap = run db (scan ~filter "t") in
+      let idx =
+        run db
+          (Plan.Index_scan
+             {
+               table = "t";
+               alias = "t";
+               index = "t_v";
+               lo = Index.Incl (Value.Int lo);
+               hi = Index.Incl (Value.Int hi);
+               filter = Expr.Ptrue;
+             })
+      in
+      let n = List.length heap.Executor.rows in
+      let rpp = Table.rows_per_page (Database.table_exn db "t") in
+      let c = idx.Executor.counters in
+      List.length idx.Executor.rows = n
+      && List.for_all2 Tuple.equal heap.Executor.rows idx.Executor.rows
+      && c.Operators.Counters.rows_scanned = n
+      && c.Operators.Counters.pages_read = (n + rpp - 1) / rpp)
+
 (* A chunk holds 8,192 slots and the last is cut to what its slots need:
    300 slots fill part of one chunk, 8,192 leave the last chunk empty,
    8,193 give it one byte, and 20,000 span three chunks. *)
@@ -988,6 +1048,8 @@ let () =
           Alcotest.test_case "index-only scan streams" `Quick
             test_index_only_scan_streams;
           Alcotest.test_case "project" `Quick test_project;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 32 |])
+            index_scan_agrees_prop;
         ] );
       ( "join",
         [

@@ -54,7 +54,9 @@ let index_consistent sdb idx =
   in
   List.length live = Index.entries idx
   && List.for_all
-       (fun (rid, row) -> List.mem rid (Index.lookup idx (Index.key_of idx row)))
+       (fun (rid, row) ->
+         let p = Index.lookup idx (Index.key_of idx row) in
+         Array.mem rid (Array.sub p 1 p.(0)))
        live
 
 let sorted_rows (r : Exec.Executor.result) =
@@ -227,7 +229,7 @@ let test_completed_build_replays_readable () =
   check tbool "readable after replay" true (Index.is_readable idx2);
   check tbool "rebuilt consistent" true (index_consistent sdb2 idx2);
   check tint "post-build insert indexed" 11
-    (List.length (Index.lookup_value idx2 (Value.Int 3)))
+    (Index.lookup_value idx2 (Value.Int 3)).(0)
 
 (* ---- guarded fallback on mid-flight demotion ----------------------------- *)
 

@@ -634,19 +634,134 @@ let test_index_maintenance () =
   let idx = Index.create ~name:"people_age" ~table:t ~columns:[ "age" ] () in
   check tint "two distinct ages" 2 (Index.distinct_keys idx);
   check tint "age 30 rids" 2
-    (List.length (Index.lookup_value idx (Value.Int 30)));
+    (Index.lookup_value idx (Value.Int 30)).(0);
   (* delete and re-check *)
   let r1 = List.hd rids in
   let row = Table.get_exn t r1 in
   ignore (Table.delete t r1);
   Index.on_delete idx r1 row;
   check tint "age 30 now 1" 1
-    (List.length (Index.lookup_value idx (Value.Int 30)));
+    (Index.lookup_value idx (Value.Int 30)).(0);
   (* range *)
   check tint "range 30..40" 2
     (Index.fold_range idx ~lo:(Index.Incl (Value.Int 30))
-       ~hi:(Index.Incl (Value.Int 40)) ~init:0 ~f:(fun n _ rids ->
-         n + List.length rids))
+       ~hi:(Index.Incl (Value.Int 40)) ~init:0 ~f:(fun n _ p ->
+         n + p.(0)))
+
+(* Postings against a reference multimap (key -> ascending rids) under
+   random maintenance.  Rids arrive out of order, as rollback's restore
+   and recovery's place present them; the backfill repeats live rows and
+   must answer [false]; updates move rows between keys; a unique index
+   refuses a second rid under a key and is left as it was. *)
+let index_vs_multimap =
+  QCheck.Test.make ~name:"index postings agree with a multimap" ~count:300
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(int_range 0 150)
+           (triple (int_range 0 3) (int_range 0 47) (int_range 0 5))))
+    (fun (unique, ops) ->
+      let t = Table.create people_schema in
+      let idx =
+        Index.create_shell ~name:"age_idx" ~table:t ~columns:[ "age" ] ~unique
+          ()
+      in
+      let row rid key = Tuple.make [ Value.Int rid; Value.Null; Value.Int key ] in
+      (* the model: each live rid's key *)
+      let live = Hashtbl.create 64 in
+      let held key = Hashtbl.fold (fun _ k n -> if k = key then n + 1 else n) live 0 in
+      let vetoed f =
+        match f () with
+        | () -> false
+        | exception Index.Unique_violation _ -> true
+      in
+      let expected () =
+        Hashtbl.fold (fun rid key m ->
+            IntMap.update key
+              (fun rids -> Some (rid :: Option.value rids ~default:[]))
+              m)
+          live IntMap.empty
+        |> IntMap.map (List.sort Int.compare)
+        |> IntMap.bindings
+      in
+      let actual () =
+        Index.fold_range idx ~lo:Index.Unbounded ~hi:Index.Unbounded ~init:[]
+          ~f:(fun acc key p ->
+            let key = match key with Value.Int k -> k | _ -> -1 in
+            (key, Array.to_list (Array.sub p 1 p.(0))) :: acc)
+        |> List.rev
+      in
+      List.for_all
+        (fun (op, rid, key) ->
+          (match (op, Hashtbl.find_opt live rid) with
+          | 0, None ->
+              (* a new row, at whatever rid *)
+              let clash = unique && held key > 0 in
+              if vetoed (fun () -> Index.on_insert idx rid (row rid key)) <> clash
+              then failwith "unique veto";
+              if not clash then Hashtbl.replace live rid key
+          | 0, Some old ->
+              (* a writer presenting a row the backfill already indexed:
+                 a no-op, never a unique veto *)
+              Index.on_insert idx rid (row rid old)
+          | 1, Some old ->
+              Index.on_delete idx rid (row rid old);
+              Hashtbl.remove live rid
+          | 2, Some old when not (unique && old <> key && held key > 0) ->
+              Index.on_update idx rid ~before:(row rid old) ~after:(row rid key);
+              Hashtbl.replace live rid key
+          | 3, Some old ->
+              if Index.backfill_insert idx rid (row rid old) then
+                failwith "a repeated backfill reported new"
+          | 3, None ->
+              let clash = unique && held key > 0 in
+              let fresh = ref false in
+              if
+                vetoed (fun () ->
+                    fresh := Index.backfill_insert idx rid (row rid key))
+                <> clash
+              then failwith "unique veto";
+              if not clash then begin
+                if not !fresh then failwith "a new backfill reported repeated";
+                Hashtbl.replace live rid key
+              end
+          | _ -> ());
+          let exp = expected () in
+          actual () = exp
+          && Index.entries idx = Hashtbl.length live
+          && Index.distinct_keys idx = List.length exp
+          && List.for_all
+               (fun (key, rids) ->
+                 let p = Index.lookup_value idx (Value.Int key) in
+                 Array.to_list (Array.sub p 1 p.(0)) = rids)
+               exp)
+        ops)
+
+(* An insert a unique index vetoes leaves no trace in the table's other
+   indexes: no stale entry, and no phantom veto of a later row. *)
+let test_vetoed_insert_leaves_no_entry () =
+  let db = Database.create () in
+  ignore
+    (Database.create_table db
+       (Schema.make "t"
+          [ Schema.column "a" Value.TInt; Schema.column "b" Value.TInt ]));
+  let index name col =
+    Database.create_index db ~name ~table:"t" ~columns:[ col ] ~unique:true ()
+  in
+  let ua = index "ua" "a" and ub = index "ub" "b" in
+  let insert a b =
+    ignore (Database.insert db ~table:"t" (Tuple.make [ Value.Int a; Value.Int b ]))
+  in
+  insert 1 1;
+  check tbool "a duplicate a is vetoed" true
+    (try
+       insert 1 2;
+       false
+     with Index.Unique_violation _ -> true);
+  check tint "ua holds one entry" 1 (Index.entries ua);
+  check tint "ub holds one entry" 1 (Index.entries ub);
+  insert 5 2;
+  check tint "b = 2 goes in afterwards" 2
+    (Table.cardinality (Database.table_exn db "t"))
 
 let test_unique_index () =
   let t = Table.create people_schema in
@@ -845,6 +960,10 @@ let () =
             test_table_schema_enforcement;
           Alcotest.test_case "index maintenance" `Quick test_index_maintenance;
           Alcotest.test_case "unique index" `Quick test_unique_index;
+          Alcotest.test_case "a vetoed insert leaves no index entry" `Quick
+            test_vetoed_insert_leaves_no_entry;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+            index_vs_multimap;
         ] );
       ( "constraints",
         [

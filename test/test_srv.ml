@@ -762,9 +762,10 @@ let test_rwlock_deadline_timer () =
 
 (* ---- scheduler: admission, deadlines, cancellation, fan-out --------------- *)
 
-let mk_job ?deadline ?(cancelled = fun () -> false) ~on_done ~on_expired run =
+let mk_job ?(session = 0) ?deadline ?(cancelled = fun () -> false) ~on_done
+    ~on_expired run =
   {
-    Srv.Scheduler.session = 0;
+    Srv.Scheduler.session;
     req_id = 0;
     enqueued_at = Unix.gettimeofday ();
     deadline;
@@ -816,10 +817,10 @@ let test_scheduler_uses_two_domains () =
   let b = barrier () in
   let done_count = ref 0 in
   let no_expire _ = Alcotest.fail "unexpected expiry" in
-  for _ = 1 to 2 do
+  for session = 1 to 2 do
     check tbool "barrier job admitted" true
       (Srv.Scheduler.submit s
-         (mk_job
+         (mk_job ~session
             ~on_done:(fun () -> incr done_count)
             ~on_expired:no_expire
             (fun () -> barrier_wait b))
@@ -830,6 +831,46 @@ let test_scheduler_uses_two_domains () =
   eventually "both barrier jobs complete" (fun () -> !done_count = 2);
   check tbool "two domains executed jobs" true
     (Srv.Scheduler.domains_used s >= 2);
+  Srv.Scheduler.shutdown s
+
+(* One session's jobs never overlap, whichever worker is free: with
+   session 1's first job latched on one worker, the other worker passes
+   over session 1's second job to run session 2's, and starts the second
+   only once the first is done.  Popping in plain queue order, the free
+   worker took the second at once and raced the first for the session. *)
+let test_scheduler_one_job_per_session () =
+  let metrics = Obs.Metrics.create () in
+  let s = Srv.Scheduler.create ~workers:2 ~queue_capacity:8 metrics in
+  let l = latch () in
+  let log = ref [] and lm = Mutex.create () in
+  let note e = Mutex.protect lm (fun () -> log := e :: !log) in
+  let seen e = Mutex.protect lm (fun () -> List.mem e !log) in
+  let submit session what run =
+    check tbool (what ^ " admitted") true
+      (Srv.Scheduler.submit s
+         (mk_job ~session
+            ~on_done:(fun () -> note (what ^ " done"))
+            ~on_expired:(fun _ -> Alcotest.fail "unexpected expiry")
+            (fun () ->
+              note (what ^ " start");
+              run ()))
+      = `Admitted)
+  in
+  submit 1 "first" (fun () -> latch_wait l);
+  eventually "first on the latch" (fun () -> latch_waiters l = 1);
+  submit 1 "second" ignore;
+  submit 2 "other" ignore;
+  eventually "the other session's job runs" (fun () -> seen "other done");
+  check tbool "the second waits for the first" false (seen "second start");
+  latch_open l;
+  eventually "the second runs" (fun () -> seen "second done");
+  check
+    Alcotest.(list string)
+    "session 1 in order"
+    [ "first start"; "first done"; "second start"; "second done" ]
+    (List.filter
+       (fun e -> not (String.starts_with ~prefix:"other" e))
+       (List.rev (Mutex.protect lm (fun () -> !log))));
   Srv.Scheduler.shutdown s
 
 let test_scheduler_deadline_and_cancel () =
@@ -2164,6 +2205,8 @@ let () =
             test_scheduler_admission_control;
           Alcotest.test_case "fans out to two domains" `Quick
             test_scheduler_uses_two_domains;
+          Alcotest.test_case "one job per session at a time" `Quick
+            test_scheduler_one_job_per_session;
           Alcotest.test_case "deadline + cancellation at dequeue" `Quick
             test_scheduler_deadline_and_cancel;
           Alcotest.test_case "shutdown drains the queue" `Quick
