@@ -113,7 +113,8 @@ let install_purchase_band sdb ~name ~confidence =
   Core.Softdb.install_sc sdb
     (Core.Soft_constraint.make ~name ~table:"purchase" ~kind
        ~installed_at_mutations:(Table.mutations tbl)
-       (Core.Soft_constraint.Diff_stmt (d, band)))
+       (Core.Soft_constraint.Ic_stmt
+          (Icdef.Check (Mining.Diff_band.to_check_pred d band))))
 
 let install_project_band sdb ~confidence =
   let tbl = Database.table_exn (Core.Softdb.db sdb) "project" in
@@ -126,7 +127,8 @@ let install_project_band sdb ~confidence =
     (Core.Soft_constraint.make ~name:"proj_band" ~table:"project"
        ~kind:(Core.Soft_constraint.Statistical band.Mining.Diff_band.confidence)
        ~installed_at_mutations:(Table.mutations tbl)
-       (Core.Soft_constraint.Diff_stmt (d, band)))
+       (Core.Soft_constraint.Ic_stmt
+          (Icdef.Check (Mining.Diff_band.to_check_pred d band))))
 
 (* the APB hierarchies are exact FDs by construction *)
 let install_apb_fds sdb =

@@ -2,9 +2,10 @@
    the soft-constraint catalog itself.
 
    - contradictory SCs: check statements whose combined per-column
-     interval is empty, and absolute difference bands on the same column
-     pair with disjoint [d_min, d_max] ranges — the data cannot satisfy
-     both, so at least one is wrong (cf. soft-FD repair, Livshits et al.);
+     interval is empty, and absolute bands — difference or line, declared
+     or mined — on the same column pair with disjoint images — the data
+     cannot satisfy both, so at least one is wrong (cf. soft-FD repair,
+     Livshits et al.);
    - duplicate / subsumed soft FDs: a same-table FD with the same rhs and
      a (strictly) smaller lhs makes the wider one redundant;
    - SSCs whose decayed confidence is at or below the planner's use
@@ -82,40 +83,38 @@ let contradiction_diags sdb =
           contradicted)
     tables
 
+(* Bands read from every usable ASC's check, whether declared or mined,
+   difference or line: two on the same column pair whose images are
+   disjoint ({!Mining.Band.disjoint}) contradict each other. *)
 let band_disjoint_diags sdb =
-  let cat = Core.Softdb.catalog sdb in
   let bands =
-    List.filter_map
+    List.concat_map
       (fun (sc : Core.Soft_constraint.t) ->
-        if not (Core.Soft_constraint.is_absolute sc) then None
-        else
-          match sc.Core.Soft_constraint.statement with
-          | Core.Soft_constraint.Diff_stmt (d, band) ->
-              Some (sc.Core.Soft_constraint.name, d, band)
-          | _ -> None)
-      (Core.Sc_catalog.usable cat)
+        match Core.Soft_constraint.check_pred sc with
+        | Some p when Core.Soft_constraint.is_absolute sc ->
+            List.map (fun band -> (sc, band)) (Mining.Band.of_check p)
+        | _ -> [])
+      (Core.Sc_catalog.usable (Core.Softdb.catalog sdb))
   in
   let rec pairs = function
     | [] -> []
     | x :: tl -> List.map (fun y -> (x, y)) tl @ pairs tl
   in
   List.filter_map
-    (fun ((n1, d1, b1), (n2, d2, b2)) ->
-      let same_cols =
-        norm d1.Mining.Diff_band.table = norm d2.Mining.Diff_band.table
-        && norm d1.Mining.Diff_band.col_hi = norm d2.Mining.Diff_band.col_hi
-        && norm d1.Mining.Diff_band.col_lo = norm d2.Mining.Diff_band.col_lo
-      in
-      let disjoint =
-        b1.Mining.Diff_band.d_max < b2.Mining.Diff_band.d_min
-        || b2.Mining.Diff_band.d_max < b1.Mining.Diff_band.d_min
-      in
-      if same_cols && disjoint then
+    (fun ( ((sc1 : Core.Soft_constraint.t), b1),
+           ((sc2 : Core.Soft_constraint.t), b2) ) ->
+      let table = norm sc1.Core.Soft_constraint.table in
+      if
+        table = norm sc2.Core.Soft_constraint.table
+        && Mining.Band.disjoint b1 b2
+      then
         Some
-          (Diag.error ~pass ~subject:(norm d1.Mining.Diff_band.table)
-             "absolute difference bands %s and %s on %s - %s are disjoint: \
-              no row can satisfy both"
-             n1 n2 d1.Mining.Diff_band.col_hi d1.Mining.Diff_band.col_lo)
+          (Diag.error ~pass ~subject:table
+             "absolute bands %s and %s on %s and %s are disjoint: no row \
+              can satisfy both"
+             sc1.Core.Soft_constraint.name sc2.Core.Soft_constraint.name
+             (Mining.Band.banded b1).Expr.col
+             b1.Mining.Band.map.Mining.Band.src.Expr.col)
       else None)
     (pairs bands)
 

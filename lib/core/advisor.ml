@@ -148,6 +148,12 @@ let extract_targets db (workload : Sqlfe.Ast.query list) : targets =
 
 (* ---- candidate generation -------------------------------------------------- *)
 
+(* The selectivity test of discovery: a band whose 100% width exceeds
+   this share of its banded column's range filters too little to pay for
+   its upkeep (the paper's "threshold used as a bound for acceptable
+   values for ε"). *)
+let max_selectivity = 0.25
+
 let mine_candidates ?(confidences = [ 1.0; 0.99; 0.9 ]) ~catalog db targets =
   let fresh_name = Sc_catalog.fresh_name catalog in
   let candidates = ref [] in
@@ -157,48 +163,35 @@ let mine_candidates ?(confidences = [ 1.0; 0.99; 0.9 ]) ~catalog db targets =
     | Some tbl -> Some (tbl, Table.mutations tbl)
     | None -> None
   in
-  (* correlations and difference bands over predicate pairs *)
+  (* bands over predicate pairs, a line and a difference each; a band
+     passes only when its 100% width is a small share of the banded
+     column's range *)
   List.iter
     (fun (table, (a, b)) ->
       match anchored table with
       | None -> ()
       | Some (tbl, muts) ->
-          (match Mining.Correlation.mine ~confidences tbl ~col_a:a ~col_b:b with
-          | Some corr ->
-              List.iter
-                (fun (band : Mining.Correlation.band) ->
-                  let kind =
-                    if band.Mining.Correlation.confidence >= 1.0 then
-                      Soft_constraint.Absolute
-                    else
-                      Soft_constraint.Statistical
-                        band.Mining.Correlation.confidence
-                  in
-                  add
-                    (Soft_constraint.make
-                       ~name:(fresh_name (Printf.sprintf "corr_%s_%s_%s" table a b))
-                       ~table ~kind ~installed_at_mutations:muts
-                       (Soft_constraint.Corr_stmt (corr, band))))
-                corr.Mining.Correlation.bands
-          | None -> ());
-          (match Mining.Diff_band.mine ~confidences tbl ~col_hi:a ~col_lo:b with
-          | Some diff ->
-              List.iter
-                (fun (band : Mining.Diff_band.band) ->
-                  let kind =
-                    if band.Mining.Diff_band.confidence >= 1.0 then
-                      Soft_constraint.Absolute
-                    else
-                      Soft_constraint.Statistical
-                        band.Mining.Diff_band.confidence
-                  in
-                  add
-                    (Soft_constraint.make
-                       ~name:(fresh_name (Printf.sprintf "diff_%s_%s_%s" table a b))
-                       ~table ~kind ~installed_at_mutations:muts
-                       (Soft_constraint.Diff_stmt (diff, band))))
-                diff.Mining.Diff_band.bands
-          | None -> ()))
+          List.iter
+            (fun (shape, prefix) ->
+              match Mining.Band.mine ~confidences tbl shape ~a ~b with
+              | Some m when m.Mining.Band.selectivity <= max_selectivity ->
+                  List.iter
+                    (fun (confidence, band) ->
+                      let kind =
+                        if confidence >= 1.0 then Soft_constraint.Absolute
+                        else Soft_constraint.Statistical confidence
+                      in
+                      add
+                        (Soft_constraint.make
+                           ~name:
+                             (fresh_name
+                                (Printf.sprintf "%s_%s_%s_%s" prefix table a b))
+                           ~table ~kind ~installed_at_mutations:muts
+                           (Soft_constraint.Ic_stmt
+                              (Icdef.Check (Mining.Band.to_pred band)))))
+                    m.Mining.Band.bands
+              | _ -> ())
+            [ (Mining.Band.Line, "corr"); (Mining.Band.Diff, "diff") ])
     targets.pair_targets;
   (* join holes *)
   List.iter

@@ -26,9 +26,12 @@ val extract_targets : Database.t -> Sqlfe.Ast.query list -> targets
 val mine_candidates :
   ?confidences:float list -> catalog:Sc_catalog.t -> Database.t -> targets ->
   Soft_constraint.t list
-(** Bands at 100% become ASC candidates, lower confidences SSC
-    candidates.  Each is named by {!Sc_catalog.fresh_name} in
-    [catalog]. *)
+(** Each column pair is mined for a line and a difference band
+    ({!Mining.Band.mine}); a band whose 100% width exceeds a quarter of
+    its banded column's range is dropped — the one selectivity test,
+    applied to every mined band here.  Surviving bands at 100% become ASC
+    candidates, lower confidences SSC candidates, each stored as its
+    check and named by {!Sc_catalog.fresh_name} in [catalog]. *)
 
 type outcome = {
   candidates : int;

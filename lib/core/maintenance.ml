@@ -128,83 +128,61 @@ let row_violates db (sc : Soft_constraint.t) row =
 
 (* ---- repairs -------------------------------------------------------------- *)
 
-let widen_diff (band : Mining.Diff_band.band) diff =
-  {
-    band with
-    Mining.Diff_band.d_min = min band.Mining.Diff_band.d_min diff;
-    d_max = max band.Mining.Diff_band.d_max diff;
-  }
+let numeric = Mining.Band.numeric
 
-let numeric v =
-  match v with
-  | Value.Int i -> Some (float_of_int i)
-  | Value.Float f -> Some f
-  | Value.Date d -> Some (float_of_int d)
-  | _ -> None
-
-(* Try to repair [sc] in place so the new [row] no longer violates it.
-   Returns false when this statement class cannot be widened. *)
+(* Try to repair [sc] in place so the new [row] no longer violates it:
+   each band conjunct of its check grows by the row's image
+   ({!Mining.Band.widen}) and a single-column BETWEEN grows to the row's
+   value; a NULL needs no widening.  Returns false when the row violates
+   a conjunct of neither kind, or the statement is not a check. *)
 let sync_repair t (sc : Soft_constraint.t) row =
-  let db = t.db in
-  match Database.find_table db sc.Soft_constraint.table with
+  match Database.find_table t.db sc.Soft_constraint.table with
   | None -> false
   | Some tbl -> (
       let schema = Table.schema tbl in
-      let value col = Tuple.get row (Schema.index_exn schema col) in
-      (* a check or partition-domain statement widens when it is a
-         single-column BETWEEN; a NULL needs no widening *)
-      let widen pred restate =
-        match pred with
-        | Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi) ->
-            let v = value r.Expr.col in
-            if not (Value.is_null v) then begin
+      let value (r : Expr.col_ref) =
+        Tuple.get row (Schema.index_exn schema r.Expr.col)
+      in
+      let widen c =
+        match (Mining.Band.of_pred c, c) with
+        | Some band, _ -> (
+            match
+              ( numeric (value (Mining.Band.banded band)),
+                numeric (value band.Mining.Band.map.Mining.Band.src) )
+            with
+            | Some a, Some b ->
+                Some (Mining.Band.to_pred (Mining.Band.widen band ~a ~b))
+            | _ -> Some c)
+        | None, Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi) ->
+            let v = value r in
+            if Value.is_null v then Some c
+            else
               let lo = if Value.compare_total v lo < 0 then v else lo
               and hi = if Value.compare_total v hi > 0 then v else hi in
-              Sc_catalog.set_statement t.catalog sc
-                (restate
-                   (Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi)))
-            end;
-            true
-        | _ -> false
+              Some (Expr.Between (Expr.Col r, Expr.Const lo, Expr.Const hi))
+        | None, _ ->
+            if Expr.check_violated (Expr.Binding.of_schema schema) c row then
+              None
+            else Some c
+      in
+      let repair pred restate =
+        let cs = Expr.conjuncts pred in
+        let widened = List.map widen cs in
+        if List.mem None widened then false
+        else begin
+          let cs' = List.filter_map Fun.id widened in
+          if cs' <> cs then
+            Sc_catalog.set_statement t.catalog sc (restate (Expr.conjoin cs'));
+          true
+        end
       in
       match sc.Soft_constraint.statement with
-      | Soft_constraint.Diff_stmt (d, band) -> (
-          match
-            ( numeric (value d.Mining.Diff_band.col_hi),
-              numeric (value d.Mining.Diff_band.col_lo) )
-          with
-          | Some h, Some l ->
-              Sc_catalog.set_statement t.catalog sc
-                (Soft_constraint.Diff_stmt (d, widen_diff band (h -. l)));
-              true
-          | _ -> false)
-      | Soft_constraint.Corr_stmt (c, band) -> (
-          match
-            ( numeric (value c.Mining.Correlation.col_a),
-              numeric (value c.Mining.Correlation.col_b) )
-          with
-          | Some a, Some b ->
-              let resid =
-                Float.abs
-                  (a -. ((c.Mining.Correlation.k *. b) +. c.Mining.Correlation.b))
-              in
-              Sc_catalog.set_statement t.catalog sc
-                (Soft_constraint.Corr_stmt
-                   ( c,
-                     {
-                       band with
-                       Mining.Correlation.eps =
-                         max band.Mining.Correlation.eps resid;
-                     } ));
-              true
-          | _ -> false)
       | Soft_constraint.Ic_stmt (Icdef.Check p) ->
-          widen p (fun p -> Soft_constraint.Ic_stmt (Icdef.Check p))
+          repair p (fun p -> Soft_constraint.Ic_stmt (Icdef.Check p))
       | Soft_constraint.Part_stmt { partition; pred } ->
-          widen pred (fun pred -> Soft_constraint.Part_stmt { partition; pred })
-      | Soft_constraint.Ic_stmt _ | Soft_constraint.Fd_stmt _
-      | Soft_constraint.Holes_stmt _ ->
-          false)
+          repair pred (fun pred ->
+              Soft_constraint.Part_stmt { partition; pred })
+      | _ -> false)
 
 (* Conservative hole shrinking on insert (paper §4.3): assume the new
    value violates every rectangle its coordinate touches. *)
@@ -366,58 +344,49 @@ let track_fd t (sc : Soft_constraint.t) =
 (* ---- asynchronous repair --------------------------------------------------- *)
 
 let remine t (sc : Soft_constraint.t) =
+  let holds body =
+    Checker.holds (Database.checker_env t.db)
+      (Icdef.make ~name:sc.Soft_constraint.name ~table:sc.Soft_constraint.table
+         body)
+  in
   match Database.find_table t.db sc.Soft_constraint.table with
   | None -> false
   | Some tbl -> (
       match sc.Soft_constraint.statement with
-      | Soft_constraint.Diff_stmt (d, band) -> (
-          match
-            Mining.Diff_band.mine
-              ~confidences:[ band.Mining.Diff_band.confidence ]
-              tbl ~col_hi:d.Mining.Diff_band.col_hi
-              ~col_lo:d.Mining.Diff_band.col_lo
-          with
-          | Some d' -> (
-              match
-                Mining.Diff_band.band_with d'
-                  ~confidence:band.Mining.Diff_band.confidence
-              with
-              | Some band' ->
-                  Sc_catalog.set_statement t.catalog sc
-                    (Soft_constraint.Diff_stmt (d', band'));
-                  true
-              | None -> false)
-          | None -> false)
-      | Soft_constraint.Corr_stmt (c, band) -> (
-          match
-            Mining.Correlation.mine
-              ~confidences:[ band.Mining.Correlation.confidence ]
-              ~max_selectivity:1.0 tbl ~col_a:c.Mining.Correlation.col_a
-              ~col_b:c.Mining.Correlation.col_b
-          with
-          | Some c' -> (
-              match
-                Mining.Correlation.band_with c'
-                  ~confidence:band.Mining.Correlation.confidence
-              with
-              | Some band' ->
-                  Sc_catalog.set_statement t.catalog sc
-                    (Soft_constraint.Corr_stmt (c', band'));
-                  true
-              | None -> false)
-          | None -> false)
       | Soft_constraint.Fd_stmt fd ->
           if Mining.Fd_mine.holds tbl fd then begin
             track_fd t sc;
             true
           end
           else false
-      | Soft_constraint.Ic_stmt body ->
-          let ic =
-            Icdef.make ~name:sc.Soft_constraint.name
-              ~table:sc.Soft_constraint.table body
+      | Soft_constraint.Ic_stmt (Icdef.Check p)
+        when Mining.Band.of_check p <> [] ->
+          (* each band conjunct re-mined at the SC's confidence, in the
+             same shape on the same columns; the other conjuncts must
+             still hold *)
+          let confidence = Soft_constraint.confidence sc in
+          let cs = Expr.conjuncts p in
+          let remined =
+            List.map
+              (fun c ->
+                match Mining.Band.of_pred c with
+                | Some band ->
+                    Option.map Mining.Band.to_pred
+                      (Mining.Band.remine tbl band ~confidence)
+                | None -> Some c)
+              cs
           in
-          Checker.holds (Database.checker_env t.db) ic
+          let rest = List.filter (fun c -> Mining.Band.of_pred c = None) cs in
+          let ok =
+            (not (List.mem None remined))
+            && (rest = [] || holds (Icdef.Check (Expr.conjoin rest)))
+          in
+          if ok then
+            Sc_catalog.set_statement t.catalog sc
+              (Soft_constraint.Ic_stmt
+                 (Icdef.Check (Expr.conjoin (List.filter_map Fun.id remined))));
+          ok
+      | Soft_constraint.Ic_stmt body -> holds body
       | Soft_constraint.Holes_stmt h -> (
           match
             ( Database.find_table t.db h.Mining.Join_holes.left_table,
@@ -449,7 +418,8 @@ let remine t (sc : Soft_constraint.t) =
                   match Table.get tbl rid with
                   | None -> true
                   | Some row -> not (Expr.check_violated binding pred row))
-                (Partition.members part partition)))
+                (Partition.members part partition))
+      | _ -> false)
 
 let run_repairs t =
   let queue = t.repair_queue in
@@ -516,13 +486,10 @@ let measured_confidence db (sc : Soft_constraint.t) =
   | None -> None
   | Some tbl -> (
       match sc.Soft_constraint.statement with
-      | Soft_constraint.Diff_stmt (d, band) ->
-          Some (Mining.Diff_band.coverage tbl d band)
-      | Soft_constraint.Corr_stmt (c, band) ->
-          Some
-            (Mining.Correlation.coverage tbl c
-               ~eps:band.Mining.Correlation.eps)
       | Soft_constraint.Fd_stmt fd -> Some (Mining.Fd_mine.confidence tbl fd)
+      | Soft_constraint.Ic_stmt (Icdef.Check p)
+        when Option.is_some (Mining.Band.of_pred p) ->
+          Option.map (Mining.Band.coverage tbl) (Mining.Band.of_pred p)
       | Soft_constraint.Ic_stmt (Icdef.Check p) ->
           let binding = Expr.Binding.of_schema (Table.schema tbl) in
           let total = ref 0 and ok = ref 0 in

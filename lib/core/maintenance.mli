@@ -5,12 +5,17 @@
     - [Drop] — the paper's "maintenance policy of last resort": the SC
       flips to [Violated] and stops being used;
     - [Sync_repair] — repair at violation time by {e widening} the
-      statement (bands grow to cover the new row; hole rectangles
-      overlapping a new value are discarded — the conservative §4.3
-      tactic);
+      statement (each band conjunct of a check grows by the new row's
+      image, {!Mining.Band.widen}, and a single-column [BETWEEN] to its
+      value; hole rectangles overlapping a new value are discarded — the
+      conservative §4.3 tactic);
     - [Async_repair] — flip to [Violated], queue the SC, and let
       {!run_repairs} re-mine it from current data later ("dropped from
-      active, and queued for repair").
+      active, and queued for repair"): a band at the SC's confidence, in
+      the same shape on the same columns ({!Mining.Band.remine}).
+
+    A band is read from its check however it was declared or mined, so a
+    declared band and the same band mined take every path alike.
 
     An SC with an exception table is never repaired, whatever its
     policy: its violations are stored there, and it is dropped as under
@@ -76,9 +81,11 @@ val refresh_statistics : t -> unit
     statistics" of §1. *)
 
 val measured_confidence : Database.t -> Soft_constraint.t -> float option
-(** The measure {!refresh_statistics} applies, exposed on its own: band
-    coverage / FD agreement / check satisfaction against current data,
-    [None] when the statement class has no scalar measure.  This is the
+(** The measure {!refresh_statistics} applies, exposed on its own: for a
+    check that is one band, the share of rows with both columns non-NULL
+    inside it ({!Mining.Band.coverage}); for any other check the share
+    of rows that do not violate it; FD agreement; [None] when the
+    statement class has no scalar measure.  This is the
     "observed selectivity" the cardinality-feedback loop compares with
     the stored confidence. *)
 

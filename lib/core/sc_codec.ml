@@ -2,12 +2,14 @@
    catalog transition that installs or rewrites a statement logs its
    representation, and recovery parses it back.
 
-   IC-shaped statements ride on the SQL printer/parser round-trip (the
-   body is printed inside a dummy ALTER TABLE … ADD CONSTRAINT … NOT
-   ENFORCED and re-parsed); the typed mined artifacts get positional
-   field encodings with hexadecimal float literals ([%h]) so bounds
-   round-trip bit-exactly — a rounded 100%-band bound would silently
-   invalidate an ASC. *)
+   IC-shaped statements, every band among them, ride on the SQL
+   printer/parser round-trip (the body is printed inside a dummy ALTER
+   TABLE … ADD CONSTRAINT … NOT ENFORCED and re-parsed; a FLOAT constant
+   prints with the digits that re-read it exactly).  FDs and join holes
+   get positional field encodings with hexadecimal float literals ([%h]),
+   so their bounds round-trip bit-exactly.  Logs written before bands were
+   stored as checks spell a mined band with a [diff|] or [corr|] tag;
+   both still decode, to the band's check. *)
 
 open Rel
 
@@ -48,29 +50,6 @@ let ic_parse sql =
   | exception e -> err "unparseable IC statement %S (%s)" sql
                      (Printexc.to_string e)
 
-let diff_band (b : Mining.Diff_band.band) =
-  Printf.sprintf "%s:%s:%s" (fstr b.Mining.Diff_band.confidence)
-    (fstr b.Mining.Diff_band.d_min) (fstr b.Mining.Diff_band.d_max)
-
-let diff_band_parse s =
-  match String.split_on_char ':' s with
-  | [ c; lo; hi ] ->
-      {
-        Mining.Diff_band.confidence = fparse c;
-        d_min = fparse lo;
-        d_max = fparse hi;
-      }
-  | _ -> err "bad diff band %S" s
-
-let corr_band (b : Mining.Correlation.band) =
-  Printf.sprintf "%s:%s" (fstr b.Mining.Correlation.confidence)
-    (fstr b.Mining.Correlation.eps)
-
-let corr_band_parse s =
-  match String.split_on_char ':' s with
-  | [ c; e ] -> { Mining.Correlation.confidence = fparse c; eps = fparse e }
-  | _ -> err "bad correlation band %S" s
-
 let rect (r : Mining.Join_holes.rect) =
   Printf.sprintf "%s:%s:%s:%s" (fstr r.Mining.Join_holes.a_lo)
     (fstr r.Mining.Join_holes.a_hi) (fstr r.Mining.Join_holes.b_lo)
@@ -93,7 +72,7 @@ let semis_parse dec s =
   if s = "" then []
   else List.map dec (String.split_on_char ';' s)
 
-let statement_repr (stmt : Soft_constraint.statement) =
+let rec statement_repr (stmt : Soft_constraint.statement) =
   match stmt with
   | Soft_constraint.Ic_stmt body -> "ic|" ^ ic_repr body
   | Soft_constraint.Fd_stmt fd ->
@@ -103,32 +82,6 @@ let statement_repr (stmt : Soft_constraint.statement) =
           fd.Mining.Fd_mine.table;
           String.concat "," fd.Mining.Fd_mine.lhs;
           fd.Mining.Fd_mine.rhs;
-        ]
-  | Soft_constraint.Diff_stmt (d, band) ->
-      String.concat "|"
-        [
-          "diff";
-          d.Mining.Diff_band.table;
-          d.Mining.Diff_band.col_hi;
-          d.Mining.Diff_band.col_lo;
-          string_of_int d.Mining.Diff_band.rows;
-          semis diff_band d.Mining.Diff_band.bands;
-          diff_band band;
-        ]
-  | Soft_constraint.Corr_stmt (c, band) ->
-      String.concat "|"
-        [
-          "corr";
-          c.Mining.Correlation.table;
-          c.Mining.Correlation.col_a;
-          c.Mining.Correlation.col_b;
-          fstr c.Mining.Correlation.k;
-          fstr c.Mining.Correlation.b;
-          fstr c.Mining.Correlation.r2;
-          string_of_int c.Mining.Correlation.rows;
-          fstr c.Mining.Correlation.selectivity;
-          semis corr_band c.Mining.Correlation.bands;
-          corr_band band;
         ]
   | Soft_constraint.Holes_stmt h ->
       String.concat "|"
@@ -153,6 +106,15 @@ let statement_repr (stmt : Soft_constraint.statement) =
   | Soft_constraint.Part_stmt { partition; pred } ->
       String.concat "|"
         [ "part"; string_of_int partition; ic_repr (Icdef.Check pred) ]
+  | stmt -> statement_repr (Soft_constraint.stored stmt)
+
+(* a band of an old log's [diff|] or [corr|] line, as its check *)
+let band_check band =
+  Soft_constraint.Ic_stmt (Icdef.Check (Mining.Band.to_pred band))
+
+(* the bounds of an old band field, [confidence:bound:…] *)
+let band_bounds field =
+  List.map fparse (List.tl (String.split_on_char ':' field))
 
 let statement_of_repr s =
   match String.index_opt s '|' with
@@ -174,33 +136,23 @@ let statement_of_repr s =
           | _ -> err "bad fd repr %S" s)
       | "diff" -> (
           match String.split_on_char '|' rest with
-          | [ table; col_hi; col_lo; rows; bands; band ] ->
-              Soft_constraint.Diff_stmt
-                ( {
-                    Mining.Diff_band.table;
-                    col_hi;
-                    col_lo;
-                    rows = iparse rows;
-                    bands = semis_parse diff_band_parse bands;
-                  },
-                  diff_band_parse band )
+          | [ _table; col_hi; col_lo; _rows; _bands; band ] -> (
+              match band_bounds band with
+              | [ lo; hi ] ->
+                  band_check
+                    (Mining.Band.diff ~a:(Expr.col col_hi)
+                       ~b:(Expr.col col_lo) ~lo ~hi)
+              | _ -> err "bad diff band %S" s)
           | _ -> err "bad diff repr %S" s)
       | "corr" -> (
           match String.split_on_char '|' rest with
-          | [ table; col_a; col_b; k; b; r2; rows; sel; bands; band ] ->
-              Soft_constraint.Corr_stmt
-                ( {
-                    Mining.Correlation.table;
-                    col_a;
-                    col_b;
-                    k = fparse k;
-                    b = fparse b;
-                    r2 = fparse r2;
-                    rows = iparse rows;
-                    bands = semis_parse corr_band_parse bands;
-                    selectivity = fparse sel;
-                  },
-                  corr_band_parse band )
+          | [ _table; col_a; col_b; k; c; _r2; _rows; _sel; _bands; band ] -> (
+              match band_bounds band with
+              | [ e ] ->
+                  band_check
+                    (Mining.Band.line ~a:(Expr.col col_a) ~b:(Expr.col col_b)
+                       ~k:(fparse k) ~c:(fparse c) ~e)
+              | _ -> err "bad correlation band %S" s)
           | _ -> err "bad corr repr %S" s)
       | "holes" -> (
           match String.split_on_char '|' rest with

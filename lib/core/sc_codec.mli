@@ -2,10 +2,13 @@
     ({!Recovery}): catalog transitions log [statement_repr]; replay
     parses it back with [statement_of_repr].
 
-    IC-shaped statements round-trip through the SQL printer/parser; the
-    typed mined artifacts (FDs, difference bands, correlations, join
-    holes) use positional field encodings with hexadecimal float
-    literals, so every bound round-trips bit-exactly. *)
+    IC-shaped statements — every band among them, declared or mined —
+    round-trip through the SQL printer/parser ([ic|], [part|]), whose
+    FLOAT literals re-read bit-exactly ({!Rel.Value.to_debug}); FDs and
+    join holes use positional field encodings with hexadecimal float
+    literals.  A log written before bands were stored as checks carries
+    [diff|] and [corr|] lines; both still decode, into the band's check,
+    so committed logs recover. *)
 
 exception Codec_error of string
 

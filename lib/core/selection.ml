@@ -24,15 +24,14 @@ type assessment = {
    expected number of mutations per workload execution. *)
 let upkeep_weight (sc : Soft_constraint.t) =
   match sc.Soft_constraint.statement with
-  | Soft_constraint.Ic_stmt (Icdef.Check _) -> 1.0
   | Soft_constraint.Ic_stmt (Icdef.Not_null _) -> 0.5
   | Soft_constraint.Ic_stmt (Icdef.Primary_key _ | Icdef.Unique _) -> 8.0
   | Soft_constraint.Ic_stmt (Icdef.Foreign_key _) -> 10.0
-  | Soft_constraint.Diff_stmt _ | Soft_constraint.Corr_stmt _ -> 1.0
   | Soft_constraint.Fd_stmt _ -> 2.0
   | Soft_constraint.Holes_stmt _ -> 5.0
-  (* a partition-domain check only fires for rows routing to its segment *)
-  | Soft_constraint.Part_stmt _ -> 1.0
+  (* a check, bands included; a partition-domain check only fires for
+     rows routing to its segment *)
+  | _ -> 1.0
 
 let maintenance_cost ?(mutations_per_workload = 100.0) sc =
   let base = upkeep_weight sc in

@@ -2,8 +2,9 @@
    exploitable by the optimizer (the paper's central construct).
 
    A soft constraint couples
-   - a [statement] (any IC body, or one of the typed mined artifacts —
-     difference bands, linear correlations, FDs, join-hole sets);
+   - a [statement] (any IC body — every band, declared or mined, is a
+     CHECK — or one of the typed mined artifacts: FDs, join-hole sets,
+     partition domains);
    - a [kind]: [Absolute] (no violations in the current state; usable in
      rewrite) or [Statistical conf] (holds for a [conf] fraction; usable
      in cardinality estimation only);
@@ -17,10 +18,16 @@ open Rel
 type statement =
   | Ic_stmt of Icdef.body
   | Fd_stmt of Mining.Fd_mine.fd
-  | Corr_stmt of Mining.Correlation.t * Mining.Correlation.band
   | Diff_stmt of Mining.Diff_band.t * Mining.Diff_band.band
   | Holes_stmt of Mining.Join_holes.t
   | Part_stmt of { partition : int; pred : Expr.pred }
+
+(* [Diff_stmt] is an install-time spelling only: stored, it is its
+   check *)
+let stored = function
+  | Diff_stmt (d, band) ->
+      Ic_stmt (Icdef.Check (Mining.Diff_band.to_check_pred d band))
+  | s -> s
 
 type kind = Absolute | Statistical of float
 
@@ -45,7 +52,7 @@ let make ~name ~table ?(kind = Absolute) ?(state = Active)
   {
     name;
     table;
-    statement;
+    statement = stored statement;
     kind;
     state;
     installed_at_mutations;
@@ -71,8 +78,6 @@ let check_pred t =
   (* partition-conditional, not a table-wide row check: rows of sibling
      partitions need not satisfy it (see {!Maintenance.row_violates}) *)
   | Part_stmt _ -> None
-  | Corr_stmt (c, band) ->
-      Some (Mining.Correlation.to_check_pred c ~eps:band.Mining.Correlation.eps)
   | Diff_stmt (d, band) -> Some (Mining.Diff_band.to_check_pred d band)
 
 (* As an IC declaration (for feeding the rewrite context's ASC set). *)
@@ -81,25 +86,12 @@ let to_icdef t =
   | Ic_stmt body ->
       Some (Icdef.make ~enforcement:Icdef.Informational ~name:t.name
               ~table:t.table body)
-  | _ -> (
-      match check_pred t with
-      | Some p ->
-          Some
-            (Icdef.make ~enforcement:Icdef.Informational ~name:t.name
-               ~table:t.table (Icdef.Check p))
-      | None -> None)
+  | _ -> None
 
-let pp_statement ppf = function
+let rec pp_statement ppf = function
   | Ic_stmt body -> Icdef.pp_body ppf body
   | Fd_stmt fd -> Mining.Fd_mine.pp_fd ppf fd
-  | Corr_stmt (c, band) ->
-      Fmt.pf ppf "%s = %g*%s%+g ± %g" c.Mining.Correlation.col_a
-        c.Mining.Correlation.k c.Mining.Correlation.col_b
-        c.Mining.Correlation.b band.Mining.Correlation.eps
-  | Diff_stmt (d, band) ->
-      Fmt.pf ppf "%s - %s IN [%g, %g]" d.Mining.Diff_band.col_hi
-        d.Mining.Diff_band.col_lo band.Mining.Diff_band.d_min
-        band.Mining.Diff_band.d_max
+  | Diff_stmt _ as s -> pp_statement ppf (stored s)
   | Holes_stmt h -> Mining.Join_holes.pp ppf h
   | Part_stmt { partition; pred } ->
       Fmt.pf ppf "partition %d: %s" partition (Expr.to_string_pred pred)

@@ -1,8 +1,9 @@
 (** Soft constraints: IC-shaped statements that are {e not} enforced but
     are exploitable by the optimizer — the paper's central construct.
 
-    A soft constraint couples a {!statement} (any IC body, or one of the
-    typed mined artifacts), a {!kind} ([Absolute]: no violations in the
+    A soft constraint couples a {!statement} (any IC body — every band,
+    declared or mined, is stored as its CHECK — or one of the typed mined
+    artifacts), a {!kind} ([Absolute]: no violations in the
     current state, usable in rewrite; [Statistical conf]: holds for a
     fraction, usable in cardinality estimation only), and a {!state} in
     the lifecycle of paper §3.2/§4.1. *)
@@ -12,8 +13,12 @@ open Rel
 type statement =
   | Ic_stmt of Icdef.body
   | Fd_stmt of Mining.Fd_mine.fd
-  | Corr_stmt of Mining.Correlation.t * Mining.Correlation.band
   | Diff_stmt of Mining.Diff_band.t * Mining.Diff_band.band
+      (** An install-time spelling of a mined difference band, kept
+          because benchmark set-up code writes it: {!make} stores it as
+          [Ic_stmt (Check (Mining.Diff_band.to_check_pred d b))], so no
+          stored statement, and no code below [make], holds or matches
+          it.  Every band is read from its check ({!Mining.Band}). *)
   | Holes_stmt of Mining.Join_holes.t
   | Part_stmt of { partition : int; pred : Expr.pred }
       (** Per-partition domain constraint: every row of [table] that
@@ -21,6 +26,10 @@ type statement =
           flavour backing pruning certificates ({!Check.Cert}).
           Partition-conditional, so {!check_pred} is [None]; violation
           detection routes the row first ({!Maintenance}). *)
+
+val stored : statement -> statement
+(** The form {!make} stores: a [Diff_stmt]'s check, any other statement
+    as it is. *)
 
 type kind = Absolute | Statistical of float
 
@@ -41,7 +50,8 @@ type t = {
 val make :
   name:string -> table:string -> ?kind:kind -> ?state:state ->
   installed_at_mutations:int -> statement -> t
-(** [kind] defaults to [Absolute], [state] to [Active]. *)
+(** [kind] defaults to [Absolute], [state] to [Active].  A [Diff_stmt] is
+    stored as its check. *)
 
 val is_usable : t -> bool
 (** [Active]. *)

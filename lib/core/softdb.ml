@@ -84,7 +84,7 @@ let rewrite_ctx ?flags t =
 (* ---- index advisor -------------------------------------------------------- *)
 
 (* Distill the SC catalog into the advisor's hint language: the bands
-   the ASCs' and SSCs' checks state ({!Opt.Rewrite.band_widths})
+   the ASCs' and SSCs' checks state ({!Mining.Band.widths})
    become [Band] hints on the banded column (range predicates on it
    select contiguous key runs), valid FDs become covering-extension hints
    (dependent columns ride along for free). *)
@@ -93,7 +93,7 @@ let advisor_hints t =
   let bands ~ssc table check =
     List.map
       (fun (column, width) -> Idx.Advisor.Band { table; column; width; ssc })
-      (Opt.Rewrite.band_widths check)
+      (Mining.Band.widths check)
   in
   List.concat_map
     (fun (ic : Icdef.t) ->

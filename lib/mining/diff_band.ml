@@ -1,10 +1,9 @@
-(* Column-difference bands: the paper's running example (§4.4) is
-   "ship_date is between order_date and three weeks later", i.e.
-   0 <= ship_date − order_date <= 21 for 99% of rows.  This miner finds,
-   for a column pair (hi, lo), the tightest [d_min, d_max] interval on
-   hi − lo at each requested confidence. *)
-
-open Rel
+(* Column-difference bands as the paper's running example (§4.4) states
+   them: for a column pair (hi, lo), the tightest [d_min, d_max] interval
+   on hi − lo at each requested confidence.  The mining is {!Band}'s, the
+   difference shape; this module keeps the record a mined difference band
+   is installed from, which the soft-constraint catalog stores as its
+   check. *)
 
 type band = { confidence : float; d_min : float; d_max : float }
 
@@ -16,76 +15,29 @@ type t = {
   bands : band list; (* descending confidence *)
 }
 
-let numeric v =
-  match v with
-  | Value.Int i -> Some (float_of_int i)
-  | Value.Float f -> Some f
-  | Value.Date d -> Some (float_of_int d)
-  | Value.Null | Value.String _ | Value.Bool _ -> None
+let mine ?confidences ?min_rows table ~col_hi ~col_lo =
+  Band.mine ?confidences ?min_rows table Band.Diff ~a:col_hi ~b:col_lo
+  |> Option.map (fun (m : Band.mined) ->
+         {
+           table = m.Band.table;
+           col_hi;
+           col_lo;
+           rows = m.Band.rows;
+           bands =
+             List.map
+               (fun (confidence, (b : Band.t)) ->
+                 {
+                   confidence;
+                   d_min = -.b.Band.map.Band.below;
+                   d_max = b.Band.map.Band.above;
+                 })
+               m.Band.bands;
+         })
 
-(* a difference is only meaningful between two dates or two numerics *)
-let compatible_dtypes a b =
-  match (a, b) with
-  | Value.TDate, Value.TDate -> true
-  | (Value.TInt | Value.TFloat), (Value.TInt | Value.TFloat) -> true
-  | _ -> false
-
-let mine ?(confidences = [ 1.0; 0.99; 0.95; 0.9 ]) ?(min_rows = 32) table
-    ~col_hi ~col_lo =
-  let schema = Table.schema table in
-  let ih = Schema.index_exn schema col_hi
-  and il = Schema.index_exn schema col_lo in
-  if
-    not
-      (compatible_dtypes
-         (Schema.column_at schema ih).Schema.dtype
-         (Schema.column_at schema il).Schema.dtype)
-  then None
-  else
-  let diffs = ref [] in
-  Table.iter table ~f:(fun row ->
-      match (numeric (Tuple.get row ih), numeric (Tuple.get row il)) with
-      | Some h, Some l -> diffs := (h -. l) :: !diffs
-      | _ -> ());
-  let diffs = Array.of_list !diffs in
-  let n = Array.length diffs in
-  if n < min_rows then None
-  else begin
-    Array.sort Float.compare diffs;
-    (* tightest interval containing a q fraction: slide a window of
-       ceil(q*n) rows and take the narrowest *)
-    let band_for q =
-      let w = max 1 (int_of_float (ceil (q *. float_of_int n))) in
-      let best = ref (diffs.(0), diffs.(n - 1)) in
-      for i = 0 to n - w do
-        let lo = diffs.(i) and hi = diffs.(i + w - 1) in
-        let blo, bhi = !best in
-        if hi -. lo < bhi -. blo then best := (lo, hi)
-      done;
-      let d_min, d_max = !best in
-      { confidence = q; d_min; d_max }
-    in
-    let bands =
-      confidences
-      |> List.sort_uniq (fun a b -> Float.compare b a)
-      |> List.map band_for
-    in
-    Some { table = Table.name table; col_hi; col_lo; rows = n; bands }
-  end
-
-(* CHECK (col_hi - col_lo BETWEEN d_min AND d_max).  Bounds are exact:
-   integral differences (dates, ints) print as integers, anything else
-   keeps the full float — rounding here would silently exclude edge rows
-   and break the band's validity claim. *)
 let to_check_pred t (b : band) =
-  let diff =
-    Expr.Binop (Expr.Sub, Expr.column t.col_hi, Expr.column t.col_lo)
-  in
-  let bound x =
-    if Float.is_integer x then Expr.Const (Value.Int (int_of_float x))
-    else Expr.Const (Value.Float x)
-  in
-  Expr.Between (diff, bound b.d_min, bound b.d_max)
+  Band.to_pred
+    (Band.diff ~a:(Rel.Expr.col t.col_hi) ~b:(Rel.Expr.col t.col_lo)
+       ~lo:b.d_min ~hi:b.d_max)
 
 let band_with t ~confidence =
   List.filter (fun b -> b.confidence >= confidence) t.bands
@@ -96,21 +48,6 @@ let band_with t ~confidence =
          | Some x ->
              if b.d_max -. b.d_min < x.d_max -. x.d_min then Some b else best)
        None
-
-(* Fraction of rows currently inside the band: revalidation oracle. *)
-let coverage table t (b : band) =
-  let schema = Table.schema table in
-  let ih = Schema.index_exn schema t.col_hi
-  and il = Schema.index_exn schema t.col_lo in
-  let total = ref 0 and hits = ref 0 in
-  Table.iter table ~f:(fun row ->
-      match (numeric (Tuple.get row ih), numeric (Tuple.get row il)) with
-      | Some h, Some l ->
-          incr total;
-          let d = h -. l in
-          if d >= b.d_min && d <= b.d_max then incr hits
-      | _ -> ());
-  if !total = 0 then 1.0 else float_of_int !hits /. float_of_int !total
 
 let pp ppf t =
   Fmt.pf ppf "%s: %s - %s in%a" t.table t.col_hi t.col_lo

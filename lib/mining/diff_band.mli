@@ -1,11 +1,10 @@
-(** Column-difference bands: the paper's running example (§4.4) is
-    "ship_date is between order_date and three weeks later", i.e.
+(** Column-difference bands as the paper's running example (§4.4) states
+    them: "ship_date is between order_date and three weeks later", i.e.
     [0 ≤ ship_date − order_date ≤ 21] for ~99% of rows.  For a column pair
-    this miner finds the tightest [d_min, d_max] interval on
-    [col_hi − col_lo] at each requested confidence (a sliding-window
-    narrowest-interval search over the sorted differences). *)
-
-open Rel
+    the tightest [d_min, d_max] interval on [col_hi − col_lo] at each
+    requested confidence.  The mining is {!Band.mine}'s difference shape;
+    this module keeps the record a mined difference band is installed
+    from, which the soft-constraint catalog stores as its check. *)
 
 type band = { confidence : float; d_min : float; d_max : float }
 
@@ -17,23 +16,16 @@ type t = {
   bands : band list;  (** descending confidence *)
 }
 
-val compatible_dtypes : Value.dtype -> Value.dtype -> bool
-(** A difference is only meaningful between two dates or two numerics. *)
-
 val mine :
-  ?confidences:float list -> ?min_rows:int -> Table.t -> col_hi:string ->
+  ?confidences:float list -> ?min_rows:int -> Rel.Table.t -> col_hi:string ->
   col_lo:string -> t option
 (** [None] on incompatible column types or too few rows. *)
 
-val to_check_pred : t -> band -> Expr.pred
+val to_check_pred : t -> band -> Rel.Expr.pred
 (** [CHECK (col_hi − col_lo BETWEEN d_min AND d_max)], with exact bounds
-    (integral differences print as integers; rounding would break a 100%
-    band's validity). *)
+    ({!Band.to_pred}). *)
 
 val band_with : t -> confidence:float -> band option
 (** The narrowest band whose confidence meets the request. *)
-
-val coverage : Table.t -> t -> band -> float
-(** Fraction of rows currently inside the band (revalidation oracle). *)
 
 val pp : Format.formatter -> t -> unit

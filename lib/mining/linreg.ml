@@ -1,6 +1,5 @@
-(* Ordinary least squares on one predictor: fit y = k*x + b and expose the
-   residual distribution, which the correlation miner turns into
-   absolute (max-residual) and statistical (quantile-residual) bands. *)
+(* Ordinary least squares on one predictor: fit y = k*x + b, the line
+   {!Band.mine} centres a line band's residual windows on. *)
 
 type fit = {
   k : float;
@@ -34,22 +33,3 @@ let fit (points : (float * float) array) =
   let ss_res = Array.fold_left (fun a r -> a +. (r *. r)) 0.0 residuals in
   let r2 = if !syy = 0.0 then 1.0 else 1.0 -. (ss_res /. !syy) in
   { k; b; n; r2; residuals }
-
-(* Smallest epsilon such that a [q] fraction of points satisfy
-   |residual| <= epsilon.  [q = 1.0] gives the absolute band. *)
-let band fit ~q =
-  if q <= 0.0 || q > 1.0 then invalid_arg "Linreg.band: q must be in (0, 1]";
-  let abs = Array.map Float.abs fit.residuals in
-  Array.sort Float.compare abs;
-  let n = Array.length abs in
-  let idx = min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1)) in
-  abs.(idx)
-
-(* Fraction of points within [eps] of the fitted line. *)
-let coverage fit ~eps =
-  let hits =
-    Array.fold_left
-      (fun acc r -> if Float.abs r <= eps then acc + 1 else acc)
-      0 fit.residuals
-  in
-  float_of_int hits /. float_of_int (max 1 fit.n)

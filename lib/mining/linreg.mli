@@ -1,6 +1,5 @@
-(** Ordinary least squares on one predictor: fit [y = k·x + b] and expose
-    the residual distribution, which the correlation miner turns into
-    absolute (max-residual) and statistical (quantile-residual) bands. *)
+(** Ordinary least squares on one predictor: fit [y = k·x + b], the line
+    {!Band.mine} centres a line band's residual windows on. *)
 
 type fit = {
   k : float;
@@ -12,10 +11,3 @@ type fit = {
 
 val fit : (float * float) array -> fit
 (** Raises [Invalid_argument] with fewer than two points. *)
-
-val band : fit -> q:float -> float
-(** Smallest ε such that a [q] fraction of points satisfy
-    [|residual| ≤ ε]; [q = 1.0] gives the absolute band. *)
-
-val coverage : fit -> eps:float -> float
-(** Fraction of points within [eps] of the fitted line. *)

@@ -497,12 +497,7 @@ let equality_transitivity ctx applied (block : Logical.block) =
 
 (* ---- bands: the range images a check states ---------------------------- *)
 
-let float_of_value v =
-  match v with
-  | Value.Int i -> Some (float_of_int i)
-  | Value.Float f -> Some f
-  | Value.Date d -> Some (float_of_int d)
-  | Value.Null | Value.String _ | Value.Bool _ -> None
+let float_of_value = Mining.Band.numeric
 
 let value_of_float ~like x =
   match like with
@@ -541,107 +536,16 @@ let typed_endpoint ~dtype ~outward side x =
   in
   Some { Interval.v = value_of_float ~like:dtype x; incl = true }
 
-(* One direction of a band: a row whose [src] is x has [dst] in
-   [k·x + c − below, k·x + c + above]. *)
-type band_map = {
-  src : Expr.col_ref;
-  dst : Expr.col_ref;
-  k : float;
-  c : float;
-  below : float;
-  above : float;
-}
-
-(* The image of [iv] through [m]; an endpoint that is unbounded or not
-   numeric stays unbounded. *)
-let band_image ?(outward = false) m iv ~dtype =
-  let ep side bound e =
-    match endpoint_pos e with
-    | None -> None
-    | Some x -> typed_endpoint ~dtype ~outward side (bound ((m.k *. x) +. m.c))
+(* The image of [iv] through the band direction [m]
+   ({!Mining.Band.image}), typed as [m.dst]; an endpoint that is
+   unbounded or not numeric stays unbounded. *)
+let band_image ?(outward = false) (m : Mining.Band.map) iv ~dtype =
+  let lo, hi =
+    Mining.Band.image m
+      (endpoint_pos iv.Interval.lo, endpoint_pos iv.Interval.hi)
   in
-  let from_lo, from_hi =
-    if m.k >= 0.0 then (iv.Interval.lo, iv.Interval.hi)
-    else (iv.Interval.hi, iv.Interval.lo)
-  in
-  {
-    Interval.lo = ep `Lo (fun y -> y -. m.below) from_lo;
-    hi = ep `Hi (fun y -> y +. m.above) from_hi;
-  }
-
-(* A band a check conjunct states between two columns of one row, in
-   either shape the miners emit:
-   - [a - b BETWEEN k1 AND k2], a difference (rule prefix "band");
-   - [a BETWEEN k·b + c − e AND k·b + c + e], a line (prefix "corr").
-   [width] is the band's width on [a].  [maps] lists the directions in
-   the order introduction tries them; the first is the one twinning
-   takes: a difference's a→b, a line's b→a. *)
-type band = {
-  prefix : string;
-  a : Expr.col_ref;
-  width : float;
-  maps : band_map list;
-}
-
-let band_of (p : Expr.pred) =
-  let num = function Expr.Const v -> float_of_value v | _ -> None in
-  match p with
-  | Expr.Between (Expr.Binop (Expr.Sub, Expr.Col a, Expr.Col b), k1, k2) -> (
-      match (num k1, num k2) with
-      | Some k1, Some k2 ->
-          let map src dst below above =
-            { src; dst; k = 1.0; c = 0.0; below; above }
-          in
-          Some
-            {
-              prefix = "band";
-              a;
-              width = k2 -. k1;
-              maps = [ map a b k2 (-.k1); map b a (-.k1) k2 ];
-            }
-      | _ -> None)
-  | Expr.Between
-      ( Expr.Col a,
-        Expr.Binop
-          ( Expr.Sub,
-            (Expr.Binop (Expr.Add, Expr.Binop (Expr.Mul, k, Expr.Col b), c) as
-             line),
-            e ),
-        Expr.Binop (Expr.Add, line', e') )
-    when line = line' && e = e' -> (
-      match (num k, num c, num e) with
-      | Some k, Some c, Some e ->
-          (* the inverse exists unless the line is flat *)
-          let inverse =
-            if Float.abs k > 1e-12 then
-              let e = e /. Float.abs k in
-              [
-                {
-                  src = a;
-                  dst = b;
-                  k = 1.0 /. k;
-                  c = -.c /. k;
-                  below = e;
-                  above = e;
-                };
-              ]
-            else []
-          in
-          Some
-            {
-              prefix = "corr";
-              a;
-              width = 2.0 *. e;
-              maps =
-                { src = b; dst = a; k; c; below = e; above = e } :: inverse;
-            }
-      | _ -> None)
-  | _ -> None
-
-let bands_of_check check = List.filter_map band_of (Expr.conjuncts check)
-
-let band_widths check =
-  List.map (fun b -> (b.a.Expr.col, b.width)) (bands_of_check check)
+  let ep side x = Option.bind x (typed_endpoint ~dtype ~outward side) in
+  { Interval.lo = ep `Lo lo; hi = ep `Hi hi }
 
 (* Each range the block's conjuncts imply for source [s] through the bands
    of [check], rounded outward so that it holds on every row satisfying
@@ -652,7 +556,7 @@ let band_images ctx block (s : Logical.source) check =
   List.concat_map
     (fun band ->
       List.filter_map
-        (fun m ->
+        (fun (m : Mining.Band.map) ->
           let iv = interval_on ctx block ~alias ~col:m.src.Expr.col in
           if Interval.is_full iv then None
           else
@@ -663,8 +567,8 @@ let band_images ctx block (s : Logical.source) check =
             if Interval.is_full img || Interval.is_empty img then None
             else
               Some (band, { Expr.rel = Some alias; col = m.dst.Expr.col }, img))
-        band.maps)
-    (bands_of_check check)
+        (Mining.Band.maps band))
+    (Mining.Band.of_check check)
 
 (* ---- rule: predicate introduction ---------------------------------------- *)
 
@@ -739,7 +643,7 @@ let predicate_introduction ctx applied (block : Logical.block) =
       List.filter_map
         (fun (band, (dst : Expr.col_ref), iv) ->
           let c = Interval.to_pred dst iv in
-          let rule = band.prefix ^ ":" ^ name in
+          let rule = Mining.Band.prefix band ^ ":" ^ name in
           if
             column_not_nullable ctx s.Logical.table dst.Expr.col
             && introduction_gain ctx folded c <> None
@@ -1185,8 +1089,8 @@ let twinning ctx applied (block : Logical.block) =
           if norm s.Logical.table = norm ssc.table then
             List.iter
               (fun band ->
-                match band.maps with
-                | m :: _ ->
+                match Mining.Band.maps band with
+                | (m : Mining.Band.map) :: _ ->
                     let alias = s.Logical.alias in
                     let isrc = interval_on ctx view ~alias ~col:m.src.Expr.col
                     and idst =
@@ -1203,7 +1107,7 @@ let twinning ctx applied (block : Logical.block) =
                            ~dtype:
                              (column_dtype ctx s.Logical.table m.dst.Expr.col))
                 | [] -> ())
-              (bands_of_check ssc.check))
+              (Mining.Band.of_check ssc.check))
         block.Logical.from)
     ctx.sscs;
   { block with Logical.preds = block.Logical.preds @ List.rev !twins }

@@ -7,7 +7,7 @@
     - join elimination over referential integrity (paper §2, [6]);
     - predicate introduction from check-shaped statements (§2, [10]) —
       equality folding, then range propagation through every band a
-      usable check states ({!band_widths});
+      usable check states ({!Mining.Band});
     - join-hole range trimming (§2, [8]);
     - union-all branch pruning by branch constraints (§5);
     - group-by / order-by simplification via FDs (§2, [29]);
@@ -48,7 +48,7 @@ type ssc = {
 }
 (** A statistical soft constraint usable for twinning: [check] holds on
     about [confidence] of [table]'s rows.  Twinning reads its bands
-    ({!band_widths}). *)
+    ({!Mining.Band.of_check}). *)
 
 (** An ASC maintained as an exception table: [exc_check] holds for every
     base-table row NOT recorded in [exc_table]. *)
@@ -94,15 +94,6 @@ val make_ctx :
   ?flags:flags -> ?ascs:Icdef.t list -> ?sscs:ssc list ->
   ?fds:named_fd list -> ?holes:named_holes list ->
   ?exceptions:exception_info list -> ?parts:part_sc list -> Database.t -> ctx
-
-val band_widths : Expr.pred -> (string * float) list
-(** The bands a check states, each as the column [a] it bands and its
-    width there, read in either shape the miners emit
-    ({!Mining.Diff_band.to_check_pred}, {!Mining.Correlation.to_check_pred})
-    however the check was declared: [a - b BETWEEN k1 AND k2] (width
-    [k2 − k1]) and [a BETWEEN k·b + c − e AND k·b + c + e] (width [2e]).
-    The same reading drives predicate introduction, the exception-union
-    fold and twinning. *)
 
 (** The structural change a rewrite made to the plan — together with the
     premise list this forms the machine-checkable certificate that

@@ -116,10 +116,26 @@ let escape_sql_string s =
     String.concat "''" (String.split_on_char '\'' s)
   else s
 
+(* A FLOAT as a literal that reads back to the same float: [%g] when its
+   six significant digits already do, else the shortest of 15, 16 or 17
+   digits that does.  The SQL printer and the WAL's check and DDL records
+   are built from this text, so a rounded bound would come back from
+   recovery as a different constraint. *)
+let float_literal f =
+  let exact s = float_of_string s = f in
+  let s = Printf.sprintf "%g" f in
+  if exact s then s
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if exact s then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if exact s then s else Printf.sprintf "%.17g" f
+
 let to_debug = function
   | Null -> "NULL"
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
+  | Float f -> float_literal f
   | String s -> Printf.sprintf "'%s'" (escape_sql_string s)
   | Bool b -> if b then "TRUE" else "FALSE"
   | Date d -> Printf.sprintf "DATE '%s'" (Date.to_string d)

@@ -77,7 +77,11 @@ val escape_sql_string : string -> string
 (** Double embedded single quotes, for SQL literal syntax. *)
 
 val to_debug : t -> string
-(** SQL-literal rendering, e.g. [DATE '1999-12-15'], ['it''s']. *)
+(** SQL-literal rendering, e.g. [DATE '1999-12-15'], ['it''s'].  A FLOAT
+    prints as [%g] when that reads back to the same float, else with the
+    fewest of 15, 16 or 17 significant digits that does: the literal
+    re-reads bit-exactly, so SQL printed into the WAL recovers the same
+    constants. *)
 
 val to_string : t -> string
 (** Alias of {!to_debug}. *)

@@ -62,7 +62,8 @@ let pp_constraint_mode ppf = function
   | Ast.Mode_enforced -> ()
   | Ast.Mode_informational -> Fmt.string ppf " NOT ENFORCED"
   | Ast.Mode_soft None -> Fmt.string ppf " SOFT"
-  | Ast.Mode_soft (Some c) -> Fmt.pf ppf " SOFT CONFIDENCE %g" c
+  | Ast.Mode_soft (Some c) ->
+      Fmt.pf ppf " SOFT CONFIDENCE %a" Value.pp (Value.Float c)
 
 let pp_table_constraint ppf (c : Ast.table_constraint) =
   (match c.con_name with

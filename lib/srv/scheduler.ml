@@ -85,6 +85,31 @@ let push t job ~refusal =
     Obs.Metrics.add_gauge t.metrics "srv.queue_depth" 1.0;
   verdict
 
+(* Queue woken jobs again, in wake order, without admission control:
+   they were admitted once.  Each goes ahead of its own session's queued
+   jobs, which the session submitted after it, so a session's jobs still
+   start in submission order; every other job keeps its place. *)
+let requeue t = function
+  | [] -> ()
+  | jobs ->
+      locked t (fun () ->
+          let kept = Queue.create () and woken = ref jobs in
+          Queue.iter
+            (fun j ->
+              let mine, rest =
+                List.partition (fun w -> w.session = j.session) !woken
+              in
+              List.iter (fun w -> Queue.push w kept) mine;
+              woken := rest;
+              Queue.push j kept)
+            t.queue;
+          List.iter (fun w -> Queue.push w kept) !woken;
+          Queue.clear t.queue;
+          Queue.transfer kept t.queue;
+          List.iter (fun _ -> Condition.signal t.nonempty) jobs);
+      Obs.Metrics.add_gauge t.metrics "srv.queue_depth"
+        (float_of_int (List.length jobs))
+
 (* Jobs woken while this domain handles a job are queued once it is
    done: the waker's answer goes out before the jobs it woke compete for
    the processor, and no lock is held when they are queued. *)
@@ -187,9 +212,7 @@ let rec worker_loop t ~finished =
             not kill the worker *)
          Obs.Metrics.incr t.metrics "srv.job_errors");
       Domain.DLS.set woken_key None;
-      List.iter
-        (fun job -> ignore (push t job ~refusal:(fun () -> None)))
-        (List.rev !woken);
+      requeue t (List.rev !woken);
       worker_loop t ~finished:(Some job.session)
 
 let create ?workers ?(queue_capacity = 64) metrics =
@@ -240,13 +263,13 @@ let submit t job =
   | `Shutting_down -> ());
   verdict
 
-(* A woken job goes back to the queue tail without admission control: it
-   was admitted once.  Deadline and cancellation are checked again at
+(* A woken job goes back ahead of its session's later jobs
+   ({!requeue}).  Deadline and cancellation are checked again at
    dequeue.  While stopping, the draining workers expire it. *)
 let resubmit t job =
   match Domain.DLS.get woken_key with
   | Some woken -> woken := job :: !woken
-  | None -> ignore (push t job ~refusal:(fun () -> None))
+  | None -> requeue t [ job ]
 
 let shutdown t =
   let domains =

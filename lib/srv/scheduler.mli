@@ -52,7 +52,9 @@ val submit :
 (** [`Rejected retry_after_ms] when the queue is at capacity. *)
 
 val resubmit : t -> job -> unit
-(** Queue a woken parked job again, without admission control. *)
+(** Queue a woken parked job again, without admission control, ahead of
+    its session's queued jobs (which the session submitted after it), so
+    one session's jobs still start in submission order. *)
 
 val shutdown : t -> unit
 (** Stop admitting, expire whatever is still queued (each job's

@@ -261,6 +261,27 @@ let test_catalog_contradiction () =
   check tbool "contradictory pair is an error" true
     (has_error_containing diags "contradictory")
 
+(* Two declared linear bands on the same column pair, parallel and a
+   band apart: no row can satisfy both. *)
+let test_catalog_contradictory_lines () =
+  let sdb = Core.Softdb.create () in
+  ignore (Core.Softdb.exec sdb "CREATE TABLE t (a FLOAT, b FLOAT)");
+  let band name c =
+    ignore
+      (Core.Softdb.exec sdb
+         (Printf.sprintf
+            "ALTER TABLE t ADD CONSTRAINT %s CHECK (a BETWEEN 2 * b + %d - 1 \
+             AND 2 * b + %d + 1) SOFT"
+            name c c))
+  in
+  band "line_lo" 1;
+  band "line_mid" 2;
+  check tint "overlapping lines are fine" 0
+    (errors_of (Check.Catalog_lint.lint sdb));
+  band "line_hi" 10;
+  check tbool "disjoint lines are an error" true
+    (has_error_containing (Check.Catalog_lint.lint sdb) "disjoint")
+
 let test_catalog_fd_dupes () =
   let sdb = Core.Softdb.create () in
   ignore (Core.Softdb.exec sdb "CREATE TABLE p (a INT, b INT, c INT)");
@@ -312,12 +333,17 @@ let test_catalog_exception_contract () =
   check tbool "stored violation keeps the contract" false
     (contract (Check.Catalog_lint.lint sdb));
   let sc = Option.get (Core.Sc_catalog.find (Core.Softdb.catalog sdb) "band") in
-  (match sc.Core.Soft_constraint.statement with
-  | Core.Soft_constraint.Diff_stmt (d, band) ->
+  (match
+     Option.bind (Core.Soft_constraint.check_pred sc) Mining.Band.of_pred
+   with
+  | Some band ->
+      let wider =
+        { band with map = { band.Mining.Band.map with above = 40.0 } }
+      in
       Core.Sc_catalog.set_statement (Core.Softdb.catalog sdb) sc
-        (Core.Soft_constraint.Diff_stmt
-           (d, { band with Mining.Diff_band.d_max = 40.0 }))
-  | _ -> Alcotest.fail "expected a difference band");
+        (Core.Soft_constraint.Ic_stmt
+           (Icdef.Check (Mining.Band.to_pred wider)))
+  | None -> Alcotest.fail "expected a difference band");
   check tbool "widened check breaks the contract" true
     (contract (Check.Catalog_lint.lint sdb))
 
@@ -759,6 +785,56 @@ let test_real_tree_lints () =
            (fun (path, line, name) -> Printf.sprintf "%s:%d %s" path line name)
            globals)
 
+(* One band form: a band is stored as its CHECK and read through
+   [Mining.Band].  The install-time difference spelling may appear in
+   lib/ only in the soft-constraint module that stores it, and the
+   deleted correlation statement nowhere, so a second band form cannot
+   grow back beside the first. *)
+let test_one_band_form () =
+  match Source_root.find () with
+  | None -> () (* not running from a build tree *)
+  | Some root ->
+      let rec sources dir =
+        (if Sys.file_exists (Filename.concat root dir) then
+           Sys.readdir (Filename.concat root dir)
+         else [||])
+        |> Array.to_list |> List.sort compare
+        |> List.concat_map (fun f ->
+               let path = Filename.concat dir f in
+               if Sys.is_directory (Filename.concat root path) then
+                 if f = "_build" || String.starts_with ~prefix:"." f then []
+                 else sources path
+               else if
+                 Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
+               then [ path ]
+               else [])
+      in
+      let mentions needle path =
+        let text =
+          In_channel.with_open_text (Filename.concat root path)
+            In_channel.input_all
+        in
+        let n = String.length needle in
+        let rec from i =
+          i + n <= String.length text
+          && (String.sub text i n = needle || from (i + 1))
+        in
+        from 0
+      in
+      (* spelled in two parts so this file does not name them *)
+      let diff = "Diff" ^ "_stmt" and corr = "Corr" ^ "_stmt" in
+      check
+        Alcotest.(list string)
+        "the difference spelling stays in soft_constraint.ml(i)"
+        [ "lib/core/soft_constraint.ml"; "lib/core/soft_constraint.mli" ]
+        (List.filter (mentions diff) (sources "lib"));
+      check
+        Alcotest.(list string)
+        "the correlation statement is gone" []
+        (List.filter (mentions corr)
+           (List.concat_map sources
+              [ "lib"; "bin"; "bench"; "examples"; "scbench"; "test" ]))
+
 (* ---- differential rewrite check -------------------------------------------- *)
 
 (* Every query-suite scenario, rewrites on vs off, identical result sets
@@ -929,6 +1005,8 @@ let () =
         [
           Alcotest.test_case "contradictory SC pair" `Quick
             test_catalog_contradiction;
+          Alcotest.test_case "contradictory linear bands" `Quick
+            test_catalog_contradictory_lines;
           Alcotest.test_case "duplicate and subsumed FDs" `Quick
             test_catalog_fd_dupes;
           Alcotest.test_case "dead SSC" `Quick test_catalog_dead_ssc;
@@ -943,6 +1021,8 @@ let () =
             test_lock_lint_synthetic;
           Alcotest.test_case "hardening" `Quick test_lock_lint_hardening;
           Alcotest.test_case "real tree" `Quick test_real_tree_lints;
+          Alcotest.test_case "one band form in the sources" `Quick
+            test_one_band_form;
           Alcotest.test_case "process-global lint reads every form" `Quick
             test_globals_lint;
         ] );

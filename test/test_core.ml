@@ -192,6 +192,17 @@ let test_drop_policy () =
     (sc.Core.Soft_constraint.state = Core.Soft_constraint.Violated);
   check tint "one violation recorded" 1 sc.Core.Soft_constraint.violation_count
 
+(* the coverage of the band an SC's check states *)
+let band_coverage sdb sc =
+  match
+    Option.bind (Core.Soft_constraint.check_pred sc) Mining.Band.of_pred
+  with
+  | Some band ->
+      Mining.Band.coverage
+        (Database.table_exn (Core.Softdb.db sdb) sc.Core.Soft_constraint.table)
+        band
+  | None -> Alcotest.fail "expected a band check"
+
 let test_sync_repair_policy () =
   let sdb = purchase_sdb ~late:0.0 () in
   let sc = install_band sdb ~name:"asc_sync" ~confidence:1.0 in
@@ -203,12 +214,8 @@ let test_sync_repair_policy () =
   check tbool "still active" true
     (sc.Core.Soft_constraint.state = Core.Soft_constraint.Active);
   (* the widened band must now cover the whole table *)
-  (match sc.Core.Soft_constraint.statement with
-  | Core.Soft_constraint.Diff_stmt (d, band) ->
-      let tbl = Database.table_exn (Core.Softdb.db sdb) "purchase" in
-      check (tfloat 1e-9) "full coverage after widening" 1.0
-        (Mining.Diff_band.coverage tbl d band)
-  | _ -> Alcotest.fail "wrong statement")
+  check (tfloat 1e-9) "full coverage after widening" 1.0
+    (band_coverage sdb sc)
 
 let test_async_repair_policy () =
   let sdb = purchase_sdb ~late:0.0 () in
@@ -224,11 +231,7 @@ let test_async_repair_policy () =
   check tbool "reinstated" true
     (sc.Core.Soft_constraint.state = Core.Soft_constraint.Active);
   (* re-mined band covers the new data *)
-  match sc.Core.Soft_constraint.statement with
-  | Core.Soft_constraint.Diff_stmt (d, band) ->
-      let tbl = Database.table_exn (Core.Softdb.db sdb) "purchase" in
-      check (tfloat 1e-9) "coverage" 1.0 (Mining.Diff_band.coverage tbl d band)
-  | _ -> Alcotest.fail "wrong statement"
+  check (tfloat 1e-9) "coverage" 1.0 (band_coverage sdb sc)
 
 (* An exception-backed ASC stores its violations; no policy may repair
    it, or the widened check would admit a stored row to the fast branch

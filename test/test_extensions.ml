@@ -519,7 +519,9 @@ let test_plan_cache_falls_back_on_violation () =
       (Mining.Diff_band.mine tbl ~col_hi:"ship_date" ~col_lo:"order_date")
   in
   let b100 = Option.get (Mining.Diff_band.band_with d ~confidence:1.0) in
-  sc.Core.Soft_constraint.statement <- Core.Soft_constraint.Diff_stmt (d, b100);
+  sc.Core.Soft_constraint.statement <-
+    Core.Soft_constraint.Ic_stmt
+      (Icdef.Check (Mining.Diff_band.to_check_pred d b100));
   sc.Core.Soft_constraint.state <- Core.Soft_constraint.Active;
   Core.Plan_cache.reprepare cache;
   let r2 = Core.Plan_cache.execute cache "q1" in
@@ -579,14 +581,18 @@ let test_linear_correlation_opens_index () =
   Core.Softdb.runstats sdb;
   (* mine the correlation and install the 100% band as an ASC *)
   let tbl = Database.table_exn db "lin" in
-  let corr = Option.get (Mining.Correlation.mine tbl ~col_a:"a" ~col_b:"b") in
-  check tbool "k near 2" true (Float.abs (corr.Mining.Correlation.k -. 2.0) < 0.05);
-  let band = Option.get (Mining.Correlation.band_with corr ~confidence:1.0) in
+  let band =
+    List.assoc 1.0
+      (Option.get (Mining.Band.mine tbl Mining.Band.Line ~a:"a" ~b:"b"))
+        .Mining.Band.bands
+  in
+  check tbool "k near 2" true
+    (Float.abs (band.Mining.Band.map.Mining.Band.k -. 2.0) < 0.05);
   Core.Softdb.install_sc sdb
     (Core.Soft_constraint.make ~name:"lin_corr" ~table:"lin"
        ~kind:Core.Soft_constraint.Absolute
        ~installed_at_mutations:(Table.mutations tbl)
-       (Core.Soft_constraint.Corr_stmt (corr, band)));
+       (Core.Soft_constraint.Ic_stmt (Icdef.Check (Mining.Band.to_pred band))));
   (* the paper's query shape: a predicate on the un-indexed B *)
   List.iter
     (fun sql ->
@@ -639,8 +645,8 @@ let test_linear_correlation_opens_index () =
 
 (* [purchase] with every order shipped on time, carrying the paper's
    [0, 21] shipping band declared in SQL ([sql], a SOFT check that holds
-   and so is an ASC), installed as a mined [Diff_stmt] ASC ([mined]), or
-   both. *)
+   and so is an ASC), installed as a mined difference band ASC
+   ([mined]), or both. *)
 let banded_purchase ~sql ~mined =
   let sdb = Core.Softdb.create () in
   Workload.Purchase.load
@@ -790,6 +796,114 @@ let test_ssc_twins_however_declared () =
   check (Alcotest.float 1e-9) "declared estimates as mined" (estimate mined)
     (estimate declared)
 
+(* The declared band ([ship_3w]) and the same band mined ([ship_band])
+   take each maintenance path alike: one fixture of each, the same
+   statements, then the two SCs compared. *)
+let declared_and_mined () =
+  [
+    ("ship_3w", banded_purchase ~sql:true ~mined:false);
+    ("ship_band", banded_purchase ~sql:false ~mined:true);
+  ]
+
+let sc_of (name, sdb) =
+  Option.get (Core.Sc_catalog.find (Core.Softdb.catalog sdb) name)
+
+let late_insert id days =
+  Printf.sprintf
+    "INSERT INTO purchase VALUES (%d, 1, DATE '1999-06-01', DATE '%s', \
+     10.0, 1, 'north')"
+    id
+    (Date.to_string (Date.add_days (Date.of_ymd 1999 6 1) days))
+
+let same_check label pairs =
+  match List.map (fun p -> Core.Soft_constraint.check_pred (sc_of p)) pairs with
+  | [ Some declared; Some mined ] ->
+      check Alcotest.string label
+        (Expr.to_string_pred declared)
+        (Expr.to_string_pred mined);
+      check tbool (label ^ " (structurally)") true (declared = mined);
+      declared
+  | _ -> Alcotest.fail (label ^ ": expected two checks")
+
+let test_one_band_sync_repair () =
+  let pairs = declared_and_mined () in
+  List.iter
+    (fun (name, sdb) ->
+      Core.Maintenance.set_policy (Core.Softdb.maintenance sdb) name
+        Core.Maintenance.Sync_repair;
+      ignore (Core.Softdb.exec sdb (late_insert 900001 40)))
+    pairs;
+  List.iter
+    (fun p ->
+      check tbool (fst p ^ " widened, still active") true
+        (Core.Soft_constraint.is_usable (sc_of p)))
+    pairs;
+  let widened = same_check "widened alike" pairs in
+  check Alcotest.string "widened to the late row"
+    "(ship_date - order_date) BETWEEN 0 AND 40"
+    (Expr.to_string_pred widened)
+
+let test_one_band_async_remine () =
+  let pairs = declared_and_mined () in
+  List.iter
+    (fun (name, sdb) ->
+      let m = Core.Softdb.maintenance sdb in
+      Core.Maintenance.set_policy m name Core.Maintenance.Async_repair;
+      ignore (Core.Softdb.exec sdb (late_insert 900001 40));
+      check tbool (name ^ " violated while queued") false
+        (Core.Soft_constraint.is_usable (sc_of (name, sdb)));
+      Core.Maintenance.run_repairs m)
+    pairs;
+  List.iter
+    (fun p ->
+      check tbool (fst p ^ " re-mined and reinstated") true
+        (Core.Soft_constraint.is_usable (sc_of p)))
+    pairs;
+  ignore (same_check "re-mined alike" pairs)
+
+let test_one_band_measured_confidence () =
+  let pairs = declared_and_mined () in
+  let measured =
+    List.map
+      (fun (name, sdb) ->
+        (* a late row and a row with no ship date: the share is over the
+           rows with both columns *)
+        ignore (Core.Softdb.exec sdb (late_insert 900001 40));
+        ignore
+          (Core.Softdb.exec sdb
+             "INSERT INTO purchase VALUES (900002, 1, DATE '1999-06-01', \
+              NULL, 10.0, 1, 'north')");
+        Option.get
+          (Core.Maintenance.measured_confidence (Core.Softdb.db sdb)
+             (sc_of (name, sdb))))
+      pairs
+  in
+  match measured with
+  | [ declared; mined ] ->
+      check (Alcotest.float 0.0) "declared measures as mined" mined declared;
+      check (Alcotest.float 1e-12) "the late row is the one miss"
+        (3000.0 /. 3001.0) mined
+  | _ -> assert false
+
+let test_one_band_codec_roundtrip () =
+  let pairs = declared_and_mined () in
+  let reprs =
+    List.map
+      (fun p ->
+        let stmt = (sc_of p).Core.Soft_constraint.statement in
+        let repr = Core.Sc_codec.statement_repr stmt in
+        check tbool (fst p ^ " round-trips") true
+          (Core.Sc_codec.statement_of_repr repr = stmt);
+        repr)
+      pairs
+  in
+  match reprs with
+  | [ declared; mined ] ->
+      check Alcotest.string "one repr" declared mined;
+      check tbool "written as its check" true
+        (String.starts_with ~prefix:"ic|" mined)
+  | _ -> assert false
+
 (* ---- APB-style hierarchies end to end ----------------------------------------- *)
 
 let test_apb_hierarchy_fds () =
@@ -888,6 +1002,14 @@ let () =
             test_one_band_however_declared;
           Alcotest.test_case "an SSC twins, however declared" `Quick
             test_ssc_twins_however_declared;
+          Alcotest.test_case "declared as mined: sync repair" `Quick
+            test_one_band_sync_repair;
+          Alcotest.test_case "declared as mined: async re-mine" `Quick
+            test_one_band_async_remine;
+          Alcotest.test_case "declared as mined: measured confidence" `Quick
+            test_one_band_measured_confidence;
+          Alcotest.test_case "declared as mined: codec round trip" `Quick
+            test_one_band_codec_roundtrip;
         ] );
       ( "plan_cache",
         [

@@ -20,23 +20,46 @@ let test_linreg_exact () =
   check (tfloat 1e-9) "k" 3.0 fit.Mining.Linreg.k;
   check (tfloat 1e-9) "b" 2.0 fit.Mining.Linreg.b;
   check (tfloat 1e-9) "r2" 1.0 fit.Mining.Linreg.r2;
-  check (tfloat 1e-9) "band 100%" 0.0 (Mining.Linreg.band fit ~q:1.0)
+  check (tfloat 1e-9) "no residual" 0.0
+    (Array.fold_left
+       (fun m r -> Float.max m (Float.abs r))
+       0.0 fit.Mining.Linreg.residuals)
+
+let float_pair_table name rows =
+  let t =
+    Table.create
+      (Schema.make name
+         [ Schema.column "a" Value.TFloat; Schema.column "b" Value.TFloat ])
+  in
+  List.iter
+    (fun (a, b) ->
+      ignore (Table.insert t (Tuple.make [ Value.Float a; Value.Float b ])))
+    rows;
+  t
+
+let band_at (m : Mining.Band.mined) q = List.assoc q m.Mining.Band.bands
 
 let test_linreg_bands () =
-  (* y = x with one outlier at +100 *)
-  let points =
-    Array.init 100 (fun i ->
-        let x = float_of_int i in
-        if i = 50 then (x, x +. 100.0) else (x, x))
+  (* a = b with one outlier at +100: the line's 100% band spans the
+     outlier, its 99% band does not *)
+  let t =
+    float_pair_table "lb"
+      (List.init 100 (fun i ->
+           let x = float_of_int i in
+           if i = 50 then (x +. 100.0, x) else (x, x)))
   in
-  let fit = Mining.Linreg.fit points in
-  let b100 = Mining.Linreg.band fit ~q:1.0 and b99 = Mining.Linreg.band fit ~q:0.99 in
-  check tbool "outlier dominates 100% band" true (b100 > 50.0);
-  check tbool "99% band tiny" true (b99 < 5.0);
-  check (tfloat 0.02) "coverage of 99% band" 0.99
-    (Mining.Linreg.coverage fit ~eps:b99)
+  let m =
+    Option.get
+      (Mining.Band.mine ~confidences:[ 1.0; 0.99 ] t Mining.Band.Line ~a:"a"
+         ~b:"b")
+  in
+  let b100 = band_at m 1.0 and b99 = band_at m 0.99 in
+  check tbool "outlier dominates 100% band" true
+    (Mining.Band.width b100 > 50.0);
+  check tbool "99% band tiny" true (Mining.Band.width b99 < 5.0);
+  check (tfloat 0.02) "coverage of 99% band" 0.99 (Mining.Band.coverage t b99)
 
-(* ---- correlation ----------------------------------------------------------- *)
+(* ---- line bands ---------------------------------------------------------- *)
 
 let corr_table ?(rows = 500) ?(noise = 2.0) ?(outliers = 0) () =
   let schema =
@@ -65,58 +88,38 @@ let corr_table ?(rows = 500) ?(noise = 2.0) ?(outliers = 0) () =
   done;
   t
 
+let mine_line t = Mining.Band.mine t Mining.Band.Line ~a:"a" ~b:"b"
+
 let test_correlation_mine () =
   let t = corr_table () in
-  match Mining.Correlation.mine t ~col_a:"a" ~col_b:"b" with
+  match mine_line t with
   | None -> Alcotest.fail "correlation not found"
-  | Some c ->
-      check (tfloat 0.1) "k" 2.0 c.Mining.Correlation.k;
-      check (tfloat 1.0) "b" 5.0 c.Mining.Correlation.b;
-      check tbool "selective" true (c.Mining.Correlation.selectivity < 0.25);
-      let band = Option.get (Mining.Correlation.band_with c ~confidence:1.0) in
-      check (tfloat 0.05) "full coverage" 1.0
-        (Mining.Correlation.coverage t c ~eps:band.Mining.Correlation.eps)
+  | Some m ->
+      let b100 = band_at m 1.0 in
+      let line = b100.Mining.Band.map in
+      check (tfloat 0.1) "k" 2.0 line.Mining.Band.k;
+      check (tfloat 1.0) "c" 5.0 line.Mining.Band.c;
+      check tbool "selective" true (m.Mining.Band.selectivity < 0.25);
+      check (tfloat 1e-9) "full coverage" 1.0 (Mining.Band.coverage t b100)
 
 let test_correlation_rejects_noise () =
-  (* uncorrelated data must be rejected by the selectivity threshold *)
-  let schema =
-    Schema.make "nt"
-      [ Schema.column "a" Value.TFloat; Schema.column "b" Value.TFloat ]
-  in
-  let t = Table.create schema in
+  (* uncorrelated data reads far above the advisor's selectivity bound *)
   let rng = Stats.Rng.create 3 in
-  for _ = 1 to 500 do
-    ignore
-      (Table.insert t
-         (Tuple.make
-            [
-              Value.Float (Stats.Rng.float_range rng 0.0 100.0);
-              Value.Float (Stats.Rng.float_range rng 0.0 100.0);
-            ]))
-  done;
-  check tbool "rejected" true
-    (Mining.Correlation.mine t ~col_a:"a" ~col_b:"b" = None)
+  let t =
+    float_pair_table "nt"
+      (List.init 500 (fun _ ->
+           let a = Stats.Rng.float_range rng 0.0 100.0 in
+           (a, Stats.Rng.float_range rng 0.0 100.0)))
+  in
+  check tbool "not selective" true
+    ((Option.get (mine_line t)).Mining.Band.selectivity > 0.25)
 
 let test_correlation_outlier_bands () =
   let t = corr_table ~outliers:5 () in
-  match
-    Mining.Correlation.mine ~max_selectivity:20.0 t ~col_a:"a" ~col_b:"b"
-  with
-  | None -> Alcotest.fail "should mine with loose threshold"
-  | Some c ->
-      let b100 = Option.get (Mining.Correlation.band_with c ~confidence:1.0) in
-      let b99 = Option.get (Mining.Correlation.band_with c ~confidence:0.99) in
-      check tbool "99% band much tighter" true
-        (b99.Mining.Correlation.eps < b100.Mining.Correlation.eps /. 10.0)
-
-let test_mine_table_workload_directed () =
-  let t = corr_table () in
-  let all = Mining.Correlation.mine_table t in
-  check tbool "found both directions" true (List.length all >= 1);
-  let restricted =
-    Mining.Correlation.mine_table ~workload_pairs:[ ("junk", "a") ] t
-  in
-  check tint "workload filter excludes" 0 (List.length restricted)
+  let m = Option.get (mine_line t) in
+  check tbool "99% band much tighter" true
+    (Mining.Band.width (band_at m 0.99)
+    < Mining.Band.width (band_at m 1.0) /. 10.0)
 
 (* ---- join holes --------------------------------------------------------------- *)
 
@@ -408,6 +411,9 @@ let diff_fixture () =
   done;
   t
 
+let band_of d b =
+  Option.get (Mining.Band.of_pred (Mining.Diff_band.to_check_pred d b))
+
 let test_diff_band () =
   let t = diff_fixture () in
   match Mining.Diff_band.mine t ~col_hi:"hi" ~col_lo:"lo" with
@@ -420,7 +426,7 @@ let test_diff_band () =
       check tbool "95% band excludes tail" true
         (b95.Mining.Diff_band.d_max <= 21.0);
       check tbool "band min sane" true (b95.Mining.Diff_band.d_min >= 0.0);
-      let cov = Mining.Diff_band.coverage t d b95 in
+      let cov = Mining.Band.coverage t (band_of d b95) in
       check tbool "coverage >= 0.95" true (cov >= 0.95)
 
 let diff_band_coverage_prop =
@@ -444,7 +450,7 @@ let diff_band_coverage_prop =
       | Some d ->
           List.for_all
             (fun (b : Mining.Diff_band.band) ->
-              Mining.Diff_band.coverage t d b
+              Mining.Band.coverage t (band_of d b)
               >= b.Mining.Diff_band.confidence -. 1e-9)
             d.Mining.Diff_band.bands)
 
@@ -465,8 +471,6 @@ let () =
             test_correlation_rejects_noise;
           Alcotest.test_case "outlier bands" `Quick
             test_correlation_outlier_bands;
-          Alcotest.test_case "workload directed" `Quick
-            test_mine_table_workload_directed;
         ] );
       ( "join_holes",
         [

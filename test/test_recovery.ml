@@ -110,6 +110,173 @@ let test_sc_codec_roundtrip () =
         = repr))
     stmts
 
+(* Every statement form survives its repr bit-exactly, FLOAT constants
+   included: non-integral, negative, tiny and huge.  (An integral FLOAT
+   below 10^15 prints as an INT literal, as it always has, so the
+   generator leaves those out; so is a NOT NULL body, which the SQL
+   parser does not read as a table constraint.) *)
+let codec_roundtrip_prop =
+  let open QCheck.Gen in
+  let non_integral =
+    map2
+      (fun x f -> x +. f)
+      (map float_of_int (int_range (-1_000_000) 1_000_000))
+      (float_range 0.001 0.999)
+  in
+  let float_gen =
+    oneof
+      [
+        non_integral;
+        map (fun x -> x *. 1e-300) non_integral;
+        map (fun x -> x *. 1e290) non_integral;
+        map (fun x -> x /. 3.0) non_integral;
+      ]
+  in
+  let col = oneofl [ "a"; "b"; "ship_date" ] in
+  let stmt =
+    oneof
+      [
+        map3
+          (fun c lo hi ->
+            Core.Soft_constraint.Ic_stmt
+              (Icdef.Check
+                 (Expr.Between (Expr.column c, Expr.Const (Value.Float lo),
+                    Expr.Const (Value.Float hi)))))
+          col float_gen float_gen;
+        map2
+          (fun lo hi ->
+            Core.Soft_constraint.Ic_stmt
+              (Icdef.Check
+                 (Mining.Band.to_pred
+                    (Mining.Band.diff ~a:(Expr.col "a") ~b:(Expr.col "b") ~lo
+                       ~hi))))
+          float_gen float_gen;
+        map3
+          (fun k c e ->
+            Core.Soft_constraint.Ic_stmt
+              (Icdef.Check
+                 (Mining.Band.to_pred
+                    (Mining.Band.line ~a:(Expr.col "a") ~b:(Expr.col "b") ~k
+                       ~c ~e:(Float.abs e)))))
+          float_gen float_gen float_gen;
+        return (Core.Soft_constraint.Ic_stmt (Icdef.Unique [ "a"; "b" ]));
+        return
+          (Core.Soft_constraint.Fd_stmt
+             { Mining.Fd_mine.table = "t"; lhs = [ "a"; "b" ]; rhs = "c" });
+        map2
+          (fun partition x ->
+            Core.Soft_constraint.Part_stmt
+              {
+                partition;
+                pred =
+                  Expr.Cmp
+                    (Expr.Lt, Expr.column "a", Expr.Const (Value.Float x));
+              })
+          (int_range 0 7) float_gen;
+        map3
+          (fun a b r ->
+            Core.Soft_constraint.Holes_stmt
+              {
+                Mining.Join_holes.left_table = "l";
+                left_col = "a";
+                right_table = "r";
+                right_col = "b";
+                join_left = "k";
+                join_right = "k";
+                grid = 16;
+                a_min = a;
+                a_max = b;
+                b_min = r;
+                b_max = a +. b;
+                rects =
+                  [
+                    {
+                      Mining.Join_holes.a_lo = a;
+                      a_hi = b;
+                      b_lo = r;
+                      b_hi = r;
+                    };
+                  ];
+                join_rows = 3;
+              })
+          float_gen float_gen float_gen;
+      ]
+  in
+  QCheck.Test.make ~name:"statement_of_repr inverts statement_repr"
+    ~count:300
+    (QCheck.make
+       ~print:(fun s -> Core.Sc_codec.statement_repr s)
+       stmt)
+    (fun s ->
+      Core.Sc_codec.statement_of_repr (Core.Sc_codec.statement_repr s) = s)
+
+(* A log written before bands were stored as checks installs a mined
+   difference band with a [diff|] line and a linear one with [corr|];
+   both recover as the band's check. *)
+let test_old_band_tags_recover () =
+  let snap name repr =
+    Wal.Sc
+      {
+        txn = 1;
+        change =
+          Wal.Sc_installed
+            {
+              Wal.sc_name = name;
+              sc_table = "t";
+              sc_absolute = true;
+              sc_confidence = 1.0;
+              sc_state = "active";
+              sc_anchor = 0;
+              sc_violations = 0;
+              sc_repr = repr;
+            };
+      }
+  in
+  let h = Printf.sprintf "%h" in
+  let records =
+    [
+      Wal.Begin { txn = 1 };
+      Wal.Ddl
+        {
+          txn = 1;
+          sql = "CREATE TABLE t (a FLOAT, b FLOAT, lo DATE, hi DATE)";
+        };
+      snap "diff_old"
+        (Printf.sprintf "diff|t|hi|lo|3000|%s:%s:%s|%s:%s:%s" (h 1.0) (h 0.0)
+           (h 21.0) (h 1.0) (h 0.0) (h 21.0));
+      snap "corr_old"
+        (Printf.sprintf "corr|t|a|b|%s|%s|%s|500|%s|%s:%s|%s:%s" (h 2.5)
+           (h (-0.75)) (h 0.99) (h 0.01) (h 1.0) (h 0.375) (h 1.0) (h 0.375));
+      Wal.Commit { txn = 1 };
+    ]
+  in
+  let sdb = Core.Recovery.recover records in
+  let recovered name =
+    Core.Soft_constraint.check_pred
+      (Option.get (Core.Sc_catalog.find (Core.Softdb.catalog sdb) name))
+  in
+  let declared sql =
+    match
+      Sqlfe.Parser.parse_statement
+        ("ALTER TABLE t ADD CONSTRAINT c CHECK (" ^ sql ^ ") SOFT")
+    with
+    | Sqlfe.Ast.Alter_add_constraint
+        { con = { Sqlfe.Ast.con_body = Icdef.Check p; _ }; _ } ->
+        Some p
+    | _ -> Alcotest.fail "expected a check"
+  in
+  check tbool "diff| recovers as its check" true
+    (recovered "diff_old" = declared "hi - lo BETWEEN 0 AND 21");
+  check tbool "corr| recovers as its check" true
+    (recovered "corr_old"
+    = declared "a BETWEEN 2.5 * b + -0.75 - 0.375 AND 2.5 * b + -0.75 + 0.375");
+  check tbool "both are ASCs" true
+    (List.for_all
+       (fun n ->
+         Core.Soft_constraint.is_usable
+           (Option.get (Core.Sc_catalog.find (Core.Softdb.catalog sdb) n)))
+       [ "diff_old"; "corr_old" ])
+
 (* ---- shared fixture: a table, five rows, one check-shaped ASC ------------ *)
 
 let fixture () =
@@ -676,6 +843,41 @@ let test_violated_asc_out_of_rewrites_after_recovery () =
        (Core.Softdb.query_baseline sdb3 "SELECT * FROM purchase")
          .Exec.Executor.rows)
 
+(* A FLOAT bound that sync repair widened must come back from the log with
+   every digit: printed with six, the recovered ASC would exclude the row
+   that widened it, and a query the ASC proves empty would lose it. *)
+let test_widened_float_bound_recovers () =
+  Obs.Fault.reset ();
+  let sdb = Core.Softdb.create () in
+  let wal = Wal.create_memory () in
+  let link = Core.Recovery.attach sdb wal in
+  List.iter
+    (fun sql -> ignore (Core.Softdb.exec sdb sql))
+    [
+      "CREATE TABLE f (id INT, x FLOAT)";
+      "INSERT INTO f VALUES (1, 5.5)";
+      "ALTER TABLE f ADD CONSTRAINT x_band CHECK (x BETWEEN 0 AND 10) SOFT";
+    ];
+  Core.Maintenance.set_policy (Core.Softdb.maintenance sdb) "x_band"
+    Core.Maintenance.Sync_repair;
+  ignore (Core.Softdb.exec sdb "INSERT INTO f VALUES (2, 10.12344)");
+  Core.Recovery.flush link;
+  let sql = "SELECT id FROM f WHERE x > 10.12341" in
+  let ids sdb =
+    List.map Tuple.to_list (Core.Softdb.query sdb sql).Exec.Executor.rows
+  in
+  check tbool "live: the widening row answers" true
+    (ids sdb = [ [ Value.Int 2 ] ]);
+  let sdb2 = Core.Recovery.recover (Wal.records wal) in
+  let sc = Option.get (find_sc sdb2 "x_band") in
+  check tbool "recovered ASC active" true (Core.Soft_constraint.is_usable sc);
+  check tbool "recovered check equals the live one" true
+    (sc.Core.Soft_constraint.statement
+    = (Option.get (find_sc sdb "x_band")).Core.Soft_constraint.statement);
+  check tbool "recovered: the widening row still answers" true
+    (ids sdb2 = [ [ Value.Int 2 ] ]);
+  Core.Recovery.detach link
+
 (* ---- Txn.rollback collects listener failures (satellite b) --------------- *)
 
 let test_rollback_incomplete_keeps_compensating () =
@@ -1152,6 +1354,11 @@ let () =
             test_wal_corrupt_line_rejected;
           Alcotest.test_case "sc codec roundtrip" `Quick
             test_sc_codec_roundtrip;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 33 |])
+            codec_roundtrip_prop;
+          Alcotest.test_case "old diff| and corr| lines recover" `Quick
+            test_old_band_tags_recover;
         ] );
       ( "replay",
         [
@@ -1201,6 +1408,8 @@ let () =
             test_guarded_plan_falls_back;
           Alcotest.test_case "violated ASC out of rewrites after recovery"
             `Quick test_violated_asc_out_of_rewrites_after_recovery;
+          Alcotest.test_case "widened FLOAT bound recovers every digit"
+            `Quick test_widened_float_bound_recovers;
         ] );
       ( "txn",
         [

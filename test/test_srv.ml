@@ -873,6 +873,60 @@ let test_scheduler_one_job_per_session () =
        (List.rev (Mutex.protect lm (fun () -> !log))));
   Srv.Scheduler.shutdown s
 
+(* A parked job woken after its session queued a later one must still
+   run first: park a session's write, queue that session's next
+   statement behind a busy worker, then grant the lock.  A woken job
+   requeued at the tail would let the later statement start first. *)
+let test_scheduler_woken_job_keeps_session_order () =
+  let metrics = Obs.Metrics.create () in
+  let s = Srv.Scheduler.create ~workers:1 ~queue_capacity:8 metrics in
+  let l = latch () in
+  let log = ref [] and lm = Mutex.create () in
+  let note e = Mutex.protect lm (fun () -> log := e :: !log) in
+  let seen e = Mutex.protect lm (fun () -> List.mem e !log) in
+  let no_expire _ = Alcotest.fail "unexpected expiry" in
+  let parked = ref false in
+  let write =
+    {
+      (mk_job ~session:1 ~on_done:ignore ~on_expired:no_expire ignore) with
+      Srv.Scheduler.run =
+        (fun () ->
+          if not !parked then begin
+            parked := true;
+            note "write parked";
+            `Parked
+          end
+          else begin
+            note "write runs";
+            `Done
+          end);
+    }
+  in
+  let submit job =
+    check tbool "admitted" true (Srv.Scheduler.submit s job = `Admitted)
+  in
+  submit write;
+  eventually "the write parks" (fun () -> seen "write parked");
+  submit
+    (mk_job ~session:2 ~on_done:ignore ~on_expired:no_expire (fun () ->
+         latch_wait l));
+  eventually "the worker is busy" (fun () -> latch_waiters l = 1);
+  submit
+    (mk_job ~session:1
+       ~on_done:(fun () -> note "next done")
+       ~on_expired:no_expire
+       (fun () -> note "next runs"));
+  (* the lock is granted: the waker requeues the parked write *)
+  Srv.Scheduler.resubmit s write;
+  latch_open l;
+  eventually "both ran" (fun () -> seen "next done" && seen "write runs");
+  check
+    Alcotest.(list string)
+    "session 1 in submission order"
+    [ "write parked"; "write runs"; "next runs"; "next done" ]
+    (List.rev (Mutex.protect lm (fun () -> !log)));
+  Srv.Scheduler.shutdown s
+
 let test_scheduler_deadline_and_cancel () =
   let metrics = Obs.Metrics.create () in
   let s = Srv.Scheduler.create ~workers:1 ~queue_capacity:8 metrics in
@@ -2207,6 +2261,9 @@ let () =
             test_scheduler_uses_two_domains;
           Alcotest.test_case "one job per session at a time" `Quick
             test_scheduler_one_job_per_session;
+          Alcotest.test_case "a woken job runs before its session's later \
+                              job" `Quick
+            test_scheduler_woken_job_keeps_session_order;
           Alcotest.test_case "deadline + cancellation at dequeue" `Quick
             test_scheduler_deadline_and_cancel;
           Alcotest.test_case "shutdown drains the queue" `Quick
