@@ -11,6 +11,7 @@ type report = {
   applied : Rewrite.applied list;
   estimated_cardinality : float;
   plan : Plan.t;
+  estimates : Planner.estimates;
   estimated_cost : float;
   guards : string list;
   backup_plan : Plan.t option;
@@ -36,7 +37,7 @@ let optimize (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
     report =
   let logical = Logical.of_query q in
   let rewritten, applied = Rewrite.rewrite ctx logical in
-  let plan, cost = Planner.plan_query penv rewritten in
+  let plan, cost, estimates = Planner.plan_query penv rewritten in
   let idx_applied =
     List.map
       (fun (index, table, alias) ->
@@ -69,16 +70,17 @@ let optimize (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
         if idx_applied <> [] then { penv with Planner.use_indexes = false }
         else penv
       in
-      Some (fst (Planner.plan_query bpenv logical))
+      let backup, _, _ = Planner.plan_query bpenv logical in
+      Some backup
   in
   {
     original = q;
     logical;
     rewritten;
     applied;
-    estimated_cardinality =
-      Selectivity.query_cardinality (Planner.sel_env penv) rewritten;
+    estimated_cardinality = List.assq plan estimates;
     plan;
+    estimates;
     estimated_cost = cost;
     guards;
     backup_plan;
@@ -156,213 +158,6 @@ let pp ppf r =
 let to_string r = Fmt.str "%a" pp r
 
 (* ---- EXPLAIN ANALYZE ------------------------------------------------------ *)
-
-(* Per-node cardinality estimation over the *physical* plan, so the
-   annotated tree can show estimated vs. actual rows at every operator.
-   Scan nodes reuse the blended (twin-aware) per-table estimates computed
-   on the rewritten logical query; everything above applies the same
-   default filter factors the block estimator uses.  This is a display
-   model — the cost-based choices were already made by the planner. *)
-
-let norm = String.lowercase_ascii
-
-(* Per-alias blended output estimates, scoped by UNION ALL branch: both
-   branches of an exception union name the same alias, so each child of
-   a [Union_all] node reads the estimates of its own logical branch. *)
-type scope = { alias_est : (string * float) list; branches : scope list }
-
-let rec scope_of senv (l : Logical.t) =
-  match l with
-  | Logical.Block b ->
-      let e = Selectivity.estimate_block senv b in
-      {
-        alias_est =
-          List.map
-            (fun (alias, base, sel) -> (norm alias, base *. sel))
-            e.Selectivity.per_table;
-        branches = [];
-      }
-  | Logical.Union ts ->
-      { alias_est = []; branches = List.map (scope_of senv) ts }
-
-(* the scope each child of [plan] is estimated in *)
-let child_scopes scope (plan : Plan.t) =
-  match plan with
-  | Plan.Union_all inputs
-    when List.compare_lengths inputs scope.branches = 0 ->
-      scope.branches
-  | _ -> List.map (fun _ -> scope) (Plan.children plan)
-
-(* the scans visible below a node: alias -> table *)
-let rec scans_below plan acc =
-  match plan with
-  | Plan.Seq_scan { table; alias; _ }
-  | Plan.Index_scan { table; alias; _ }
-  | Plan.Index_only_scan { table; alias; _ }
-  | Plan.Partition_scan { table; alias; _ }
-  | Plan.Partition_concat { table; alias; _ } ->
-      (norm alias, table) :: acc
-  | Plan.Filter { input; _ }
-  | Plan.Project { input; _ }
-  | Plan.Sort { input; _ }
-  | Plan.Group { input; _ }
-  | Plan.Limit { input; _ } ->
-      scans_below input acc
-  | Plan.Distinct input -> scans_below input acc
-  | Plan.Nested_loop_join { left; right; _ }
-  | Plan.Hash_join { left; right; _ }
-  | Plan.Merge_join { left; right; _ } ->
-      scans_below left (scans_below right acc)
-  | Plan.Union_all inputs ->
-      List.fold_left (fun acc p -> scans_below p acc) acc inputs
-
-let table_of_col senv scans (r : Rel.Expr.col_ref) =
-  match r.Rel.Expr.rel with
-  | Some q -> List.assoc_opt (norm q) scans
-  | None ->
-      List.find_map
-        (fun (_, table) ->
-          match Rel.Database.find_table senv.Selectivity.db table with
-          | Some tbl
-            when Rel.Schema.find_index (Rel.Table.schema tbl) r.Rel.Expr.col
-                 <> None ->
-              Some table
-          | _ -> None)
-        scans
-
-let ndv_of senv scans (r : Rel.Expr.col_ref) =
-  match table_of_col senv scans r with
-  | Some table -> Selectivity.ndv senv ~table ~column:r.Rel.Expr.col
-  | None -> 25
-
-let rec pred_sel senv scans (p : Rel.Expr.pred) =
-  let open Rel in
-  match p with
-  | Expr.Ptrue -> 1.0
-  | Expr.Pfalse -> 0.0
-  | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-      1.0
-      /. float_of_int (max (ndv_of senv scans a) (ndv_of senv scans b))
-  | Expr.Cmp (Expr.Ne, _, _) -> 1.0 -. Selectivity.default_eq
-  | Expr.Cmp ((Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), _, _) ->
-      Selectivity.default_range
-  | Expr.Cmp (Expr.Eq, _, _) -> Selectivity.default_eq
-  | Expr.Between _ -> Selectivity.default_range /. 2.0
-  | Expr.In_list (_, vs) ->
-      Float.min 1.0 (Selectivity.default_eq *. float_of_int (List.length vs))
-  | Expr.Is_null _ -> Selectivity.default_eq
-  | Expr.Is_not_null _ -> 1.0 -. Selectivity.default_eq
-  | Expr.And (a, b) -> pred_sel senv scans a *. pred_sel senv scans b
-  | Expr.Or (a, b) ->
-      let sa = pred_sel senv scans a and sb = pred_sel senv scans b in
-      Float.min 1.0 (sa +. sb -. (sa *. sb))
-  | Expr.Not a -> Float.max 0.0 (1.0 -. pred_sel senv scans a)
-
-(* The planner hands both scan shapes the full conjoined local filter
-   (the index probe range is also kept as residual), so rows × filter
-   selectivity is the right estimate for either; the blended per-alias
-   estimate additionally folds in estimation-only twins. *)
-let scan_estimate senv scope ~table ~alias ~filter =
-  match List.assoc_opt (norm alias) scope.alias_est with
-  | Some e -> e
-  | None ->
-      let rows = Selectivity.table_cardinality senv table in
-      let preds = List.map Selectivity.localize (Rel.Expr.conjuncts filter) in
-      rows *. Selectivity.conjunct_selectivity senv ~table preds
-
-let rec estimate senv scope (plan : Plan.t) =
-  match plan with
-  | Plan.Seq_scan { table; alias; filter } ->
-      scan_estimate senv scope ~table ~alias ~filter
-  | Plan.Index_scan { table; alias; filter; _ }
-  | Plan.Index_only_scan { table; alias; filter; _ } ->
-      scan_estimate senv scope ~table ~alias ~filter
-  | Plan.Partition_concat { table; alias; children; _ } -> (
-      (* all surviving partitions re-produce the blended per-alias
-         estimate; a pruned concatenation scales it by the surviving row
-         fraction *)
-      let whole = scan_estimate senv scope ~table ~alias ~filter:Rel.Expr.Ptrue in
-      match Rel.Database.partitioning senv.Selectivity.db table with
-      | None -> whole
-      | Some part ->
-          let total =
-            List.init (Rel.Partition.count part) (Rel.Partition.rows part)
-            |> List.fold_left ( + ) 0
-          in
-          let surviving =
-            List.fold_left
-              (fun acc (i, _) -> acc + Rel.Partition.rows part i)
-              0 children
-          in
-          if total = 0 then 0.0
-          else whole *. (float_of_int surviving /. float_of_int total))
-  | Plan.Partition_scan { table; alias; filter; partition } -> (
-      let whole = scan_estimate senv scope ~table ~alias ~filter in
-      match Rel.Database.partitioning senv.Selectivity.db table with
-      | None -> whole
-      | Some part ->
-          let total =
-            List.init (Rel.Partition.count part) (Rel.Partition.rows part)
-            |> List.fold_left ( + ) 0
-          in
-          if total = 0 then 0.0
-          else
-            whole
-            *. (float_of_int (Rel.Partition.rows part partition)
-               /. float_of_int total))
-  | Plan.Filter { input; pred } ->
-      estimate senv scope input
-      *. pred_sel senv (scans_below input []) pred
-  | Plan.Project { input; _ } | Plan.Sort { input; _ } ->
-      estimate senv scope input
-  | Plan.Distinct input ->
-      (* approximation: no reduction, matching the block estimator *)
-      estimate senv scope input
-  | Plan.Nested_loop_join { left; right; pred } ->
-      estimate senv scope left
-      *. estimate senv scope right
-      *. pred_sel senv (scans_below plan []) pred
-  | Plan.Hash_join { left; right; left_keys; right_keys; residual; _ }
-  | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
-      let scans = scans_below plan [] in
-      let key_sel l r =
-        match (l, r) with
-        | Rel.Expr.Col a, Rel.Expr.Col b ->
-            1.0
-            /. float_of_int (max (ndv_of senv scans a) (ndv_of senv scans b))
-        | _ -> Selectivity.default_eq
-      in
-      let rec keys_sel ls rs =
-        match (ls, rs) with
-        | l :: ltl, r :: rtl -> key_sel l r *. keys_sel ltl rtl
-        | _ -> 1.0
-      in
-      estimate senv scope left
-      *. estimate senv scope right
-      *. keys_sel left_keys right_keys
-      *. pred_sel senv scans residual
-  | Plan.Group { input; keys; _ } ->
-      let inp = estimate senv scope input in
-      if keys = [] then 1.0
-      else
-        let scans = scans_below input [] in
-        let groups =
-          List.fold_left
-            (fun acc (e, _) ->
-              acc
-              *.
-              match e with
-              | Rel.Expr.Col r -> float_of_int (ndv_of senv scans r)
-              | _ -> 25.0)
-            1.0 keys
-        in
-        Float.min inp groups
-  | Plan.Union_all inputs ->
-      List.fold_left2
-        (fun acc sc p -> acc +. estimate senv sc p)
-        0.0 (child_scopes scope plan) inputs
-  | Plan.Limit { input; n } ->
-      Float.min (estimate senv scope input) (float_of_int n)
 
 (* single-line operator labels for the annotated tree *)
 let node_label (plan : Plan.t) =
@@ -452,7 +247,6 @@ let analyze (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
     analysis =
   let report = optimize ctx penv q in
   let db = penv.Planner.db in
-  let senv = Planner.sel_env penv in
   let counters = Operators.Counters.create () in
   let rows, node_stats =
     Operators.run_instrumented db ~counters report.plan
@@ -463,8 +257,8 @@ let analyze (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
   let stat_of node =
     Option.map snd (List.find_opt (fun (p, _) -> p == node) node_stats)
   in
-  let rec walk depth scope plan acc =
-    let est = estimate senv scope plan in
+  let rec walk depth plan acc =
+    let est = List.assq plan report.estimates in
     let actual, pulls, elapsed =
       match stat_of plan with
       | Some s ->
@@ -482,11 +276,11 @@ let analyze (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
         elapsed_s = elapsed;
       }
     in
-    List.fold_left2
-      (fun acc scope child -> walk (depth + 1) scope child acc)
-      (node :: acc) (child_scopes scope plan) (Plan.children plan)
+    List.fold_left
+      (fun acc child -> walk (depth + 1) child acc)
+      (node :: acc) (Plan.children plan)
   in
-  let nodes = List.rev (walk 0 (scope_of senv report.rewritten) report.plan []) in
+  let nodes = List.rev (walk 0 report.plan []) in
   {
     a_report = report;
     result;

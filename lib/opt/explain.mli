@@ -9,7 +9,10 @@ type report = {
   rewritten : Logical.t;
   applied : Rewrite.applied list;
   estimated_cardinality : float;
+      (** the planner's estimate for the plan's root *)
   plan : Exec.Plan.t;
+  estimates : Planner.estimates;
+      (** the planner's estimated rows for every node of [plan] *)
   estimated_cost : float;
   guards : string list;
       (** names of the constraints the result-changing rewrites relied
@@ -51,8 +54,11 @@ val pp_certificates : Format.formatter -> report -> unit
 
     Optimize {e and execute} the query with per-node instrumentation,
     then annotate every operator with its estimated rows, actual rows,
-    and q-error.  Estimates come from the same blended (twin-aware)
-    model the planner used; actuals from {!Exec.Operators.run_instrumented}. *)
+    and q-error.  Estimates are the planner's own, read from
+    [report.estimates] ({!Planner.plan_query}): the twin-blended numbers
+    it costed and ordered joins with, so EXPLAIN shows what an SC did to
+    the plan's choice.  Actuals come from
+    {!Exec.Operators.run_instrumented}. *)
 
 type node_stat = {
   depth : int;

@@ -21,6 +21,9 @@ let make_env ?(params = Cost.default_params) ?(use_indexes = true) db stats =
 
 let sel_env env = { Selectivity.db = env.db; stats = env.stats }
 
+type estimates = (Plan.t * float) list
+
+
 exception Unplannable of string
 
 let unplannable fmt = Printf.ksprintf (fun s -> raise (Unplannable s)) fmt
@@ -118,9 +121,10 @@ let needed_cols env (block : Logical.block) (s : Logical.source) =
       Some (List.sort_uniq String.compare mine)
 
 (* pick the cheapest access path for one source given its local preds;
-   returns plan, estimated scan cost, and output cardinality *)
+   returns plan, estimated scan cost, and estimated output rows.  [note]
+   records the estimate of each partition segment's scan. *)
 let access_path env (block : Logical.block) (s : Logical.source) local_preds
-    ~blended_sel =
+    ~blended_sel ~note =
   let table =
     match Database.find_table env.db s.Logical.table with
     | Some t -> t
@@ -129,7 +133,7 @@ let access_path env (block : Logical.block) (s : Logical.source) local_preds
   let rows = float_of_int (Table.cardinality table) in
   let pages = float_of_int (Table.pages table) in
   let filter = Expr.conjoin local_preds in
-  let out_card = rows *. blended_sel in
+  let out_rows = rows *. blended_sel in
   match Database.partitioning env.db s.Logical.table with
   | Some part ->
       (* partitioned source: concatenate the surviving segments (all of
@@ -152,17 +156,30 @@ let access_path env (block : Logical.block) (s : Logical.source) local_preds
       let seg_rows =
         List.fold_left (fun acc i -> acc + Partition.rows part i) 0 surviving
       in
+      (* the filter's selectivity is over the whole table, so it already
+         leaves out the rows pruning dropped; scaling it again by the
+         surviving share would count the prune twice.  The surviving
+         segments cannot yield more than they hold, and each takes its
+         share of the estimate by rows. *)
+      let out_rows = Float.min out_rows (float_of_int seg_rows) in
       let children =
         List.map
           (fun i ->
+            let share =
+              if seg_rows = 0 then 0.0
+              else
+                float_of_int (Partition.rows part i) /. float_of_int seg_rows
+            in
             ( i,
-              Plan.Partition_scan
-                {
-                  table = s.Logical.table;
-                  alias = s.Logical.alias;
-                  partition = i;
-                  filter;
-                } ))
+              note
+                (Plan.Partition_scan
+                   {
+                     table = s.Logical.table;
+                     alias = s.Logical.alias;
+                     partition = i;
+                     filter;
+                   })
+                (out_rows *. share) ))
           surviving
       in
       let plan =
@@ -174,7 +191,7 @@ let access_path env (block : Logical.block) (s : Logical.source) local_preds
           ~pages:(float_of_int seg_pages)
           ~rows:(float_of_int seg_rows)
       in
-      (plan, cost, max 1.0 (float_of_int seg_rows *. blended_sel))
+      (plan, cost, out_rows)
   | None ->
   let seq_plan =
     Plan.Seq_scan { table = s.Logical.table; alias = s.Logical.alias; filter }
@@ -305,29 +322,17 @@ let access_path env (block : Logical.block) (s : Logical.source) local_preds
       (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc))
       (seq_plan, seq_cost) candidates
   in
-  (best_plan, best_cost, max 1.0 out_card)
+  (best_plan, best_cost, out_rows)
 
 (* ---- join ordering --------------------------------------------------------- *)
 
 type rel_state = {
   aliases : string list; (* normalized *)
   plan : Plan.t;
-  card : float;
+  card : float; (* [est] floored at one row, what costing reads *)
+  est : float;
   acc_cost : float;
 }
-
-let join_selectivity env block (_, ka, _, kb, _) =
-  let ndv_of k =
-    match k with
-    | Expr.Col r -> (
-        match Logical.sources_of_col env.db block r with
-        | [ s ] ->
-            Selectivity.ndv (sel_env env) ~table:s.Logical.table
-              ~column:r.Expr.col
-        | _ -> 25)
-    | _ -> 25
-  in
-  1.0 /. float_of_int (max (ndv_of ka) (ndv_of kb))
 
 (* Partition-constraint join bound (paper §2: constraints as
    characterizations feeding the estimator).  When both sides are base
@@ -375,7 +380,8 @@ let aligned_cap env (block : Logical.block) left right eqs =
       | _ -> None)
   | _ -> None
 
-let order_joins env (block : Logical.block) (cls : classified) base_rels =
+let order_joins env (block : Logical.block) (cls : classified) ~note
+    base_rels =
   match base_rels with
   | [] -> unplannable "no relations"
   | [ r ] ->
@@ -408,28 +414,25 @@ let order_joins env (block : Logical.block) (cls : classified) base_rels =
             (fun cand ->
               let eqs = connects cand in
               let sel =
-                List.fold_left
-                  (fun acc e -> acc *. join_selectivity env block e)
-                  1.0 eqs
+                Selectivity.cross_selectivity (sel_env env) block
+                  (List.map (fun (_, _, _, _, p) -> p) eqs)
               in
-              let out = !current.card *. cand.card *. sel in
-              let out =
-                match aligned_cap env block !current cand eqs with
-                | Some cap -> Float.min out cap
-                | None -> out
+              let cap =
+                Option.value ~default:Float.infinity
+                  (aligned_cap env block !current cand eqs)
               in
-              (cand, eqs, out))
+              let out = Float.min (!current.card *. cand.card *. sel) cap in
+              let est = Float.min (!current.est *. cand.est *. sel) cap in
+              (cand, eqs, (out, est)))
             !remaining
         in
         let connected = List.filter (fun (_, eqs, _) -> eqs <> []) scored in
         let pool = if connected <> [] then connected else scored in
-        let cand, eqs, out_card =
+        let cand, eqs, (out_card, out_est) =
           List.fold_left
-            (fun (bc, be, bo) (c, e, o) ->
-              if o < bo then (c, e, o) else (bc, be, bo))
-            (let c, e, o = List.hd pool in
-             (c, e, o))
-            (List.tl pool)
+            (fun ((_, _, (bo, _)) as best) ((_, _, (o, _)) as c) ->
+              if o < bo then c else best)
+            (List.hd pool) (List.tl pool)
         in
         let new_aliases = !current.aliases @ cand.aliases in
         (* cross predicates now fully contained *)
@@ -482,11 +485,16 @@ let order_joins env (block : Logical.block) (cls : classified) base_rels =
           List.filter
             (fun e -> not (List.exists (fun e' -> e' == e) eqs))
             !pending_equi;
+        let est =
+          out_est
+          *. Selectivity.cross_selectivity (sel_env env) block applicable
+        in
         current :=
           {
             aliases = new_aliases;
-            plan;
+            plan = note plan est;
             card = max 1.0 out_card;
+            est;
             acc_cost = !current.acc_cost +. cand.acc_cost +. step_cost;
           };
         remaining :=
@@ -511,36 +519,62 @@ let item_output_name i (item : Sqlfe.Ast.select_item) =
         (i + 1)
   | Sqlfe.Ast.Aggregate (_, _, Some a) -> a
 
-let plan_block env (block : Logical.block) : Plan.t * float =
-  let estimate = Selectivity.estimate_block (sel_env env) block in
+(* The estimated rows of a group's output: one for a global aggregate,
+   else the distinct combinations of its keys, capped by its input. *)
+let group_rows env (block : Logical.block) ~input keys =
+  let key_ndv k =
+    match k with
+    | Expr.Col r -> (
+        match Logical.sources_of_col env.db block r with
+        | [ s ] ->
+            float_of_int
+              (Selectivity.ndv (sel_env env) ~table:s.Logical.table
+                 ~column:r.Expr.col)
+        | _ -> 25.0)
+    | _ -> 25.0
+  in
+  if keys = [] then 1.0
+  else
+    Float.min input
+      (List.fold_left (fun acc (k, _) -> acc *. key_ndv k) 1.0 keys)
+
+let plan_block env (block : Logical.block) : Plan.t * float * estimates =
+  let ests = ref [] in
+  let note plan est =
+    ests := (plan, est) :: !ests;
+    plan
+  in
+  let senv = sel_env env in
+  let sels = Selectivity.source_selectivities senv block in
   let cls = classify env block in
   let base_rels =
     List.map
       (fun (s : Logical.source) ->
         let a = norm s.Logical.alias in
         let local = Option.value (List.assoc_opt a cls.local) ~default:[] in
-        let sel =
-          match
-            List.find_opt
-              (fun (alias, _, _) -> norm alias = a)
-              estimate.Selectivity.per_table
-          with
-          | Some (_, _, sel) -> sel
-          | None -> 1.0
+        let sel = Option.value (List.assoc_opt a sels) ~default:1.0 in
+        let plan, cost, est =
+          access_path env block s local ~blended_sel:sel ~note
         in
-        let plan, cost, card =
-          access_path env block s local ~blended_sel:sel
-        in
-        { aliases = [ a ]; plan; card; acc_cost = cost })
+        {
+          aliases = [ a ];
+          plan = note plan est;
+          card = max 1.0 est;
+          est;
+          acc_cost = cost;
+        })
       block.Logical.from
   in
-  let joined, leftovers = order_joins env block cls base_rels in
-  let plan, cost =
+  let joined, leftovers = order_joins env block cls ~note base_rels in
+  let plan, cost, rows =
     match leftovers with
-    | [] -> (joined.plan, joined.acc_cost)
+    | [] -> (joined.plan, joined.acc_cost, joined.est)
     | ps ->
-        ( Plan.Filter { input = joined.plan; pred = Expr.conjoin ps },
-          joined.acc_cost +. (env.params.Cost.cpu_tuple *. joined.card) )
+        let rows = joined.est *. Selectivity.cross_selectivity senv block ps in
+        let pred = Expr.conjoin ps in
+        ( note (Plan.Filter { input = joined.plan; pred }) rows,
+          joined.acc_cost +. (env.params.Cost.cpu_tuple *. joined.card),
+          rows )
   in
   (* a block proven contradictory feeds zero rows into whatever follows —
      the LIMIT 0 must sit *below* any aggregation, which still owes one
@@ -551,7 +585,10 @@ let plan_block env (block : Logical.block) : Plan.t * float =
         (not p.Logical.estimation_only) && p.Logical.pred = Expr.Pfalse)
       block.Logical.preds
   in
-  let plan = if falsified then Plan.Limit { input = plan; n = 0 } else plan in
+  let plan, rows =
+    if falsified then (note (Plan.Limit { input = plan; n = 0 }) 0.0, 0.0)
+    else (plan, rows)
+  in
   let items = block.Logical.items in
   let has_group =
     block.Logical.group_by <> []
@@ -559,7 +596,7 @@ let plan_block env (block : Logical.block) : Plan.t * float =
          (function Sqlfe.Ast.Aggregate _ -> true | _ -> false)
          items
   in
-  let plan, cost, output_names =
+  let plan, cost, rows, output_names =
     if has_group then begin
       (* group keys named _g0.., aggregates named by their output name *)
       let keys =
@@ -601,7 +638,8 @@ let plan_block env (block : Logical.block) : Plan.t * float =
                    }
                | _ -> assert false)
       in
-      let group_plan = Plan.Group { input = plan; keys; aggs } in
+      let rows = group_rows env block ~input:rows keys in
+      let group_plan = note (Plan.Group { input = plan; keys; aggs }) rows in
       (* project to the select-item order *)
       let exprs =
         List.mapi
@@ -624,13 +662,14 @@ let plan_block env (block : Logical.block) : Plan.t * float =
                       (Fmt.str "%a" Expr.pp e)))
           items
       in
-      ( Plan.Project { input = group_plan; exprs },
+      ( note (Plan.Project { input = group_plan; exprs }) rows,
         cost +. Cost.group env.params ~rows:joined.card,
+        rows,
         List.map snd exprs )
     end
     else if
       List.for_all (function Sqlfe.Ast.Star -> true | _ -> false) items
-    then (plan, cost, [])
+    then (plan, cost, rows, [])
     else
       let exprs =
         List.mapi
@@ -642,22 +681,27 @@ let plan_block env (block : Logical.block) : Plan.t * float =
             | Sqlfe.Ast.Aggregate _ -> assert false)
           items
       in
-      ( Plan.Project { input = plan; exprs },
+      ( note (Plan.Project { input = plan; exprs }) rows,
         cost,
+        rows,
         List.map snd exprs )
   in
   (* HAVING: a filter over the projected output, referencing output
      column names *)
-  let plan =
+  let plan, rows =
     match block.Logical.having with
-    | Expr.Ptrue -> plan
+    | Expr.Ptrue -> (plan, rows)
     | p ->
         if output_names = [] then
           unplannable "HAVING requires explicit select items"
-        else Plan.Filter { input = plan; pred = p }
+        else
+          let rows =
+            rows *. Selectivity.cross_selectivity senv block (Expr.conjuncts p)
+          in
+          (note (Plan.Filter { input = plan; pred = p }) rows, rows)
   in
   let plan =
-    if block.Logical.distinct then Plan.Distinct plan else plan
+    if block.Logical.distinct then note (Plan.Distinct plan) rows else plan
   in
   (* ordering *)
   let plan, cost =
@@ -700,22 +744,28 @@ let plan_block env (block : Logical.block) : Plan.t * float =
               { Plan.key; asc = o.Sqlfe.Ast.asc })
             order
         in
-        ( Plan.Sort { input = plan; keys },
+        ( note (Plan.Sort { input = plan; keys }) rows,
           cost +. Cost.sort env.params ~rows:joined.card )
   in
   let plan =
     match block.Logical.limit with
-    | Some n -> Plan.Limit { input = plan; n }
+    | Some n ->
+        note (Plan.Limit { input = plan; n }) (Float.min rows (float_of_int n))
     | None -> plan
   in
-  (plan, cost)
+  (plan, cost, !ests)
 
-let rec plan_query env (q : Logical.t) : Plan.t * float =
+let rec plan_query env (q : Logical.t) : Plan.t * float * estimates =
   match q with
   | Logical.Block b -> plan_block env b
   | Logical.Union branches ->
       let planned = List.map (plan_query env) branches in
-      ( Plan.Union_all (List.map fst planned),
-        List.fold_left (fun acc (_, c) -> acc +. c) 0.0 planned )
-
-let plan env q = fst (plan_query env q)
+      let union = Plan.Union_all (List.map (fun (p, _, _) -> p) planned) in
+      let rows =
+        List.fold_left
+          (fun acc (p, _, ests) -> acc +. List.assq p ests)
+          0.0 planned
+      in
+      ( union,
+        List.fold_left (fun acc (_, c, _) -> acc +. c) 0.0 planned,
+        (union, rows) :: List.concat_map (fun (_, _, ests) -> ests) planned )

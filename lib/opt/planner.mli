@@ -22,15 +22,20 @@ val make_env :
   ?params:Cost.params -> ?use_indexes:bool -> Database.t -> Runstats.t -> env
 (** [use_indexes] defaults to [true]. *)
 
-val sel_env : env -> Selectivity.env
-
 exception Unplannable of string
 (** Raised on shapes the lowering does not support (e.g. a select item
     that is neither grouped nor aggregated). *)
 
-val plan_block : env -> Logical.block -> Plan.t * float
-(** The plan and its estimated cost. *)
+type estimates = (Plan.t * float) list
+(** The estimated output rows of every node of a plan, keyed by the
+    node's physical identity (look one up with [List.assq]).  These are
+    the only cardinality estimates softdb makes: EXPLAIN, EXPLAIN ANALYZE
+    and [sys.query_log] read them. *)
 
-val plan_query : env -> Logical.t -> Plan.t * float
-
-val plan : env -> Logical.t -> Plan.t
+val plan_query : env -> Logical.t -> Plan.t * float * estimates
+(** The plan, its estimated cost, and the estimated rows of each of its
+    nodes.  A scan or join reads the same twin-blended estimate the
+    planner ordered joins with; costing floors it at one row, but the
+    record holds the value before that floor, so a node that can produce
+    nothing (the [Limit 0] of a block proven empty, a concatenation with
+    no surviving segment) reads 0. *)

@@ -26,14 +26,6 @@ let default_other = 1.0 /. 3.0
 let col_stats env ~table ~column =
   Runstats.column_stats env.stats ~table ~column
 
-let table_cardinality env table =
-  match Runstats.find env.stats table with
-  | Some ts -> float_of_int ts.Runstats.cardinality
-  | None -> (
-      match Database.find_table env.db table with
-      | Some t -> float_of_int (Table.cardinality t)
-      | None -> 0.0)
-
 let ndv env ~table ~column =
   match col_stats env ~table ~column with
   | Some cs -> max 1 cs.Col_stats.distinct
@@ -169,7 +161,7 @@ let blended_selectivity env ~table ~regular ~twins =
       in
       (c *. e1) +. ((1.0 -. c) *. e0)
 
-(* --- whole-block estimation ---------------------------------------------- *)
+(* --- per-block estimation ------------------------------------------------ *)
 
 (* Classify a predicate w.r.t. block sources: which aliases does it touch? *)
 let aliases_of_pred db (block : Logical.block) (p : Expr.pred) =
@@ -182,14 +174,32 @@ let aliases_of_pred db (block : Logical.block) (p : Expr.pred) =
 let localize p =
   Expr.map_cols_pred (fun r -> { r with Expr.rel = None }) p
 
-type block_estimate = {
-  per_table : (string * float * float) list;
-      (* alias, base cardinality, selectivity *)
-  join_selectivity : float;
-  cardinality : float;
-}
+(* The one selectivity rule for conjuncts the planner applies across
+   sources — equi-join keys, a join residual, a leftover filter: column =
+   column takes 1/max(ndv), FALSE 0, other shapes a default factor, and
+   the conjuncts multiply. *)
+let cross_selectivity env (block : Logical.block) (preds : Expr.pred list) =
+  let sel (p : Expr.pred) =
+    match p with
+    | Expr.Ptrue -> 1.0
+    | Expr.Pfalse -> 0.0
+    | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) -> (
+        let src r = Logical.sources_of_col env.db block r in
+        match (src a, src b) with
+        | [ sa ], [ sb ] ->
+            let da = ndv env ~table:sa.Logical.table ~column:a.Expr.col
+            and db_ = ndv env ~table:sb.Logical.table ~column:b.Expr.col in
+            1.0 /. float_of_int (max da db_)
+        | _ -> default_eq)
+    | Expr.Cmp ((Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), _, _) -> default_range
+    | _ -> default_other
+  in
+  List.fold_left (fun acc p -> acc *. sel p) 1.0 preds
 
-let estimate_block env (block : Logical.block) : block_estimate =
+(* Twin-blended selectivity of each source's own conjuncts, by normalized
+   alias.  Conjuncts over several sources (or none) are the planner's to
+   place and estimate ({!cross_selectivity}). *)
+let source_selectivities env (block : Logical.block) =
   let db = env.db in
   (* an exception-union fold is implied by the block under the check it
      folds: multiplying it in would count the block's selectivity twice *)
@@ -199,9 +209,7 @@ let estimate_block env (block : Logical.block) : block_estimate =
       (Logical.executable_preds block)
   in
   let est_preds = Logical.estimation_preds block in
-  (* bucket executable conjuncts: per-alias vs cross-alias *)
   let local : (string, Expr.pred list) Hashtbl.t = Hashtbl.create 8 in
-  let cross = ref [] in
   List.iter
     (fun (p : Logical.pred_item) ->
       match aliases_of_pred db block p.Logical.pred with
@@ -209,7 +217,7 @@ let estimate_block env (block : Logical.block) : block_estimate =
           Hashtbl.replace local a
             (localize p.Logical.pred
             :: Option.value (Hashtbl.find_opt local a) ~default:[])
-      | _ -> cross := p.Logical.pred :: !cross)
+      | _ -> ())
     exec_preds;
   let twins_for alias =
     List.filter_map
@@ -226,86 +234,11 @@ let estimate_block env (block : Logical.block) : block_estimate =
         | _ -> None)
       est_preds
   in
-  let per_table =
-    List.map
-      (fun (s : Logical.source) ->
-        let alias = String.lowercase_ascii s.Logical.alias in
-        let base = table_cardinality env s.Logical.table in
-        let regular =
-          Option.value (Hashtbl.find_opt local alias) ~default:[]
-        in
-        let sel =
-          blended_selectivity env ~table:s.Logical.table ~regular
-            ~twins:(twins_for alias)
-        in
-        (s.Logical.alias, base, sel))
-      block.Logical.from
-  in
-  (* cross-alias predicates: equi-joins use 1/max(ndv), others default *)
-  let join_sel_of p =
-    match p with
-    | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) -> (
-        let src r = Logical.sources_of_col db block r in
-        match (src a, src b) with
-        | [ sa ], [ sb ] ->
-            let da = ndv env ~table:sa.Logical.table ~column:a.Expr.col
-            and db_ = ndv env ~table:sb.Logical.table ~column:b.Expr.col in
-            1.0 /. float_of_int (max da db_)
-        | _ -> default_eq)
-    | Expr.Cmp ((Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), _, _) ->
-        default_range
-    | _ -> default_other
-  in
-  let join_selectivity =
-    List.fold_left (fun acc p -> acc *. join_sel_of p) 1.0 !cross
-  in
-  let cardinality =
-    List.fold_left (fun acc (_, base, sel) -> acc *. base *. sel)
-      join_selectivity per_table
-  in
-  { per_table; join_selectivity; cardinality = max 0.0 cardinality }
-
-(* Output cardinality including grouping/distinct/limit effects. *)
-let output_cardinality env (block : Logical.block) =
-  let e = estimate_block env block in
-  let card = e.cardinality in
-  let card =
-    if block.Logical.group_by <> [] then
-      (* distinct combinations of group keys, capped by input card *)
-      let per_key_ndv k =
-        match k with
-        | Expr.Col r -> (
-            match
-              Logical.sources_of_col env.db block r
-            with
-            | [ s ] ->
-                float_of_int
-                  (ndv env ~table:s.Logical.table ~column:r.Expr.col)
-            | _ -> 25.0)
-        | _ -> 25.0
-      in
-      let groups =
-        List.fold_left (fun acc k -> acc *. per_key_ndv k) 1.0
-          block.Logical.group_by
-      in
-      min card groups
-    else if
-      List.exists
-        (function Sqlfe.Ast.Aggregate _ -> true | _ -> false)
-        block.Logical.items
-    then 1.0
-    else card
-  in
-  let card =
-    if block.Logical.distinct then card (* approximation: no reduction *)
-    else card
-  in
-  match block.Logical.limit with
-  | Some n -> min card (float_of_int n)
-  | None -> card
-
-let rec query_cardinality env (q : Logical.t) =
-  match q with
-  | Logical.Block b -> output_cardinality env b
-  | Logical.Union ts ->
-      List.fold_left (fun acc t -> acc +. query_cardinality env t) 0.0 ts
+  List.map
+    (fun (s : Logical.source) ->
+      let alias = String.lowercase_ascii s.Logical.alias in
+      let regular = Option.value (Hashtbl.find_opt local alias) ~default:[] in
+      ( alias,
+        blended_selectivity env ~table:s.Logical.table ~regular
+          ~twins:(twins_for alias) ))
+    block.Logical.from

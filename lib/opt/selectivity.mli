@@ -17,18 +17,6 @@ open Stats
 
 type env = { db : Database.t; stats : Runstats.t }
 
-(** {1 Default filter factors}
-
-    System-R-style defaults, applied when no statistics fit; exported so
-    display models (EXPLAIN ANALYZE's per-node estimator) agree with the
-    planner. *)
-
-val default_eq : float
-val default_range : float
-val default_other : float
-
-val table_cardinality : env -> string -> float
-
 val ndv : env -> table:string -> column:string -> int
 (** Distinct values, from statistics; a default when none exist. *)
 
@@ -52,19 +40,13 @@ val blended_selectivity :
 val aliases_of_pred : Database.t -> Logical.block -> Expr.pred -> string list
 (** Normalized aliases a predicate touches, for classification. *)
 
-val localize : Expr.pred -> Expr.pred
-(** Strip qualifiers for table-local estimation. *)
+val source_selectivities : env -> Logical.block -> (string * float) list
+(** Twin-blended selectivity of each source's own conjuncts, by
+    normalized alias; an exception-union fold is left out, since the
+    block already implies it. *)
 
-type block_estimate = {
-  per_table : (string * float * float) list;
-      (** alias, base cardinality, (twin-blended) selectivity *)
-  join_selectivity : float;
-  cardinality : float;
-}
-
-val estimate_block : env -> Logical.block -> block_estimate
-
-val output_cardinality : env -> Logical.block -> float
-(** Including grouping / global-aggregate / limit effects. *)
-
-val query_cardinality : env -> Logical.t -> float
+val cross_selectivity : env -> Logical.block -> Expr.pred list -> float
+(** The one rule for conjuncts the planner applies across sources
+    (equi-join keys, a join residual, a leftover filter): [a = b] over
+    two resolved columns is [1/max(ndv a, ndv b)], [FALSE] is 0, other
+    shapes take a default filter factor; the conjuncts multiply. *)

@@ -473,6 +473,13 @@ let parse_constraint_body st : Icdef.body =
     eat st RPAREN;
     Icdef.Check p
   end
+  else if accept_kw st "NOT" then begin
+    (* how {!Rel.Icdef.pp_body} prints a column's NOT NULL *)
+    eat_kw st "NULL";
+    match parse_column_list st with
+    | [ c ] -> Icdef.Not_null c
+    | _ -> fail "NOT NULL names one column"
+  end
   else fail "expected a constraint body, found %s" (string_of_token (peek st))
 
 let parse_table_constraint st : Ast.table_constraint =

@@ -785,6 +785,32 @@ let test_real_tree_lints () =
            (fun (path, line, name) -> Printf.sprintf "%s:%d %s" path line name)
            globals)
 
+(* The .ml/.mli files under [dir] of the source tree at [root]. *)
+let rec source_files root dir =
+  (if Sys.file_exists (Filename.concat root dir) then
+     Sys.readdir (Filename.concat root dir)
+   else [||])
+  |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory (Filename.concat root path) then
+           if f = "_build" || String.starts_with ~prefix:"." f then []
+           else source_files root path
+         else if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
+         then [ path ]
+         else [])
+
+let mentions root needle path =
+  let text =
+    In_channel.with_open_text (Filename.concat root path) In_channel.input_all
+  in
+  let n = String.length needle in
+  let rec from i =
+    i + n <= String.length text
+    && (String.sub text i n = needle || from (i + 1))
+  in
+  from 0
+
 (* One band form: a band is stored as its CHECK and read through
    [Mining.Band].  The install-time difference spelling may appear in
    lib/ only in the soft-constraint module that stores it, and the
@@ -794,46 +820,41 @@ let test_one_band_form () =
   match Source_root.find () with
   | None -> () (* not running from a build tree *)
   | Some root ->
-      let rec sources dir =
-        (if Sys.file_exists (Filename.concat root dir) then
-           Sys.readdir (Filename.concat root dir)
-         else [||])
-        |> Array.to_list |> List.sort compare
-        |> List.concat_map (fun f ->
-               let path = Filename.concat dir f in
-               if Sys.is_directory (Filename.concat root path) then
-                 if f = "_build" || String.starts_with ~prefix:"." f then []
-                 else sources path
-               else if
-                 Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
-               then [ path ]
-               else [])
-      in
-      let mentions needle path =
-        let text =
-          In_channel.with_open_text (Filename.concat root path)
-            In_channel.input_all
-        in
-        let n = String.length needle in
-        let rec from i =
-          i + n <= String.length text
-          && (String.sub text i n = needle || from (i + 1))
-        in
-        from 0
-      in
       (* spelled in two parts so this file does not name them *)
       let diff = "Diff" ^ "_stmt" and corr = "Corr" ^ "_stmt" in
       check
         Alcotest.(list string)
         "the difference spelling stays in soft_constraint.ml(i)"
         [ "lib/core/soft_constraint.ml"; "lib/core/soft_constraint.mli" ]
-        (List.filter (mentions diff) (sources "lib"));
+        (List.filter (mentions root diff) (source_files root "lib"));
       check
         Alcotest.(list string)
         "the correlation statement is gone" []
-        (List.filter (mentions corr)
-           (List.concat_map sources
+        (List.filter (mentions root corr)
+           (List.concat_map (source_files root)
               [ "lib"; "bin"; "bench"; "examples"; "scbench"; "test" ]))
+
+(* One cardinality model: the planner records every estimate and EXPLAIN
+   only reads them, so Explain calls no estimator of its own and the
+   deleted whole-query estimators stay deleted. *)
+let test_one_estimator () =
+  match Source_root.find () with
+  | None -> () (* not running from a build tree *)
+  | Some root ->
+      (* spelled in two parts so this file does not name them *)
+      check tbool "lib/opt/explain.ml names no Selectivity function" false
+        (mentions root ("Selectivity" ^ ".") "lib/opt/explain.ml");
+      let lib = source_files root "lib" in
+      check tbool "the planner is among the sources read" true
+        (List.mem "lib/opt/planner.ml" lib);
+      check
+        Alcotest.(list string)
+        "no second whole-query estimator in lib/" []
+        (List.filter
+           (fun path ->
+             mentions root ("query" ^ "_cardinality") path
+             || mentions root ("output" ^ "_cardinality") path)
+           lib)
 
 (* ---- differential rewrite check -------------------------------------------- *)
 
@@ -1023,6 +1044,8 @@ let () =
           Alcotest.test_case "real tree" `Quick test_real_tree_lints;
           Alcotest.test_case "one band form in the sources" `Quick
             test_one_band_form;
+          Alcotest.test_case "one estimator in the sources" `Quick
+            test_one_estimator;
           Alcotest.test_case "process-global lint reads every form" `Quick
             test_globals_lint;
         ] );

@@ -708,6 +708,54 @@ let test_planner_group_order_limit () =
   in
   check tbool "sorted desc" true (sorted_desc counts)
 
+(* The planner is the only estimator: for every fixture statement,
+   EXPLAIN ANALYZE's root, the report's [est. rows] and sys.query_log all
+   read the planner's root estimate, and the estimates of its nodes fit
+   together (a UNION ALL sums its branches, LIMIT n caps at n). *)
+let test_one_estimate_per_node () =
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+  let rec fits ests (plan : Exec.Plan.t) =
+    let est = List.assq plan ests in
+    (match plan with
+    | Exec.Plan.Union_all inputs ->
+        check tbool "a UNION ALL sums its branches" true
+          (close est
+             (List.fold_left
+                (fun acc p -> acc +. List.assq p ests)
+                0.0 inputs))
+    | Exec.Plan.Limit { n; _ } ->
+        check tbool "LIMIT n estimates at most n" true
+          (est <= float_of_int n);
+        if n = 0 then check (tfloat 0.0) "LIMIT 0 estimates 0" 0.0 est
+    | _ -> ());
+    List.iter (fits ests) (Exec.Plan.children plan)
+  in
+  List.iter
+    (fun (fx : Benchkit.Scenario.fixture) ->
+      let sdb = fx.Benchkit.Scenario.fixture_setup Benchkit.Scenario.Quick in
+      List.iter
+        (fun sql ->
+          let a =
+            Core.Softdb.analyze sdb (Sqlfe.Parser.parse_query_string sql)
+          in
+          let report = a.Explain.a_report in
+          let label what =
+            Printf.sprintf "%s: %s: %s" fx.Benchkit.Scenario.fixture_name sql
+              what
+          in
+          let root = List.hd a.Explain.nodes in
+          check (tfloat 0.0) (label "EXPLAIN ANALYZE root is est. rows")
+            report.Explain.estimated_cardinality root.Explain.est_rows;
+          (match Obs.Query_log.last (Core.Softdb.query_log sdb) with
+          | Some e ->
+              check (tfloat 0.0) (label "sys.query_log records est. rows")
+                report.Explain.estimated_cardinality
+                e.Obs.Query_log.estimated_rows
+          | None -> Alcotest.fail (label "not logged"));
+          fits report.Explain.estimates report.Explain.plan)
+        fx.Benchkit.Scenario.fixture_queries)
+    Benchkit.Scenario.fixtures
+
 (* ---- global soundness property -------------------------------------------------------- *)
 
 (* Random single-table and two-table queries over purchase: the full
@@ -835,6 +883,8 @@ let () =
           Alcotest.test_case "join order" `Quick test_planner_join_order;
           Alcotest.test_case "group/order/limit" `Quick
             test_planner_group_order_limit;
+          Alcotest.test_case "one estimate per node" `Quick
+            test_one_estimate_per_node;
         ] );
       ( "interval-properties",
         qsuite

@@ -458,6 +458,47 @@ let test_aligned_join_tightens_estimate () =
   check tbool "join result unchanged by partitioning" true
     (List.sort compare (rows_of plain sql) = List.sort compare (rows_of parted sql))
 
+(* Pruning a segment counts once: the filter's selectivity over the whole
+   table already leaves out the pruned rows, so the concatenation
+   estimates what the unpartitioned block does, and its surviving
+   segments share that estimate. *)
+let test_pruned_partition_estimated_once () =
+  let sdb name =
+    (List.find
+       (fun (fx : Benchkit.Scenario.fixture) ->
+         fx.Benchkit.Scenario.fixture_name = name)
+       Benchkit.Scenario.fixtures)
+      .Benchkit.Scenario.fixture_setup Benchkit.Scenario.Quick
+  in
+  let sql = "SELECT * FROM purchase WHERE id < 750" in
+  let plain =
+    (Core.Softdb.explain (sdb "purchase/off") sql)
+      .Opt.Explain.estimated_cardinality
+  in
+  let a =
+    Core.Softdb.analyze (sdb "purchase/part4")
+      (Sqlfe.Parser.parse_query_string sql)
+  in
+  let nodes prefix =
+    List.filter
+      (fun (n : Opt.Explain.node_stat) ->
+        String.starts_with ~prefix n.Opt.Explain.label)
+      a.Opt.Explain.nodes
+  in
+  let est (n : Opt.Explain.node_stat) = n.Opt.Explain.est_rows in
+  let close x y = Float.abs (x -. y) <= 1e-9 *. y in
+  match (nodes "PartitionConcat", nodes "PartitionScan") with
+  | [ concat ], scans ->
+      check tbool "pruned to fewer than four segments" true
+        (List.length scans < 4);
+      check tbool "the block estimates about the 749 rows" true
+        (Float.abs (plain -. 749.0) < 7.5);
+      check tbool "the concatenation estimates the unpartitioned block" true
+        (close (est concat) plain);
+      check tbool "the surviving segments share the estimate" true
+        (close (List.fold_left (fun acc n -> acc +. est n) 0.0 scans) plain)
+  | _ -> Alcotest.fail "expected one PartitionConcat"
+
 (* ---- sys.partitions + per-partition counters ------------------------------- *)
 
 let test_sys_partitions_and_scan_counters () =
@@ -766,6 +807,8 @@ let () =
             test_aligned_join_cap_arithmetic;
           Alcotest.test_case "aligned join tightens the estimate" `Quick
             test_aligned_join_tightens_estimate;
+          Alcotest.test_case "a pruned partition is estimated once" `Quick
+            test_pruned_partition_estimated_once;
         ] );
       ( "observability",
         [

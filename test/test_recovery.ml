@@ -113,8 +113,7 @@ let test_sc_codec_roundtrip () =
 (* Every statement form survives its repr bit-exactly, FLOAT constants
    included: non-integral, negative, tiny and huge.  (An integral FLOAT
    below 10^15 prints as an INT literal, as it always has, so the
-   generator leaves those out; so is a NOT NULL body, which the SQL
-   parser does not read as a table constraint.) *)
+   generator leaves those out.) *)
 let codec_roundtrip_prop =
   let open QCheck.Gen in
   let non_integral =
@@ -160,6 +159,9 @@ let codec_roundtrip_prop =
                        ~c ~e:(Float.abs e)))))
           float_gen float_gen float_gen;
         return (Core.Soft_constraint.Ic_stmt (Icdef.Unique [ "a"; "b" ]));
+        map
+          (fun c -> Core.Soft_constraint.Ic_stmt (Icdef.Not_null c))
+          col;
         return
           (Core.Soft_constraint.Fd_stmt
              { Mining.Fd_mine.table = "t"; lhs = [ "a"; "b" ]; rhs = "c" });
@@ -276,6 +278,40 @@ let test_old_band_tags_recover () =
          Core.Soft_constraint.is_usable
            (Option.get (Core.Sc_catalog.find (Core.Softdb.catalog sdb) n)))
        [ "diff_old"; "corr_old" ])
+
+(* A NOT NULL SC is stored as the [ic|] line its codec writes, and a log
+   holding one recovers it. *)
+let test_not_null_sc_recovers () =
+  let stmt = Core.Soft_constraint.Ic_stmt (Icdef.Not_null "a") in
+  let records =
+    [
+      Wal.Begin { txn = 1 };
+      Wal.Ddl { txn = 1; sql = "CREATE TABLE t (a INT, b INT)" };
+      Wal.Sc
+        {
+          txn = 1;
+          change =
+            Wal.Sc_installed
+              {
+                Wal.sc_name = "a_present";
+                sc_table = "t";
+                sc_absolute = true;
+                sc_confidence = 1.0;
+                sc_state = "active";
+                sc_anchor = 0;
+                sc_violations = 0;
+                sc_repr = Core.Sc_codec.statement_repr stmt;
+              };
+        };
+      Wal.Commit { txn = 1 };
+    ]
+  in
+  let sdb = Core.Recovery.recover records in
+  match Core.Sc_catalog.find (Core.Softdb.catalog sdb) "a_present" with
+  | Some sc ->
+      check tbool "recovered as NOT NULL (a)" true
+        (sc.Core.Soft_constraint.statement = stmt)
+  | None -> Alcotest.fail "the NOT NULL SC was not recovered"
 
 (* ---- shared fixture: a table, five rows, one check-shaped ASC ------------ *)
 
@@ -1359,6 +1395,8 @@ let () =
             codec_roundtrip_prop;
           Alcotest.test_case "old diff| and corr| lines recover" `Quick
             test_old_band_tags_recover;
+          Alcotest.test_case "a NOT NULL SC recovers" `Quick
+            test_not_null_sc_recovers;
         ] );
       ( "replay",
         [
